@@ -279,7 +279,7 @@ func BenchmarkFigure3StatementDist(b *testing.B) {
 func BenchmarkThroughputStatements(b *testing.B) {
 	for _, d := range dialect.All {
 		b.Run(d.String(), func(b *testing.B) {
-			tester := core.NewTester(core.Config{Dialect: d, Seed: 1, QueriesPerDB: 20})
+			tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: 1, QueriesPerDB: 20})
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
@@ -313,10 +313,9 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			for _, d := range dialect.All {
 				b.Run(d.String(), func(b *testing.B) {
 					tester := core.NewTester(core.Config{
-						Dialect:      d,
+						Session:      sut.Session{Dialect: d, WireFidelity: mode.wire},
 						Seed:         1,
 						QueriesPerDB: 20,
-						WireFidelity: mode.wire,
 					})
 					b.ResetTimer()
 					start := time.Now()
@@ -350,7 +349,7 @@ func BenchmarkOracleThroughput(b *testing.B) {
 				d := d
 				b.Run(d.String(), func(b *testing.B) {
 					tester := core.NewTester(core.Config{
-						Dialect:      d,
+						Session:      sut.Session{Dialect: d},
 						Oracle:       name,
 						Seed:         1,
 						QueriesPerDB: 20,
@@ -403,7 +402,7 @@ func BenchmarkBaselineComparison(b *testing.B) {
 		// Fuzzer (same budget, same seeds)
 		fz := func() bool {
 			for seed := int64(1); seed <= budget; seed++ {
-				f := fuzz.New(fuzz.Config{Dialect: info.Dialect, Seed: seed, Faults: faults.NewSet(info.ID)})
+				f := fuzz.New(fuzz.Config{Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(info.ID)}, Seed: seed})
 				bug, err := f.RunDatabase()
 				if err != nil {
 					b.Fatal(err)
@@ -481,7 +480,7 @@ func BenchmarkAblationSharedEvaluator(b *testing.B) {
 func BenchmarkAblationRejectionSampling(b *testing.B) {
 	measure := func(disable bool) (discarded, queries int) {
 		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite, Seed: 5, QueriesPerDB: 30,
+			Session: sut.Session{Dialect: dialect.SQLite}, Seed: 5, QueriesPerDB: 30,
 			DisableRectification: disable,
 		})
 		for i := 0; i < 30; i++ {
@@ -514,7 +513,7 @@ func BenchmarkAblationRowCount(b *testing.B) {
 		rows := rows
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			tester := core.NewTester(core.Config{
-				Dialect: dialect.SQLite, Seed: 3, QueriesPerDB: 10,
+				Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: 10,
 				MinRows: rows, MaxRows: rows,
 			})
 			start := time.Now()
@@ -538,7 +537,7 @@ func BenchmarkAblationExprDepth(b *testing.B) {
 		depth := depth
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			tester := core.NewTester(core.Config{
-				Dialect: dialect.SQLite, Seed: 3, QueriesPerDB: 20, MaxExprDepth: depth,
+				Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: 20, MaxExprDepth: depth,
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -939,7 +938,7 @@ func measureSchedulerThroughput(b *testing.B) map[string]float64 {
 
 			start := time.Now()
 			for i := 0; i < total; i++ {
-				tester := core.NewTester(core.Config{Dialect: d, Seed: int64(i + 1), QueriesPerDB: 20})
+				tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: int64(i + 1), QueriesPerDB: 20})
 				if _, err := tester.RunDatabase(); err != nil {
 					b.Fatal(err)
 				}
@@ -1004,7 +1003,7 @@ func measureLifecycleReuse(b *testing.B) map[string]float64 {
 		lifecycleRatios = map[string]float64{}
 		const dbs = 400
 		for _, d := range dialect.All {
-			cfg := core.Config{Dialect: d, QueriesPerDB: 20}
+			cfg := core.Config{Session: sut.Session{Dialect: d}, QueriesPerDB: 20}
 
 			start := time.Now()
 			for i := 0; i < dbs; i++ {
@@ -1058,7 +1057,7 @@ func BenchmarkAblationQueriesPerDB(b *testing.B) {
 	for _, q := range []int{1, 10, 30, 100} {
 		q := q
 		b.Run(fmt.Sprintf("queries=%d", q), func(b *testing.B) {
-			tester := core.NewTester(core.Config{Dialect: dialect.SQLite, Seed: 3, QueriesPerDB: q})
+			tester := core.NewTester(core.Config{Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: q})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tester.RunDatabase(); err != nil {
@@ -1084,10 +1083,9 @@ func BenchmarkPagerThroughput(b *testing.B) {
 				b.Run(d.String(), func(b *testing.B) {
 					b.Setenv("TMPDIR", b.TempDir())
 					tester := core.NewTester(core.Config{
-						Dialect:      d,
+						Session:      sut.Session{Dialect: d, Storage: storage},
 						Seed:         1,
 						QueriesPerDB: 20,
-						Storage:      storage,
 					})
 					b.ResetTimer()
 					start := time.Now()
@@ -1209,7 +1207,7 @@ func BenchmarkInterleavedCampaign(b *testing.B) {
 		d := d
 		b.Run(d.String(), func(b *testing.B) {
 			tester := core.NewTester(core.Config{
-				Dialect:      d,
+				Session:      sut.Session{Dialect: d},
 				Oracle:       "serializability",
 				Seed:         1,
 				QueriesPerDB: 20,
@@ -1236,7 +1234,7 @@ var (
 )
 
 // hashJoinBenchEngines builds the 1k x 1k equi-join workload on two
-// engines: join-strategy selection enabled and the -no-hashjoin nested
+// engines: join-strategy selection enabled and the -disable hashjoin nested
 // baseline. Every key matches exactly once, so the join yields 1000 rows
 // from a million-pair cross space — the shape where hashing pays most.
 func hashJoinBenchEngines(b *testing.B) (hashed, nested *engine.Engine) {
@@ -1509,10 +1507,9 @@ func BenchmarkAggCampaignThroughput(b *testing.B) {
 			for _, d := range dialect.All {
 				b.Run(d.String(), func(b *testing.B) {
 					tester := core.NewTester(core.Config{
-						Dialect:      d,
+						Session:      sut.Session{Dialect: d, NoHashAgg: mode.noHashAgg},
 						Seed:         1,
 						QueriesPerDB: 20,
-						NoHashAgg:    mode.noHashAgg,
 					})
 					b.ResetTimer()
 					start := time.Now()

@@ -9,12 +9,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -70,272 +67,6 @@ func main() {
 	figure3(data)
 	throughput()
 	baseline(*budget / 4)
-	bench8()
-	bench9()
-	bench10()
-}
-
-// bench10 measures the PR 10 perf work — streaming hash aggregation vs
-// materialized grouping on the 10k-row/10-group shape, the bounded
-// top-K heap vs the full sort on ORDER BY + LIMIT 10, and grouped/
-// ordered PQS campaign throughput with hash aggregation on vs ablated —
-// and writes the numbers to BENCH_10.json at the repo root.
-// BenchmarkGroupByHash / BenchmarkTopK / BenchmarkAggCampaignThroughput
-// are the precise per-op measurements; this emits machine-readable
-// snapshots of the same workloads.
-func bench10() {
-	const aggRows = 10000
-	mk := func(opts ...engine.Option) *engine.Engine {
-		e := engine.Open(dialect.SQLite, opts...)
-		if _, err := e.Exec("CREATE TABLE ab0(g INT, a INT, b REAL, c INT)"); err != nil {
-			panic(err)
-		}
-		for lo := 0; lo < aggRows; lo += 200 {
-			var sb strings.Builder
-			sb.WriteString("INSERT INTO ab0 VALUES ")
-			for i := lo; i < lo+200; i++ {
-				if i > lo {
-					sb.WriteString(", ")
-				}
-				fmt.Fprintf(&sb, "(%d, %d, %d.5, %d)", i%10, i, i%100, i%7)
-			}
-			if _, err := e.Exec(sb.String()); err != nil {
-				panic(err)
-			}
-		}
-		return e
-	}
-	hashed, materialized := mk(), mk(engine.WithoutHashAgg())
-	measure := func(e *engine.Engine, sql string, iters int) time.Duration {
-		if _, err := e.Exec(sql); err != nil { // warm compiled programs
-			panic(err)
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := e.Exec(sql); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	const groupSQL = "SELECT g, COUNT(*), SUM(a), AVG(b) FROM ab0 GROUP BY g"
-	groupHashNs := measure(hashed, groupSQL, 30)
-	groupMatNs := measure(materialized, groupSQL, 10)
-	const topkSQL = "SELECT * FROM ab0 ORDER BY b, a LIMIT 10"
-	topkNs := measure(hashed, topkSQL, 30)
-	sortNs := measure(materialized, topkSQL, 10)
-
-	// Grouped/ordered PQS campaign throughput: the generator now emits
-	// ORDER BY + LIMIT shapes, so end-to-end dbs/s reflects the new
-	// executor paths under oracle load.
-	campaign := func(noHashAgg bool) (float64, float64) {
-		const dbs = 300
-		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite, Seed: 1, QueriesPerDB: 20, NoHashAgg: noHashAgg,
-		})
-		start := time.Now()
-		for i := 0; i < dbs; i++ {
-			if _, err := tester.RunDatabase(); err != nil {
-				panic(err)
-			}
-		}
-		el := time.Since(start).Seconds()
-		return float64(dbs) / el, float64(tester.Stats().Statements) / el
-	}
-	onDBs, onStmts := campaign(false)
-	offDBs, offStmts := campaign(true)
-
-	out := map[string]any{
-		"pr": 10,
-		"group_by_10kx10": map[string]any{
-			"hash_ns_per_op":         groupHashNs.Nanoseconds(),
-			"materialized_ns_per_op": groupMatNs.Nanoseconds(),
-			"speedup":                float64(groupMatNs) / float64(groupHashNs),
-			"target_speedup":         3.0,
-		},
-		"topk_10k_limit10": map[string]any{
-			"heap_ns_per_op":      topkNs.Nanoseconds(),
-			"full_sort_ns_per_op": sortNs.Nanoseconds(),
-			"speedup":             float64(sortNs) / float64(topkNs),
-		},
-		"agg_campaign": map[string]any{
-			"hashagg_dbs_per_s":      onDBs,
-			"hashagg_stmts_per_s":    onStmts,
-			"no_hashagg_dbs_per_s":   offDBs,
-			"no_hashagg_stmts_per_s": offStmts,
-		},
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	path := filepath.Join(report.RepoRoot(), "BENCH_10.json")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrote %s: group-by hash %.1fx over materialized, top-K %.1fx over full sort\n\n",
-		path, float64(groupMatNs)/float64(groupHashNs), float64(sortNs)/float64(topkNs))
-}
-
-// bench9 measures the PR 9 transaction work — the BEGIN/INSERT/COMMIT
-// cycle against plain autocommit inserts, and serializability-oracle
-// campaign throughput (interleaved multi-session histories plus the
-// serial-order search per check) — and writes the numbers to BENCH_9.json
-// at the repo root. BenchmarkTxnThroughput / BenchmarkInterleavedCampaign
-// are the precise per-op measurements; this emits machine-readable
-// snapshots of the same workloads.
-func bench9() {
-	const cycles = 20000
-	e := engine.Open(dialect.SQLite)
-	if _, err := e.Exec("CREATE TABLE t0(c0 INT, c1 TEXT)"); err != nil {
-		panic(err)
-	}
-	c := e.NewConn()
-	run := func(txn bool, iters int) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if txn {
-				if _, err := c.Exec("BEGIN"); err != nil {
-					panic(err)
-				}
-			}
-			if _, err := c.Exec("INSERT INTO t0 VALUES (1, 'x')"); err != nil {
-				panic(err)
-			}
-			if txn {
-				if _, err := c.Exec("COMMIT"); err != nil {
-					panic(err)
-				}
-			}
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	txnNs := run(true, cycles)
-	autoNs := run(false, cycles)
-
-	const dbs = 200
-	tester := core.NewTester(core.Config{
-		Dialect: dialect.SQLite, Oracle: "serializability", Seed: 1, QueriesPerDB: 20,
-	})
-	start := time.Now()
-	for i := 0; i < dbs; i++ {
-		if _, err := tester.RunDatabase(); err != nil {
-			panic(err)
-		}
-	}
-	el := time.Since(start).Seconds()
-
-	out := map[string]any{
-		"pr": 9,
-		"txn_commit_cycle": map[string]any{
-			"txn_ns_per_commit":    txnNs.Nanoseconds(),
-			"autocommit_ns_per_op": autoNs.Nanoseconds(),
-			"overhead":             float64(txnNs) / float64(autoNs),
-		},
-		"serializability_campaign": map[string]any{
-			"dbs_per_s":   float64(dbs) / el,
-			"stmts_per_s": float64(tester.Stats().Statements) / el,
-			"checks":      tester.Stats().Queries,
-		},
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	path := filepath.Join(report.RepoRoot(), "BENCH_9.json")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrote %s: txn commit cycle %s vs autocommit %s, serializability campaign %.0f dbs/s\n\n",
-		path, txnNs, autoNs, float64(dbs)/el)
-}
-
-// bench8 measures the PR 8 perf work — hash join vs nested loop on the
-// 1k×1k equi-join and parse throughput over a rendered-SQL corpus (the
-// allocation-free tokenizer dominates that path) — and writes the numbers
-// to BENCH_8.json at the repo root, the perf trajectory file CI and later
-// PRs diff against. BenchmarkHashJoin / BenchmarkTokenize are the precise
-// per-op measurements; this emits machine-readable snapshots of the same
-// workloads.
-func bench8() {
-	const joinRows = 1000
-	mk := func(opts ...engine.Option) *engine.Engine {
-		e := engine.Open(dialect.SQLite, opts...)
-		for _, tbl := range []string{"jb0", "jb1"} {
-			if _, err := e.Exec(fmt.Sprintf("CREATE TABLE %s(k INT, v TEXT)", tbl)); err != nil {
-				panic(err)
-			}
-			for lo := 0; lo < joinRows; lo += 200 {
-				var sb strings.Builder
-				fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", tbl)
-				for i := lo; i < lo+200; i++ {
-					if i > lo {
-						sb.WriteString(", ")
-					}
-					fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-				}
-				if _, err := e.Exec(sb.String()); err != nil {
-					panic(err)
-				}
-			}
-		}
-		return e
-	}
-	hashed, nested := mk(), mk(engine.WithoutHashJoin())
-	const joinQuery = "SELECT COUNT(*) FROM jb0 JOIN jb1 ON jb0.k = jb1.k"
-	measure := func(e *engine.Engine, iters int) time.Duration {
-		if _, err := e.Exec(joinQuery); err != nil { // warm compiled programs
-			panic(err)
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := e.Exec(joinQuery); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	hashNs := measure(hashed, 30)
-	nestedNs := measure(nested, 3)
-
-	// Parse throughput over a representative rendered query: lexing is the
-	// dominant cost, so this tracks the tokenizer fast path.
-	const parseSQL = "SELECT t0.c0, t1.c1, COUNT(*) FROM t0 JOIN t1 ON t0.c0 = t1.c0 " +
-		"LEFT JOIN t2 ON t1.c1 = t2.c1 WHERE t0.c0 >= 100 AND t1.c1 <> 'abc' " +
-		"GROUP BY t0.c0, t1.c1 HAVING COUNT(*) > 1.5e2 ORDER BY t0.c0 LIMIT 10"
-	const parseIters = 20000
-	start := time.Now()
-	for i := 0; i < parseIters; i++ {
-		if _, err := sqlparse.Parse(parseSQL, dialect.SQLite); err != nil {
-			panic(err)
-		}
-	}
-	parseNs := time.Since(start) / parseIters
-
-	out := map[string]any{
-		"pr": 8,
-		"hash_join_1kx1k": map[string]any{
-			"hash_ns_per_op":   hashNs.Nanoseconds(),
-			"nested_ns_per_op": nestedNs.Nanoseconds(),
-			"speedup":          float64(nestedNs) / float64(hashNs),
-			"target_speedup":   5.0,
-		},
-		"tokenizer": map[string]any{
-			"parse_ns_per_stmt": parseNs.Nanoseconds(),
-			"stmt_bytes":        len(parseSQL),
-			"parse_mb_per_s":    float64(len(parseSQL)) / (float64(parseNs.Nanoseconds()) / 1e9) / 1e6,
-		},
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	path := filepath.Join(report.RepoRoot(), "BENCH_8.json")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		panic(err)
-	}
-	fmt.Printf("wrote %s: hash join %.0fx over nested loop, parse %s/stmt\n\n",
-		path, float64(nestedNs)/float64(hashNs), parseNs)
 }
 
 func loc(dirs ...string) int {
@@ -473,7 +204,7 @@ func throughput() {
 		Headers: []string{"DBMS", "Statements/s"},
 	}
 	for _, d := range dialect.All {
-		tester := core.NewTester(core.Config{Dialect: d, Seed: 1, QueriesPerDB: 20})
+		tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: 1, QueriesPerDB: 20})
 		start := time.Now()
 		for i := 0; i < 40; i++ {
 			if _, err := tester.RunDatabase(); err != nil {
@@ -497,7 +228,7 @@ func baseline(budget int) {
 			pqsLogic++
 		}
 		for seed := int64(1); seed <= int64(budget); seed++ {
-			f := fuzz.New(fuzz.Config{Dialect: info.Dialect, Seed: seed, Faults: faults.NewSet(info.ID)})
+			f := fuzz.New(fuzz.Config{Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(info.ID)}, Seed: seed})
 			if bug, _ := f.RunDatabase(); bug != nil {
 				fuzzLogic++
 				break

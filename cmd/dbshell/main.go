@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dbshell -dialect sqlite [-backend memengine|wire] [-storage pager] [-fault sqlite.partial-index-not-null] [-no-compile] [-no-hashjoin] [-no-hashagg]
+//	dbshell -dialect sqlite [-backend memengine|wire] [-storage pager] [-fault sqlite.partial-index-not-null] [-disable planner,compile,hashjoin,hashagg]
 //
 // Statements end with ';'. Meta commands: .tables, .schema <t>,
 // .plan <select>, .oracle <name>, .begin, .commit, .rollback,
@@ -19,7 +19,7 @@
 // pristine state of a fresh open.
 // `EXPLAIN [QUERY PLAN] <select>;` also works as a statement and reports
 // the planner's chosen access path per FROM source. `.timer on` prints
-// per-statement wall time — combined with -no-compile it A/B-tests
+// per-statement wall time — combined with -disable compile it A/B-tests
 // compiled expression programs against the tree-walk interpreter.
 // `.oracle <name>` runs one-shot checks of a registered testing oracle
 // (pqs, tlp, norec, recovery, serializability) against the shell's
@@ -57,10 +57,7 @@ func main() {
 		dialectFlag = flag.String("dialect", "sqlite", "dialect profile")
 		backendFlag = flag.String("backend", sut.DefaultBackend, "SUT backend (memengine, wire)")
 		faultFlag   = flag.String("fault", "", "comma-separated faults to inject")
-		noPlanner   = flag.Bool("no-planner", false, "disable index access paths")
-		noCompile   = flag.Bool("no-compile", false, "disable compiled expression programs (tree-walk evaluation)")
-		noHashJoin  = flag.Bool("no-hashjoin", false, "disable hash/index-lookup join strategies (nested-loop joins only)")
-		noHashAgg   = flag.Bool("no-hashagg", false, "disable hash aggregation and top-K ordering (materialized grouping + full sorts)")
+		disableFlag = flag.String("disable", "", "comma-separated engine features to switch off: "+strings.Join(sut.Ablations(), ", "))
 		storageFlag = flag.String("storage", "", "storage mode: memory (default) or pager (durable page file + WAL)")
 	)
 	flag.Parse()
@@ -70,7 +67,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	sess := sut.Session{Dialect: d, NoPlanner: *noPlanner, NoCompile: *noCompile, NoHashJoin: *noHashJoin, NoHashAgg: *noHashAgg, Storage: *storageFlag}
+	sess := sut.Session{Dialect: d, Storage: *storageFlag}
+	if err := sess.Disable(*disableFlag); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *faultFlag != "" {
 		fs := faults.NewSet()
 		for _, name := range strings.Split(*faultFlag, ",") {
@@ -305,7 +306,7 @@ func run(db sut.DB, sql string) {
 	elapsed := time.Since(start)
 	if timerOn {
 		// Printed for errors too: bind-time rejection vs per-row failure
-		// is exactly the cost difference -no-compile A/B runs look at.
+		// is exactly the cost difference -disable compile A/B runs look at.
 		defer fmt.Printf("Run Time: %s\n", elapsed)
 	}
 	if err != nil {

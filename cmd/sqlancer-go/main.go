@@ -11,6 +11,7 @@
 //	sqlancer-go -mode diff -dialect sqlite -right postgres
 //	sqlancer-go -backend wire -dialect sqlite -fault sqlite.partial-index-not-null
 //	sqlancer-go -storage pager -oracle recovery -fault pager.wal-lost-flush
+//	sqlancer-go -disable hashjoin,compile -fault sqlite.hash-join-collation
 //	sqlancer-go -oracle serializability -fault engine.lost-update -sessions 3
 //	sqlancer-go -list-faults
 //
@@ -27,16 +28,15 @@
 // the SUT driver (memengine drives the engine in process with the ExecAST
 // fast path; wire goes through database/sql); -wire-fidelity keeps the
 // memengine backend but re-renders and reparses every statement, for
-// parser coverage. -no-compile disables compiled expression programs so
-// A/B runs can compare the tree-walk evaluator (see DESIGN.md "Compiled
-// expression programs" and "Metamorphic oracles"). -no-hashjoin pins
-// every join level to the nested loop, ablating hash and index-lookup
-// join strategies (see DESIGN.md "Join execution & strategy selection");
-// the three sqlite/postgres hash-join faults are unreachable under it.
-// -no-hashagg forces materialized grouping and full sorts, ablating the
-// streaming hash-aggregation executor and the top-K ORDER BY/LIMIT path
-// (see DESIGN.md "Aggregation & ordering execution"); the three hash-agg
-// faults are unreachable under it.
+// parser coverage. -disable switches engine features off for A/B runs,
+// as a comma-separated list of planner (full scans only), compile
+// (tree-walk evaluation; DESIGN.md "Compiled expression programs" and
+// "Metamorphic oracles"), hashjoin (nested-loop joins only; DESIGN.md
+// "Join execution & strategy selection") and hashagg (materialized
+// grouping and full sorts instead of hash aggregation and top-K; DESIGN.md
+// "Aggregation & ordering execution"). The three hash-join faults are
+// unreachable under -disable hashjoin, the three hash-agg faults under
+// -disable hashagg.
 //
 // -storage pager runs every session on the durable page-file + WAL
 // backend instead of in memory. The recovery-equivalence oracle
@@ -92,9 +92,7 @@ func main() {
 		backend     = flag.String("backend", sut.DefaultBackend, "SUT backend: memengine, wire")
 		storageFlag = flag.String("storage", "", "storage mode: memory (default) or pager (durable page file + WAL; required by the recovery oracle)")
 		wireFid     = flag.Bool("wire-fidelity", false, "render+reparse each statement instead of the AST fast path")
-		noCompile   = flag.Bool("no-compile", false, "disable compiled expression programs (tree-walk evaluation)")
-		noHashJoin  = flag.Bool("no-hashjoin", false, "disable hash/index-lookup join strategies (nested-loop joins only)")
-		noHashAgg   = flag.Bool("no-hashagg", false, "disable hash aggregation and top-K ordering (materialized grouping + full sorts)")
+		disableFlag = flag.String("disable", "", "comma-separated engine features to switch off: "+strings.Join(sut.Ablations(), ", "))
 		corpusFlag  = flag.Bool("corpus", false, "sweep every registered fault of the dialect through one shared scheduler pool (-max-dbs is the per-fault budget)")
 		listFaults  = flag.Bool("list-faults", false, "print the fault registry and exit")
 	)
@@ -112,57 +110,61 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fault := parseFault(*faultFlag)
+	sess := sut.Session{Dialect: d, Storage: *storageFlag, WireFidelity: *wireFid}
+	if fault != "" {
+		sess.Faults = faults.NewSet(fault)
+	}
+	if err := sess.Disable(*disableFlag); err != nil {
+		fatal(err)
+	}
+	cfg := core.Config{
+		Session:      sess,
+		Seed:         *seed,
+		MaxRows:      *rows,
+		MaxExprDepth: *depth,
+		QueriesPerDB: *queries,
+		Backend:      *backend,
+		Sessions:     *sessions,
+	}
 
 	if *corpusFlag {
 		if *mode != "pqs" {
 			fatal(fmt.Errorf("-corpus applies to -mode pqs only"))
 		}
-		if *faultFlag != "" {
+		if fault != "" {
 			fatal(fmt.Errorf("-corpus sweeps every fault; drop -fault"))
 		}
 		if *oracleFlag != "pqs" {
 			fatal(fmt.Errorf("-corpus routes each fault to its registry oracle; drop -oracle"))
 		}
-		runCorpus(d, *maxDBs, *workers, *seed, *doReduce, core.Config{
-			MaxRows:      *rows,
-			MaxExprDepth: *depth,
-			QueriesPerDB: *queries,
-			Backend:      *backend,
-			WireFidelity: *wireFid,
-			NoCompile:    *noCompile,
-			NoHashJoin:   *noHashJoin,
-			NoHashAgg:    *noHashAgg,
-			Storage:      *storageFlag,
-			Sessions:     *sessions,
-		})
+		runCorpus(cfg, *maxDBs, *workers, *doReduce)
 		return
 	}
 
 	switch *mode {
 	case "pqs":
-		runPQS(d, *faultFlag, *backend, *storageFlag, *wireFid, *noCompile, *noHashJoin, *noHashAgg, *maxDBs, *workers, *seed, *rows, *depth, *queries, *sessions, *doReduce, parseOracles(*oracleFlag))
+		runPQS(cfg, fault, *maxDBs, *workers, *doReduce, parseOracles(*oracleFlag))
 	case "fuzz":
-		runFuzz(d, *faultFlag, *backend, *storageFlag, *wireFid, *noCompile, *noHashJoin, *noHashAgg, *maxDBs, *seed, *queries)
+		runFuzz(sess, *backend, *maxDBs, *seed, *queries)
 	case "diff":
+		// diffdb opens its own string-based sessions: there is no AST fast
+		// path to opt out of, and neither engine features nor storage are
+		// plumbed through it. Reject rather than silently ignore.
 		if *wireFid {
-			// The differential baseline is already string-based end to
-			// end; there is no AST fast path to opt out of.
 			fatal(fmt.Errorf("-wire-fidelity does not apply to -mode diff"))
 		}
-		if *noCompile {
-			// diffdb opens its own sessions and does not plumb engine
-			// options; reject rather than silently ignore.
-			fatal(fmt.Errorf("-no-compile does not apply to -mode diff"))
+		if *disableFlag != "" {
+			fatal(fmt.Errorf("-disable does not apply to -mode diff"))
 		}
 		if *storageFlag != "" && *storageFlag != "memory" {
-			// Same reason: diffdb sessions are not storage-configurable.
 			fatal(fmt.Errorf("-storage does not apply to -mode diff"))
 		}
 		r, err := dialect.Parse(*rightFlag)
 		if err != nil {
 			fatal(err)
 		}
-		runDiff(d, r, *faultFlag, *backend, *maxDBs, *seed)
+		runDiff(d, r, sess.Faults, *backend, *maxDBs, *seed)
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
@@ -203,30 +205,21 @@ func parseOracles(list string) []string {
 	return out
 }
 
-func runPQS(d dialect.Dialect, faultName, backend, storage string, wireFid, noCompile, noHashJoin, noHashAgg bool, maxDBs, workers int, seed int64, rows, depth, queries, sessions int, doReduce bool, oracles []string) {
+// runPQS hunts one fault (none for a soundness run) with the oracles
+// rotating across databases; cfg.Seed is the campaign's base seed.
+func runPQS(cfg core.Config, fault faults.Fault, maxDBs, workers int, doReduce bool, oracles []string) {
 	res := runner.Run(runner.Campaign{
-		Dialect:      d,
-		Fault:        parseFault(faultName),
+		Dialect:      cfg.Dialect,
+		Fault:        fault,
 		MaxDatabases: maxDBs,
 		Workers:      workers,
-		BaseSeed:     seed,
+		BaseSeed:     cfg.Seed,
 		Reduce:       doReduce,
 		Oracles:      oracles,
-		Tester: core.Config{
-			MaxRows:      rows,
-			MaxExprDepth: depth,
-			QueriesPerDB: queries,
-			Backend:      backend,
-			WireFidelity: wireFid,
-			NoCompile:    noCompile,
-			NoHashJoin:   noHashJoin,
-			NoHashAgg:    noHashAgg,
-			Storage:      storage,
-			Sessions:     sessions,
-		},
+		Tester:       cfg,
 	})
 	fmt.Printf("dialect=%s fault=%s oracles=%s databases=%d statements=%d queries=%d elapsed=%s\n",
-		d, faultName, strings.Join(oracles, ","), res.Databases, res.Stats.Statements, res.Stats.Queries, res.Elapsed.Round(1000000))
+		cfg.Dialect, fault, strings.Join(oracles, ","), res.Databases, res.Stats.Statements, res.Stats.Queries, res.Elapsed.Round(1000000))
 	if !res.Detected {
 		fmt.Println("no bug detected within budget")
 		return
@@ -245,11 +238,11 @@ func runPQS(d dialect.Dialect, faultName, backend, storage string, wireFid, noCo
 // runCorpus hunts the dialect's whole fault corpus in one work-stealing
 // sweep: one scheduler pool multiplexes every per-fault campaign, each
 // routed to its registry oracle.
-func runCorpus(d dialect.Dialect, maxDBs, workers int, seed int64, doReduce bool, tcfg core.Config) {
+func runCorpus(cfg core.Config, maxDBs, workers int, doReduce bool) {
 	start := time.Now()
-	cs := runner.CorpusCampaigns(d, maxDBs, seed, doReduce)
+	cs := runner.CorpusCampaigns(cfg.Dialect, maxDBs, cfg.Seed, doReduce)
 	for i := range cs {
-		cs[i].Tester = tcfg
+		cs[i].Tester = cfg
 	}
 	s := &runner.Scheduler{Workers: workers}
 	results := s.Sweep(context.Background(), cs)
@@ -267,13 +260,9 @@ func runCorpus(d dialect.Dialect, maxDBs, workers int, seed int64, doReduce bool
 		detected, len(results), databases, time.Since(start).Round(time.Millisecond))
 }
 
-func runFuzz(d dialect.Dialect, faultName, backend, storage string, wireFid, noCompile, noHashJoin, noHashAgg bool, maxDBs int, seed int64, queries int) {
-	var fs *faults.Set
-	if f := parseFault(faultName); f != "" {
-		fs = faults.NewSet(f)
-	}
+func runFuzz(sess sut.Session, backend string, maxDBs int, seed int64, queries int) {
 	for i := 0; i < maxDBs; i++ {
-		f := fuzz.New(fuzz.Config{Dialect: d, Seed: seed + int64(i), Faults: fs, QueriesPerDB: queries, Backend: backend, WireFidelity: wireFid, NoCompile: noCompile, NoHashJoin: noHashJoin, NoHashAgg: noHashAgg, Storage: storage})
+		f := fuzz.New(fuzz.Config{Session: sess, Seed: seed + int64(i), QueriesPerDB: queries, Backend: backend})
 		bug, err := f.RunDatabase()
 		if err != nil {
 			fatal(err)
@@ -289,11 +278,7 @@ func runFuzz(d dialect.Dialect, faultName, backend, storage string, wireFid, noC
 	fmt.Printf("fuzzer: no detection in %d databases (logic bugs are invisible to fuzzing)\n", maxDBs)
 }
 
-func runDiff(left, right dialect.Dialect, faultName, backend string, maxDBs int, seed int64) {
-	var fs *faults.Set
-	if f := parseFault(faultName); f != "" {
-		fs = faults.NewSet(f)
-	}
+func runDiff(left, right dialect.Dialect, fs *faults.Set, backend string, maxDBs int, seed int64) {
 	for i := 0; i < maxDBs; i++ {
 		s := diffdb.New(diffdb.Config{
 			Pair:    [2]dialect.Dialect{left, right},

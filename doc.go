@@ -27,17 +27,18 @@
 //
 // The engine evaluates query predicates through compiled expression
 // programs (slot-bound closures, internal/eval's Compile); the
-// Session.NoCompile option — `-no-compile` on the CLIs — restores the
-// tree-walk interpreter for A/B runs. See DESIGN.md "Compiled expression
-// programs".
+// Session.NoCompile option — `-disable compile` on the CLIs, DSN
+// `disable=compile` — restores the tree-walk interpreter for A/B runs. See
+// DESIGN.md "Compiled expression programs".
 //
 // Joins pick a per-level strategy — hash join, index lookup, or nested
 // loop — from estimated cardinalities, with collation/affinity-correct
 // key normalization and full ON re-verification on every candidate pair;
 // EXPLAIN QUERY PLAN surfaces the choice. The Session.NoHashJoin option —
-// `-no-hashjoin` on the CLIs, DSN `hashjoin=off` — pins every level to
-// the nested loop, and three injectable hash-join faults ride inside the
-// ablated code. See DESIGN.md "Join execution & strategy selection".
+// `-disable hashjoin` on the CLIs, DSN `disable=hashjoin` — pins every
+// level to the nested loop, and three injectable hash-join faults ride
+// inside the ablated code. See DESIGN.md "Join execution & strategy
+// selection". sut.Ablations lists every engine feature -disable accepts.
 //
 // Databases can live on a durable storage backend
 // (internal/storage/pager): a page file plus write-ahead log with

@@ -52,9 +52,8 @@ func main() {
 	fmt.Println("Hunting the same bug with Pivoted Query Synthesis...")
 	for seed := int64(1); ; seed++ {
 		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite,
+			Session: sut.Session{Dialect: dialect.SQLite, Faults: fs},
 			Seed:    seed,
-			Faults:  fs,
 		})
 		bug, err := tester.RunDatabase()
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/reduce"
+	"repro/internal/sut"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 
 	var bug *core.Bug
 	for seed := int64(1); bug == nil; seed++ {
-		tester := core.NewTester(core.Config{Dialect: info.Dialect, Seed: seed, Faults: fs})
+		tester := core.NewTester(core.Config{Session: sut.Session{Dialect: info.Dialect, Faults: fs}, Seed: seed})
 		b, err := tester.RunDatabase()
 		if err != nil {
 			log.Fatal(err)

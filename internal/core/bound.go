@@ -11,13 +11,10 @@ type BoundTester struct {
 }
 
 // NewTesterWithDB creates a tester that runs every database lifecycle
-// against the given DB instead of opening fresh ones. The DB session's
-// dialect and fault set take precedence over cfg's.
+// against the given DB instead of opening fresh ones. The DB's session
+// replaces cfg's.
 func NewTesterWithDB(cfg Config, db sut.DB) *BoundTester {
-	sess := db.Session()
-	cfg.Dialect = sess.Dialect
-	cfg.Faults = sess.Faults
-	cfg.WireFidelity = sess.WireFidelity
+	cfg.Session = db.Session()
 	return &BoundTester{Tester: NewTester(cfg), db: db}
 }
 

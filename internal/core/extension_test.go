@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sut"
 )
 
 // The INTERSECT containment form must be as sound as the client-side check.
@@ -12,7 +13,7 @@ func TestContainmentViaQuerySoundness(t *testing.T) {
 	for _, d := range dialect.All {
 		for seed := int64(0); seed < 30; seed++ {
 			tester := NewTester(Config{
-				Dialect: d, Seed: seed, QueriesPerDB: 15,
+				Session: sut.Session{Dialect: d}, Seed: seed, QueriesPerDB: 15,
 				ContainmentViaQuery: true,
 			})
 			bug, err := tester.RunDatabase()
@@ -32,8 +33,8 @@ func TestContainmentViaQueryDetects(t *testing.T) {
 	found := false
 	for seed := int64(1); seed < 300 && !found; seed++ {
 		tester := NewTester(Config{
-			Dialect: dialect.MySQL, Seed: seed,
-			Faults:              faults.NewSet(faults.InsertVisibility),
+			Session:             sut.Session{Dialect: dialect.MySQL, Faults: faults.NewSet(faults.InsertVisibility)},
+			Seed:                seed,
 			ContainmentViaQuery: true,
 		})
 		bug, err := tester.RunDatabase()
@@ -52,7 +53,7 @@ func TestNegativeChecksSoundness(t *testing.T) {
 	for _, d := range dialect.All {
 		for seed := int64(0); seed < 30; seed++ {
 			tester := NewTester(Config{
-				Dialect: d, Seed: seed, QueriesPerDB: 15,
+				Session: sut.Session{Dialect: d}, Seed: seed, QueriesPerDB: 15,
 				NegativeChecks: true,
 			})
 			bug, err := tester.RunDatabase()
@@ -74,8 +75,8 @@ func TestNegativeChecksDetectRowAddingBug(t *testing.T) {
 	found := false
 	for seed := int64(1); seed < 400 && !found; seed++ {
 		tester := NewTester(Config{
-			Dialect: dialect.SQLite, Seed: seed,
-			Faults:         faults.NewSet(faults.IsNotNullOpt),
+			Session:        sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.IsNotNullOpt)},
+			Seed:           seed,
 			NegativeChecks: true,
 		})
 		bug, err := tester.RunDatabase()

@@ -20,7 +20,7 @@ type Lifecycle struct {
 // NewLifecycle creates a lifecycle with its own session pool.
 func NewLifecycle(cfg Config) *Lifecycle {
 	lc := &Lifecycle{Tester: NewTester(cfg)}
-	lc.pool = sut.NewPool(lc.cfg.Backend, lc.cfg.Session())
+	lc.pool = sut.NewPool(lc.cfg.Backend, lc.cfg.Session)
 	lc.ownPool = true
 	return lc
 }

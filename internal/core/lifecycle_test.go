@@ -7,6 +7,7 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/faults"
 	"repro/internal/oracle"
+	"repro/internal/sut"
 )
 
 // TestLifecycleMatchesNewTesterPerDatabase is the equivalence behind the
@@ -22,11 +23,11 @@ func TestLifecycleMatchesNewTesterPerDatabase(t *testing.T) {
 		oracle string
 		seeds  int64
 	}{
-		{name: "sqlite-pqs-sound", cfg: Config{Dialect: dialect.SQLite}, seeds: 15},
-		{name: "mysql-pqs-fault", cfg: Config{Dialect: dialect.MySQL}, fault: faults.InsertVisibility, seeds: 40},
-		{name: "postgres-pqs", cfg: Config{Dialect: dialect.Postgres}, seeds: 10},
-		{name: "sqlite-tlp", cfg: Config{Dialect: dialect.SQLite}, oracle: "tlp", fault: faults.UnionAllDedup, seeds: 25},
-		{name: "sqlite-norec", cfg: Config{Dialect: dialect.SQLite}, oracle: "norec", seeds: 10},
+		{name: "sqlite-pqs-sound", cfg: Config{Session: sut.Session{Dialect: dialect.SQLite}}, seeds: 15},
+		{name: "mysql-pqs-fault", cfg: Config{Session: sut.Session{Dialect: dialect.MySQL}}, fault: faults.InsertVisibility, seeds: 40},
+		{name: "postgres-pqs", cfg: Config{Session: sut.Session{Dialect: dialect.Postgres}}, seeds: 10},
+		{name: "sqlite-tlp", cfg: Config{Session: sut.Session{Dialect: dialect.SQLite}}, oracle: "tlp", fault: faults.UnionAllDedup, seeds: 25},
+		{name: "sqlite-norec", cfg: Config{Session: sut.Session{Dialect: dialect.SQLite}}, oracle: "norec", seeds: 10},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -85,8 +86,7 @@ func TestLifecycleIsolationAcrossFaultRegistry(t *testing.T) {
 		t.Run(string(info.ID), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				Dialect:      info.Dialect,
-				Faults:       faults.NewSet(info.ID),
+				Session:      sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(info.ID)},
 				QueriesPerDB: 10,
 				Oracle:       oracleForInfo(info),
 			}
@@ -125,7 +125,7 @@ func oracleForInfo(info faults.Info) string {
 // without disturbing determinism: rotating pqs→tlp→pqs reproduces the
 // same outcomes as one-shot testers with those oracles.
 func TestLifecycleOracleRotation(t *testing.T) {
-	base := Config{Dialect: dialect.SQLite, QueriesPerDB: 8, Faults: faults.NewSet(faults.UnionAllDedup)}
+	base := Config{Session: sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.UnionAllDedup)}, QueriesPerDB: 8}
 	lc := NewLifecycle(base)
 	defer lc.Close()
 	oracles := []string{"pqs", "tlp", "pqs", "norec", "tlp"}

@@ -36,7 +36,7 @@ func (p pqsOracle) Check(db sut.DB, env *oracle.Env) (*oracle.Report, error) {
 	if p.opts.MaxExprDepth > 0 {
 		depth = p.opts.MaxExprDepth
 	}
-	t := NewTester(Config{Dialect: env.Dialect, MaxExprDepth: depth})
+	t := NewTester(Config{Session: sut.Session{Dialect: env.Dialect}, MaxExprDepth: depth})
 	if env.Rnd != nil {
 		t.rnd = env.Rnd
 	}

@@ -30,43 +30,24 @@ import (
 	"repro/internal/xerr"
 )
 
-// Config parameterizes a Tester.
+// Config parameterizes a Tester. The embedded Session is what every
+// database of the campaign opens with: dialect, injected faults, storage
+// mode, wire fidelity, and switched-off engine features (NoCompile also
+// makes the UseEngineAsOracle ablation's pivot checks fall back to tree
+// walks; see DESIGN.md "Compiled expression programs").
 type Config struct {
-	Dialect dialect.Dialect
-	Seed    int64
-	Faults  *faults.Set
+	sut.Session
+	Seed int64
 
 	// Backend names the sut driver databases are opened on ("" selects
 	// sut.DefaultBackend, the in-process engine).
 	Backend string
-	// Storage selects the backend's storage mode: "" or "memory" for the
-	// in-memory heap, "pager" for the durable page-file + WAL backend
-	// (required by the "recovery" oracle; see sut.Session.Storage).
-	Storage string
 	// Oracle selects the testing oracle for the query phase of each
 	// database lifecycle: "" or "pqs" runs the native pivot loop (Figure
 	// 1); any other name resolves through the internal/oracle registry
 	// ("tlp", "norec"). The database-generation phase and its error/crash
 	// oracle are shared by every choice.
 	Oracle string
-	// WireFidelity switches the campaign hot loop from the ExecAST fast
-	// path back to the full render→reparse string round trip, for parser
-	// coverage (measurably slower; BenchmarkCampaignThroughput tracks the
-	// gap).
-	WireFidelity bool
-	// NoCompile disables the engine's compiled expression programs (the
-	// `-no-compile` escape hatch for A/B runs): every clause of every
-	// query executes through the tree-walk interpreter, and the
-	// UseEngineAsOracle ablation's pivot checks fall back to tree walks
-	// too. See DESIGN.md "Compiled expression programs".
-	NoCompile bool
-	// NoHashJoin pins every join level to the nested-loop operator (the
-	// `-no-hashjoin` A/B baseline; see DESIGN.md "Join execution").
-	NoHashJoin bool
-	// NoHashAgg forces materialized grouping and full sorts (the
-	// `-no-hashagg` A/B baseline; see DESIGN.md "Aggregation & ordering
-	// execution").
-	NoHashAgg bool
 
 	// MaxExprDepth bounds generated expression trees (Algorithm 1's
 	// maxdepth). Default 3.
@@ -210,20 +191,6 @@ type bugSignal struct{ bug *Bug }
 // Error implements the error interface.
 func (b *bugSignal) Error() string { return "oracle detection: " + b.bug.Message }
 
-// Session maps tester configuration onto per-connection SUT options (the
-// scheduler builds per-campaign session pools from it).
-func (c Config) Session() sut.Session {
-	return sut.Session{
-		Dialect:      c.Dialect,
-		Faults:       c.Faults,
-		WireFidelity: c.WireFidelity,
-		NoCompile:    c.NoCompile,
-		NoHashJoin:   c.NoHashJoin,
-		NoHashAgg:    c.NoHashAgg,
-		Storage:      c.Storage,
-	}
-}
-
 // trace accumulates the statement sequence of one database lifecycle as
 // ASTs and renders SQL only when a detection needs a reproduction trace —
 // rendering every statement in the hot loop costs about as much as
@@ -255,7 +222,7 @@ func RenderStmts(stmts []sqlast.Stmt, d dialect.Dialect) []string {
 // RunDatabase executes one full database lifecycle (steps 1–7, looped) and
 // returns the first detection, or nil.
 func (t *Tester) RunDatabase() (*Bug, error) {
-	db, err := sut.Open(t.cfg.Backend, t.cfg.Session())
+	db, err := sut.Open(t.cfg.Backend, t.cfg.Session)
 	if err != nil {
 		return nil, err
 	}

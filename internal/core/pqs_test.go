@@ -11,6 +11,7 @@ import (
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
 	"repro/internal/sqlval"
+	"repro/internal/sut"
 )
 
 // TestNoFalsePositives is the soundness test: with no faults enabled, PQS
@@ -23,7 +24,7 @@ func TestNoFalsePositives(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 60; seed++ {
-				tester := NewTester(Config{Dialect: d, Seed: seed, QueriesPerDB: 20})
+				tester := NewTester(Config{Session: sut.Session{Dialect: d}, Seed: seed, QueriesPerDB: 20})
 				bug, err := tester.RunDatabase()
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -55,9 +56,8 @@ func detectWithin(t *testing.T, f faults.Fault, budget int) *Bug {
 	}
 	for seed := int64(1); seed <= int64(budget); seed++ {
 		tester := NewTester(Config{
-			Dialect: info.Dialect,
+			Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(f)},
 			Seed:    seed,
-			Faults:  faults.NewSet(f),
 		})
 		bug, err := tester.RunDatabase()
 		if err != nil {
@@ -123,7 +123,7 @@ func TestRectify(t *testing.T) {
 // expression, the rectified form evaluates to TRUE on the pivot row.
 func TestRectifiedAlwaysTrue(t *testing.T) {
 	for _, d := range dialect.All {
-		tester := NewTester(Config{Dialect: d, Seed: 7})
+		tester := NewTester(Config{Session: sut.Session{Dialect: d}, Seed: 7})
 		ctx := interp.NewContext(d)
 		pivotVals := []sqlval.Value{sqlval.Null(), sqlval.Int(3), sqlval.Text("a")}
 		if d == dialect.Postgres {
@@ -160,7 +160,7 @@ func TestRectifiedAlwaysTrue(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	tester := NewTester(Config{Dialect: dialect.SQLite, Seed: 11, QueriesPerDB: 5})
+	tester := NewTester(Config{Session: sut.Session{Dialect: dialect.SQLite}, Seed: 11, QueriesPerDB: 5})
 	for i := 0; i < 3; i++ {
 		if _, err := tester.RunDatabase(); err != nil {
 			t.Fatal(err)

@@ -1,14 +1,12 @@
 // Package dbdriver exposes the engine substrate through database/sql, so
-// example code reads like ordinary Go database code. The DSN selects the
-// dialect profile and, optionally, injected faults, planner mode, and
-// expression-compilation mode:
+// example code reads like ordinary Go database code. The DSN is
+// sut.Session's (see Session.DSN): the dialect profile and, optionally,
+// injected faults, switched-off engine features (sut.Ablations), and the
+// storage mode:
 //
 //	db, _ := sql.Open("pqs", "sqlite")
 //	db, _ := sql.Open("pqs", "mysql?fault=mysql.double-negation,mysql.set-option-error")
-//	db, _ := sql.Open("pqs", "sqlite?planner=off")
-//	db, _ := sql.Open("pqs", "sqlite?compile=off")
-//	db, _ := sql.Open("pqs", "sqlite?hashjoin=off")
-//	db, _ := sql.Open("pqs", "sqlite?hashagg=off")
+//	db, _ := sql.Open("pqs", "sqlite?disable=planner,compile")
 //	db, _ := sql.Open("pqs", "sqlite?storage=pager")
 //
 // storage=pager opens the connection on the durable page-file + WAL
@@ -28,15 +26,12 @@ import (
 	"database/sql/driver"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
-	"strings"
 
-	"repro/internal/dialect"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/sqlval"
-	"repro/internal/storage/pager"
+	"repro/internal/sut"
+	"repro/internal/sut/memengine"
 )
 
 func init() {
@@ -46,99 +41,22 @@ func init() {
 // Driver implements driver.Driver for the engine substrate.
 type Driver struct{}
 
-// Open parses the DSN and opens a fresh in-memory database.
+// Open parses the DSN and opens a fresh database through memengine.
 func (*Driver) Open(dsn string) (driver.Conn, error) {
-	name, query, _ := strings.Cut(dsn, "?")
-	d, err := dialect.Parse(strings.TrimSpace(name))
+	s, err := sut.ParseDSN(dsn)
 	if err != nil {
 		return nil, err
 	}
-	var opts []engine.Option
-	var storage string
-	var fs *faults.Set // repeated fault= parameters merge into one set
-	if query != "" {
-		for _, kv := range strings.Split(query, "&") {
-			k, v, _ := strings.Cut(kv, "=")
-			switch k {
-			case "fault":
-				if fs == nil {
-					fs = faults.NewSet()
-				}
-				for _, fname := range strings.Split(v, ",") {
-					f := faults.Fault(strings.TrimSpace(fname))
-					if _, ok := faults.Lookup(f); !ok {
-						return nil, fmt.Errorf("pqs driver: unknown fault %q", fname)
-					}
-					fs.Enable(f)
-				}
-			case "planner":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutPlanner())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: planner=%q (want on or off)", v)
-				}
-			case "compile":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutCompiledEval())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: compile=%q (want on or off)", v)
-				}
-			case "hashjoin":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutHashJoin())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: hashjoin=%q (want on or off)", v)
-				}
-			case "hashagg":
-				switch v {
-				case "off":
-					opts = append(opts, engine.WithoutHashAgg())
-				case "on": // the default; accepted for symmetry
-				default:
-					return nil, fmt.Errorf("pqs driver: hashagg=%q (want on or off)", v)
-				}
-			case "storage":
-				switch v {
-				case "memory": // the default; accepted for symmetry
-				case "pager":
-					storage = v
-				default:
-					return nil, fmt.Errorf("pqs driver: storage=%q (want memory or pager)", v)
-				}
-			default:
-				return nil, fmt.Errorf("pqs driver: unknown DSN parameter %q", k)
-			}
-		}
+	db, err := memengine.Open(s)
+	if err != nil {
+		return nil, err
 	}
-	if fs != nil {
-		opts = append(opts, engine.WithFaults(fs))
-	}
-	if storage == "pager" {
-		dir, err := os.MkdirTemp("", "pager-")
-		if err != nil {
-			return nil, fmt.Errorf("pqs driver: temp dir: %v", err)
-		}
-		e, err := engine.OpenDurable(d, pager.NewSim(pager.OS()), dir, opts...)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		return &conn{e: e, ownDir: dir}, nil
-	}
-	return &conn{e: engine.Open(d, opts...)}, nil
+	return &conn{db: db, e: db.Underlying()}, nil
 }
 
 type conn struct {
-	e *engine.Engine
-	// ownDir is a durable connection's private database directory,
-	// removed on Close.
-	ownDir string
+	db *memengine.DB
+	e  *engine.Engine // db's engine
 }
 
 // Prepare implements driver.Conn.
@@ -148,16 +66,7 @@ func (c *conn) Prepare(query string) (driver.Stmt, error) {
 
 // Close implements driver.Conn: durable connections close their pager
 // and remove their private database directory.
-func (c *conn) Close() error {
-	err := c.e.Close()
-	if c.ownDir != "" {
-		if rerr := os.RemoveAll(c.ownDir); err == nil {
-			err = rerr
-		}
-		c.ownDir = ""
-	}
-	return err
-}
+func (c *conn) Close() error { return c.db.Close() }
 
 // Begin implements driver.Conn with a real transaction: the engine's
 // session executes BEGIN, and the returned Tx's Commit/Rollback execute

@@ -111,10 +111,10 @@ func TestDriverRepeatedFaultParamsMerge(t *testing.T) {
 	}
 }
 
-// planner=off must map to engine.WithoutPlanner: every access path is a
-// full scan.
+// disable=planner must map to engine.WithoutPlanner: every access path is
+// a full scan.
 func TestDriverPlannerOffDSN(t *testing.T) {
-	conn, err := (&Driver{}).Open("sqlite?planner=off")
+	conn, err := (&Driver{}).Open("sqlite?disable=planner")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestDriverPlannerOffDSN(t *testing.T) {
 	}
 	for _, p := range paths {
 		if strings.Contains(strings.ToUpper(p.Detail()), "INDEX") {
-			t.Errorf("planner=off still chose an index path: %s", p.Detail())
+			t.Errorf("disable=planner still chose an index path: %s", p.Detail())
 		}
 	}
-	if _, err := (&Driver{}).Open("sqlite?planner=sideways"); err == nil {
-		t.Error("bad planner value should fail")
+	if _, err := (&Driver{}).Open("sqlite?disable=sideways"); err == nil {
+		t.Error("unknown feature to disable should fail")
 	}
 }
 

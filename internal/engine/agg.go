@@ -1,5 +1,5 @@
 // Streaming hash aggregation and top-K ordering. project (query.go)
-// dispatches grouped/aggregate projections here unless hashagg=off:
+// dispatches grouped/aggregate projections here unless disable=hashagg:
 //
 //   - grouping: group membership resolves through a hash table over
 //     normalized byte keys instead of a linear keysEqual scan per input row.

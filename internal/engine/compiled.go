@@ -3,7 +3,7 @@
 // exprEval — the per-SELECT facade that hands the query path closures
 // which evaluate through compiled programs by default and through the
 // tree-walk interpreter when compilation is disabled (WithoutCompiledEval,
-// the -no-compile escape hatch).
+// the -disable compile escape hatch).
 package engine
 
 import (

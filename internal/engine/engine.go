@@ -125,14 +125,14 @@ func WithoutPlanner() Option {
 
 // WithoutCompiledEval disables the compiled-expression fast path: every
 // clause evaluates through the tree-walk interpreter. This is the
-// `-no-compile` escape hatch for A/B runs and the baseline half of the
+// `-disable compile` escape hatch for A/B runs and the baseline half of the
 // compiled-vs-interpreted differential suites.
 func WithoutCompiledEval() Option {
 	return func(e *Engine) { e.noCompile = true }
 }
 
 // WithoutHashJoin disables join-strategy selection: every join level runs
-// as a nested loop. This is the `hashjoin=off` escape hatch for A/B runs
+// as a nested loop. This is the `disable=hashjoin` escape hatch for A/B runs
 // and the baseline half of the hash-vs-nested differential suites.
 func WithoutHashJoin() Option {
 	return func(e *Engine) { e.noHashJoin = true }
@@ -141,7 +141,7 @@ func WithoutHashJoin() Option {
 // WithoutHashAgg disables the streaming aggregation executor and the top-K
 // ordering path: GROUP BY resolves groups by the linear materialized scan,
 // aggregates re-iterate retained group combos, and ORDER BY + LIMIT always
-// sorts the full result. This is the `hashagg=off` escape hatch for A/B
+// sorts the full result. This is the `disable=hashagg` escape hatch for A/B
 // runs and the baseline half of the hash-agg differential suites.
 func WithoutHashAgg() Option {
 	return func(e *Engine) { e.noHashAgg = true }

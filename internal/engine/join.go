@@ -87,7 +87,8 @@ type joinAnalysis struct {
 // hashBlockingFaults rewrite equality/comparison semantics, breaking the
 // "eval-equal implies key-equal" invariant hash bucketing relies on. Any of
 // them enabled forces every join level back to the nested loop, so their
-// detection behaviour is trivially identical under hashjoin=on/off.
+// detection behaviour is trivially identical with and without
+// disable=hashjoin.
 var hashBlockingFaults = []faults.Fault{
 	faults.AffinityCompare,
 	faults.MemoryEngineCast,

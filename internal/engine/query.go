@@ -769,7 +769,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 // projectGroupedNaive is the materialized grouped/aggregate projection:
 // groups resolve by a linear keysEqual scan, every group retains its
 // combos, and aggregates re-iterate them per column. It is the ablation
-// baseline (hashagg=off) the streaming path must match byte-for-byte.
+// baseline (disable=hashagg) the streaming path must match byte-for-byte.
 func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
 	n, rels, cols, x, colFns, groupKeys :=
 		pc.n, pc.rels, pc.cols, pc.x, pc.colFns, pc.groupKeys

@@ -158,7 +158,7 @@ const (
 
 	// Hash-join faults (PR 8): each lives inside the hash-join operator,
 	// so it only fires on join levels the planner routes through the hash
-	// path — and vanishes entirely under hashjoin=off.
+	// path — and vanishes entirely under disable=hashjoin.
 
 	// HashJoinCollation: the hash key builder skips collation
 	// canonicalization, so NOCASE/RTRIM-equal join-key variants land in
@@ -174,7 +174,7 @@ const (
 	// Hash-aggregation faults (PR 10): each lives inside the streaming
 	// hash-aggregation / top-K operators, so it only fires on queries the
 	// planner routes through those paths — and vanishes entirely under
-	// hashagg=off.
+	// disable=hashagg.
 
 	// HashAggCollation: the hash-aggregation key builder folds TEXT group
 	// keys through the source column's declared collation and skips the

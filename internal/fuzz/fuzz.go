@@ -7,8 +7,6 @@ package fuzz
 
 import (
 	"repro/internal/core"
-	"repro/internal/dialect"
-	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/sqlast"
@@ -16,29 +14,15 @@ import (
 	"repro/internal/xerr"
 )
 
-// Config parameterizes a fuzzing session.
+// Config parameterizes a fuzzing session. The embedded Session is what
+// every database opens with (dialect, faults, storage, wire fidelity,
+// switched-off engine features).
 type Config struct {
-	Dialect      dialect.Dialect
+	sut.Session
 	Seed         int64
-	Faults       *faults.Set
 	QueriesPerDB int
 	// Backend names the sut driver ("" = sut.DefaultBackend).
 	Backend string
-	// Storage selects the session's storage mode ("" or "memory" =
-	// in-memory, "pager" = durable page file + WAL).
-	Storage string
-	// WireFidelity renders and reparses each generated statement instead
-	// of the ExecAST fast path, restoring the fuzzer's parser coverage.
-	WireFidelity bool
-	// NoCompile disables the engine's compiled expression programs
-	// (tree-walk evaluation; the -no-compile escape hatch).
-	NoCompile bool
-	// NoHashJoin pins every join level to the nested loop (the
-	// -no-hashjoin escape hatch).
-	NoHashJoin bool
-	// NoHashAgg forces materialized grouping and full sorts (the
-	// -no-hashagg escape hatch).
-	NoHashAgg bool
 }
 
 // Fuzzer drives random statements at the engine and watches for crashes
@@ -67,15 +51,7 @@ func (f *Fuzzer) Stats() core.Stats { return f.stats }
 // shape as PQS, but the Oracle is always error or segfault — never
 // containment.
 func (f *Fuzzer) RunDatabase() (*core.Bug, error) {
-	db, err := sut.Open(f.cfg.Backend, sut.Session{
-		Dialect:      f.cfg.Dialect,
-		Faults:       f.cfg.Faults,
-		WireFidelity: f.cfg.WireFidelity,
-		NoCompile:    f.cfg.NoCompile,
-		NoHashJoin:   f.cfg.NoHashJoin,
-		NoHashAgg:    f.cfg.NoHashAgg,
-		Storage:      f.cfg.Storage,
-	})
+	db, err := sut.Open(f.cfg.Backend, f.cfg.Session)
 	if err != nil {
 		return nil, err
 	}

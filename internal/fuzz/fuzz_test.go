@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sut"
 )
 
 func TestFuzzerSoundness(t *testing.T) {
 	for _, d := range dialect.All {
 		for seed := int64(0); seed < 30; seed++ {
-			f := New(Config{Dialect: d, Seed: seed})
+			f := New(Config{Session: sut.Session{Dialect: d}, Seed: seed})
 			bug, err := f.RunDatabase()
 			if err != nil {
 				t.Fatalf("[%s] seed %d: %v", d, seed, err)
@@ -27,9 +28,8 @@ func TestFuzzerFindsErrorFaults(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 150 && !found; seed++ {
 		f := New(Config{
-			Dialect: dialect.SQLite,
+			Session: sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.VacuumCorrupt)},
 			Seed:    seed,
-			Faults:  faults.NewSet(faults.VacuumCorrupt),
 		})
 		bug, err := f.RunDatabase()
 		if err != nil {
@@ -53,7 +53,7 @@ func TestFuzzerBlindToLogicFaults(t *testing.T) {
 	for _, f := range []faults.Fault{faults.PartialIndexNotNull, faults.DoubleNegation} {
 		info, _ := faults.Lookup(f)
 		for seed := int64(0); seed < 100; seed++ {
-			fz := New(Config{Dialect: info.Dialect, Seed: seed, Faults: faults.NewSet(f)})
+			fz := New(Config{Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(f)}, Seed: seed})
 			bug, err := fz.RunDatabase()
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/faults"
 	"repro/internal/runner"
+	"repro/internal/sut"
 )
 
 // isolationFaults are the injected transaction-isolation bugs only the
@@ -88,7 +89,7 @@ func TestSerializabilityNoFalsePositives(t *testing.T) {
 					Workers:      4,
 					BaseSeed:     1,
 					Oracles:      []string{"serializability"},
-					Tester:       core.Config{NoCompile: noCompile},
+					Tester:       core.Config{Session: sut.Session{NoCompile: noCompile}},
 				})
 				if res.Detected {
 					t.Fatalf("false positive on the sound engine (seed %d): %s\ntrace:\n%v",

@@ -7,12 +7,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/sut"
 )
 
 // TestOracleFalsePositiveSoak is the soundness guard for the whole oracle
 // registry: against the fault-free engine, N random databases per dialect
 // must produce zero detections under every oracle, through both the
-// compiled-expression path and the -no-compile tree walk. A false positive
+// compiled-expression path and the -disable compile tree walk (subtests
+// compiled and no-compile). A false positive
 // here means either an engine bug or an oracle whose metamorphic identity
 // does not actually hold (e.g. float-order-sensitive aggregation).
 func TestOracleFalsePositiveSoak(t *testing.T) {
@@ -22,22 +24,19 @@ func TestOracleFalsePositiveSoak(t *testing.T) {
 	}
 	for _, d := range dialect.All {
 		for _, name := range []string{"pqs", "tlp", "norec"} {
-			for _, mode := range []struct {
-				label     string
-				noCompile bool
-			}{
-				{"compiled", false},
-				{"no-compile", true},
-			} {
-				d, name, mode := d, name, mode
-				t.Run(fmt.Sprintf("%s/%s/%s", d, name, mode.label), func(t *testing.T) {
+			for _, sess := range []sut.Session{{Dialect: d}, {Dialect: d, NoCompile: true}} {
+				mode := "compiled"
+				if off := sess.Disabled(); len(off) > 0 {
+					mode = "no-" + strings.Join(off, ",")
+				}
+				name, sess := name, sess
+				t.Run(fmt.Sprintf("%s/%s/%s", d, name, mode), func(t *testing.T) {
 					t.Parallel()
 					tester := core.NewTester(core.Config{
-						Dialect:      d,
+						Session:      sess,
 						Oracle:       name,
 						Seed:         101,
 						QueriesPerDB: 15,
-						NoCompile:    mode.noCompile,
 					})
 					for i := 0; i < databases; i++ {
 						bug, err := tester.RunDatabase()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sut"
 )
 
 func TestStatementsGreedy(t *testing.T) {
@@ -43,9 +44,8 @@ func TestReduceListing1Detection(t *testing.T) {
 	var bug *core.Bug
 	for seed := int64(1); seed < 400 && bug == nil; seed++ {
 		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite,
+			Session: sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.PartialIndexNotNull)},
 			Seed:    seed,
-			Faults:  faults.NewSet(faults.PartialIndexNotNull),
 		})
 		b, err := tester.RunDatabase()
 		if err != nil {
@@ -86,9 +86,8 @@ func TestValuesShrinking(t *testing.T) {
 	var bug *core.Bug
 	for seed := int64(1); seed < 400 && bug == nil; seed++ {
 		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite,
+			Session: sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.SkipScanDistinct)},
 			Seed:    seed,
-			Faults:  faults.NewSet(faults.SkipScanDistinct),
 		})
 		b, err := tester.RunDatabase()
 		if err != nil {
@@ -130,9 +129,8 @@ func TestReduceErrorDetection(t *testing.T) {
 	var bug *core.Bug
 	for seed := int64(1); seed < 200 && bug == nil; seed++ {
 		tester := core.NewTester(core.Config{
-			Dialect: dialect.SQLite,
+			Session: sut.Session{Dialect: dialect.SQLite, Faults: faults.NewSet(faults.VacuumCorrupt)},
 			Seed:    seed,
-			Faults:  faults.NewSet(faults.VacuumCorrupt),
 		})
 		b, err := tester.RunDatabase()
 		if err != nil {

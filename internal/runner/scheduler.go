@@ -148,7 +148,7 @@ func (s *Scheduler) Sweep(ctx context.Context, campaigns []Campaign) []Result {
 			c:        c,
 			fs:       fs,
 			cfg:      cfg,
-			pool:     sut.NewPool(cfg.Backend, cfg.Session()),
+			pool:     sut.NewPool(cfg.Backend, cfg.Session),
 			bestSeed: -1,
 			stats:    core.Stats{Rectified: map[sqlval.TriBool]int{}},
 		}

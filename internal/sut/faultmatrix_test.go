@@ -1,6 +1,7 @@
 package sut_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,91 +11,105 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/reduce"
 	"repro/internal/runner"
+	"repro/internal/sut"
 )
 
-// TestFaultMatrixWireFidelity is the campaign-level boundary check: every
-// one of the registered faults must still be detected through sut.DB with
-// the session in wire-fidelity mode (render→reparse, the pre-boundary
-// string round trip), each under the testing oracle its registry entry
-// routes to. Together with runner's TestFullCorpusDetectable — which
-// sweeps the same 56-fault matrix through the default ExecAST fast path —
-// this proves both execution modes of the API detect the whole corpus
-// (including TLP's UNION ALL compounds surviving render→reparse).
-func TestFaultMatrixWireFidelity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
-	}
-	total := 0
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			info := info
-			d := d
-			total++
-			t.Run(string(info.ID), func(t *testing.T) {
-				t.Parallel()
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        info.ID,
-					MaxDatabases: 1500,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{oracle.ForFault(info)},
-					Tester:       core.Config{WireFidelity: true},
-				})
-				if !res.Detected {
-					t.Fatalf("fault %s not detected through wire-fidelity sut.DB in %d databases",
-						info.ID, res.Databases)
-				}
-			})
-		}
-	}
-	if total != 56 {
-		t.Errorf("fault registry has %d faults, matrix expects 56", total)
-	}
+// faultMatrix is the campaign-level fault sweep, one row per session: every
+// one of the 56 registered faults runs through sut.DB on databases opened
+// with the row's session, each under the testing oracle its registry entry
+// routes to. A fault the row lists as quiet lives in exactly the code the
+// session switches off, so it must stay undetected for 300 databases (the
+// ablation doubles as its bisection tool); every other fault must be
+// detected within 1500.
+//
+// Together with runner's TestFullCorpusDetectable, which sweeps the same
+// matrix through the default ExecAST fast path, the rows prove:
+//   - WireFidelity: the render→reparse string round trip detects the whole
+//     corpus, TLP's UNION ALL compounds included;
+//   - CompiledParity: compiled expression programs and the tree walk detect
+//     identically — compilation changes how predicates evaluate, never what
+//     they evaluate to;
+//   - HashJoinParity: join strategy changes how joins execute, never what
+//     they return, and the three hash-join faults live in the hash and
+//     index-lookup join code;
+//   - HashAggParity: aggregation strategy changes how groups accumulate,
+//     never what they contain, and the three hash-agg faults live in the
+//     hash aggregation and top-K code.
+//
+// A row named X/sub runs as subtest sub of TestFaultMatrixX.
+var faultMatrix = []struct {
+	name  string
+	sess  sut.Session
+	quiet []faults.Fault
+}{
+	{"WireFidelity", sut.Session{WireFidelity: true}, nil},
+	{"CompiledParity/compiled", sut.Session{}, nil},
+	{"CompiledParity/interpreted", sut.Session{NoCompile: true}, nil},
+	{"HashJoinParity", sut.Session{NoHashJoin: true},
+		[]faults.Fault{faults.HashJoinCollation, faults.HashJoinNullKey, faults.HashLeftJoinDrop}},
+	{"HashAggParity", sut.Session{NoHashAgg: true},
+		[]faults.Fault{faults.HashAggCollation, faults.AggAccumulatorNullSkip, faults.TopKHeapBoundary}},
 }
 
-// TestFaultMatrixCompiledParity sweeps the same 56-fault matrix through
-// the ExecAST fast path twice — once with compiled expression programs
-// (the default since the compiled-eval tentpole) and once with the
-// -no-compile tree walk — proving detection parity: compilation changes
-// how predicates evaluate, never what they evaluate to, so every injected
-// fault keeps firing identically in both modes.
-func TestFaultMatrixCompiledParity(t *testing.T) {
+func TestFaultMatrixWireFidelity(t *testing.T)   { runFaultMatrix(t, "WireFidelity") }
+func TestFaultMatrixCompiledParity(t *testing.T) { runFaultMatrix(t, "CompiledParity") }
+func TestFaultMatrixHashJoinParity(t *testing.T) { runFaultMatrix(t, "HashJoinParity") }
+func TestFaultMatrixHashAggParity(t *testing.T)  { runFaultMatrix(t, "HashAggParity") }
+
+// runFaultMatrix sweeps the faultMatrix rows of one test.
+func runFaultMatrix(t *testing.T, test string) {
 	if testing.Short() {
 		t.Skip("fault matrix sweep is not short")
 	}
-	for _, mode := range []struct {
-		name      string
-		noCompile bool
-	}{
-		{"compiled", false},
-		{"interpreted", true},
-	} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
+	for _, row := range faultMatrix {
+		name, sub, _ := strings.Cut(row.name, "/")
+		if name != test {
+			continue
+		}
+		sweep := func(t *testing.T) {
+			total := 0
 			for _, d := range dialect.All {
 				for _, info := range faults.ForDialect(d) {
-					info := info
-					d := d
+					total++
+					quiet := slices.Contains(row.quiet, info.ID)
 					t.Run(string(info.ID), func(t *testing.T) {
 						t.Parallel()
+						budget := 1500
+						if quiet {
+							budget = 300
+						}
 						res := runner.Run(runner.Campaign{
 							Dialect:      d,
 							Fault:        info.ID,
-							MaxDatabases: 1500,
+							MaxDatabases: budget,
 							Workers:      2,
 							BaseSeed:     1,
 							Oracles:      []string{oracle.ForFault(info)},
-							Tester:       core.Config{NoCompile: mode.noCompile},
+							Tester:       core.Config{Session: row.sess},
 						})
+						if quiet {
+							if res.Detected {
+								t.Fatalf("fault %s detected in %s, whose session switches its code off:\n  %s",
+									info.ID, row.name, strings.Join(res.Bug.Trace, ";\n  "))
+							}
+							return
+						}
 						if !res.Detected {
-							t.Fatalf("fault %s not detected in %s mode within %d databases",
-								info.ID, mode.name, res.Databases)
+							t.Fatalf("fault %s not detected in %s within %d databases",
+								info.ID, row.name, res.Databases)
 						}
 					})
 				}
 			}
-		})
+			if total != 56 {
+				t.Errorf("fault registry has %d faults, matrix expects 56", total)
+			}
+		}
+		if sub == "" {
+			sweep(t)
+		} else {
+			t.Run(sub, sweep)
+		}
 	}
 }
 
@@ -107,7 +122,7 @@ func TestCompiledSoundness(t *testing.T) {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
-			tester := core.NewTester(core.Config{Dialect: d, Seed: 77, QueriesPerDB: 20})
+			tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: 77, QueriesPerDB: 20})
 			for i := 0; i < 60; i++ {
 				bug, err := tester.RunDatabase()
 				if err != nil {
@@ -140,118 +155,6 @@ func TestCampaignThroughWireBackend(t *testing.T) {
 	}
 	if res.Bug.Oracle != faults.OracleContainment {
 		t.Errorf("oracle = %s, want containment", res.Bug.Oracle)
-	}
-}
-
-// hashJoinFaults are the three faults injected inside the hash-join
-// machinery itself: with -no-hashjoin the faulty code never runs, so the
-// faults must be unreachable (the ablation is also their bisection tool).
-var hashJoinFaults = map[faults.Fault]bool{
-	faults.HashJoinCollation: true,
-	faults.HashJoinNullKey:   true,
-	faults.HashLeftJoinDrop:  true,
-}
-
-// TestFaultMatrixHashJoinParity sweeps the 56-fault matrix with hash and
-// index-lookup joins ablated (NoHashJoin). The 50 non-hash-path faults
-// must keep firing — strategy selection changes how joins execute, never
-// what they return — while the three hash-path faults must go quiet,
-// proving they live in exactly the code the ablation removes. (The
-// hashjoin-on half of the parity claim is the existing
-// TestFaultMatrixWireFidelity / TestFullCorpusDetectable sweeps.)
-func TestFaultMatrixHashJoinParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
-	}
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			info := info
-			d := d
-			t.Run(string(info.ID), func(t *testing.T) {
-				t.Parallel()
-				budget := 1500
-				if hashJoinFaults[info.ID] {
-					budget = 300
-				}
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        info.ID,
-					MaxDatabases: budget,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{oracle.ForFault(info)},
-					Tester:       core.Config{NoHashJoin: true},
-				})
-				if hashJoinFaults[info.ID] {
-					if res.Detected {
-						t.Fatalf("hash-path fault %s detected with hash joins ablated:\n  %s",
-							info.ID, strings.Join(res.Bug.Trace, ";\n  "))
-					}
-					return
-				}
-				if !res.Detected {
-					t.Fatalf("fault %s not detected with -no-hashjoin in %d databases",
-						info.ID, res.Databases)
-				}
-			})
-		}
-	}
-}
-
-// hashAggFaults are the three faults injected inside the hash-aggregation
-// and top-K ordering machinery: with -no-hashagg the engine falls back to
-// materialized grouping and full sorts, the faulty code never runs, and
-// the faults must be unreachable (the ablation doubles as bisection).
-var hashAggFaults = map[faults.Fault]bool{
-	faults.HashAggCollation:       true,
-	faults.AggAccumulatorNullSkip: true,
-	faults.TopKHeapBoundary:       true,
-}
-
-// TestFaultMatrixHashAggParity sweeps the 56-fault matrix with hash
-// aggregation and top-K ordering ablated (NoHashAgg). The 53 faults
-// outside the hash-agg path must keep firing — aggregation strategy
-// changes how groups accumulate, never what they contain — while the
-// three hash-agg faults must go quiet, proving they live in exactly the
-// code the ablation removes. (The hashagg-on half of the parity claim is
-// the existing TestFaultMatrixWireFidelity / TestFullCorpusDetectable
-// sweeps.)
-func TestFaultMatrixHashAggParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
-	}
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			info := info
-			d := d
-			t.Run(string(info.ID), func(t *testing.T) {
-				t.Parallel()
-				budget := 1500
-				if hashAggFaults[info.ID] {
-					budget = 300
-				}
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        info.ID,
-					MaxDatabases: budget,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{oracle.ForFault(info)},
-					Tester:       core.Config{NoHashAgg: true},
-				})
-				if hashAggFaults[info.ID] {
-					if res.Detected {
-						t.Fatalf("hash-agg fault %s detected with hash aggregation ablated:\n  %s",
-							info.ID, strings.Join(res.Bug.Trace, ";\n  "))
-					}
-					return
-				}
-				if !res.Detected {
-					t.Fatalf("fault %s not detected with -no-hashagg in %d databases",
-						info.ID, res.Databases)
-				}
-			})
-		}
 	}
 }
 

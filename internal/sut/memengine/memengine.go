@@ -24,25 +24,30 @@ func init() {
 
 type driverImpl struct{}
 
-// Open implements sut.Driver. Session.Storage "pager" opens the durable
-// page-file + WAL backend in a private temp directory over a
-// crash-simulating VFS; Close removes the directory.
-func (driverImpl) Open(s sut.Session) (sut.DB, error) {
+// Open implements sut.Driver.
+func (driverImpl) Open(s sut.Session) (sut.DB, error) { return Open(s) }
+
+// Open opens an engine configured by s — the one place a Session becomes
+// engine options. Session.Storage "pager" opens the durable page-file +
+// WAL backend in a private temp directory over a crash-simulating VFS;
+// Close removes the directory.
+func Open(s sut.Session) (*DB, error) {
 	var opts []engine.Option
 	if s.Faults != nil {
 		opts = append(opts, engine.WithFaults(s.Faults))
 	}
-	if s.NoPlanner {
-		opts = append(opts, engine.WithoutPlanner())
-	}
-	if s.NoCompile {
-		opts = append(opts, engine.WithoutCompiledEval())
-	}
-	if s.NoHashJoin {
-		opts = append(opts, engine.WithoutHashJoin())
-	}
-	if s.NoHashAgg {
-		opts = append(opts, engine.WithoutHashAgg())
+	for _, o := range []struct {
+		off bool
+		opt engine.Option
+	}{
+		{s.NoPlanner, engine.WithoutPlanner()},
+		{s.NoCompile, engine.WithoutCompiledEval()},
+		{s.NoHashJoin, engine.WithoutHashJoin()},
+		{s.NoHashAgg, engine.WithoutHashAgg()},
+	} {
+		if o.off {
+			opts = append(opts, o.opt)
+		}
 	}
 	switch s.Storage {
 	case "", "memory":

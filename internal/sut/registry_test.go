@@ -76,7 +76,7 @@ func TestSessionOptionsReachBackend(t *testing.T) {
 			}
 			for _, p := range paths {
 				if strings.Contains(strings.ToUpper(p), "INDEX") {
-					t.Errorf("planner=off still chose an index path: %q", p)
+					t.Errorf("NoPlanner still chose an index path: %q", p)
 				}
 			}
 		})

@@ -42,7 +42,9 @@ type Result struct {
 
 // Session carries the per-connection options a backend needs to open one
 // database under test. It is the analogue of a DSN, but typed: campaign
-// code fills in a Session and the same struct drives every backend.
+// code fills in a Session and the same struct drives every backend, and
+// Session.DSN / ParseDSN convert between the two. The four No* switches
+// are named by the ablation table Disable and Disabled read.
 type Session struct {
 	// Dialect selects the dialect profile of the database under test.
 	Dialect dialect.Dialect

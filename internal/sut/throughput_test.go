@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/sut"
 )
 
 // TestFastPathThroughputRegression is the tripwire behind the documented
@@ -25,10 +26,9 @@ func TestFastPathThroughputRegression(t *testing.T) {
 	const lifecycles = 400
 	run := func(wireFidelity bool) time.Duration {
 		tester := core.NewTester(core.Config{
-			Dialect:      dialect.SQLite,
+			Session:      sut.Session{Dialect: dialect.SQLite, WireFidelity: wireFidelity},
 			Seed:         1,
 			QueriesPerDB: 20,
-			WireFidelity: wireFidelity,
 		})
 		start := time.Now()
 		for i := 0; i < lifecycles; i++ {

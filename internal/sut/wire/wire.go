@@ -17,7 +17,6 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
-	"strings"
 
 	_ "repro/internal/dbdriver" // registers the "pqs" database/sql driver
 	"repro/internal/engine"
@@ -35,34 +34,7 @@ type driverImpl struct{}
 // Open implements sut.Driver. Each dbdriver connection is its own
 // in-memory database, so the DB pins a single *sql.Conn for its lifetime.
 func (driverImpl) Open(s sut.Session) (sut.DB, error) {
-	dsn := s.Dialect.String()
-	var params []string
-	if s.Faults != nil && !s.Faults.Empty() {
-		var names []string
-		for _, f := range s.Faults.List() {
-			names = append(names, string(f))
-		}
-		params = append(params, "fault="+strings.Join(names, ","))
-	}
-	if s.NoPlanner {
-		params = append(params, "planner=off")
-	}
-	if s.NoCompile {
-		params = append(params, "compile=off")
-	}
-	if s.NoHashJoin {
-		params = append(params, "hashjoin=off")
-	}
-	if s.NoHashAgg {
-		params = append(params, "hashagg=off")
-	}
-	if s.Storage != "" && s.Storage != "memory" {
-		params = append(params, "storage="+s.Storage)
-	}
-	if len(params) > 0 {
-		dsn += "?" + strings.Join(params, "&")
-	}
-	pool, err := sql.Open("pqs", dsn)
+	pool, err := sql.Open("pqs", s.DSN())
 	if err != nil {
 		return nil, err
 	}
