@@ -1,9 +1,9 @@
 // Compiled-expression wiring for the executor: the relation layout the
-// eval compiler binds slots against, the per-statement program cache, and
-// exprEval — the per-SELECT facade that hands the query path closures
-// which evaluate through compiled programs by default and through the
-// tree-walk interpreter when compilation is disabled (WithoutCompiledEval,
-// the -disable compile escape hatch).
+// eval compiler binds slots against, and exprEval — the per-SELECT facade
+// that hands the query path closures which evaluate through compiled
+// programs by default and through the tree-walk interpreter when
+// compilation is disabled (WithoutCompiledEval, the -disable compile
+// escape hatch). Programs are compiled per statement and die with it.
 package engine
 
 import (
@@ -40,45 +40,6 @@ func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
 		TypeName:    col.TypeName,
 		TableEngine: l.rels[ri].engine,
 	}, nil
-}
-
-// progCacheMax bounds the per-engine program cache. Campaigns execute
-// mostly fresh ASTs (each query a new pointer), so entries die with their
-// statements; the bound only matters for long shell sessions, where a
-// periodic full clear is simpler and cheaper than an eviction policy.
-const progCacheMax = 1024
-
-// compiledProgram compiles expr against the layout, caching by expression
-// node identity. A node belongs to exactly one statement and a statement
-// always materializes the same relation layout for it (FROM resolution is
-// deterministic from the catalog), so node identity is the statement
-// identity the cache needs; every DDL-class statement clears the cache
-// before executing (see ExecStmt) because cached slots would go stale.
-func (e *Engine) compiledProgram(expr sqlast.Expr, lay relLayout) (*eval.Program, error) {
-	if p, ok := e.progs[expr]; ok {
-		return p, nil
-	}
-	p, err := e.ev.Compile(expr, lay)
-	if err != nil {
-		return nil, err
-	}
-	if len(e.progs) >= progCacheMax {
-		clear(e.progs)
-	}
-	e.progs[expr] = p
-	return p, nil
-}
-
-// invalidatesPrograms reports whether a statement may change the schema
-// (or session shape) cached programs were compiled against.
-func invalidatesPrograms(st sqlast.Stmt) bool {
-	switch st.(type) {
-	case *sqlast.CreateTable, *sqlast.CreateIndex, *sqlast.CreateView,
-		*sqlast.CreateStats, *sqlast.AlterTable, *sqlast.Drop,
-		*sqlast.Maintenance, *sqlast.SetOption:
-		return true
-	}
-	return false
 }
 
 // exprEval evaluates the expressions of one SELECT execution. It exists so
@@ -138,7 +99,7 @@ func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), erro
 			return x.e.ev.Eval(expr, &x.env)
 		}, nil
 	}
-	prog, err := x.e.compiledProgram(expr, x.lay)
+	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +115,7 @@ func (x *exprEval) boolFn(expr sqlast.Expr) (func() (sqlval.TriBool, error), err
 			return x.e.ev.EvalBool(expr, &x.env)
 		}, nil
 	}
-	prog, err := x.e.compiledProgram(expr, x.lay)
+	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,8 @@ func TestAmbiguousColumnDistinctError(t *testing.T) {
 }
 
 // TestProgramCacheInvalidation re-executes the same statement AST across a
-// schema change: cached slot bindings must not survive DDL.
+// schema change: slot bindings must not survive DDL. Every execution
+// compiles its clauses fresh, so nothing may carry the old slots over.
 func TestProgramCacheInvalidation(t *testing.T) {
 	e := Open(dialect.SQLite)
 	mustExec := func(s string) {
@@ -75,7 +76,7 @@ func TestProgramCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // second run hits the program cache
+	for i := 0; i < 2; i++ { // the same AST runs twice before the DDL
 		res, err := e.ExecStmt(sel)
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int64() != 1 {
 			t.Fatalf("run %d: %v, %v", i, res, err)

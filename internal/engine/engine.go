@@ -79,9 +79,10 @@ type Engine struct {
 	freeTables  []*storage.TableData
 	freeIndexes []*storage.IndexData
 
-	// progs caches compiled expression programs by AST node identity;
-	// DDL-class statements clear it (see compiled.go).
-	progs map[sqlast.Expr]*eval.Program
+	// arena backs the kept-combo slices of every join (join.go). Each
+	// execSelect releases what it took on the way out, so the arena is
+	// empty between statements and a warmed engine stops allocating.
+	arena comboArena
 
 	// Durable-storage backend (nil for the default in-memory engine).
 	// ddlLog holds the SQL of every successful DDL statement since the
@@ -156,7 +157,6 @@ func Open(d dialect.Dialect, opts ...Option) *Engine {
 		idx:     map[string]*storage.IndexData{},
 		state:   map[string]*tableState{},
 		globals: map[string]sqlval.Value{},
-		progs:   map[sqlast.Expr]*eval.Program{},
 		txns:    map[*Conn]struct{}{},
 		cov:     newCoverage(),
 	}
@@ -233,9 +233,6 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 	}()
 	e.seq++
 	e.cov.hit("stmt." + st.Kind())
-	if len(e.progs) > 0 && invalidatesPrograms(st) {
-		clear(e.progs)
-	}
 	if tx, ok := st.(*sqlast.Txn); ok {
 		return e.execTxnLocked(c, tx)
 	}

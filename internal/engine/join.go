@@ -517,26 +517,51 @@ func (e *Engine) comboJoinKey(buf []byte, combo []*rowVals, keys []equiKey, null
 	return buf, true, hadNull
 }
 
-// comboArena block-allocates the kept-combo slices of a join. Campaign
-// profiles showed the per-kept-combo make() in the nested loop as a top
-// allocation site; carving fixed-capacity slices out of doubling blocks
-// amortizes it away. Exhausted blocks are abandoned to the slices already
-// carved from them, so taken pointers stay valid.
+// comboArena block-allocates the kept-combo slices of a join: per-combo
+// make() calls, and then per-query blocks, were top allocation sites in
+// campaign profiles. The engine owns one arena and every SELECT carves its
+// combos out of it between a mark and a release (execSelect), so a warmed
+// engine allocates no blocks.
+//
+// Offsets are stable across growth: a new block is twice the old one and
+// starts at the old length (its prefix stays nil), so marks taken before
+// the growth still address the right place. The exhausted block is
+// abandoned to the slices already carved from it, so taken pointers stay
+// valid until their statement drops them.
 type comboArena struct {
 	buf []*rowVals
 }
 
+// arenaRetainMax caps the block an idle engine keeps (in pointers): one
+// huge cross join should not pin its block for the engine's lifetime.
+const arenaRetainMax = 1 << 20
+
 func (a *comboArena) alloc(n int) []*rowVals {
-	if len(a.buf)+n > cap(a.buf) {
-		sz := 1024
-		for sz < n {
+	start := len(a.buf)
+	if start+n > cap(a.buf) {
+		sz := max(2*cap(a.buf), 1024)
+		for sz < start+n {
 			sz *= 2
 		}
-		a.buf = make([]*rowVals, 0, sz)
+		a.buf = make([]*rowVals, start, sz)
 	}
-	start := len(a.buf)
 	a.buf = a.buf[:start+n]
 	return a.buf[start : start+n : start+n]
+}
+
+// mark returns the arena's current offset, for a later release.
+func (a *comboArena) mark() int { return len(a.buf) }
+
+// release frees everything carved since mark. It clears the released
+// pointers so the arena pins no rows of a finished statement, and marks
+// nest LIFO: a view's SELECT inside buildRelation releases before the
+// outer SELECT carves its join.
+func (a *comboArena) release(mark int) {
+	clear(a.buf[mark:])
+	a.buf = a.buf[:mark]
+	if mark == 0 && cap(a.buf) > arenaRetainMax {
+		a.buf = nil
+	}
 }
 
 // joinLevel is the per-level state shared by the three join operators.

@@ -22,6 +22,10 @@ type joinInfo struct {
 
 func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	e.cov.hit("dql.select")
+	// The join's combos live in the engine's arena until the result rows
+	// are projected out of them. The deferred release also runs when a
+	// simulated crash panics through here.
+	defer e.arena.release(e.arena.mark())
 	// Resolve sources.
 	var rels []*relation
 	var joins []joinInfo // parallel to rels[1:]
@@ -460,7 +464,6 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		combos[ri] = backing[ri : ri+1 : ri+1]
 	}
 	scratch := make([]*rowVals, 0, len(rels))
-	var arena comboArena
 	// spare recycles the previous level's combo-header array: once a level
 	// has been consumed as input, its [][]*rowVals backing becomes the
 	// append target for the next level's output.
@@ -497,7 +500,7 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 			}
 		}
 		lv := &joinLevel{n: n, rels: rels, level: i, j: j,
-			onEval: onEval, onTest: onTest, arena: &arena, scratch: &scratch}
+			onEval: onEval, onTest: onTest, arena: &e.arena, scratch: &scratch}
 		var next [][]*rowVals
 		var err error
 		switch strat {
@@ -824,6 +827,10 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			return nil, nil, err
 		}
 	}
+	// Aggregate arguments bind lazily, on the first group that needs
+	// them, and the program serves every later group (zero-group queries
+	// never bind, as in the hash path's aggCol.bind).
+	argFns := make([]func() (sqlval.Value, error), len(cols))
 	var rows [][]sqlval.Value
 	for _, g := range groups {
 		rep := make([]*rowVals, len(rels)) // all-NULL row for empty groups
@@ -853,7 +860,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 				continue
 			}
 			if fc, ok := isAggregate(c.x); ok {
-				v, err := e.aggregate(fc, x, g.combos)
+				v, err := e.aggregate(fc, x, &argFns[i], g.combos)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -895,10 +902,9 @@ func keysEqual(a, b []sqlval.Value) bool {
 }
 
 // aggregate computes one aggregate over a group. The argument expression
-// binds through the statement's exprEval, so the compiled program is
-// shared across every group of the statement (the engine's program cache
-// keys by AST node).
-func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, combos [][]*rowVals) (sqlval.Value, error) {
+// binds through the statement's exprEval into *argFn on first use, so one
+// program serves every group of the statement.
+func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlval.Value, error), combos [][]*rowVals) (sqlval.Value, error) {
 	e.cov.hit("dql.aggregate." + strings.ToUpper(fc.Name))
 	up := strings.ToUpper(fc.Name)
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
@@ -920,14 +926,17 @@ func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, combos [][]*rowVals
 	if len(fc.Args) != 1 {
 		return sqlval.Null(), xerr.New(xerr.CodeType, "aggregate %s expects one argument", fc.Name)
 	}
-	argFn, err := x.valueFn(fc.Args[0])
-	if err != nil {
-		return sqlval.Null(), err
+	if *argFn == nil {
+		fn, err := x.valueFn(fc.Args[0])
+		if err != nil {
+			return sqlval.Null(), err
+		}
+		*argFn = fn
 	}
 	var vals []sqlval.Value
 	for _, combo := range combos {
 		x.setRow(combo)
-		v, err := argFn()
+		v, err := (*argFn)()
 		if err != nil {
 			return sqlval.Null(), err
 		}

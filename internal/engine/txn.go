@@ -356,7 +356,6 @@ func (e *Engine) mergeWorkLocked(t *connTxn, work *Snapshot) {
 	if work.corrupt != "" {
 		e.corrupt = work.corrupt
 	}
-	clear(e.progs)
 }
 
 // abortTxnLocked discards c's transaction and reinstates the committed

@@ -16,10 +16,9 @@
 // evaluator's fault set after compiling programs is unsupported (no caller
 // does; engines fix their fault set at Open).
 //
-// A Program is not safe for concurrent evaluation: its metadata env
-// memoizes resolutions and function-call nodes reuse argument scratch.
-// The engine serializes statements, which is the contract the executor
-// already relies on.
+// A Program is not safe for concurrent evaluation: function-call nodes
+// reuse argument scratch. The engine serializes statements, which is the
+// contract the executor already relies on.
 package eval
 
 import (
@@ -111,17 +110,11 @@ func (p *Program) EvalBool(f *Frame) (sqlval.TriBool, error) {
 // MaybeString reference compiles to the string constant the interpreter
 // would produce.
 func (ev *Evaluator) Compile(e sqlast.Expr, lay Layout) (*Program, error) {
-	c := &compiler{ev: ev, menv: &boundMetaEnv{lay: lay}}
+	c := compiler{ev: ev, lay: lay}
 	t, _, err := c.compile(e)
 	if err != nil {
 		return nil, err
 	}
-	// Seal the metadata env: pre-resolve every reference the fault helpers
-	// could consult at run time, then drop the layout. Programs outlive
-	// their statement's execution (the engine caches them), and a retained
-	// layout would pin the statement's materialized relations — row
-	// snapshots included — until the cache clears.
-	c.menv.seal(e)
 	return &Program{ev: ev, root: t}, nil
 }
 
@@ -175,64 +168,41 @@ func (ev *Evaluator) CompileWrapped(n *sqlast.Unary, inner *Program, lay Layout)
 	return &Program{ev: ev, root: t}, nil
 }
 
-// boundMetaEnv adapts a Layout into the metadata half of Env, memoizing
-// resolutions so the shared fault/collation helpers cost one map hit per
-// consulted name instead of a layout scan per row. Values never travel
-// through it — comparisonFaults, comparisonCollation, and outOfTypeRange
-// consult ColumnMeta exclusively; slot thunks carry the values.
-type boundMetaEnv struct {
-	lay  Layout
-	memo map[[2]string]metaMemo
-}
-
-type metaMemo struct {
-	m  Meta
-	ok bool
+// layoutMeta adapts a Layout into the metadata half of Env. Values never
+// travel through it — comparisonFaults, comparisonCollation, and
+// outOfTypeRange consult ColumnMeta exclusively; slot thunks carry the
+// values. A Program keeps its layout through this adapter, so it should
+// not outlive the statement the layout describes.
+type layoutMeta struct {
+	lay Layout
 }
 
 // ColumnValue implements Env; the compiled path never reads values by name.
-func (b *boundMetaEnv) ColumnValue(string, string) (sqlval.Value, bool) {
+func (layoutMeta) ColumnValue(string, string) (sqlval.Value, bool) {
 	return sqlval.Null(), false
 }
 
-// ColumnMeta implements Env over the layout, with memoization. After seal
-// the memo is the entire universe: the helpers only ever ask about
-// references that appear in the compiled expression, all of which seal
-// pre-resolved.
-func (b *boundMetaEnv) ColumnMeta(table, column string) (Meta, bool) {
-	k := [2]string{table, column}
-	if e, hit := b.memo[k]; hit {
-		return e.m, e.ok
-	}
-	if b.lay == nil {
-		return Meta{}, false
-	}
+// ColumnMeta implements Env by resolving through the layout.
+func (b layoutMeta) ColumnMeta(table, column string) (Meta, bool) {
 	_, m, err := b.lay.Resolve(table, column)
-	e := metaMemo{m: m, ok: err == nil}
-	if b.memo == nil {
-		b.memo = make(map[[2]string]metaMemo, 4)
-	}
-	b.memo[k] = e
-	return e.m, e.ok
-}
-
-// seal memoizes the metadata of every column reference in e and releases
-// the layout, so the finished Program retains slots and metadata only —
-// never the relations (and rows) the layout was built over.
-func (b *boundMetaEnv) seal(e sqlast.Expr) {
-	sqlast.WalkExprs(e, func(x sqlast.Expr) bool {
-		if cr, ok := x.(*sqlast.ColumnRef); ok {
-			b.ColumnMeta(cr.Table, cr.Column)
-		}
-		return true
-	})
-	b.lay = nil
+	return m, err == nil
 }
 
 // compiler carries one Compile invocation's state.
 type compiler struct {
 	ev   *Evaluator
-	menv *boundMetaEnv
+	lay  Layout
+	menv Env // layoutMeta over lay, boxed on first use (see meta)
+}
+
+// meta returns the metadata env the fault and collation helpers consult.
+// It is boxed once per Compile, and only for expressions that compare: a
+// bare column reference compiles without it.
+func (c *compiler) meta() Env {
+	if c.menv == nil {
+		c.menv = layoutMeta{lay: c.lay}
+	}
+	return c.menv
 }
 
 // constThunk wraps a precomputed value.
@@ -269,7 +239,7 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 		return constThunk(n.Val), true, nil
 
 	case *sqlast.ColumnRef:
-		slot, _, err := c.menv.lay.Resolve(n.Table, n.Column)
+		slot, _, err := c.lay.Resolve(n.Table, n.Column)
 		if err != nil {
 			// The SQLite double-quote misfeature: an unresolvable
 			// MaybeString token demotes to a string constant. An ambiguous
@@ -314,7 +284,7 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		coll := ev.comparisonCollation(n.X, n.Lo, c.menv)
+		coll := ev.comparisonCollation(n.X, n.Lo, c.meta())
 		not := n.Not
 		return func(f *Frame) (sqlval.Value, error) {
 			xv, err := x(f)
@@ -359,7 +329,7 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 			items[i] = it
 			pure = pure && ip
 		}
-		coll := ev.comparisonCollation(n.X, nil, c.menv)
+		coll := ev.comparisonCollation(n.X, nil, c.meta())
 		not := n.Not
 		return func(f *Frame) (sqlval.Value, error) {
 			xv, err := x(f)
@@ -587,8 +557,8 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
-		coll := ev.comparisonCollation(n.L, n.R, c.menv)
-		node, menv := n, c.menv
+		coll := ev.comparisonCollation(n.L, n.R, c.meta())
+		node, menv := n, c.meta()
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
 			if err != nil {
@@ -612,7 +582,7 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpIs, sqlast.OpIsNot:
-		coll := ev.comparisonCollation(n.L, n.R, c.menv)
+		coll := ev.comparisonCollation(n.L, n.R, c.meta())
 		isNot := n.Op == sqlast.OpIsNot
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
@@ -634,8 +604,8 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpNullSafeEq:
-		coll := ev.comparisonCollation(n.L, n.R, c.menv)
-		node, menv := n, c.menv
+		coll := ev.comparisonCollation(n.L, n.R, c.meta())
+		node, menv := n, c.meta()
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
 			if err != nil {
@@ -759,7 +729,7 @@ func (c *compiler) compileCase(n *sqlast.Case) (thunk, bool, error) {
 		whens[i], thens[i] = wt, tt
 		pure = pure && wp && tp
 		if n.Operand != nil {
-			colls[i] = ev.comparisonCollation(n.Operand, w.When, c.menv)
+			colls[i] = ev.comparisonCollation(n.Operand, w.When, c.meta())
 		}
 	}
 	var elseT thunk

@@ -228,3 +228,31 @@ func TestCompileWrappedMatchesFullCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocs pins the cost of compiling the shapes every campaign
+// query is made of. Programs live for one statement, so compile runs once
+// per clause and its allocations are paid per query: a bare column costs
+// its slot thunk and the Program, and a comparison adds one metadata env
+// (boxed once per Compile, never a memo map), its literal and its own
+// thunk.
+func TestCompileAllocs(t *testing.T) {
+	w := sqliteWorld()
+	ev := eval.New(dialect.SQLite)
+	for _, tc := range []struct {
+		name string
+		expr sqlast.Expr
+		max  float64
+	}{
+		{"t0.c0", sqlast.Col("t0", "c0"), 2},
+		{"t0.c0 = 1", &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(1))}, 5},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ev.Compile(tc.expr, w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("Compile(%s) allocates %.1f times per run (want <=%.0f)", tc.name, allocs, tc.max)
+		}
+	}
+}

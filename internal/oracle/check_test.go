@@ -238,3 +238,41 @@ func TestMetamorphicReduction(t *testing.T) {
 		})
 	}
 }
+
+// TestTLPSumOverInheritedRows is the reduced Postgres false positive: t0's
+// own stored rows hold only a NULL in c1, so they alone looked
+// all-integral, but a scan of t0 also reads the REAL values of t1, which
+// inherits from it.
+// SUM over them must fall back to COUNT rather than recombine float
+// partition sums as integers.
+func TestTLPSumOverInheritedRows(t *testing.T) {
+	db, err := sut.Open("", sut.Session{Dialect: dialect.Postgres})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for _, sql := range []string{
+		"CREATE TABLE t0(c0 serial UNIQUE, c1 REAL, c2 INT PRIMARY KEY)",
+		"CREATE TABLE t1(c0 INT) INHERITS (t0)",
+		"INSERT INTO t1 VALUES (-128, -1e+10, -9223372036854775808)",
+		"INSERT INTO t0 VALUES (1, NULL, 1)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("setup %q: %v", sql, err)
+		}
+	}
+	o, err := oracle.New("tlp", oracle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &oracle.Env{Dialect: dialect.Postgres, Rnd: gen.NewRand(dialect.Postgres, 7)}
+	for i := 0; i < 300; i++ {
+		rep, err := o.Check(db, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep != nil {
+			t.Fatalf("tlp flagged a clean database: %s\n  %s", rep.Message, rep.Compare)
+		}
+	}
+}

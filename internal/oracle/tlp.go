@@ -223,7 +223,7 @@ func comparePartitions(db sut.DB, env *Env, shape string, mk func(sqlast.Expr) *
 func (o *tlp) checkAgg(db sut.DB, env *Env, table string, info schema.TableInfo, pred sqlast.Expr) (*Report, error) {
 	col := info.Columns[env.Rnd.Intn(len(info.Columns))].Name
 	fn := [...]string{"COUNT", "SUM", "MAX"}[env.Rnd.Intn(3)]
-	if fn == "SUM" && !allIntegral(db, table, info, col) {
+	if fn == "SUM" && !allIntegral(db, table, col) {
 		fn = "COUNT"
 	}
 	mk := func(where sqlast.Expr) *sqlast.Select {
@@ -272,25 +272,53 @@ func aggDisplay(rows [][]sqlval.Value) string {
 
 // allIntegral reports whether every stored value of a column is NULL,
 // integer, or boolean — consulting ground truth (RawRows), not the query
-// path, since SQLite's dynamic typing stores anything in any column.
-func allIntegral(db sut.DB, table string, info schema.TableInfo, col string) bool {
-	ci := -1
-	for i := range info.Columns {
-		if strings.EqualFold(info.Columns[i].Name, col) {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return false
-	}
-	for _, row := range db.Introspect().RawRows(table) {
-		if ci >= len(row) {
+// path, since SQLite's dynamic typing stores anything in any column. On
+// Postgres a scan of table also reads every table that inherits from it,
+// directly or through a chain of parents, so those rows count too; each
+// table's column resolves by name, as the inheritance scan projects it.
+func allIntegral(db sut.DB, table, col string) bool {
+	intro := db.Introspect()
+	for _, name := range intro.Tables() {
+		info, err := intro.Describe(name)
+		if err != nil {
 			return false
 		}
-		switch row[ci].Kind() {
-		case sqlval.KNull, sqlval.KInt, sqlval.KBool:
-		default:
+		if !inheritsFrom(intro, info, table) {
+			continue
+		}
+		ci := -1
+		for i := range info.Columns {
+			if strings.EqualFold(info.Columns[i].Name, col) {
+				ci = i
+				break
+			}
+		}
+		if ci < 0 {
+			return false
+		}
+		for _, row := range intro.RawRows(name) {
+			if ci >= len(row) {
+				return false
+			}
+			switch row[ci].Kind() {
+			case sqlval.KNull, sqlval.KInt, sqlval.KBool:
+			default:
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// inheritsFrom reports whether info is table itself or reaches it through
+// its chain of inheritance parents.
+func inheritsFrom(intro sut.Introspection, info schema.TableInfo, table string) bool {
+	for !strings.EqualFold(info.Name, table) {
+		if info.Parent == "" {
+			return false
+		}
+		var err error
+		if info, err = intro.Describe(info.Parent); err != nil {
 			return false
 		}
 	}
