@@ -88,22 +88,81 @@ func (e *Engine) newIndexData(colls []sqlval.Collation, descs []bool) *storage.I
 // rows, every index's entries, and the session state that statements can
 // change without DDL (options, per-table bookkeeping, corruption). It is
 // valid until the next schema change; Restore refuses stale snapshots.
+//
+// The tables and indexes hold the storage containers themselves next to
+// their snapshots. The pointers are valid for the snapshot's DDL epoch:
+// containers are only created, renamed or recycled by DDL and Reset, which
+// both move the epoch on.
 type Snapshot struct {
 	epoch   int64
 	seq     int64
 	corrupt string
 	csLike  bool
-	tables  map[string]*storage.TableSnapshot
-	indexes map[string]*storage.IndexSnapshot
-	state   map[string]tableState
-	globals map[string]sqlval.Value
+	tables  []tableSnap
+	indexes []indexSnap
+	state   []stateSnap  // nil when the engine has no bookkeeping
+	globals []globalSnap // nil when the engine has no globals
+}
+
+type tableSnap struct {
+	name string
+	td   *storage.TableData
+	snap *storage.TableSnapshot
+}
+
+type indexSnap struct {
+	name string
+	ixd  *storage.IndexData
+	snap *storage.IndexSnapshot
+}
+
+type stateSnap struct {
+	name string
+	ts   tableState
+}
+
+type globalSnap struct {
+	name string
+	v    sqlval.Value
+}
+
+// table returns the snapshot of the named table, or nil.
+func (s *Snapshot) table(name string) *storage.TableSnapshot {
+	for i := range s.tables {
+		if s.tables[i].name == name {
+			return s.tables[i].snap
+		}
+	}
+	return nil
+}
+
+// index returns the snapshot of the named index, or nil.
+func (s *Snapshot) index(name string) *storage.IndexSnapshot {
+	for i := range s.indexes {
+		if s.indexes[i].name == name {
+			return s.indexes[i].snap
+		}
+	}
+	return nil
+}
+
+// tableState returns the bookkeeping captured for the named table.
+func (s *Snapshot) tableState(name string) (tableState, bool) {
+	for i := range s.state {
+		if s.state[i].name == name {
+			return s.state[i].ts, true
+		}
+	}
+	return tableState{}, false
 }
 
 // Snapshot captures the current data state (see type Snapshot). Cost is
-// proportional to the number of rows and index entries, not their size —
-// the row values themselves are shared copy-on-write. An engine with open
-// transactions captures the committed state and aborts them first: a
-// snapshot is a statement-boundary concept.
+// proportional to the number of rows and index entries of the tables that
+// changed since their last capture or restore, not their size — the row
+// values themselves are shared copy-on-write, and an unchanged table
+// shares its previous snapshot. An engine with open transactions captures
+// the committed state and aborts them first: a snapshot is a
+// statement-boundary concept.
 func (e *Engine) Snapshot() *Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -120,22 +179,26 @@ func (e *Engine) snapshotLocked() *Snapshot {
 		seq:     e.seq,
 		corrupt: e.corrupt,
 		csLike:  e.caseSensitiveLike,
-		tables:  make(map[string]*storage.TableSnapshot, len(e.data)),
-		indexes: make(map[string]*storage.IndexSnapshot, len(e.idx)),
-		state:   make(map[string]tableState, len(e.state)),
-		globals: make(map[string]sqlval.Value, len(e.globals)),
+		tables:  make([]tableSnap, 0, len(e.data)),
+		indexes: make([]indexSnap, 0, len(e.idx)),
 	}
 	for name, td := range e.data {
-		s.tables[name] = td.Snapshot()
+		s.tables = append(s.tables, tableSnap{name, td, td.Snapshot()})
 	}
 	for name, ixd := range e.idx {
-		s.indexes[name] = ixd.Snapshot()
+		s.indexes = append(s.indexes, indexSnap{name, ixd, ixd.Snapshot()})
 	}
-	for name, ts := range e.state {
-		s.state[name] = *ts
+	if len(e.state) > 0 {
+		s.state = make([]stateSnap, 0, len(e.state))
+		for name, ts := range e.state {
+			s.state = append(s.state, stateSnap{name, *ts})
+		}
 	}
-	for name, v := range e.globals {
-		s.globals[name] = v
+	if len(e.globals) > 0 {
+		s.globals = make([]globalSnap, 0, len(e.globals))
+		for name, v := range e.globals {
+			s.globals = append(s.globals, globalSnap{name, v})
+		}
 	}
 	return s
 }
@@ -165,24 +228,42 @@ func (e *Engine) restoreLocked(s *Snapshot) error {
 	if s.epoch != e.ddlEpoch {
 		return xerr.New(xerr.CodeUnsupported, "snapshot is stale: schema changed since it was taken")
 	}
-	for name, td := range e.data {
-		td.Restore(s.tables[name])
+	for _, ts := range s.tables {
+		ts.td.Restore(ts.snap)
 	}
-	for name, ixd := range e.idx {
-		ixd.Restore(s.indexes[name])
+	for _, is := range s.indexes {
+		is.ixd.Restore(is.snap)
 	}
-	clear(e.state)
-	for name, ts := range s.state {
-		st := ts
-		e.state[name] = &st
-	}
+	e.restoreStateLocked(s)
 	clear(e.globals)
-	for name, v := range s.globals {
-		e.globals[name] = v
+	for _, g := range s.globals {
+		e.globals[g.name] = g.v
 	}
 	e.seq = s.seq
 	e.corrupt = s.corrupt
 	e.caseSensitiveLike = s.csLike
 	e.ev.CaseSensitiveLike = s.csLike
 	return nil
+}
+
+// restoreStateLocked installs captured per-table bookkeeping, overwriting
+// the engine's existing tableState values in place and allocating only
+// for tables the live state lacks.
+func (e *Engine) restoreStateLocked(s *Snapshot) {
+	for _, st := range s.state {
+		if ts := e.state[st.name]; ts != nil {
+			*ts = st.ts
+		} else {
+			ts := st.ts
+			e.state[st.name] = &ts
+		}
+	}
+	if len(e.state) == len(s.state) {
+		return // the live names now include every captured one: equal sets
+	}
+	for name := range e.state {
+		if _, ok := s.tableState(name); !ok {
+			delete(e.state, name)
+		}
+	}
 }

@@ -9,9 +9,11 @@ package engine
 // the committed state as the transaction's private working state; its
 // statements stage effects there, invisible to other sessions. Because the
 // engine executes one statement at a time, only one state is "installed"
-// in e.data at any moment — the others are parked as COW snapshots
-// (cheap: a row-pointer slice copy per table) and swapped in lazily when
-// their session's next statement arrives.
+// in e.data at any moment — the others are parked as COW snapshots and
+// swapped in lazily when their session's next statement arrives. A switch
+// costs what changed since the last one: a table or index unchanged since
+// it was last captured or restored shares that snapshot and restores as a
+// no-op, and only a changed one pays a row-pointer slice copy.
 //
 // Concurrency control is first-writer-wins plus backward validation:
 //
@@ -43,6 +45,7 @@ package engine
 import (
 	"sort"
 
+	"repro/internal/dialect"
 	"repro/internal/faults"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
@@ -326,27 +329,27 @@ func (e *Engine) mergeWorkLocked(t *connTxn, work *Snapshot) {
 	for w := range t.writes {
 		if w == optionsWrite {
 			clear(e.globals)
-			for k, v := range work.globals {
-				e.globals[k] = v
+			for _, g := range work.globals {
+				e.globals[g.name] = g.v
 			}
 			e.caseSensitiveLike = work.csLike
 			e.ev.CaseSensitiveLike = work.csLike
 			continue
 		}
 		td := e.data[w]
-		ws := work.tables[w]
+		ws := work.table(w)
 		if td == nil || ws == nil {
 			continue // target vanished: DDL implicit-commits, so only a failed write on a missing table
 		}
 		td.Restore(ws)
 		for _, ix := range e.cat.IndexesOn(w) {
 			if ixd := e.idx[lower(ix.Name)]; ixd != nil {
-				if isnap := work.indexes[lower(ix.Name)]; isnap != nil {
+				if isnap := work.index(lower(ix.Name)); isnap != nil {
 					ixd.Restore(isnap)
 				}
 			}
 		}
-		if ts, ok := work.state[w]; ok {
+		if ts, ok := work.tableState(w); ok {
 			cp := ts
 			e.state[w] = &cp
 		} else {
@@ -391,7 +394,7 @@ func (e *Engine) abortTxnLocked(c *Conn, explicitRollback bool) {
 	}
 	if leakTab != nil {
 		if td := e.data[leakName]; td != nil {
-			if tsnap := leakTab.tables[leakName]; tsnap != nil {
+			if tsnap := leakTab.table(leakName); tsnap != nil {
 				td.Restore(tsnap)
 			}
 		}
@@ -485,7 +488,9 @@ func writeTargets(st sqlast.Stmt) map[string]struct{} {
 
 // readTargetsLocked returns the lower-cased tables a statement reads.
 // UPDATE/DELETE read the table they filter; a view in FROM conservatively
-// reads every table (view definitions can reference anything).
+// reads every table (view definitions can reference anything). A postgres
+// scan of a parent table without ONLY also reads every table inheriting
+// from it, as the scan does.
 func (e *Engine) readTargetsLocked(st sqlast.Stmt) map[string]struct{} {
 	var out map[string]struct{}
 	viaView := false
@@ -500,13 +505,24 @@ func (e *Engine) readTargetsLocked(st sqlast.Stmt) map[string]struct{} {
 		}
 		out[k] = struct{}{}
 	}
+	addRef := func(tr sqlast.TableRef) {
+		add(tr.Name)
+		if e.d != dialect.Postgres || tr.Only {
+			return
+		}
+		if t, ok := e.cat.Table(tr.Name); ok && !t.IsView && len(t.Children) > 0 {
+			for _, leaf := range e.cat.InheritanceLeaves(t)[1:] {
+				add(leaf.Name)
+			}
+		}
+	}
 	var addSelect func(sel *sqlast.Select)
 	addSelect = func(sel *sqlast.Select) {
 		for _, tr := range sel.From {
-			add(tr.Name)
+			addRef(tr)
 		}
 		for _, j := range sel.Joins {
-			add(j.Table.Name)
+			addRef(j.Table)
 		}
 	}
 	switch n := st.(type) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sqlparse"
 	"repro/internal/xerr"
 )
 
@@ -91,5 +92,78 @@ func TestTxnSanity(t *testing.T) {
 	r = mustExec(f1, "SELECT * FROM t")
 	if len(r.Rows) != 1 {
 		t.Fatalf("lost-update fault: want 1 surviving row (clobber), got %d", len(r.Rows))
+	}
+}
+
+// TestTxnReadsInheritanceChildren replays a postgres history the
+// serializability oracle once flagged: S0 reads the parent t0, whose scan
+// includes the child t2, while S1 auto-commits a row into t2. S0's read
+// missed that row, so its COMMIT must fail validation; committing it
+// would leave a history no serial order reproduces.
+func TestTxnReadsInheritanceChildren(t *testing.T) {
+	e := Open(dialect.Postgres)
+	s0, s1 := e.NewConn(), e.NewConn()
+	for _, step := range []struct {
+		c   *Conn
+		sql string
+	}{
+		{s0, "CREATE TABLE t0(c0 serial)"},
+		{s0, "INSERT INTO t0(c0) VALUES (-2851427734582196970)"},
+		{s0, "CREATE TABLE t2(c0 INT UNIQUE, c1 BOOLEAN) INHERITS (t0)"},
+		{s0, "BEGIN"},
+		{s1, "INSERT INTO t2(c1) VALUES (TRUE)"},
+		{s1, "SELECT * FROM t0"},
+		{s0, "SELECT * FROM t0"},
+		{s0, "UPDATE t0 SET c0 = 2147483647"},
+	} {
+		if _, err := step.c.Exec(step.sql); err != nil {
+			t.Fatalf("%s: %v", step.sql, err)
+		}
+	}
+	if _, err := s0.Exec("COMMIT"); !xerr.Is(err, xerr.CodeConflict) {
+		t.Fatalf("COMMIT after a concurrent write to an inheriting child: got %v, want a conflict", err)
+	}
+}
+
+// TestSessionSwitchAllocs pins the cost of switching the installed
+// session: two sessions with open transactions alternating a read-only
+// SELECT, minus the same two SELECTs on one session. Tables and indexes
+// that did not change share their snapshots, so a switch allocates only
+// the engine Snapshot and its slices, whatever the table count.
+func TestSessionSwitchAllocs(t *testing.T) {
+	e := Open(dialect.SQLite)
+	c0, c1 := e.NewConn(), e.NewConn()
+	for _, sql := range []string{
+		"CREATE TABLE t0(c0 INT, c1 TEXT)",
+		"CREATE TABLE t1(c0 INT)",
+		"CREATE TABLE t2(c0 INT)",
+		"CREATE INDEX i0 ON t0(c0)",
+		"CREATE INDEX i1 ON t1(c0)",
+		"INSERT INTO t0 VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+		"INSERT INTO t1 VALUES (1), (2)",
+		"INSERT INTO t2 VALUES (7)",
+	} {
+		if _, err := c0.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, c := range []*Conn{c0, c1} {
+		if _, err := c.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := sqlparse.Parse("SELECT * FROM t0 WHERE c0 = 2", dialect.SQLite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(c *Conn) {
+		if _, err := c.ExecStmt(sel[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := testing.AllocsPerRun(100, func() { exec(c0); exec(c0) })
+	alternating := testing.AllocsPerRun(100, func() { exec(c0); exec(c1) })
+	if perTwo := alternating - same; perTwo > 8 {
+		t.Errorf("two session switches allocate %.1f times (want <=8)", perTwo)
 	}
 }

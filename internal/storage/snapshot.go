@@ -10,6 +10,13 @@ import "repro/internal/sqlval"
 // map, so a snapshot/restore cycle in a hot loop costs a slice copy plus
 // a map rebuild, never a deep copy of the stored values.
 //
+// A heap or index also remembers its clean snapshot: the one whose content
+// equals its own, set by Snapshot and Restore and cleared by every
+// mutator. Snapshot returns it instead of copying again, and Restore of it
+// is a no-op, so a table that did not change between two captures costs
+// nothing to capture or rewind. This relies on snapshots being immutable
+// once taken: nothing writes through a snapshot's slices.
+//
 // Row value slices are immutable throughout the engine (UPDATE removes
 // the old row and stores a fresh one), so sharing *Row pointers between a
 // snapshot and the live heap is sound; index entry keys are likewise
@@ -26,18 +33,27 @@ func (s *TableSnapshot) Rows() int { return len(s.rows) }
 
 // Snapshot captures the heap's current state: a shallow copy of the row
 // pointers (the snapshot owns its backing array, so later inserts and
-// deletes on the live heap never disturb it).
+// deletes on the live heap never disturb it). A heap unchanged since its
+// last Snapshot or Restore returns that snapshot again.
 func (t *TableData) Snapshot() *TableSnapshot {
+	if t.clean != nil {
+		return t.clean
+	}
 	rows := make([]*Row, len(t.rows))
 	copy(rows, t.rows)
 	t.cow = true
-	return &TableSnapshot{rows: rows, nextRowid: t.nextRowid}
+	t.clean = &TableSnapshot{rows: rows, nextRowid: t.nextRowid}
+	return t.clean
 }
 
 // Restore rewinds the heap to a snapshot taken from it. The byRowid map
 // is rebuilt in place (cleared, not reallocated), and the snapshot stays
-// valid for repeated restores.
+// valid for repeated restores. Restoring the heap's clean snapshot is a
+// no-op.
 func (t *TableData) Restore(s *TableSnapshot) {
+	if s == t.clean {
+		return
+	}
 	if cap(t.rows) >= len(s.rows) {
 		t.rows = t.rows[:len(s.rows)]
 	} else {
@@ -50,6 +66,7 @@ func (t *TableData) Restore(s *TableSnapshot) {
 		t.byRowid[r.Rowid] = r
 	}
 	t.cow = true
+	t.clean = s
 }
 
 // Reset empties the heap, keeping the rows slice capacity and the byRowid
@@ -59,6 +76,7 @@ func (t *TableData) Reset() {
 	clear(t.byRowid)
 	t.nextRowid = 1
 	t.cow = false
+	t.clean = nil
 }
 
 // unshare clones every row before an in-place mutation of row contents
@@ -90,15 +108,25 @@ func (s *IndexSnapshot) Len() int { return len(s.entries) }
 // entries (keys are shared — they are never mutated after insertion) plus
 // the part collations, which REINDEX faults deliberately swap and a
 // restore must swap back. SetCollations installs a fresh slice rather
-// than mutating in place, so capturing colls by reference is sound.
+// than mutating in place, so capturing colls by reference is sound. An
+// index unchanged since its last Snapshot or Restore returns that
+// snapshot again.
 func (ix *IndexData) Snapshot() *IndexSnapshot {
+	if ix.clean != nil {
+		return ix.clean
+	}
 	entries := make([]IndexEntry, len(ix.entries))
 	copy(entries, ix.entries)
-	return &IndexSnapshot{colls: ix.colls, descs: ix.descs, entries: entries}
+	ix.clean = &IndexSnapshot{colls: ix.colls, descs: ix.descs, entries: entries}
+	return ix.clean
 }
 
-// Restore rewinds the index to a snapshot taken from it.
+// Restore rewinds the index to a snapshot taken from it. Restoring the
+// index's clean snapshot is a no-op.
 func (ix *IndexData) Restore(s *IndexSnapshot) {
+	if s == ix.clean {
+		return
+	}
 	if cap(ix.entries) >= len(s.entries) {
 		ix.entries = ix.entries[:len(s.entries)]
 	} else {
@@ -107,6 +135,7 @@ func (ix *IndexData) Restore(s *IndexSnapshot) {
 	copy(ix.entries, s.entries)
 	ix.colls = s.colls
 	ix.descs = s.descs
+	ix.clean = s
 }
 
 // Reset empties the index and installs new part collations/directions,
@@ -115,4 +144,5 @@ func (ix *IndexData) Reset(colls []sqlval.Collation, descs []bool) {
 	ix.entries = ix.entries[:0]
 	ix.colls = colls
 	ix.descs = descs
+	ix.clean = nil
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlval"
@@ -137,5 +139,130 @@ func TestIndexReset(t *testing.T) {
 	}
 	if got := ix.Collations(); len(got) != 1 || got[0] != sqlval.CollNoCase {
 		t.Errorf("collations after reset = %v", got)
+	}
+}
+
+// tableContent renders everything a TableSnapshot captures of a heap.
+func tableContent(td *TableData) string {
+	return fmt.Sprintf("next=%d rows=%v", td.NextRowid(), rowsContent(td.Rows()))
+}
+
+func rowsContent(rows []*Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%d:%v ", r.Rowid, r.Vals)
+	}
+	return b.String()
+}
+
+// indexContent renders everything an IndexSnapshot captures of an index.
+func indexContent(ix *IndexData) string {
+	return fmt.Sprintf("colls=%v descs=%v entries=%v", ix.colls, ix.descs, ix.entries)
+}
+
+// TestCleanSnapshotInvariants checks the clean-snapshot shortcut against
+// every mutator: after Snapshot, a mutation and a Restore of that
+// snapshot, the content must equal the snapshot's again. A mutator that
+// forgot to clear the clean pointer would turn the Restore into a no-op
+// and leave the mutation in place.
+func TestCleanSnapshotInvariants(t *testing.T) {
+	newTable := func() *TableData {
+		td := NewTableData()
+		td.Insert([]sqlval.Value{sqlval.Int(1)})
+		td.Insert([]sqlval.Value{sqlval.Int(2)})
+		return td
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*TableData)
+	}{
+		{"Insert", func(td *TableData) { td.Insert([]sqlval.Value{sqlval.Int(3)}) }},
+		{"InsertWithRowid", func(td *TableData) { td.InsertWithRowid(10, []sqlval.Value{sqlval.Int(10)}) }},
+		{"Delete", func(td *TableData) { td.Delete(1) }},
+		{"DeleteLast", func(td *TableData) { td.DeleteLast() }},
+		{"AddColumn", func(td *TableData) { td.AddColumn(sqlval.Text("pad")) }},
+		{"SetNextRowid", func(td *TableData) { td.SetNextRowid(50) }},
+		{"Reset", func(td *TableData) { td.Reset() }},
+	} {
+		t.Run("table/"+tc.name, func(t *testing.T) {
+			td := newTable()
+			s := td.Snapshot()
+			want := tableContent(td)
+			tc.mutate(td)
+			if tableContent(td) == want {
+				t.Fatal("mutation did not change the heap")
+			}
+			td.Restore(s)
+			if got := tableContent(td); got != want {
+				t.Errorf("after Restore: %s, want %s", got, want)
+			}
+		})
+	}
+
+	newIndex := func() *IndexData {
+		ix := NewIndexData([]sqlval.Collation{sqlval.CollNoCase}, []bool{false})
+		ix.Insert([]sqlval.Value{sqlval.Text("a")}, 1)
+		ix.Insert([]sqlval.Value{sqlval.Text("b")}, 2)
+		return ix
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*IndexData)
+	}{
+		{"Insert", func(ix *IndexData) { ix.Insert([]sqlval.Value{sqlval.Text("A")}, 3) }},
+		{"Delete", func(ix *IndexData) { ix.Delete([]sqlval.Value{sqlval.Text("a")}, 1) }},
+		{"DeleteRowid", func(ix *IndexData) { ix.DeleteRowid(2) }},
+		{"Clear", func(ix *IndexData) { ix.Clear() }},
+		{"SetCollations", func(ix *IndexData) { ix.SetCollations([]sqlval.Collation{sqlval.CollBinary}) }},
+		{"Reset", func(ix *IndexData) { ix.Reset([]sqlval.Collation{sqlval.CollBinary}, []bool{true}) }},
+	} {
+		t.Run("index/"+tc.name, func(t *testing.T) {
+			ix := newIndex()
+			s := ix.Snapshot()
+			want := indexContent(ix)
+			tc.mutate(ix)
+			if indexContent(ix) == want {
+				t.Fatal("mutation did not change the index")
+			}
+			ix.Restore(s)
+			if got := indexContent(ix); got != want {
+				t.Errorf("after Restore: %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestCleanSnapshotIdentity pins the sharing itself: an unchanged heap or
+// index hands out the same snapshot again, and a Restore makes the
+// restored snapshot the clean one.
+func TestCleanSnapshotIdentity(t *testing.T) {
+	td := NewTableData()
+	td.Insert([]sqlval.Value{sqlval.Int(1)})
+	s := td.Snapshot()
+	if td.Snapshot() != s {
+		t.Error("table: second Snapshot without a mutation returned a new snapshot")
+	}
+	td.Insert([]sqlval.Value{sqlval.Int(2)})
+	if td.Snapshot() == s {
+		t.Error("table: Snapshot after Insert returned the stale snapshot")
+	}
+	td.Restore(s)
+	if td.Snapshot() != s {
+		t.Error("table: Snapshot after Restore(s) did not return s")
+	}
+
+	ix := NewIndexData([]sqlval.Collation{sqlval.CollBinary}, []bool{false})
+	ix.Insert([]sqlval.Value{sqlval.Int(1)}, 1)
+	is := ix.Snapshot()
+	if ix.Snapshot() != is {
+		t.Error("index: second Snapshot without a mutation returned a new snapshot")
+	}
+	ix.Insert([]sqlval.Value{sqlval.Int(2)}, 2)
+	if ix.Snapshot() == is {
+		t.Error("index: Snapshot after Insert returned the stale snapshot")
+	}
+	ix.Restore(is)
+	if ix.Snapshot() != is {
+		t.Error("index: Snapshot after Restore(s) did not return s")
 	}
 }

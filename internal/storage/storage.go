@@ -34,6 +34,9 @@ type TableData struct {
 	// mutations that write inside the shared prefix copy it first
 	// (appends past the snapshot length are safe without copying).
 	cow bool
+	// clean is the snapshot whose content equals the heap's, or nil once
+	// a mutation has diverged from it (see snapshot.go).
+	clean *TableSnapshot
 }
 
 // NewTableData returns an empty heap.
@@ -46,6 +49,7 @@ func NewTableData() *TableData {
 func (t *TableData) Insert(vals []sqlval.Value) *Row {
 	r := &Row{Rowid: t.nextRowid, Vals: vals}
 	t.nextRowid++
+	t.clean = nil
 	t.rows = append(t.rows, r)
 	t.byRowid[r.Rowid] = r
 	return r
@@ -58,6 +62,7 @@ func (t *TableData) InsertWithRowid(rowid int64, vals []sqlval.Value) (*Row, boo
 		return nil, false
 	}
 	r := &Row{Rowid: rowid, Vals: vals}
+	t.clean = nil
 	if rowid >= t.nextRowid {
 		t.nextRowid = rowid + 1
 	}
@@ -78,6 +83,7 @@ func (t *TableData) NextRowid() int64 { return t.nextRowid }
 func (t *TableData) SetNextRowid(n int64) {
 	if n > t.nextRowid {
 		t.nextRowid = n
+		t.clean = nil
 	}
 }
 
@@ -96,6 +102,7 @@ func (t *TableData) Delete(rowid int64) bool {
 		return false
 	}
 	delete(t.byRowid, rowid)
+	t.clean = nil
 	for i, r := range t.rows {
 		if r.Rowid == rowid {
 			t.rows = append(t.rows[:i], t.rows[i+1:]...)
@@ -123,6 +130,7 @@ func (t *TableData) DeleteLast() bool {
 // AddColumn extends every row with a value for a newly added column.
 func (t *TableData) AddColumn(def sqlval.Value) {
 	t.unshare()
+	t.clean = nil
 	for _, r := range t.rows {
 		r.Vals = append(r.Vals, def)
 	}
@@ -140,6 +148,9 @@ type IndexData struct {
 	colls   []sqlval.Collation
 	descs   []bool
 	entries []IndexEntry
+	// clean is the snapshot whose content equals the index's, or nil once
+	// a mutation has diverged from it (see snapshot.go).
+	clean *IndexSnapshot
 }
 
 // NewIndexData returns an empty index ordered by the given per-part
@@ -190,6 +201,7 @@ func (ix *IndexData) searchEntry(key []sqlval.Value, rowid int64) int {
 // Insert adds an entry in sorted position.
 func (ix *IndexData) Insert(key []sqlval.Value, rowid int64) {
 	i := ix.searchEntry(key, rowid)
+	ix.clean = nil
 	ix.entries = append(ix.entries, IndexEntry{})
 	copy(ix.entries[i+1:], ix.entries[i:])
 	ix.entries[i] = IndexEntry{Key: key, Rowid: rowid}
@@ -201,6 +213,7 @@ func (ix *IndexData) Delete(key []sqlval.Value, rowid int64) bool {
 	i := ix.searchEntry(key, rowid)
 	if i < len(ix.entries) && ix.entries[i].Rowid == rowid && ix.CompareKeys(ix.entries[i].Key, key) == 0 {
 		ix.entries = append(ix.entries[:i], ix.entries[i+1:]...)
+		ix.clean = nil
 		return true
 	}
 	// Fall back to a linear scan: a caller may delete with a key that
@@ -208,6 +221,7 @@ func (ix *IndexData) Delete(key []sqlval.Value, rowid int64) bool {
 	for j := range ix.entries {
 		if ix.entries[j].Rowid == rowid {
 			ix.entries = append(ix.entries[:j], ix.entries[j+1:]...)
+			ix.clean = nil
 			return true
 		}
 	}
@@ -227,6 +241,9 @@ func (ix *IndexData) DeleteRowid(rowid int64) int {
 		out = append(out, e)
 	}
 	ix.entries = out
+	if n > 0 {
+		ix.clean = nil
+	}
 	return n
 }
 
@@ -397,11 +414,17 @@ func (ix *IndexData) Entries() []IndexEntry { return ix.entries }
 func (ix *IndexData) Len() int { return len(ix.entries) }
 
 // Clear drops all entries (rebuild support).
-func (ix *IndexData) Clear() { ix.entries = nil }
+func (ix *IndexData) Clear() {
+	ix.entries = nil
+	ix.clean = nil
+}
 
 // SetCollations replaces the part collations (REINDEX fault site: a
 // rebuild may deliberately install the wrong collation).
-func (ix *IndexData) SetCollations(colls []sqlval.Collation) { ix.colls = colls }
+func (ix *IndexData) SetCollations(colls []sqlval.Collation) {
+	ix.colls = colls
+	ix.clean = nil
+}
 
 // Collations returns the per-part collations.
 func (ix *IndexData) Collations() []sqlval.Collation { return ix.colls }
