@@ -123,38 +123,57 @@ func BenchmarkTable2BugReports(b *testing.B) {
 	}
 }
 
+// table3Oracles is every faults.Oracle in Table 3's column order: the
+// paper's three, then the metamorphic, durability and isolation oracles.
+var table3Oracles = []faults.Oracle{
+	faults.OracleContainment, faults.OracleError, faults.OracleCrash,
+	faults.OracleTLP, faults.OracleNoREC, faults.OracleRecovery, faults.OracleSerializability,
+}
+
 // BenchmarkTable3Oracles reproduces Table 3: which oracle found each bug —
-// extended with the metamorphic oracles (TLP/NoREC) that catch the
-// whole-result-set faults PQS's pivot tracking is blind to.
+// extended with one column per oracle the paper's three miss, so each
+// dialect's row sums to its Table 2 detections.
 func BenchmarkTable3Oracles(b *testing.B) {
 	data := corpus()
 	t := &report.Table{
 		Title:   "Table 3: detections per oracle (paper: 61 contains / 34 error / 4 segfault)",
-		Headers: []string{"DBMS", "Contains", "Error", "SEGFAULT", "TLP", "NoREC"},
-		Note:    "Shape check: containment >> error > segfault, as in the paper; TLP/NoREC add the PQS-blind metamorphic faults.",
+		Headers: []string{"DBMS"},
+		Note:    "Shape check: containment >> error > segfault, as in the paper; TLP/NoREC add the PQS-blind metamorphic faults, recovery and serializability the durability and isolation faults.",
+	}
+	for _, o := range table3Oracles {
+		t.Headers = append(t.Headers, string(o))
+	}
+	addRow := func(name string, counts map[faults.Oracle]int) {
+		cells := []any{name}
+		for _, o := range table3Oracles {
+			cells = append(cells, counts[o])
+		}
+		t.AddRow(cells...)
 	}
 	sums := map[faults.Oracle]int{}
 	for _, d := range dialect.All {
 		counts := map[faults.Oracle]int{}
+		detected, inColumns := 0, 0
 		for _, r := range data[d] {
 			if r.Detected {
+				detected++
 				counts[r.Bug.Oracle]++
+				sums[r.Bug.Oracle]++
 			}
 		}
-		for o, n := range counts {
-			sums[o] += n
+		for _, o := range table3Oracles {
+			inColumns += counts[o]
 		}
-		t.AddRow(d.DisplayName(), counts[faults.OracleContainment], counts[faults.OracleError], counts[faults.OracleCrash],
-			counts[faults.OracleTLP], counts[faults.OracleNoREC])
+		if inColumns != detected {
+			b.Fatalf("%s: Table 3 columns hold %d of %d detections", d, inColumns, detected)
+		}
+		addRow(d.DisplayName(), counts)
 	}
-	t.AddRow("Sum", sums[faults.OracleContainment], sums[faults.OracleError], sums[faults.OracleCrash],
-		sums[faults.OracleTLP], sums[faults.OracleNoREC])
+	addRow("Sum", sums)
 	printExperiment("table3", t.Render())
-	b.ReportMetric(float64(sums[faults.OracleContainment]), "contains")
-	b.ReportMetric(float64(sums[faults.OracleError]), "error")
-	b.ReportMetric(float64(sums[faults.OracleCrash]), "segfault")
-	b.ReportMetric(float64(sums[faults.OracleTLP]), "tlp")
-	b.ReportMetric(float64(sums[faults.OracleNoREC]), "norec")
+	for _, o := range table3Oracles {
+		b.ReportMetric(float64(sums[o]), string(o))
+	}
 	for i := 0; i < b.N; i++ {
 		_ = data
 	}
@@ -274,101 +293,83 @@ func BenchmarkFigure3StatementDist(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputStatements reproduces the §3.4 throughput claim
-// ("SQLancer generates 5,000 to 20,000 statements per second").
-func BenchmarkThroughputStatements(b *testing.B) {
-	for _, d := range dialect.All {
-		b.Run(d.String(), func(b *testing.B) {
-			tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: 1, QueriesPerDB: 20})
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
+// BenchmarkCampaign measures end-to-end campaign throughput — one tester,
+// one RunDatabase per iteration — for every configuration the repo
+// compares: the §3.4 throughput claim ("SQLancer generates 5,000 to
+// 20,000 statements per second"), the sut.DB execution modes, the oracles,
+// the storage backends, the hash-aggregation ablation and DESIGN.md's
+// generation ablations. Every row reports dbs/s, stmts/s and queries/db
+// per dialect; the CI -benchtime=1x smoke runs them all.
+func BenchmarkCampaign(b *testing.B) {
+	type row struct {
+		name     string
+		dialects []dialect.Dialect
+		cfg      core.Config
+	}
+	rows := []row{
+		{"ThroughputStatements", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
+		// The ExecAST fast path (generated ASTs run directly, traces
+		// rendered only on detection) against wire fidelity (every
+		// statement rendered and reparsed); the fast path is expected to
+		// stay >=1.5x ahead.
+		{"CampaignThroughput/FastPath", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
+		{"CampaignThroughput/WireFidelity", dialect.All, core.Config{Session: sut.Session{WireFidelity: true}, Seed: 1, QueriesPerDB: 20}},
+		// The same database-generation phase under PQS's pivot loop, TLP's
+		// partition/aggregate checks, NoREC's query pairs, and the
+		// serializability oracle's interleaved histories with a
+		// serial-order search and snapshot restore per check.
+		{"OracleThroughput/pqs", dialect.All, core.Config{Oracle: "pqs", Seed: 1, QueriesPerDB: 20}},
+		{"OracleThroughput/tlp", dialect.All, core.Config{Oracle: "tlp", Seed: 1, QueriesPerDB: 20}},
+		{"OracleThroughput/norec", dialect.All, core.Config{Oracle: "norec", Seed: 1, QueriesPerDB: 20}},
+		{"InterleavedCampaign", dialect.All, core.Config{Oracle: "serializability", Seed: 1, QueriesPerDB: 20}},
+		// The durable pager backend pays image serialization, WAL append
+		// and fsync per statement: the price of crash-recovery testing.
+		{"PagerThroughput/memory", dialect.All, core.Config{Session: sut.Session{Storage: "memory"}, Seed: 1, QueriesPerDB: 20}},
+		{"PagerThroughput/pager", dialect.All, core.Config{Session: sut.Session{Storage: "pager"}, Seed: 1, QueriesPerDB: 20}},
+		// PQS with grouped and exact-position ordered query shapes, hash
+		// aggregation and top-K on versus ablated.
+		{"AggCampaignThroughput/HashAgg", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
+		{"AggCampaignThroughput/NoHashAgg", dialect.All, core.Config{Session: sut.Session{NoHashAgg: true}, Seed: 1, QueriesPerDB: 20}},
+	}
+	// DESIGN.md ablations 3, 4 and 6 on SQLite: the paper keeps tables at
+	// 10-30 rows to avoid join blowup; deeper expressions exercise more
+	// operator combinations but cost throughput; how many queries to run
+	// on one database before regenerating (Figure 1's "continue with 1
+	// or 2").
+	sqlite := []dialect.Dialect{dialect.SQLite}
+	for _, n := range []int{2, 8, 30, 100} {
+		rows = append(rows, row{fmt.Sprintf("AblationRowCount/rows=%d", n), sqlite, core.Config{Seed: 3, QueriesPerDB: 10, MinRows: n, MaxRows: n}})
+	}
+	for _, n := range []int{1, 2, 3, 5} {
+		rows = append(rows, row{fmt.Sprintf("AblationExprDepth/depth=%d", n), sqlite, core.Config{Seed: 3, QueriesPerDB: 20, MaxExprDepth: n}})
+	}
+	for _, n := range []int{1, 10, 30, 100} {
+		rows = append(rows, row{fmt.Sprintf("AblationQueriesPerDB/queries=%d", n), sqlite, core.Config{Seed: 3, QueriesPerDB: n}})
+	}
+	for _, r := range rows {
+		for _, d := range r.dialects {
+			b.Run(r.name+"/"+d.String(), func(b *testing.B) {
+				if r.cfg.Storage == "pager" {
+					b.Setenv("TMPDIR", b.TempDir())
 				}
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignThroughput compares the sut.DB execution modes in the
-// campaign hot loop: the ExecAST fast path (generated ASTs run directly,
-// traces rendered only on detection) against wire-fidelity mode (every
-// statement rendered and reparsed, the pre-boundary behaviour). Both
-// report databases/sec so the trajectory stays visible across PRs; the
-// fast path is expected to stay ≥1.5× ahead.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		wire bool
-	}{
-		{"FastPath", false},
-		{"WireFidelity", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for _, d := range dialect.All {
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Session:      sut.Session{Dialect: d, WireFidelity: mode.wire},
-						Seed:         1,
-						QueriesPerDB: 20,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
+				cfg := r.cfg
+				cfg.Dialect = d
+				tester := core.NewTester(cfg)
+				b.ResetTimer()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					if _, err := tester.RunDatabase(); err != nil {
+						b.Fatal(err)
 					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkOracleThroughput compares the testing oracles' campaign cost:
-// the same database-generation phase under PQS's pivot loop, TLP's
-// partition/aggregate checks, and NoREC's query pairs, per dialect. Both
-// dbs/s and stmts/s are reported so the metamorphic oracles' extra query
-// volume stays visible next to BenchmarkCampaignThroughput in the CI
-// -benchtime=1x smoke.
-func BenchmarkOracleThroughput(b *testing.B) {
-	for _, name := range []string{"pqs", "tlp", "norec"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for _, d := range dialect.All {
-				d := d
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Session:      sut.Session{Dialect: d},
-						Oracle:       name,
-						Seed:         1,
-						QueriesPerDB: 20,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
+				}
+				if el := time.Since(start).Seconds(); el > 0 {
+					st := tester.Stats()
+					b.ReportMetric(float64(b.N)/el, "dbs/s")
+					b.ReportMetric(float64(st.Statements)/el, "stmts/s")
+					b.ReportMetric(float64(st.Queries)/float64(b.N), "queries/db")
+				}
+			})
+		}
 	}
 }
 
@@ -503,49 +504,6 @@ func BenchmarkAblationRejectionSampling(b *testing.B) {
 	b.ReportMetric(float64(rd), "rect-discarded")
 	b.ReportMetric(float64(dd), "reject-discarded")
 	for i := 0; i < b.N; i++ {
-	}
-}
-
-// BenchmarkAblationRowCount (ablation 3): the paper keeps tables at 10-30
-// rows to avoid join blowup; this sweep shows the throughput cliff.
-func BenchmarkAblationRowCount(b *testing.B) {
-	for _, rows := range []int{2, 8, 30, 100} {
-		rows := rows
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			tester := core.NewTester(core.Config{
-				Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: 10,
-				MinRows: rows, MaxRows: rows,
-			})
-			start := time.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if el := time.Since(start).Seconds(); el > 0 {
-				b.ReportMetric(float64(tester.Stats().Statements)/el, "stmts/s")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationExprDepth (ablation 4): deeper expressions exercise more
-// operator combinations but cost throughput.
-func BenchmarkAblationExprDepth(b *testing.B) {
-	for _, depth := range []int{1, 2, 3, 5} {
-		depth := depth
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			tester := core.NewTester(core.Config{
-				Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: 20, MaxExprDepth: depth,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -1051,60 +1009,6 @@ func BenchmarkLifecycleReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQueriesPerDB (ablation 6): how long to keep one database
-// before regenerating (Figure 1's "continue with 1 or 2").
-func BenchmarkAblationQueriesPerDB(b *testing.B) {
-	for _, q := range []int{1, 10, 30, 100} {
-		q := q
-		b.Run(fmt.Sprintf("queries=%d", q), func(b *testing.B) {
-			tester := core.NewTester(core.Config{Session: sut.Session{Dialect: dialect.SQLite}, Seed: 3, QueriesPerDB: q})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(q), "queries/db")
-		})
-	}
-}
-
-// BenchmarkPagerThroughput compares campaign throughput on the default
-// in-memory storage against the durable pager backend, whose every
-// statement pays image serialization, WAL append, and fsync. The gap is
-// the price of crash-recovery testing; the CI -benchtime=1x smoke keeps
-// it visible across PRs.
-func BenchmarkPagerThroughput(b *testing.B) {
-	for _, storage := range []string{"memory", "pager"} {
-		storage := storage
-		b.Run(storage, func(b *testing.B) {
-			for _, d := range dialect.All {
-				d := d
-				b.Run(d.String(), func(b *testing.B) {
-					b.Setenv("TMPDIR", b.TempDir())
-					tester := core.NewTester(core.Config{
-						Session:      sut.Session{Dialect: d, Storage: storage},
-						Seed:         1,
-						QueriesPerDB: 20,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkWALRecovery measures crash recovery: opening a pager whose
 // WAL holds many uncheckpointed committed transactions, replaying them,
 // and loading the restored image. The WAL is seeded once; each iteration
@@ -1192,37 +1096,6 @@ func BenchmarkTxnThroughput(b *testing.B) {
 						b.ReportMetric(float64(b.N)/el, "commits/s")
 					}
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkInterleavedCampaign measures the serializability oracle's
-// campaign cost next to the single-session oracles in
-// BenchmarkOracleThroughput: the same database-generation phase, then
-// interleaved multi-session histories with the serial-order search and
-// snapshot restore per check.
-func BenchmarkInterleavedCampaign(b *testing.B) {
-	for _, d := range dialect.All {
-		d := d
-		b.Run(d.String(), func(b *testing.B) {
-			tester := core.NewTester(core.Config{
-				Session:      sut.Session{Dialect: d},
-				Oracle:       "serializability",
-				Seed:         1,
-				QueriesPerDB: 20,
-			})
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := tester.RunDatabase(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-				b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
 			}
 		})
 	}
@@ -1488,43 +1361,5 @@ func BenchmarkTopK(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAggCampaignThroughput tracks what the aggregation work costs
-// where it matters: full PQS campaign throughput (generation + execution
-// + oracle checks, now including grouped and exact-position ordered
-// query shapes) with the hash paths on versus ablated, per dialect.
-func BenchmarkAggCampaignThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		noHashAgg bool
-	}{
-		{"HashAgg", false},
-		{"NoHashAgg", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for _, d := range dialect.All {
-				b.Run(d.String(), func(b *testing.B) {
-					tester := core.NewTester(core.Config{
-						Session:      sut.Session{Dialect: d, NoHashAgg: mode.noHashAgg},
-						Seed:         1,
-						QueriesPerDB: 20,
-					})
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						if _, err := tester.RunDatabase(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "dbs/s")
-						b.ReportMetric(float64(tester.Stats().Statements)/elapsed, "stmts/s")
-					}
-				})
-			}
-		})
 	}
 }

@@ -25,45 +25,6 @@ func assertArenaEmpty(t *testing.T, e *Engine, after string) {
 	}
 }
 
-// joinViewSetup is joinTestSchema plus a view over a two-table join, so a
-// query's FROM clause runs a nested join (and its arena mark/release)
-// before the outer join starts.
-var joinViewSetup = []string{
-	"CREATE VIEW vj AS SELECT j0.k AS k, j0.s AS s, j1.v AS v FROM j0 JOIN j1 ON j0.k = j1.k",
-}
-
-// TestArenaNestedJoinsMatchBaseline runs views built on joins inside outer
-// joins and UNION ALLs of joins, whose combos share the engine's arena
-// LIFO, against an engine with neither compiled evaluation nor hash
-// joins.
-func TestArenaNestedJoinsMatchBaseline(t *testing.T) {
-	queries := []string{
-		"SELECT * FROM vj",
-		"SELECT vj.k, vj.v, j2.s FROM vj LEFT JOIN j2 ON vj.k = j2.k",
-		"SELECT vj.k, j1.v, j2.s FROM vj JOIN j1 ON vj.k = j1.k JOIN j2 ON j1.k = j2.k",
-		"SELECT a.k, b.v FROM vj AS a, vj AS b WHERE a.v < b.v",
-		"SELECT j0.k, j1.v FROM j0 JOIN j1 ON j0.k = j1.k UNION ALL SELECT j1.k, j2.k FROM j1, j2 UNION ALL SELECT vj.k, vj.v FROM vj, j2 WHERE vj.k = j2.k",
-		"SELECT vj.k, COUNT(*) FROM vj LEFT JOIN j2 ON vj.k = j2.k GROUP BY vj.k",
-	}
-	for _, d := range dialect.All {
-		on, off := Open(d), Open(d, WithoutCompiledEval(), WithoutHashJoin())
-		for _, e := range []*Engine{on, off} {
-			joinTestSchema(t, e)
-			execAll(t, e, joinViewSetup...)
-		}
-		for _, q := range queries {
-			got, want := runQuery(on, q), runQuery(off, q)
-			if strings.HasPrefix(want, "error: ") {
-				t.Fatalf("%s: baseline rejects %q: %s", d, q, want)
-			}
-			if got != want {
-				t.Errorf("%s: divergence on %q:\narena engine:\n%s\nbaseline:\n%s", d, q, got, want)
-			}
-			assertArenaEmpty(t, on, q)
-		}
-	}
-}
-
 // TestArenaUnwindsOnSimulatedCrash fires sqlite.rowid-alias-crash while
 // resolving the second FROM source, after the first source's view join
 // already ran on the arena: the crash unwinds through execSelect's release,
@@ -76,7 +37,7 @@ func TestArenaUnwindsOnSimulatedCrash(t *testing.T) {
 	}, joinViewSetup...)
 	e, clean := Open(dialect.SQLite, WithFaults(faults.NewSet(faults.RowidAliasCrash))), Open(dialect.SQLite)
 	for _, x := range []*Engine{e, clean} {
-		joinTestSchema(t, x)
+		execAll(t, x, joinSetup...)
 		execAll(t, x, setup...)
 	}
 	_, err := e.Exec("SELECT * FROM vj, r")
