@@ -125,7 +125,9 @@ func (c *conn) QueryContext(_ context.Context, query string, args []driver.Named
 	if err != nil {
 		return nil, err
 	}
-	return &rows{res: res}, nil
+	// database/sql iterates rows lazily, and the connection may run other
+	// statements meanwhile: copy them out of engine memory (engine.Result).
+	return &rows{columns: res.Columns, rows: sut.CloneRows(res.Rows)}, nil
 }
 
 type stmt struct {
@@ -160,14 +162,15 @@ func (execResult) LastInsertId() (int64, error) {
 func (r execResult) RowsAffected() (int64, error) { return r.affected, nil }
 
 type rows struct {
-	res *engine.Result
-	pos int
+	columns []string
+	rows    [][]sqlval.Value
+	pos     int
 }
 
 var _ driver.RowsColumnTypeScanType = (*rows)(nil)
 
 // Columns implements driver.Rows.
-func (r *rows) Columns() []string { return r.res.Columns }
+func (r *rows) Columns() []string { return r.columns }
 
 // ColumnTypeScanType implements driver.RowsColumnTypeScanType. The engine
 // is dynamically typed per value, so the type is inferred from the
@@ -176,7 +179,7 @@ func (r *rows) Columns() []string { return r.res.Columns }
 // interface{} so ScanType-allocated destinations never fail mid-scan.
 func (r *rows) ColumnTypeScanType(index int) reflect.Type {
 	var found reflect.Type
-	for _, row := range r.res.Rows {
+	for _, row := range r.rows {
 		if index >= len(row) {
 			break
 		}
@@ -226,10 +229,10 @@ func (r *rows) Close() error { return nil }
 
 // Next implements driver.Rows.
 func (r *rows) Next(dest []driver.Value) error {
-	if r.pos >= len(r.res.Rows) {
+	if r.pos >= len(r.rows) {
 		return io.EOF
 	}
-	row := r.res.Rows[r.pos]
+	row := r.rows[r.pos]
 	r.pos++
 	for i := range dest {
 		if i < len(row) {

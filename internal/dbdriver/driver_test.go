@@ -2,6 +2,7 @@ package dbdriver
 
 import (
 	"database/sql"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -282,6 +283,55 @@ func TestDriverTransactions(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("after rollback COUNT = %d, want 2", n)
+	}
+}
+
+// TestDriverRowsOutliveStatements iterates a transaction's query rows while
+// the same transaction runs other statements on the connection: the rows
+// database/sql has yet to read must stay intact.
+func TestDriverRowsOutliveStatements(t *testing.T) {
+	db, err := sql.Open("pqs", "sqlite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	if _, err := db.Exec(`CREATE TABLE t0(c0 INTEGER, c1 TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO t0(c0, c1) VALUES (1, 'a'), (2, 'b'), (3, 'c')`); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	defer tx.Rollback()
+	rows, err := tx.Query(`SELECT c0, c1 FROM t0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for rows.Next() {
+		var c0 int64
+		var c1 string
+		if err := rows.Scan(&c0, &c1); err != nil {
+			t.Fatalf("Scan after %d rows: %v", len(got), err)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", c0, c1))
+		if _, err := tx.Exec(fmt.Sprintf(`INSERT INTO t0(c0, c1) VALUES (%d, 'x')`, 10+c0)); err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		if err := tx.QueryRow(`SELECT COUNT(*) FROM t0`).Scan(&n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if s := strings.Join(got, ","); s != "1:a,2:b,3:c" {
+		t.Errorf("rows read between statements = %s, want 1:a,2:b,3:c", s)
 	}
 }
 

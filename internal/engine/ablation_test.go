@@ -51,6 +51,11 @@ func runQuery(e *Engine, sql string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
+	return renderResult(res)
+}
+
+// renderResult renders columns and rows the way runQuery compares them.
+func renderResult(res *Result) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(res.Columns, "|"))
 	b.WriteString("\n")
@@ -387,14 +392,14 @@ func randomJoinQuery(rnd *rand.Rand) string {
 }
 
 // joinViewSetup adds a view over a two-table join to joinSetup, so a
-// query's FROM clause runs a nested join (and its arena mark/release)
-// before the outer join starts.
+// query's FROM clause runs a nested join (and its statement-slab
+// mark/release) before the outer join starts.
 var joinViewSetup = []string{
 	"CREATE VIEW vj AS SELECT j0.k AS k, j0.s AS s, j1.v AS v FROM j0 JOIN j1 ON j0.k = j1.k",
 }
 
 // arenaQueries nest views built on joins inside outer joins and UNION ALLs
-// of joins, whose combos share the engine's arena LIFO.
+// of joins, whose combos share the engine's statement slabs LIFO.
 var arenaQueries = []string{
 	"SELECT * FROM vj",
 	"SELECT vj.k, vj.v, j2.s FROM vj LEFT JOIN j2 ON vj.k = j2.k",

@@ -106,6 +106,13 @@ type hashAggGroup struct {
 	rep   []*rowVals
 	n     int64
 	cells []aggCell
+
+	// The group's slot-table key: its hash, and either the folded float
+	// bits of a numeric fast-path key (isNum) or the normalized key bytes.
+	hash     uint64
+	isNum    bool
+	numBits  uint64
+	keyBytes []byte
 }
 
 // streamableAgg reports whether every aggregate in the projection is
@@ -245,10 +252,20 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	nullSkipFault := e.d == dialect.SQLite && e.fs.Has(faults.AggAccumulatorNullSkip) &&
 		n.Where != nil
 
-	var groups []*hashAggGroup
+	// Groups and their keys and accumulators live in the statement slabs.
+	// There are at most as many groups as combos (one for the implicit
+	// group of a pure aggregate, which exists even over no rows).
+	m := &e.mem
+	newGroup := func(key []sqlval.Value, rep []*rowVals) hashAggGroup {
+		return hashAggGroup{key: key, rep: rep, cells: m.cells.alloc(len(aggCols))}
+	}
 	implicit := len(pc.groupKeys) == 0
+	var groups []hashAggGroup
 	if implicit {
-		groups = []*hashAggGroup{{rep: make([]*rowVals, len(rels)), cells: make([]aggCell, len(aggCols))}}
+		groups = m.groups.alloc(1)
+		groups[0] = newGroup(nil, m.ptrs.alloc(len(rels)))
+	} else {
+		groups = m.groups.carve(len(combos))
 	}
 
 	// Group lookup is an open-addressing table over an inline FNV-1a of the
@@ -259,22 +276,24 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	// keysEqual exactly like the map version did (hash and even byte
 	// equality COARSEN group equality, so both are pre-filters, never the
 	// verdict).
-	slots := make([]int32, 64)
+	slots := m.slots.alloc(64)
 	mask := uint64(len(slots) - 1)
-	var groupHash []uint64
-	var groupKeyBytes [][]byte // nil for numeric fast-path groups
-	var groupNumBits []uint64  // float bits for numeric fast-path groups
-	var groupIsNum []bool
-	grow := func() {
-		slots = make([]int32, 2*len(slots))
-		mask = uint64(len(slots) - 1)
-		for gi, h := range groupHash {
-			i := h & mask
-			for slots[i] != 0 {
-				i = (i + 1) & mask
+	// add appends a new group at slot and returns it.
+	add := func(g hashAggGroup, slot uint64) *hashAggGroup {
+		slots[slot] = int32(len(groups)) + 1
+		groups = append(groups, g)
+		if 2*len(groups) > len(slots) {
+			slots = m.slots.alloc(2 * len(slots))
+			mask = uint64(len(slots) - 1)
+			for gi := range groups {
+				i := groups[gi].hash & mask
+				for slots[i] != 0 {
+					i = (i + 1) & mask
+				}
+				slots[i] = int32(gi) + 1
 			}
-			slots[i] = int32(gi) + 1
 		}
+		return &groups[len(groups)-1]
 	}
 	// A single bare-column numeric key skips byte normalization entirely:
 	// its canonical form IS the folded float bits (appendKeyFloat), so the
@@ -282,15 +301,15 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	// never alias — a numeric value always takes this path, anything else
 	// always takes the generic one — and both re-verify with keysEqual.
 	fastNum := len(keyGets) == 1 && keyGets[0].direct && !collFault
-	var keyBuf []byte
-	keyScratch := make([]sqlval.Value, len(pc.groupKeys))
+	keyBuf := m.key
+	keyScratch := m.vals.alloc(len(pc.groupKeys))
 	for _, combo := range combos {
 		if needEval {
 			x.setRow(combo)
 		}
 		var g *hashAggGroup
 		if implicit {
-			g = groups[0]
+			g = &groups[0]
 			if g.n == 0 {
 				g.rep = combo
 			}
@@ -337,8 +356,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 						// re-verify; the call remains for cross-kind equality
 						// (2 vs 2.0) and beyond-2^53 ints whose folded float
 						// bits collide.
-						if groupIsNum[gi] && groupNumBits[gi] == bits {
-							if gk := groups[gi]; gk.key[0] == v || keysEqual(gk.key, keyScratch) {
+						if gk := &groups[gi]; gk.isNum && gk.numBits == bits {
+							if gk.key[0] == v || keysEqual(gk.key, keyScratch) {
 								g = gk
 								break
 							}
@@ -346,20 +365,11 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 						slot = (slot + 1) & mask
 					}
 					if g == nil {
-						g = &hashAggGroup{
-							key:   []sqlval.Value{v},
-							rep:   combo,
-							cells: make([]aggCell, len(aggCols)),
-						}
-						slots[slot] = int32(len(groups)) + 1
-						groups = append(groups, g)
-						groupHash = append(groupHash, h)
-						groupKeyBytes = append(groupKeyBytes, nil)
-						groupNumBits = append(groupNumBits, bits)
-						groupIsNum = append(groupIsNum, true)
-						if 2*len(groups) > len(slots) {
-							grow()
-						}
+						key := m.vals.alloc(1)
+						key[0] = v
+						ng := newGroup(key, combo)
+						ng.hash, ng.isNum, ng.numBits = h, true, bits
+						g = add(ng, slot)
 					}
 				}
 			}
@@ -400,29 +410,22 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 						break
 					}
 					gi := s - 1
-					if groupHash[gi] == h && !groupIsNum[gi] &&
-						string(groupKeyBytes[gi]) == string(keyBuf) &&
-						(collFault || keysEqual(groups[gi].key, keyScratch)) {
-						g = groups[gi]
+					if gk := &groups[gi]; gk.hash == h && !gk.isNum &&
+						string(gk.keyBytes) == string(keyBuf) &&
+						(collFault || keysEqual(gk.key, keyScratch)) {
+						g = gk
 						break
 					}
 					slot = (slot + 1) & mask
 				}
 				if g == nil {
-					g = &hashAggGroup{
-						key:   append([]sqlval.Value(nil), keyScratch...),
-						rep:   combo,
-						cells: make([]aggCell, len(aggCols)),
-					}
-					slots[slot] = int32(len(groups)) + 1
-					groups = append(groups, g)
-					groupHash = append(groupHash, h)
-					groupKeyBytes = append(groupKeyBytes, append([]byte(nil), keyBuf...))
-					groupNumBits = append(groupNumBits, 0)
-					groupIsNum = append(groupIsNum, false)
-					if 2*len(groups) > len(slots) {
-						grow()
-					}
+					key := m.vals.alloc(len(keyScratch))
+					copy(key, keyScratch)
+					ng := newGroup(key, combo)
+					ng.hash = h
+					ng.keyBytes = m.bytes.alloc(len(keyBuf))
+					copy(ng.keyBytes, keyBuf)
+					g = add(ng, slot)
 				}
 			}
 		}
@@ -471,8 +474,11 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 			return nil, nil, err
 		}
 	}
-	var rows [][]sqlval.Value
-	for _, g := range groups {
+	m.key = keyBuf
+	groups = m.groups.fit(groups)
+	rows := m.resRows.carve(len(groups))
+	for gi := range groups {
+		g := &groups[gi]
 		if havingTest != nil {
 			x.setRow(g.rep)
 			tb, err := havingTest()
@@ -483,7 +489,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				continue
 			}
 		}
-		row := make([]sqlval.Value, len(pc.cols))
+		row := m.resVals.alloc(len(pc.cols))
 		for i, c := range pc.cols {
 			if c.x == nil {
 				if g.rep[c.rel] == nil || c.col >= len(g.rep[c.rel].vals) {
@@ -502,7 +508,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				continue
 			}
 			x.setRow(g.rep)
-			v, err := pc.colFns[i]()
+			v, err := c.fn()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -510,7 +516,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 		}
 		rows = append(rows, row)
 	}
-	return pc.outNames, rows, nil
+	return pc.outNames, m.resRows.fit(rows), nil
 }
 
 // accumulate folds one non-finalized argument value into a cell, mirroring
@@ -681,7 +687,7 @@ func (e *Engine) orderByTopK(n *sqlast.Select, rels []*relation, rows [][]sqlval
 	}
 
 	tieFault := e.d == dialect.MySQL && e.fs.Has(faults.TopKHeapBoundary)
-	heap := make([]int32, 0, k)
+	heap := e.mem.slots.carve(k)
 	siftDown := func() {
 		i := 0
 		for {
@@ -732,7 +738,7 @@ func (e *Engine) orderByTopK(n *sqlast.Select, rels []*relation, rows [][]sqlval
 		}
 	}
 	sort.Slice(heap, func(a, b int) bool { return worse(heap[b], heap[a]) })
-	kept := make([][]sqlval.Value, len(heap))
+	kept := e.mem.resRows.alloc(len(heap))
 	for i, ri := range heap {
 		kept[i] = rows[ri]
 	}

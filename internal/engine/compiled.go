@@ -57,11 +57,12 @@ type exprEval struct {
 
 // newExprEval prepares expression evaluation over a relation set.
 func (e *Engine) newExprEval(rels []*relation) *exprEval {
-	x := &exprEval{e: e, env: joinedEnv{rels: rels}}
+	x := &e.mem.exprs.alloc(1)[0]
+	*x = exprEval{e: e, env: joinedEnv{rels: rels}}
 	if !e.noCompile {
 		x.compiled = true
 		x.lay = relLayout{rels: rels}
-		x.frame.Rows = make([][]sqlval.Value, len(rels))
+		x.frame.Rows = e.mem.frames.alloc(len(rels))
 	}
 	return x
 }

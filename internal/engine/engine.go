@@ -27,6 +27,12 @@ import (
 )
 
 // Result is the outcome of one statement.
+//
+// Ownership: Rows may live in engine-owned memory that the engine reuses.
+// They stay valid until the next statement on the engine, from any
+// session; after that they read as NULL, or as a later result's values.
+// A caller that keeps rows past its next statement copies them first
+// (sut.CloneRows).
 type Result struct {
 	Columns      []string
 	Rows         [][]sqlval.Value
@@ -79,10 +85,9 @@ type Engine struct {
 	freeTables  []*storage.TableData
 	freeIndexes []*storage.IndexData
 
-	// arena backs the kept-combo slices of every join (join.go). Each
-	// execSelect releases what it took on the way out, so the arena is
-	// empty between statements and a warmed engine stops allocating.
-	arena comboArena
+	// mem backs everything a SELECT allocates (mem.go): statement slabs
+	// are empty between statements, result slabs hold the last result.
+	mem stmtMem
 
 	// Durable-storage backend (nil for the default in-memory engine).
 	// ddlLog holds the SQL of every successful DDL statement since the
@@ -231,6 +236,10 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 			panic(r)
 		}
 	}()
+	// The previous statement's result rows are no longer valid (see
+	// Result); this one's stay valid until the next statement.
+	e.mem.releaseResults()
+	defer e.mem.shedResults()
 	e.seq++
 	e.cov.hit("stmt." + st.Kind())
 	if tx, ok := st.(*sqlast.Txn); ok {

@@ -517,53 +517,6 @@ func (e *Engine) comboJoinKey(buf []byte, combo []*rowVals, keys []equiKey, null
 	return buf, true, hadNull
 }
 
-// comboArena block-allocates the kept-combo slices of a join: per-combo
-// make() calls, and then per-query blocks, were top allocation sites in
-// campaign profiles. The engine owns one arena and every SELECT carves its
-// combos out of it between a mark and a release (execSelect), so a warmed
-// engine allocates no blocks.
-//
-// Offsets are stable across growth: a new block is twice the old one and
-// starts at the old length (its prefix stays nil), so marks taken before
-// the growth still address the right place. The exhausted block is
-// abandoned to the slices already carved from it, so taken pointers stay
-// valid until their statement drops them.
-type comboArena struct {
-	buf []*rowVals
-}
-
-// arenaRetainMax caps the block an idle engine keeps (in pointers): one
-// huge cross join should not pin its block for the engine's lifetime.
-const arenaRetainMax = 1 << 20
-
-func (a *comboArena) alloc(n int) []*rowVals {
-	start := len(a.buf)
-	if start+n > cap(a.buf) {
-		sz := max(2*cap(a.buf), 1024)
-		for sz < start+n {
-			sz *= 2
-		}
-		a.buf = make([]*rowVals, start, sz)
-	}
-	a.buf = a.buf[:start+n]
-	return a.buf[start : start+n : start+n]
-}
-
-// mark returns the arena's current offset, for a later release.
-func (a *comboArena) mark() int { return len(a.buf) }
-
-// release frees everything carved since mark. It clears the released
-// pointers so the arena pins no rows of a finished statement, and marks
-// nest LIFO: a view's SELECT inside buildRelation releases before the
-// outer SELECT carves its join.
-func (a *comboArena) release(mark int) {
-	clear(a.buf[mark:])
-	a.buf = a.buf[:mark]
-	if mark == 0 && cap(a.buf) > arenaRetainMax {
-		a.buf = nil
-	}
-}
-
 // joinLevel is the per-level state shared by the three join operators.
 type joinLevel struct {
 	n      *sqlast.Select
@@ -572,13 +525,13 @@ type joinLevel struct {
 	j      joinInfo
 	onEval *exprEval
 	onTest func() (sqlval.TriBool, error)
-	arena  *comboArena
+	ptrs   *slab[*rowVals] // kept combos are carved here
 	// scratch is the reused ON-evaluation combo (shared across levels).
 	scratch *[]*rowVals
 }
 
 // nestedJoinLevel is the baseline operator: exactly the semantics the
-// executor always had, with arena-backed kept-combo allocation.
+// executor always had, with slab-backed kept-combo allocation.
 func (e *Engine) nestedJoinLevel(lv *joinLevel, combos, out [][]*rowVals) ([][]*rowVals, error) {
 	right := lv.rels[lv.level].rows
 	leftDrop := lv.j.kind == sqlast.JoinLeft && e.d == dialect.Postgres && e.fs.Has(faults.LeftJoinDrop)
@@ -606,7 +559,7 @@ func (e *Engine) nestedJoinLevel(lv *joinLevel, combos, out [][]*rowVals) ([][]*
 				continue
 			}
 			matched = true
-			cand := lv.arena.alloc(len(combo) + 1)
+			cand := lv.ptrs.alloc(len(combo) + 1)
 			copy(cand, combo)
 			cand[len(combo)] = row
 			out = append(out, cand)
@@ -617,7 +570,7 @@ func (e *Engine) nestedJoinLevel(lv *joinLevel, combos, out [][]*rowVals) ([][]*
 			if leftDrop {
 				continue
 			}
-			cand := lv.arena.alloc(len(combo) + 1)
+			cand := lv.ptrs.alloc(len(combo) + 1)
 			copy(cand, combo)
 			cand[len(combo)] = nil
 			out = append(out, cand)
@@ -663,7 +616,7 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 		if leftDrop && hasNullVal(row) {
 			return true, nil
 		}
-		cand := lv.arena.alloc(len(combo) + 1)
+		cand := lv.ptrs.alloc(len(combo) + 1)
 		copy(cand, combo)
 		cand[len(combo)] = row
 		out = append(out, cand)
@@ -680,7 +633,7 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 			// filtered queries — they vanish instead.
 			return
 		}
-		cand := lv.arena.alloc(len(combo) + 1)
+		cand := lv.ptrs.alloc(len(combo) + 1)
 		copy(cand, combo)
 		cand[len(combo)] = nil
 		out = append(out, cand)
@@ -812,7 +765,7 @@ func (e *Engine) indexJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]
 			if tb != sqlval.TriTrue {
 				continue
 			}
-			cand := lv.arena.alloc(len(combo) + 1)
+			cand := lv.ptrs.alloc(len(combo) + 1)
 			copy(cand, combo)
 			cand[len(combo)] = row
 			out = append(out, cand)

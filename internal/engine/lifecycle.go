@@ -8,7 +8,7 @@ import (
 
 // Engine lifecycle support: Reset restores a pristine empty database
 // without reallocating the engine's long-lived structures (catalog and
-// state maps, the join combo arena, recycled storage containers),
+// state maps, the statement memory, recycled storage containers),
 // and Snapshot/Restore capture and rewind the *data* of a fixed schema
 // using the copy-on-write snapshots from internal/storage. Together they
 // let campaign schedulers run many database lifecycles on one engine
@@ -16,7 +16,7 @@ import (
 
 // Reset restores the engine to the pristine state of a fresh Open: no
 // tables, no options, no corruption. Allocations survive — maps are
-// cleared in place, the join combo arena keeps its block, and the
+// cleared in place, the statement slabs keep their blocks, and the
 // dropped tables' storage containers go onto freelists that the next
 // CREATE TABLE/INDEX pops — so a reset-and-rebuild cycle reuses the
 // previous lifecycle's capacity. Coverage counters deliberately keep

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/dialect"
@@ -22,10 +21,11 @@ type joinInfo struct {
 
 func (e *Engine) execSelect(n *sqlast.Select) (*Result, error) {
 	e.cov.hit("dql.select")
-	// The join's combos live in the engine's arena until the result rows
-	// are projected out of them. The deferred release also runs when a
-	// simulated crash panics through here.
-	defer e.arena.release(e.arena.mark())
+	// Relations, combos and grouping state live in the engine's statement
+	// slabs until the result rows are projected out of them (mem.go). The
+	// deferred release also runs when a simulated crash panics through
+	// here.
+	defer e.mem.release(e.mem.mark())
 	// Resolve sources.
 	var rels []*relation
 	var joins []joinInfo // parallel to rels[1:]
@@ -129,14 +129,17 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := &relation{name: name, columns: t.Columns}
-		for _, row := range res.Rows {
-			r.rows = append(r.rows, &rowVals{vals: row})
+		r := e.mem.relation(relation{name: name, columns: t.Columns})
+		hdrs := e.mem.rows.alloc(len(res.Rows))
+		r.rows = e.mem.ptrs.alloc(len(res.Rows))
+		for i, row := range res.Rows {
+			hdrs[i].vals = row
+			r.rows[i] = &hdrs[i]
 		}
 		e.cov.hit("dql.view-scan")
 		return r, nil
 	}
-	r := &relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
+	r := e.mem.relation(relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine})
 	td := e.data[lower(t.Name)]
 	st := e.tableState(t.Name)
 
@@ -147,26 +150,34 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 	}
 
 	heap := td.Rows()
-	// One arena backs the scan's row headers (one *rowVals per heap row
-	// per query adds up fast in campaign hot loops).
-	arena := make([]rowVals, 0, len(heap))
-	r.rows = make([]*rowVals, 0, len(heap))
+	// Postgres inheritance: parent scans include children (Listing 15).
+	var leaves []*schema.Table
+	n := len(heap)
+	if e.d == dialect.Postgres && !tr.Only && len(t.Children) > 0 {
+		leaves = e.cat.InheritanceLeaves(t)[1:]
+		for _, leaf := range leaves {
+			n += e.data[lower(leaf.Name)].Len()
+		}
+	}
+	// The statement slabs back the row headers (one *rowVals per heap
+	// row per query adds up fast in campaign hot loops).
+	hdrs := e.mem.rows.carve(n)
+	r.rows = e.mem.ptrs.carve(n)
 	for _, row := range heap {
 		// Fault site (generic.insert-visibility): the most recent insert
 		// is invisible to scans.
 		if e.d == dialect.MySQL && e.fs.Has(faults.InsertVisibility) && row.Rowid == st.lastInsert {
 			continue
 		}
-		arena = append(arena, rowVals{rowid: row.Rowid, vals: row.Vals})
-		r.rows = append(r.rows, &arena[len(arena)-1])
+		hdrs = append(hdrs, rowVals{rowid: row.Rowid, vals: row.Vals})
+		r.rows = append(r.rows, &hdrs[len(hdrs)-1])
 	}
 
-	// Postgres inheritance: parent scans include children (Listing 15).
-	if e.d == dialect.Postgres && !tr.Only && len(t.Children) > 0 {
-		for _, leaf := range e.cat.InheritanceLeaves(t)[1:] {
+	if leaves != nil {
+		for _, leaf := range leaves {
 			childTD := e.data[lower(leaf.Name)]
 			for _, row := range childTD.Rows() {
-				proj := make([]sqlval.Value, len(t.Columns))
+				proj := e.mem.vals.alloc(len(t.Columns))
 				for ci := range t.Columns {
 					cci := leaf.ColumnIndex(t.Columns[ci].Name)
 					if cci >= 0 && cci < len(row.Vals) {
@@ -175,7 +186,8 @@ func (e *Engine) buildRelation(tr sqlast.TableRef) (*relation, error) {
 						proj[ci] = sqlval.Null()
 					}
 				}
-				r.rows = append(r.rows, &rowVals{rowid: -row.Rowid, vals: proj})
+				hdrs = append(hdrs, rowVals{rowid: -row.Rowid, vals: proj})
+				r.rows = append(r.rows, &hdrs[len(hdrs)-1])
 			}
 		}
 		e.cov.hit("dql.inheritance-scan")
@@ -340,14 +352,14 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 		panic(crashPanic{site: "rowid_alias_resolve"})
 	}
 	td := e.data[lower(t.Name)]
-	r := &relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine}
+	r := e.mem.relation(relation{name: name, table: t.Name, columns: t.Columns, engine: t.Engine})
 	// Deduplicate and fetch in rowid order, matching heap-scan order.
 	sorted := append([]int64(nil), rowids...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	// One arena backs the fetched row headers (cap fixed up front so the
-	// taken pointers stay valid).
-	arena := make([]rowVals, 0, len(sorted))
-	r.rows = make([]*rowVals, 0, len(sorted))
+	// The statement slabs back the fetched row headers (room fixed up
+	// front so the taken pointers stay valid).
+	hdrs := e.mem.rows.carve(len(sorted))
+	r.rows = e.mem.ptrs.carve(len(sorted))
 	var prev int64
 	for i, rid := range sorted {
 		if i > 0 && rid == prev {
@@ -363,8 +375,8 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 		if e.d == dialect.MySQL && e.fs.Has(faults.InsertVisibility) && row.Rowid == st.lastInsert {
 			continue
 		}
-		arena = append(arena, rowVals{rowid: row.Rowid, vals: row.Vals})
-		r.rows = append(r.rows, &arena[len(arena)-1])
+		hdrs = append(hdrs, rowVals{rowid: row.Rowid, vals: row.Vals})
+		r.rows = append(r.rows, &hdrs[len(hdrs)-1])
 	}
 	return r, nil
 }
@@ -433,7 +445,7 @@ func (e *Engine) idxRowids(ix *schema.Index) []int64 {
 func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) ([][]*rowVals, error) {
 	// FROM-less SELECT evaluates over a single empty row (SELECT 1).
 	if len(rels) == 0 {
-		combos := [][]*rowVals{{}}
+		combos := e.mem.combos.alloc(1)
 		if n.Where == nil {
 			return combos, nil
 		}
@@ -455,19 +467,14 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		}
 	}
 
-	// Start with the first relation's rows. One backing array holds every
-	// single-element combo, instead of one allocation per row.
-	combos := make([][]*rowVals, len(rels[0].rows))
-	backing := make([]*rowVals, len(rels[0].rows))
-	for ri, row := range rels[0].rows {
-		backing[ri] = row
-		combos[ri] = backing[ri : ri+1 : ri+1]
+	// Start with the first relation's rows: single-element combos over
+	// the relation's row list itself.
+	first := rels[0].rows
+	combos := e.mem.combos.alloc(len(first))
+	for ri := range first {
+		combos[ri] = first[ri : ri+1 : ri+1]
 	}
-	scratch := make([]*rowVals, 0, len(rels))
-	// spare recycles the previous level's combo-header array: once a level
-	// has been consumed as input, its [][]*rowVals backing becomes the
-	// append target for the next level's output.
-	var spare [][]*rowVals
+	scratch := e.mem.ptrs.carve(len(rels))
 	crossOK := e.crossPrefilterOK(n, rels)
 	for i := 1; i < len(rels); i++ {
 		j := joins[i-1]
@@ -500,24 +507,24 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 			}
 		}
 		lv := &joinLevel{n: n, rels: rels, level: i, j: j,
-			onEval: onEval, onTest: onTest, arena: &e.arena, scratch: &scratch}
-		var next [][]*rowVals
+			onEval: onEval, onTest: onTest, ptrs: &e.mem.ptrs, scratch: &scratch}
+		// Each combo keeps at most every inner row, or one NULL extension.
+		out := e.mem.combos.carve(len(combos) * (len(rels[i].rows) + 1))
 		var err error
 		switch strat {
 		case JoinHash:
 			e.cov.hit("join.hash")
-			next, err = e.hashJoinLevel(lv, a, combos, spare[:0])
+			out, err = e.hashJoinLevel(lv, a, combos, out)
 		case JoinIndexLookup:
 			e.cov.hit("join.index-lookup")
-			next, err = e.indexJoinLevel(lv, a, combos, spare[:0])
+			out, err = e.indexJoinLevel(lv, a, combos, out)
 		default:
-			next, err = e.nestedJoinLevel(lv, combos, spare[:0])
+			out, err = e.nestedJoinLevel(lv, combos, out)
 		}
 		if err != nil {
 			return nil, err
 		}
-		spare = combos
-		combos = next
+		combos = e.mem.combos.fit(out)
 	}
 
 	if n.Where == nil {
@@ -566,7 +573,7 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]*rowVals, 0, len(combos))
+	out := e.mem.combos.carve(len(combos))
 	for _, combo := range combos {
 		x.setRow(combo)
 		tb, err := test()
@@ -582,7 +589,7 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 		}
 		out = append(out, combo)
 	}
-	return out, nil
+	return e.mem.combos.fit(out), nil
 }
 
 // aggNames are the aggregate functions the executor handles.
@@ -608,6 +615,9 @@ type outCol struct {
 	x    sqlast.Expr // nil for star expansion entries (direct value)
 	rel  int         // star source relation
 	col  int         // star source column
+	// fn evaluates a scalar x against the current row (nil for star
+	// entries and aggregates, which are computed per group).
+	fn func() (sqlval.Value, error)
 }
 
 // projCtx bundles the projection state shared between the grouped
@@ -619,7 +629,6 @@ type projCtx struct {
 	cols      []outCol
 	outNames  []string
 	x         *exprEval
-	colFns    []func() (sqlval.Value, error)
 	groupKeys []sqlast.Expr
 }
 
@@ -627,7 +636,17 @@ type projCtx struct {
 // aggregates.
 func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
 	// Expand result columns.
-	var cols []outCol
+	ncols := 0
+	for _, rc := range n.Cols {
+		if !rc.Star {
+			ncols++
+			continue
+		}
+		for _, r := range rels {
+			ncols += len(r.columns)
+		}
+	}
+	cols := e.mem.cols.carve(ncols)
 	hasAgg := false
 	for i, rc := range n.Cols {
 		if rc.Star {
@@ -689,7 +708,6 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	// Bind every projected expression once (aggregates are computed per
 	// group below and never through the scalar path).
 	x := e.newExprEval(rels)
-	colFns := make([]func() (sqlval.Value, error), len(cols))
 	for i, c := range cols {
 		if c.x == nil {
 			continue
@@ -701,7 +719,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 		if err != nil {
 			return nil, nil, err
 		}
-		colFns[i] = fn
+		cols[i].fn = fn
 	}
 
 	evalRowInto := func(row []sqlval.Value, combo []*rowVals) error {
@@ -716,7 +734,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 				}
 				continue
 			}
-			v, err := colFns[i]()
+			v, err := c.fn()
 			if err != nil {
 				return err
 			}
@@ -726,17 +744,16 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	if len(n.GroupBy) == 0 && !hasAgg {
-		rows := make([][]sqlval.Value, 0, len(combos))
-		// One arena backs every output row: the per-row make() here was
-		// the single largest allocation site in campaign profiles.
-		arena := make([]sqlval.Value, len(cols)*len(combos))
+		// The result slabs back every output row: the per-row make() here
+		// was the single largest allocation site in campaign profiles.
+		rows := e.mem.resRows.alloc(len(combos))
+		vals := e.mem.resVals.alloc(len(cols) * len(combos))
 		for ci, combo := range combos {
-			row := arena[ci*len(cols) : (ci+1)*len(cols) : (ci+1)*len(cols)]
-			err := evalRowInto(row, combo)
-			if err != nil {
+			row := vals[ci*len(cols) : (ci+1)*len(cols) : (ci+1)*len(cols)]
+			if err := evalRowInto(row, combo); err != nil {
 				return nil, nil, err
 			}
-			rows = append(rows, row)
+			rows[ci] = row
 		}
 		return outNames, rows, nil
 	}
@@ -762,7 +779,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	}
 
 	pc := &projCtx{n: n, rels: rels, cols: cols, outNames: outNames,
-		x: x, colFns: colFns, groupKeys: groupKeys}
+		x: x, groupKeys: groupKeys}
 	if !e.noHashAgg && streamableAgg(cols) {
 		return e.projectGroupedHash(pc, combos)
 	}
@@ -774,8 +791,8 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 // combos, and aggregates re-iterate them per column. It is the ablation
 // baseline (disable=hashagg) the streaming path must match byte-for-byte.
 func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
-	n, rels, cols, x, colFns, groupKeys :=
-		pc.n, pc.rels, pc.cols, pc.x, pc.colFns, pc.groupKeys
+	n, rels, cols, x, groupKeys :=
+		pc.n, pc.rels, pc.cols, pc.x, pc.groupKeys
 
 	type group struct {
 		key    []sqlval.Value
@@ -870,7 +887,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			// setRow per column: the aggregate above iterates the group's
 			// combos and leaves the evaluation state on the last one.
 			x.setRow(rep)
-			v, err := colFns[i]()
+			v, err := c.fn()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1023,7 +1040,7 @@ func (e *Engine) distinct(rows [][]sqlval.Value) [][]sqlval.Value {
 	if coll == sqlval.CollBinary && len(rows) > 16 {
 		return e.distinctHashed(rows)
 	}
-	var out [][]sqlval.Value
+	out := e.mem.resRows.carve(len(rows))
 	for _, row := range rows {
 		dup := false
 		for _, prev := range out {
@@ -1036,7 +1053,7 @@ func (e *Engine) distinct(rows [][]sqlval.Value) [][]sqlval.Value {
 			out = append(out, row)
 		}
 	}
-	return out
+	return e.mem.resRows.fit(out)
 }
 
 func rowsEqual(a, b []sqlval.Value, coll sqlval.Collation) bool {
@@ -1054,52 +1071,41 @@ func rowsEqual(a, b []sqlval.Value, coll sqlval.Collation) bool {
 	return true
 }
 
-// distinctHashed is the binary-collation DISTINCT fast path.
+// distinctHashed is the binary-collation DISTINCT fast path. Rows bucket
+// by their normalized group keys (appendAggKey): Compare-equal rows always
+// share a key, so bucket equality is a prefilter and rowsEqual the verdict.
+// A bucket is a chain through the kept rows: buckets holds 1 + the index
+// in out of its first row, next the index of each row's successor.
 func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
-	buckets := make(map[string][][]sqlval.Value, len(rows))
-	out := make([][]sqlval.Value, 0, len(rows))
-	var key strings.Builder
+	buckets := make(map[string]int32, len(rows))
+	next := e.mem.slots.alloc(len(rows))
+	out := e.mem.resRows.carve(len(rows))
+	key := e.mem.key
 	for _, row := range rows {
-		key.Reset()
+		key = key[:0]
 		for _, v := range row {
-			switch {
-			case v.IsNull():
-				key.WriteString("\x00n")
-			case v.Kind() == sqlval.KText:
-				key.WriteString("\x00t")
-				key.WriteString(v.Str())
-			case v.Kind() == sqlval.KBlob:
-				key.WriteString("\x00b")
-				key.WriteString(v.BlobStr())
-			default:
-				// Numeric (incl. bool): Compare treats 1, 1.0, and TRUE
-				// as equal, so the key folds them to one float rendering
-				// (negative zero folds to zero — Compare says they are
-				// equal but FormatFloat renders them apart). Distinct huge
-				// integers can collide on the same float; the in-bucket
-				// Compare pass disambiguates.
-				f := v.AsFloat()
-				if f == 0 {
-					f = 0
-				}
-				key.WriteString("\x00f")
-				key.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-			}
+			key = append(appendAggKey(key, v), 0)
 		}
-		k := key.String()
-		dup := false
-		for _, prev := range buckets[k] {
-			if rowsEqual(row, prev, sqlval.CollBinary) {
+		dup, last := false, int32(0)
+		for i := buckets[string(key)]; i != 0; i = next[i-1] {
+			if rowsEqual(row, out[i-1], sqlval.CollBinary) {
 				dup = true
 				break
 			}
+			last = i
 		}
-		if !dup {
-			buckets[k] = append(buckets[k], row)
-			out = append(out, row)
+		if dup {
+			continue
+		}
+		out = append(out, row)
+		if last == 0 {
+			buckets[string(key)] = int32(len(out))
+		} else {
+			next[last-1] = int32(len(out))
 		}
 	}
-	return out
+	e.mem.key = key
+	return e.mem.resRows.fit(out)
 }
 
 // resolveOrderKeys maps ORDER BY expressions onto output-column indexes by

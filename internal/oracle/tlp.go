@@ -198,17 +198,18 @@ func comparePartitions(db sut.DB, env *Env, shape string, mk func(sqlast.Expr) *
 	if rep != nil || err != nil || origRes == nil {
 		return rep, err
 	}
+	origRows := sut.CloneRows(origRes.Rows) // kept across comp
 	compRes, rep, err := execCheck(db, env, comp, "tlp")
 	if rep != nil || err != nil || compRes == nil {
 		return rep, err
 	}
-	if !MultisetEqual(origRes.Rows, compRes.Rows) {
+	if !MultisetEqual(origRows, compRes.Rows) {
 		return &Report{
 			Oracle:     faults.OracleTLP,
 			DetectedBy: "tlp",
 			Message: fmt.Sprintf(
 				"TLP partition mismatch on %s: unpartitioned query returned %d rows, UNION ALL of partitions %d",
-				shape, len(origRes.Rows), len(compRes.Rows)),
+				shape, len(origRows), len(compRes.Rows)),
 			Trace:   append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect)),
 			Compare: sqlast.SQL(orig, env.Dialect),
 		}, nil
@@ -243,11 +244,12 @@ func (o *tlp) checkAgg(db sut.DB, env *Env, table string, info schema.TableInfo,
 	if rep != nil || err != nil || origRes == nil {
 		return rep, err
 	}
+	origRows := sut.CloneRows(origRes.Rows) // kept across comp
 	compRes, rep, err := execCheck(db, env, comp, "tlp")
 	if rep != nil || err != nil || compRes == nil {
 		return rep, err
 	}
-	if !AggValuesEqual(fn, origRes.Rows, compRes.Rows) {
+	if !AggValuesEqual(fn, origRows, compRes.Rows) {
 		combined := CombineAgg(fn, compRes.Rows)
 		return &Report{
 			Oracle:     faults.OracleTLP,
@@ -255,7 +257,7 @@ func (o *tlp) checkAgg(db sut.DB, env *Env, table string, info schema.TableInfo,
 			Agg:        fn,
 			Message: fmt.Sprintf(
 				"TLP aggregate mismatch on %s: %s(%s) is %s unpartitioned but %s recombined from partitions",
-				table, fn, col, aggDisplay(origRes.Rows), combined.String()),
+				table, fn, col, aggDisplay(origRows), combined.String()),
 			Trace:   append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect)),
 			Compare: sqlast.SQL(orig, env.Dialect),
 		}, nil

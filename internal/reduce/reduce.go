@@ -128,6 +128,7 @@ func metamorphicReproduces(db sut.DB, bug *core.Bug, d dialect.Dialect, last str
 	if err != nil {
 		return false
 	}
+	rows := sut.CloneRows(res.Rows) // kept across the Compare query
 	cmp, err := db.Query(bug.Compare)
 	if err != nil {
 		return false
@@ -135,11 +136,11 @@ func metamorphicReproduces(db sut.DB, bug *core.Bug, d dialect.Dialect, last str
 	switch {
 	case bug.Oracle == faults.OracleNoREC:
 		want, ok := oracle.TruthyCount(cmp.Rows, d)
-		return ok && len(res.Rows) != want
+		return ok && len(rows) != want
 	case bug.Agg != "":
-		return !oracle.AggValuesEqual(bug.Agg, cmp.Rows, res.Rows)
+		return !oracle.AggValuesEqual(bug.Agg, cmp.Rows, rows)
 	default:
-		return !oracle.MultisetEqual(res.Rows, cmp.Rows)
+		return !oracle.MultisetEqual(rows, cmp.Rows)
 	}
 }
 

@@ -151,3 +151,26 @@ func TestReduceErrorDetection(t *testing.T) {
 		t.Errorf("reduced VACUUM-corruption trace has %d statements: %v", len(reduced), reduced)
 	}
 }
+
+// TestMetamorphicReproducesKeepsRows replays a TLP pair that agrees on a
+// correct engine. The Compare query reads a view, whose rows land in the
+// engine's result memory ahead of the Compare result: the replayed
+// query's rows, read after Compare without a copy, would be the view's
+// rows and fake a reproduction.
+func TestMetamorphicReproducesKeepsRows(t *testing.T) {
+	db, err := sut.Open("", sut.Session{Dialect: dialect.SQLite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec("CREATE TABLE t0(c0 INT); INSERT INTO t0 VALUES (1), (2), (3); CREATE VIEW v0 AS SELECT c0 FROM t0"); err != nil {
+		t.Fatal(err)
+	}
+	const last = "SELECT c0 FROM t0 WHERE c0 >= 2"
+	bug := &core.Bug{Oracle: faults.OracleTLP, Compare: "SELECT c0 FROM v0 WHERE c0 >= 2"}
+	for i := 0; i < 2; i++ { // the second replay runs on warmed engine memory
+		if metamorphicReproduces(db, bug, dialect.SQLite, last) {
+			t.Fatalf("replay %d: a TLP pair that agrees reproduced as a bug", i)
+		}
+	}
+}

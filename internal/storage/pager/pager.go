@@ -183,7 +183,10 @@ func (p *Pager) Load() ([]byte, error) {
 	if p.m.pageCount == 0 {
 		return nil, nil
 	}
-	img := make([]byte, 0, p.m.imageLen)
+	// No presizing from imageLen: a meta page accepted without its
+	// checksum (torn-page-accept) can claim any length, and the check
+	// after the loop reports a short image as corrupt.
+	var img []byte
 	for n := uint32(1); n <= p.m.pageCount; n++ {
 		pg, err := p.readPage(n)
 		if err != nil {

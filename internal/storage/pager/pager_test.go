@@ -570,3 +570,41 @@ func FuzzWALRecovery(f *testing.F) {
 		}
 	})
 }
+
+// TestTornMetaImageLenRejected tears the meta page's image length, alone
+// and together with its page count, into huge values: with the
+// torn-page-accept fault, recovery accepts the page unverified, and Load
+// must report corruption instead of sizing a buffer from the torn fields.
+func TestTornMetaImageLenRejected(t *testing.T) {
+	// Meta payload offsets (page.go: encodeMeta): pageCount at 8, imageLen at 12.
+	for _, tc := range []struct {
+		name     string
+		off, len int
+	}{
+		{"imageLen", 12, 8},
+		{"pageCount+imageLen", 8, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := mustOpen(t, OS(), dir, nil)
+			mustCommit(t, p, image(300, 1))
+			if err := p.Close(); err != nil { // checkpoint into db.pg
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "db.pg"), os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(bytes.Repeat([]byte{0xFF}, tc.len), int64(pageHdrSize+tc.off)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			p2 := mustOpen(t, OS(), dir, faults.NewSet(faults.PagerTornPageAccept))
+			defer p2.Close()
+			_, err = p2.Load()
+			if code, _ := xerr.CodeOf(err); code != xerr.CodeCorrupt {
+				t.Fatalf("Load with a torn meta page: err=%v, want CodeCorrupt", err)
+			}
+		})
+	}
+}

@@ -34,10 +34,36 @@ import (
 // Result is the outcome of one statement at the SUT boundary. Its layout
 // deliberately mirrors engine.Result so in-process backends can convert
 // without copying rows.
+//
+// Ownership: Rows may live in memory the backend reuses. They stay valid
+// until the next statement on the same DB, from any of its sessions. A
+// caller that keeps rows while it runs another statement copies them
+// first (CloneRows); consuming a result before the next statement needs
+// no copy.
 type Result struct {
 	Columns      []string
 	Rows         [][]sqlval.Value
 	RowsAffected int
+}
+
+// CloneRows copies result rows into memory the caller owns, so they
+// outlive the next statement (see Result).
+func CloneRows(rows [][]sqlval.Value) [][]sqlval.Value {
+	if rows == nil {
+		return nil
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	vals := make([]sqlval.Value, 0, n)
+	out := make([][]sqlval.Value, len(rows))
+	for i, row := range rows {
+		start := len(vals)
+		vals = append(vals, row...)
+		out[i] = vals[start:len(vals):len(vals)]
+	}
+	return out
 }
 
 // Session carries the per-connection options a backend needs to open one
