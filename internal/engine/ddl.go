@@ -411,37 +411,22 @@ func (e *Engine) alterTable(n *sqlast.AlterTable) (*Result, error) {
 		if t.ColumnIndex(n.NewName) >= 0 {
 			return nil, xerr.New(xerr.CodeDuplicateObject, "duplicate column name: %s", n.NewName)
 		}
-		t.Columns[ci].Name = n.NewName
 		st := e.tableState(t.Name)
 		st.renamedColumn = true
-		// Rewrite references inside this table's indexes.
-		for _, ix := range e.cat.IndexesOn(t.Name) {
-			for pi := range ix.Parts {
-				sqlast.WalkExprs(ix.Parts[pi].X, func(x sqlast.Expr) bool {
-					if cr, ok := x.(*sqlast.ColumnRef); ok && !cr.MaybeString && strings.EqualFold(cr.Column, n.OldName) {
-						cr.Column = n.NewName
+		// Fault site (sqlite.double-quote-index, Listing 8): a
+		// double-quoted string part now matches the renamed column and
+		// hijacks its projection.
+		if e.d == dialect.SQLite && e.fs.Has(faults.DoubleQuoteIndex) {
+			for _, ix := range e.cat.IndexesOn(t.Name) {
+				for _, p := range ix.Parts {
+					if cr, ok := p.X.(*sqlast.ColumnRef); ok && cr.MaybeString && strings.EqualFold(cr.Column, n.NewName) {
+						st.dqHijackCol = ci
+						st.dqHijackVal = cr.Column
 					}
-					return true
-				})
-				// Fault site (sqlite.double-quote-index, Listing 8): a
-				// double-quoted string part now matches the renamed
-				// column and hijacks its projection.
-				if cr, ok := ix.Parts[pi].X.(*sqlast.ColumnRef); ok && cr.MaybeString &&
-					e.d == dialect.SQLite && e.fs.Has(faults.DoubleQuoteIndex) &&
-					strings.EqualFold(cr.Column, n.NewName) {
-					st.dqHijackCol = ci
-					st.dqHijackVal = cr.Column
 				}
 			}
-			if ix.Where != nil {
-				sqlast.WalkExprs(ix.Where, func(x sqlast.Expr) bool {
-					if cr, ok := x.(*sqlast.ColumnRef); ok && !cr.MaybeString && strings.EqualFold(cr.Column, n.OldName) {
-						cr.Column = n.NewName
-					}
-					return true
-				})
-			}
 		}
+		e.cat.RenameColumn(t, ci, n.NewName)
 		e.cov.hit("ddl.rename-column")
 		return &Result{}, nil
 	case sqlast.AlterAddColumn:
@@ -463,7 +448,7 @@ func (e *Engine) alterTable(n *sqlast.AlterTable) (*Result, error) {
 			}
 			def = sqlval.ApplyAffinity(v, col.Affinity)
 		}
-		t.Columns = append(t.Columns, col)
+		e.cat.AddColumn(t, col)
 		e.data[lower(t.Name)].AddColumn(def)
 		e.cov.hit("ddl.add-column")
 		return &Result{}, nil

@@ -169,7 +169,8 @@ func errFreeOn(x sqlast.Expr, rels []*relation) bool {
 // the identical error naturally, when it cannot).
 func pureEquiOn(cond sqlast.Expr, vis []*relation, level int) bool {
 	n := 0
-	for _, conj := range conjuncts(cond) {
+	var buf [8]sqlast.Expr
+	for _, conj := range appendConjuncts(buf[:0], cond) {
 		if equiKeyOf(conj, vis, level) == nil {
 			return false
 		}
@@ -238,7 +239,8 @@ func joinKeyCollation(b *sqlast.Binary, vis []*relation) sqlval.Collation {
 // the residual: the full condition is re-verified on every candidate pair.
 func extractEquiKeys(cond sqlast.Expr, vis []*relation, level int) []equiKey {
 	var keys []equiKey
-	for _, conj := range conjuncts(cond) {
+	var buf [8]sqlast.Expr
+	for _, conj := range appendConjuncts(buf[:0], cond) {
 		if k := equiKeyOf(conj, vis, level); k != nil {
 			keys = append(keys, *k)
 		}

@@ -176,7 +176,8 @@ func (e *Engine) sargable(where sqlast.Expr, relName, tableName string) []sargPr
 		return qual == "" || strings.EqualFold(qual, relName) || strings.EqualFold(qual, tableName)
 	}
 	var out []sargPred
-	for _, conj := range conjuncts(where) {
+	var buf [8]sqlast.Expr
+	for _, conj := range appendConjuncts(buf[:0], where) {
 		if bw, ok := conj.(*sqlast.Between); ok && !bw.Not {
 			x, coll, hasColl := stripOneCollate(bw.X)
 			cr, isCol := x.(*sqlast.ColumnRef)
@@ -646,18 +647,26 @@ func (e *Engine) plannable(t *schema.Table) bool {
 	return !e.noPlanner && !t.IsView && len(t.Children) == 0
 }
 
-// impliedPartialIndex returns the first partial index whose predicate the
-// WHERE clause implies.
+// impliedPartialIndex returns the first partial index, by name, whose
+// predicate the WHERE clause implies. The conjuncts' keys are rendered once
+// per call, and only for a table that has a partial index.
 func (e *Engine) impliedPartialIndex(where sqlast.Expr, table string) *schema.Index {
 	if where == nil {
 		return nil
 	}
-	for _, ix := range e.cat.IndexesOn(table) {
-		if ix.Where == nil {
-			continue
-		}
-		if e.predicateImplies(where, ix.Where) {
-			return ix
+	partial := e.cat.PartialIndexesOn(table)
+	if len(partial) == 0 {
+		return nil
+	}
+	var buf [8]sqlast.Expr
+	conjs := appendConjuncts(buf[:0], where)
+	keys := make([]string, len(conjs))
+	for i, conj := range conjs {
+		keys[i] = e.cat.PredicateKey(conj)
+	}
+	for _, p := range partial {
+		if e.predicateImplies(conjs, keys, p) {
+			return p.Index
 		}
 	}
 	return nil

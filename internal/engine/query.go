@@ -381,14 +381,14 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 	return r, nil
 }
 
-// predicateImplies reports whether `where` implies the partial-index
-// predicate. The correct engine is deliberately conservative: structural
-// equality of the predicate with the WHERE clause or one of its AND
+// predicateImplies reports whether a WHERE clause, split into its AND
+// conjuncts with their keys (schema.Catalog.PredicateKey), implies the
+// partial index's predicate. The correct engine is deliberately
+// conservative: structural equality of the predicate with one of the
 // conjuncts.
-func (e *Engine) predicateImplies(where, pred sqlast.Expr) bool {
-	predSQL := sqlast.ExprSQL(sqlast.StripQualifiers(pred), e.d)
-	for _, conj := range conjuncts(where) {
-		if sqlast.ExprSQL(sqlast.StripQualifiers(conj), e.d) == predSQL {
+func (e *Engine) predicateImplies(conjs []sqlast.Expr, keys []string, p schema.PartialIndex) bool {
+	for i, conj := range conjs {
+		if keys[i] == p.Key {
 			return true
 		}
 		// Fault site (sqlite.partial-index-not-null, Listing 1): the
@@ -397,7 +397,7 @@ func (e *Engine) predicateImplies(where, pred sqlast.Expr) bool {
 			if b, ok := conj.(*sqlast.Binary); ok && b.Op == sqlast.OpIsNot {
 				if cr, ok := stripCollate(b.L).(*sqlast.ColumnRef); ok {
 					if lit, ok := b.R.(*sqlast.Literal); ok && !lit.Val.IsNull() {
-						if u, ok := pred.(*sqlast.Unary); ok && u.Op == sqlast.OpNotNull {
+						if u, ok := p.Where.(*sqlast.Unary); ok && u.Op == sqlast.OpNotNull {
 							if pcr, ok := stripCollate(u.X).(*sqlast.ColumnRef); ok &&
 								strings.EqualFold(pcr.Column, cr.Column) {
 								return true
@@ -421,11 +421,13 @@ func stripCollate(e sqlast.Expr) sqlast.Expr {
 	}
 }
 
-func conjuncts(e sqlast.Expr) []sqlast.Expr {
+// appendConjuncts appends the AND conjuncts of e to dst. Callers pass a
+// stack buffer, so splitting a WHERE clause allocates nothing.
+func appendConjuncts(dst []sqlast.Expr, e sqlast.Expr) []sqlast.Expr {
 	if b, ok := e.(*sqlast.Binary); ok && b.Op == sqlast.OpAnd {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
-	return []sqlast.Expr{e}
+	return append(dst, e)
 }
 
 // idxRowids enumerates every rowid in an index.

@@ -28,6 +28,11 @@ type ExprGen struct {
 	// planner's index probes and range boundaries must not miss.
 	ColValues []sqlval.Value
 	MaxDepth  int
+
+	// byCat holds Cols stably sorted by category, one subslice per
+	// category; built on first use, as Cols is fixed for a generator.
+	byCat   [CatBool + 1][]ColumnPick
+	grouped bool
 }
 
 // Generate produces an expression suitable for a filter condition.
@@ -345,14 +350,27 @@ func (eg *ExprGen) funcCall(depth int) sqlast.Expr {
 
 // ---- strictly-typed generation (PostgreSQL profile) ----
 
+// colsOfCategory returns the columns of a category, in Cols order. The
+// slice is shared and read-only.
 func (eg *ExprGen) colsOfCategory(cat Category) []ColumnPick {
-	var out []ColumnPick
-	for _, c := range eg.Cols {
-		if CategoryOfType(c.Column.TypeName) == cat {
-			out = append(out, c)
+	if !eg.grouped {
+		eg.grouped = true
+		cats := make([]Category, len(eg.Cols))
+		for i, c := range eg.Cols {
+			cats[i] = CategoryOfType(c.Column.TypeName)
+		}
+		sorted := make([]ColumnPick, 0, len(eg.Cols))
+		for k := range eg.byCat {
+			start := len(sorted)
+			for i, c := range eg.Cols {
+				if cats[i] == Category(k) {
+					sorted = append(sorted, c)
+				}
+			}
+			eg.byCat[k] = sorted[start:len(sorted):len(sorted)]
 		}
 	}
-	return out
+	return eg.byCat[cat]
 }
 
 // genBool generates a boolean-typed expression tree.

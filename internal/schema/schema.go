@@ -6,9 +6,11 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/dialect"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 )
@@ -103,18 +105,52 @@ func (ix *Index) LeadingColumn() (string, bool) {
 
 // Catalog is the database schema. It is not goroutine-safe; the engine
 // serializes access.
+//
+// The catalog also keeps the facts derived from the schema that queries
+// consult on every statement (TableNames, IndexesOn, PartialIndexesOn,
+// Describe). They are built on first use and dropped by every mutator, so
+// they cost one derivation per schema change, not one per statement. The
+// slices they return are shared and read-only: a rebuild allocates fresh
+// ones, so a caller may keep a result across later schema changes.
 type Catalog struct {
+	d       dialect.Dialect // renders partial-index predicate keys
 	tables  map[string]*Table
 	indexes map[string]*Index
 	order   []string // table creation order
+
+	names   []string // TableNames, valid when namesOK
+	namesOK bool
+	facts   map[string]*tableFacts // per lower-case table name, built lazily
 }
 
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
+// tableFacts are one table's schema-derived facts.
+type tableFacts struct {
+	indexes []*Index       // sorted by name
+	partial []PartialIndex // the indexes with a WHERE predicate, same order
+	info    TableInfo
+}
+
+// PartialIndex is a partial index with its predicate's key: the predicate
+// rendered without table qualifiers (see PredicateKey).
+type PartialIndex struct {
+	*Index
+	Key string
+}
+
+// NewCatalog returns an empty catalog for a dialect.
+func NewCatalog(d dialect.Dialect) *Catalog {
 	return &Catalog{
+		d:       d,
 		tables:  map[string]*Table{},
 		indexes: map[string]*Index{},
+		facts:   map[string]*tableFacts{},
 	}
+}
+
+// invalidate drops the derived facts; every mutator calls it.
+func (c *Catalog) invalidate() {
+	c.names, c.namesOK = nil, false
+	clear(c.facts)
 }
 
 func key(name string) string { return strings.ToLower(name) }
@@ -123,6 +159,7 @@ func key(name string) string { return strings.ToLower(name) }
 // lifecycle pooling: a reset database starts from a pristine catalog
 // without reallocating it).
 func (c *Catalog) Reset() {
+	c.invalidate()
 	clear(c.tables)
 	clear(c.indexes)
 	c.order = c.order[:0]
@@ -140,6 +177,7 @@ func (c *Catalog) AddTable(t *Table) error {
 	if _, dup := c.tables[k]; dup {
 		return fmt.Errorf("table %s already exists", t.Name)
 	}
+	c.invalidate()
 	c.tables[k] = t
 	c.order = append(c.order, k)
 	return nil
@@ -152,6 +190,7 @@ func (c *Catalog) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("no such table: %s", name)
 	}
+	c.invalidate()
 	// Detach from inheritance parent.
 	if t.Parent != "" {
 		if p, ok := c.Table(t.Parent); ok {
@@ -191,6 +230,7 @@ func (c *Catalog) RenameTable(old, new string) error {
 	if _, dup := c.tables[kn]; dup {
 		return fmt.Errorf("table %s already exists", new)
 	}
+	c.invalidate()
 	delete(c.tables, ko)
 	t.Name = new
 	c.tables[kn] = t
@@ -207,15 +247,53 @@ func (c *Catalog) RenameTable(old, new string) error {
 	return nil
 }
 
-// TableNames lists tables (not views) in creation order.
-func (c *Catalog) TableNames() []string {
-	var out []string
-	for _, k := range c.order {
-		if t := c.tables[k]; !t.IsView {
-			out = append(out, t.Name)
+// RenameColumn renames column ci of t, a table of this catalog, and
+// rewrites the references to it in the table's index key parts and
+// predicates. A double-quoted reference (MaybeString) that names the
+// column resolves to it, so it is renamed too.
+func (c *Catalog) RenameColumn(t *Table, ci int, name string) {
+	c.invalidate()
+	old := t.Columns[ci].Name
+	t.Columns[ci].Name = name
+	rename := func(x sqlast.Expr) bool {
+		if cr, ok := x.(*sqlast.ColumnRef); ok && strings.EqualFold(cr.Column, old) {
+			cr.Column = name
+		}
+		return true
+	}
+	kt := key(t.Name)
+	for _, ix := range c.indexes {
+		if key(ix.Table) != kt {
+			continue
+		}
+		for _, p := range ix.Parts {
+			sqlast.WalkExprs(p.X, rename)
+		}
+		if ix.Where != nil {
+			sqlast.WalkExprs(ix.Where, rename)
 		}
 	}
-	return out
+}
+
+// AddColumn appends a column to t, a table of this catalog.
+func (c *Catalog) AddColumn(t *Table, col Column) {
+	c.invalidate()
+	t.Columns = append(t.Columns, col)
+}
+
+// TableNames lists tables (not views) in creation order. The slice is
+// shared and read-only.
+func (c *Catalog) TableNames() []string {
+	if !c.namesOK {
+		var out []string
+		for _, k := range c.order {
+			if t := c.tables[k]; !t.IsView {
+				out = append(out, t.Name)
+			}
+		}
+		c.names, c.namesOK = slices.Clip(out), true
+	}
+	return c.names
 }
 
 // ViewNames lists views in creation order.
@@ -244,6 +322,7 @@ func (c *Catalog) AddIndex(ix *Index) error {
 	if _, ok := c.Table(ix.Table); !ok {
 		return fmt.Errorf("no such table: %s", ix.Table)
 	}
+	c.invalidate()
 	c.indexes[k] = ix
 	return nil
 }
@@ -254,21 +333,71 @@ func (c *Catalog) DropIndex(name string) error {
 	if _, ok := c.indexes[k]; !ok {
 		return fmt.Errorf("no such index: %s", name)
 	}
+	c.invalidate()
 	delete(c.indexes, k)
 	return nil
 }
 
-// IndexesOn returns the indexes of a table, sorted by name.
+// IndexesOn returns the indexes of a table, sorted by name. The slice is
+// shared and read-only.
 func (c *Catalog) IndexesOn(table string) []*Index {
-	kt := key(table)
-	var out []*Index
+	if f := c.factsOf(table); f != nil {
+		return f.indexes
+	}
+	return nil
+}
+
+// PartialIndexesOn returns the partial indexes of a table, sorted by name,
+// with their predicate keys. The slice is shared and read-only.
+func (c *Catalog) PartialIndexesOn(table string) []PartialIndex {
+	if f := c.factsOf(table); f != nil {
+		return f.partial
+	}
+	return nil
+}
+
+// Describe returns the introspection record of a table or view. Its
+// Columns slice is shared and read-only.
+func (c *Catalog) Describe(name string) (TableInfo, bool) {
+	if f := c.factsOf(name); f != nil {
+		return f.info, true
+	}
+	return TableInfo{}, false
+}
+
+// PredicateKey renders an expression without table qualifiers: two
+// predicates with equal keys are the same predicate. A WHERE conjunct whose
+// key equals a partial index's Key implies that index's predicate.
+func (c *Catalog) PredicateKey(x sqlast.Expr) string {
+	return sqlast.ExprSQL(sqlast.StripQualifiers(x), c.d)
+}
+
+// factsOf returns a table's derived facts, building them on first use
+// after a schema change; nil means no such table or view.
+func (c *Catalog) factsOf(name string) *tableFacts {
+	k := key(name)
+	if f, ok := c.facts[k]; ok {
+		return f
+	}
+	t, ok := c.tables[k]
+	if !ok {
+		return nil
+	}
+	f := &tableFacts{info: Describe(t)}
 	for _, ix := range c.indexes {
-		if key(ix.Table) == kt {
-			out = append(out, ix)
+		if key(ix.Table) == k {
+			f.indexes = append(f.indexes, ix)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
+	sort.Slice(f.indexes, func(a, b int) bool { return f.indexes[a].Name < f.indexes[b].Name })
+	for _, ix := range f.indexes {
+		if ix.Where != nil {
+			f.partial = append(f.partial, PartialIndex{Index: ix, Key: c.PredicateKey(ix.Where)})
+		}
+	}
+	f.indexes, f.partial = slices.Clip(f.indexes), slices.Clip(f.partial)
+	c.facts[k] = f
+	return f
 }
 
 // IndexNames lists all indexes sorted by name.
@@ -335,5 +464,6 @@ func Describe(t *Table) TableInfo {
 			Collate:  col.Collate.String(),
 		})
 	}
+	ti.Columns = slices.Clip(ti.Columns)
 	return ti
 }

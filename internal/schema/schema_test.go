@@ -3,6 +3,7 @@ package schema
 import (
 	"testing"
 
+	"repro/internal/dialect"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 )
@@ -12,7 +13,7 @@ func table(name string, cols ...Column) *Table {
 }
 
 func TestCatalogTables(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog(dialect.SQLite)
 	if err := c.AddTable(table("t0", Column{Name: "c0"})); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestCatalogTables(t *testing.T) {
 }
 
 func TestCatalogDropAndRename(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog(dialect.SQLite)
 	_ = c.AddTable(table("t0", Column{Name: "c0"}))
 	_ = c.AddIndex(&Index{Name: "i0", Table: "t0"})
 	if err := c.RenameTable("t0", "t9"); err != nil {
@@ -53,7 +54,7 @@ func TestCatalogDropAndRename(t *testing.T) {
 }
 
 func TestCatalogInheritance(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog(dialect.SQLite)
 	parent := table("t0", Column{Name: "c0"})
 	child := table("t1", Column{Name: "c0"})
 	child.Parent = "t0"
@@ -97,7 +98,7 @@ func TestColumnHelpers(t *testing.T) {
 }
 
 func TestIndexesOnSorted(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog(dialect.SQLite)
 	_ = c.AddTable(table("t0", Column{Name: "c0"}))
 	_ = c.AddIndex(&Index{Name: "i2", Table: "t0"})
 	_ = c.AddIndex(&Index{Name: "i1", Table: "t0"})
@@ -142,7 +143,7 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestViewNames(t *testing.T) {
-	c := NewCatalog()
+	c := NewCatalog(dialect.SQLite)
 	v := &Table{Name: "v0", IsView: true, ViewDef: &sqlast.Select{}}
 	_ = c.AddTable(v)
 	_ = c.AddTable(table("t0"))

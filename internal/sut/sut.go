@@ -168,6 +168,11 @@ type MultiSession interface {
 // Introspection is the read-only catalog surface of a DB: what the tester
 // may consult about schema and stored rows without going through the
 // (possibly buggy) query path.
+//
+// Results are shared and read-only: the slices Tables and Describe return
+// (and a TableInfo's Columns) may be the backend's cached schema facts,
+// handed to every caller until the next schema change. A caller never
+// edits them in place; one that needs a changed list copies it first.
 type Introspection interface {
 	// Tables lists base table names.
 	Tables() []string
