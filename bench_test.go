@@ -1,12 +1,12 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§4), plus the throughput claim (§3.4), the baseline
-// comparison (§4.1/§6), and the ablations called out in DESIGN.md.
+// Benchmark harness: the end-to-end campaign rows, the ablations called
+// out in DESIGN.md, and the engine's optimised-path benchmarks with their
+// ratio tripwires. The paper's tables and figures (§4), the throughput
+// claim (§3.4) and the fuzzer baseline (§6) are computed by
+// cmd/benchreport alone: go run ./cmd/benchreport.
 //
 // Absolute numbers differ from the paper — the system under test is our
 // engine substrate with injected ground-truth bugs, not SQLite/MySQL/
-// PostgreSQL on the authors' machine — but the *shapes* reproduce: which
-// oracle finds most bugs, which dialect yields most, how small reduced
-// test cases are, and that fuzzers find no logic bugs.
+// PostgreSQL on the authors' machine — but the *shapes* reproduce.
 //
 // Run: go test -bench=. -benchmem
 package repro
@@ -14,7 +14,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -25,34 +24,12 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/fuzz"
-	"repro/internal/oracle"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sqlparse"
 	"repro/internal/storage/pager"
 	"repro/internal/sut"
-	"repro/internal/sut/memengine"
 )
-
-// corpusBudget is the per-fault database budget for campaign benches.
-const corpusBudget = 2000
-
-var (
-	corpusOnce sync.Once
-	corpusData map[dialect.Dialect][]runner.Result
-)
-
-// corpus runs one campaign per registered fault (cached across benches).
-func corpus() map[dialect.Dialect][]runner.Result {
-	corpusOnce.Do(func() {
-		corpusData = map[dialect.Dialect][]runner.Result{}
-		for _, d := range dialect.All {
-			corpusData[d] = runner.RunCorpus(d, corpusBudget, 1, true)
-		}
-	})
-	return corpusData
-}
 
 var printOnce sync.Map
 
@@ -64,241 +41,12 @@ func printExperiment(key, text string) {
 	}
 }
 
-// BenchmarkTable1DBMSOverview reproduces Table 1: the systems under test,
-// their size, and their provenance — the paper's DBMS column mapped onto
-// our dialect engines.
-func BenchmarkTable1DBMSOverview(b *testing.B) {
-	root := report.RepoRoot()
-	substrate := 0
-	for _, dir := range []string{"sqlval", "sqlast", "sqlparse", "schema", "storage", "eval", "engine", "xerr", "dialect", "faults"} {
-		n, err := report.CountLOC(filepath.Join(root, "internal", dir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		substrate += n
-	}
-	t := &report.Table{
-		Title:   "Table 1: systems under test (paper's DBMS -> our dialect profiles)",
-		Headers: []string{"DBMS", "Paper LOC", "Paper age (years)", "Our profile", "Shared substrate LOC"},
-		Note:    "One engine substrate implements all three dialect profiles; the paper's targets are separate 20-year-old C codebases.",
-	}
-	t.AddRow("SQLite", "0.3M", 19, "sqlite (dynamic typing, affinity, collations)", substrate)
-	t.AddRow("MySQL", "3.8M", 24, "mysql (coercions, unsigned, storage engines)", substrate)
-	t.AddRow("PostgreSQL", "1.4M", 23, "postgres (strict typing, inheritance)", substrate)
-	printExperiment("table1", t.Render())
-	b.ReportMetric(float64(substrate), "substrate-loc")
-	for i := 0; i < b.N; i++ {
-		_ = substrate
-	}
-}
-
-// BenchmarkTable2BugReports reproduces Table 2: bugs found per DBMS. In
-// the reproduction, ground truth is the fault corpus; "detected" campaigns
-// map onto the paper's fixed/verified reports.
-func BenchmarkTable2BugReports(b *testing.B) {
-	data := corpus()
-	t := &report.Table{
-		Title:   "Table 2: detected injected bugs per dialect (paper: fixed+verified reports)",
-		Headers: []string{"DBMS", "Faults", "Detected", "Missed", "Paper fixed+verified"},
-		Note:    "Shape check: SQLite-profile yields the most bugs, PostgreSQL-profile the fewest (paper: 65 / 25 / 9).",
-	}
-	paper := map[dialect.Dialect]string{
-		dialect.SQLite: "65", dialect.MySQL: "25", dialect.Postgres: "9",
-	}
-	totalDetected := 0
-	for _, d := range dialect.All {
-		det := 0
-		for _, r := range data[d] {
-			if r.Detected {
-				det++
-			}
-		}
-		totalDetected += det
-		t.AddRow(d.DisplayName(), len(data[d]), det, len(data[d])-det, paper[d])
-	}
-	printExperiment("table2", t.Render())
-	b.ReportMetric(float64(totalDetected), "bugs-detected")
-	for i := 0; i < b.N; i++ {
-		_ = data
-	}
-}
-
-// table3Oracles is every faults.Oracle in Table 3's column order: the
-// paper's three, then the metamorphic, durability and isolation oracles.
-var table3Oracles = []faults.Oracle{
-	faults.OracleContainment, faults.OracleError, faults.OracleCrash,
-	faults.OracleTLP, faults.OracleNoREC, faults.OracleRecovery, faults.OracleSerializability,
-}
-
-// BenchmarkTable3Oracles reproduces Table 3: which oracle found each bug —
-// extended with one column per oracle the paper's three miss, so each
-// dialect's row sums to its Table 2 detections.
-func BenchmarkTable3Oracles(b *testing.B) {
-	data := corpus()
-	t := &report.Table{
-		Title:   "Table 3: detections per oracle (paper: 61 contains / 34 error / 4 segfault)",
-		Headers: []string{"DBMS"},
-		Note:    "Shape check: containment >> error > segfault, as in the paper; TLP/NoREC add the PQS-blind metamorphic faults, recovery and serializability the durability and isolation faults.",
-	}
-	for _, o := range table3Oracles {
-		t.Headers = append(t.Headers, string(o))
-	}
-	addRow := func(name string, counts map[faults.Oracle]int) {
-		cells := []any{name}
-		for _, o := range table3Oracles {
-			cells = append(cells, counts[o])
-		}
-		t.AddRow(cells...)
-	}
-	sums := map[faults.Oracle]int{}
-	for _, d := range dialect.All {
-		counts := map[faults.Oracle]int{}
-		detected, inColumns := 0, 0
-		for _, r := range data[d] {
-			if r.Detected {
-				detected++
-				counts[r.Bug.Oracle]++
-				sums[r.Bug.Oracle]++
-			}
-		}
-		for _, o := range table3Oracles {
-			inColumns += counts[o]
-		}
-		if inColumns != detected {
-			b.Fatalf("%s: Table 3 columns hold %d of %d detections", d, inColumns, detected)
-		}
-		addRow(d.DisplayName(), counts)
-	}
-	addRow("Sum", sums)
-	printExperiment("table3", t.Render())
-	for _, o := range table3Oracles {
-		b.ReportMetric(float64(sums[o]), string(o))
-	}
-	for i := 0; i < b.N; i++ {
-		_ = data
-	}
-}
-
-// BenchmarkTable4SizeCoverage reproduces Table 4: tester size vs tested-
-// system size, and how much of the system a testing run covers. Feature
-// coverage stands in for gcov line coverage (see DESIGN.md).
-func BenchmarkTable4SizeCoverage(b *testing.B) {
-	root := report.RepoRoot()
-	loc := func(dirs ...string) int {
-		total := 0
-		for _, dir := range dirs {
-			n, err := report.CountLOC(filepath.Join(root, "internal", dir))
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += n
-		}
-		return total
-	}
-	testerLOC := loc("core", "gen", "interp", "oracle", "reduce", "runner")
-	engineLOC := loc("engine", "eval", "storage", "schema", "sqlparse", "sqlast", "sqlval", "xerr")
-
-	// Feature coverage: run PQS briefly per dialect and count distinct
-	// engine features exercised; percent is relative to the union.
-	features := map[dialect.Dialect]map[string]int{}
-	union := map[string]bool{}
-	for _, d := range dialect.All {
-		merged := map[string]int{}
-		for seed := int64(1); seed <= 30; seed++ {
-			e := engine.Open(d)
-			tester := core.NewTesterWithDB(core.Config{Seed: seed, QueriesPerDB: 10}, memengine.Wrap(e, sut.Session{}))
-			if _, err := tester.RunBoundDatabase(); err != nil {
-				b.Fatal(err)
-			}
-			for k, v := range e.Coverage().Snapshot() {
-				merged[k] += v
-				union[k] = true
-			}
-		}
-		features[d] = merged
-	}
-	t := &report.Table{
-		Title:   "Table 4: tester size vs engine size and feature coverage (paper: 6501/3995/4981 LOC; 43/24/24% line coverage)",
-		Headers: []string{"DBMS", "Tester LOC", "Engine LOC", "Ratio", "Features hit", "Coverage"},
-		Note:    "Shape check: the tester is a fraction of the engine's size, and a testing run covers well under all of it.",
-	}
-	for _, d := range dialect.All {
-		t.AddRow(d.DisplayName(), testerLOC, engineLOC,
-			fmt.Sprintf("%.1f%%", 100*float64(testerLOC)/float64(engineLOC)),
-			len(features[d]),
-			fmt.Sprintf("%.1f%%", 100*float64(len(features[d]))/float64(len(union))))
-	}
-	printExperiment("table4", t.Render())
-	b.ReportMetric(float64(testerLOC), "tester-loc")
-	b.ReportMetric(float64(engineLOC), "engine-loc")
-	for i := 0; i < b.N; i++ {
-		_ = features
-	}
-}
-
-// BenchmarkFigure2ReducedLOC reproduces Figure 2: the cumulative
-// distribution of reduced test-case lengths (paper: mean 3.71, max 8).
-func BenchmarkFigure2ReducedLOC(b *testing.B) {
-	data := corpus()
-	var lengths []int
-	for _, d := range dialect.All {
-		for _, r := range data[d] {
-			if r.Detected {
-				lengths = append(lengths, len(r.Reduced))
-			}
-		}
-	}
-	cdf := report.CDF(lengths)
-	text := report.RenderCDF("Figure 2: CDF of reduced test-case statement counts", cdf)
-	text += fmt.Sprintf("mean=%.2f median=%.1f max=%d (paper: mean 3.71, max 8)\n",
-		report.Mean(lengths), report.Median(lengths), report.Max(lengths))
-	printExperiment("figure2", text)
-	b.ReportMetric(report.Mean(lengths), "mean-loc")
-	b.ReportMetric(float64(report.Max(lengths)), "max-loc")
-	for i := 0; i < b.N; i++ {
-		_ = cdf
-	}
-}
-
-// BenchmarkFigure3StatementDist reproduces Figure 3: which statement kinds
-// appear in reduced test cases, annotated with the triggering oracle.
-func BenchmarkFigure3StatementDist(b *testing.B) {
-	data := corpus()
-	var text string
-	for _, d := range dialect.All {
-		h := report.NewStatementHistogram()
-		for _, r := range data[d] {
-			if !r.Detected || len(r.Reduced) == 0 {
-				continue
-			}
-			var kinds []string
-			for _, sql := range r.Reduced {
-				st, err := sqlparse.ParseOne(sql, d)
-				if err != nil {
-					continue
-				}
-				kinds = append(kinds, st.Kind())
-			}
-			if len(kinds) == 0 {
-				continue
-			}
-			h.AddCase(kinds, kinds[len(kinds)-1], string(r.Bug.Oracle))
-		}
-		text += h.Render(fmt.Sprintf("Figure 3 (%s): statement kinds in reduced test cases", d.DisplayName()))
-		text += "\n"
-	}
-	printExperiment("figure3", text)
-	for i := 0; i < b.N; i++ {
-		_ = data
-	}
-}
-
 // BenchmarkCampaign measures end-to-end campaign throughput — one tester,
 // one RunDatabase per iteration — for every configuration the repo
-// compares: the §3.4 throughput claim ("SQLancer generates 5,000 to
-// 20,000 statements per second"), the sut.DB execution modes, the oracles,
-// the storage backends, the hash-aggregation ablation and DESIGN.md's
-// generation ablations. Every row reports dbs/s, stmts/s and queries/db
+// compares, each run once: the default PQS configuration (the §3.4
+// throughput claim, "SQLancer generates 5,000 to 20,000 statements per
+// second"), the other oracles, wire fidelity, pager storage, the
+// hash-aggregation ablation and DESIGN.md's generation ablations. Every row reports dbs/s, stmts/s and queries/db
 // per dialect; the CI -benchtime=1x smoke runs them all.
 func BenchmarkCampaign(b *testing.B) {
 	type row struct {
@@ -307,14 +55,10 @@ func BenchmarkCampaign(b *testing.B) {
 		cfg      core.Config
 	}
 	rows := []row{
-		{"ThroughputStatements", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
-		// The ExecAST fast path (generated ASTs run directly, traces
-		// rendered only on detection) against wire fidelity (every
-		// statement rendered and reparsed); the fast path is expected to
-		// stay >=1.5x ahead.
-		{"CampaignThroughput/FastPath", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
-		{"CampaignThroughput/WireFidelity", dialect.All, core.Config{Session: sut.Session{WireFidelity: true}, Seed: 1, QueriesPerDB: 20}},
-		// The same database-generation phase under PQS's pivot loop, TLP's
+		// The default configuration — PQS, the ExecAST fast path,
+		// in-memory storage, hash aggregation on — and the baseline every
+		// other row compares against. Its stmts/s is the §3.4 claim.
+		// Next to it, the same database-generation phase under TLP's
 		// partition/aggregate checks, NoREC's query pairs, and the
 		// serializability oracle's interleaved histories with a
 		// serial-order search and snapshot restore per check.
@@ -322,13 +66,16 @@ func BenchmarkCampaign(b *testing.B) {
 		{"OracleThroughput/tlp", dialect.All, core.Config{Oracle: "tlp", Seed: 1, QueriesPerDB: 20}},
 		{"OracleThroughput/norec", dialect.All, core.Config{Oracle: "norec", Seed: 1, QueriesPerDB: 20}},
 		{"InterleavedCampaign", dialect.All, core.Config{Oracle: "serializability", Seed: 1, QueriesPerDB: 20}},
+		// Wire fidelity (every statement rendered and reparsed) against
+		// OracleThroughput/pqs's ExecAST fast path (generated ASTs run
+		// directly, traces rendered only on detection).
+		{"CampaignThroughput/WireFidelity", dialect.All, core.Config{Session: sut.Session{WireFidelity: true}, Seed: 1, QueriesPerDB: 20}},
 		// The durable pager backend pays image serialization, WAL append
-		// and fsync per statement: the price of crash-recovery testing.
-		{"PagerThroughput/memory", dialect.All, core.Config{Session: sut.Session{Storage: "memory"}, Seed: 1, QueriesPerDB: 20}},
+		// and fsync per statement against OracleThroughput/pqs's in-memory
+		// storage: the price of crash-recovery testing.
 		{"PagerThroughput/pager", dialect.All, core.Config{Session: sut.Session{Storage: "pager"}, Seed: 1, QueriesPerDB: 20}},
 		// PQS with grouped and exact-position ordered query shapes, hash
-		// aggregation and top-K on versus ablated.
-		{"AggCampaignThroughput/HashAgg", dialect.All, core.Config{Seed: 1, QueriesPerDB: 20}},
+		// aggregation and top-K ablated against OracleThroughput/pqs.
 		{"AggCampaignThroughput/NoHashAgg", dialect.All, core.Config{Session: sut.Session{NoHashAgg: true}, Seed: 1, QueriesPerDB: 20}},
 	}
 	// DESIGN.md ablations 3, 4 and 6 on SQLite: the paper keeps tables at
@@ -370,70 +117,6 @@ func BenchmarkCampaign(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBaselineComparison reproduces the paper's baseline argument:
-// fuzzers cannot find logic bugs; PQS finds them. Each approach gets the
-// same database budget on the logic-bug subset of the corpus.
-func BenchmarkBaselineComparison(b *testing.B) {
-	const budget = 400
-	pqsLogic, fuzzLogic := 0, 0
-	pqsOther, fuzzOther := 0, 0
-	logicTotal, otherTotal := 0, 0
-	for _, info := range faults.All() {
-		if info.Logic {
-			logicTotal++
-		} else {
-			otherTotal++
-		}
-		// PQS family (each fault under the oracle its registry entry
-		// routes to — pqs, tlp, or norec).
-		res := runner.Run(runner.Campaign{
-			Dialect: info.Dialect, Fault: info.ID, MaxDatabases: budget, BaseSeed: 1,
-			Oracles: []string{oracle.ForFault(info)},
-		})
-		if res.Detected {
-			if info.Logic {
-				pqsLogic++
-			} else {
-				pqsOther++
-			}
-		}
-		// Fuzzer (same budget, same seeds)
-		fz := func() bool {
-			for seed := int64(1); seed <= budget; seed++ {
-				f := fuzz.New(fuzz.Config{Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(info.ID)}, Seed: seed})
-				bug, err := f.RunDatabase()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bug != nil {
-					return true
-				}
-			}
-			return false
-		}()
-		if fz {
-			if info.Logic {
-				fuzzLogic++
-			} else {
-				fuzzOther++
-			}
-		}
-	}
-	t := &report.Table{
-		Title:   "Baseline comparison: PQS vs SQLsmith-style fuzzing (same budget)",
-		Headers: []string{"Approach", "Logic bugs found", "Error/crash bugs found"},
-		Note: fmt.Sprintf("Corpus: %d logic + %d error/crash faults. The fuzzer finds no logic bugs (§6: \"SQLsmith ... cannot find logic bugs found by our approach\").",
-			logicTotal, otherTotal),
-	}
-	t.AddRow("PQS+TLP+NoREC (this work)", fmt.Sprintf("%d/%d", pqsLogic, logicTotal), fmt.Sprintf("%d/%d", pqsOther, otherTotal))
-	t.AddRow("Fuzzer baseline", fmt.Sprintf("%d/%d", fuzzLogic, logicTotal), fmt.Sprintf("%d/%d", fuzzOther, otherTotal))
-	printExperiment("baseline", t.Render())
-	b.ReportMetric(float64(pqsLogic), "pqs-logic")
-	b.ReportMetric(float64(fuzzLogic), "fuzz-logic")
-	for i := 0; i < b.N; i++ {
 	}
 }
 
@@ -583,33 +266,42 @@ func plannerBench(b *testing.B, d dialect.Dialect) (planned, baseline *engine.En
 	b.Helper()
 	planned = engine.Open(d)
 	baseline = engine.Open(d, engine.WithoutPlanner())
-	const rows = 10000
-	stmts := []string{
+	stmts := append([]string{
 		"CREATE TABLE t0(c0 INT, c1 TEXT)",
 		"CREATE INDEX i0 ON t0(c0)",
-	}
-	var sb strings.Builder
-	for i := 0; i < rows; i++ {
-		if i%500 == 0 {
-			if sb.Len() > 0 {
-				stmts = append(stmts, sb.String())
+	}, insertBatches("t0", 10000, 500, func(i int) string { return fmt.Sprintf("(%d, 'v%d')", i, i) })...)
+	execAll(b, stmts, planned, baseline)
+	return planned, baseline
+}
+
+// insertBatches renders rows generated rows of table as multi-row INSERT
+// statements of at most batch rows each.
+func insertBatches(table string, rows, batch int, row func(i int) string) []string {
+	var stmts []string
+	for lo := 0; lo < rows; lo += batch {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", table)
+		for i := lo; i < min(lo+batch, rows); i++ {
+			if i > lo {
+				sb.WriteString(", ")
 			}
-			sb.Reset()
-			sb.WriteString("INSERT INTO t0 VALUES ")
-		} else {
-			sb.WriteString(", ")
+			sb.WriteString(row(i))
 		}
-		fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
+		stmts = append(stmts, sb.String())
 	}
-	stmts = append(stmts, sb.String())
-	for _, e := range []*engine.Engine{planned, baseline} {
+	return stmts
+}
+
+// execAll runs a setup script on every engine.
+func execAll(tb testing.TB, stmts []string, engines ...*engine.Engine) {
+	tb.Helper()
+	for _, e := range engines {
 		for _, s := range stmts {
 			if _, err := e.Exec(s); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
-	return planned, baseline
 }
 
 // BenchmarkPointLookup measures the planner's headline win: an equality
@@ -716,46 +408,19 @@ type rowFilterShape struct {
 // indexed, so the planner cannot shortcut the filter — every row runs the
 // predicate.
 func rowFilterShapes() []rowFilterShape {
-	const scanRows = 4000
-	var scanSetup []string
-	scanSetup = append(scanSetup, "CREATE TABLE t0(c0 INT, c1 TEXT, c2 REAL, c3 INT, c4 TEXT COLLATE NOCASE, c5 INT)")
-	var sb strings.Builder
-	for i := 0; i < scanRows; i++ {
-		if i%500 == 0 {
-			if sb.Len() > 0 {
-				scanSetup = append(scanSetup, sb.String())
-			}
-			sb.Reset()
-			sb.WriteString("INSERT INTO t0 VALUES ")
-		} else {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, 'v%d', %d.5, %d, 'K%d', %d)", i, i, i%97, i%13, i%7, i%29)
-	}
-	scanSetup = append(scanSetup, sb.String())
+	scanSetup := append([]string{"CREATE TABLE t0(c0 INT, c1 TEXT, c2 REAL, c3 INT, c4 TEXT COLLATE NOCASE, c5 INT)"},
+		insertBatches("t0", 4000, 500, func(i int) string {
+			return fmt.Sprintf("(%d, 'v%d', %d.5, %d, 'K%d', %d)", i, i, i%97, i%13, i%7, i%29)
+		})...)
 
 	joinSetup := []string{
 		"CREATE TABLE a(c0 INT, c1 TEXT)",
 		"CREATE TABLE b(c0 INT, c1 INT)",
 		"CREATE TABLE c(c0 INT, c1 INT)",
 	}
-	for _, spec := range []struct {
-		table string
-		text  bool
-	}{{"a", true}, {"b", false}, {"c", false}} {
-		var ins strings.Builder
-		fmt.Fprintf(&ins, "INSERT INTO %s VALUES ", spec.table)
-		for i := 0; i < 25; i++ {
-			if i > 0 {
-				ins.WriteString(", ")
-			}
-			if spec.text {
-				fmt.Fprintf(&ins, "(%d, 'n%d')", i, i%5)
-			} else {
-				fmt.Fprintf(&ins, "(%d, %d)", i, i%5)
-			}
-		}
-		joinSetup = append(joinSetup, ins.String())
+	joinSetup = append(joinSetup, insertBatches("a", 25, 25, func(i int) string { return fmt.Sprintf("(%d, 'n%d')", i, i%5) })...)
+	for _, table := range []string{"b", "c"} {
+		joinSetup = append(joinSetup, insertBatches(table, 25, 25, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i%5) })...)
 	}
 
 	return []rowFilterShape{
@@ -788,13 +453,7 @@ func measureRowFilter(b *testing.B) map[string]float64 {
 		for _, shape := range rowFilterShapes() {
 			compiled := engine.Open(dialect.SQLite)
 			interp := engine.Open(dialect.SQLite, engine.WithoutCompiledEval())
-			for _, e := range []*engine.Engine{compiled, interp} {
-				for _, s := range shape.setup {
-					if _, err := e.Exec(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			execAll(b, shape.setup, compiled, interp)
 			sel, err := sqlparse.ParseOne(shape.query, dialect.SQLite)
 			if err != nil {
 				b.Fatal(err)
@@ -847,11 +506,7 @@ func BenchmarkRowFilter(b *testing.B) {
 		} {
 			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
 				e := engine.Open(dialect.SQLite, mode.opts...)
-				for _, s := range shape.setup {
-					if _, err := e.Exec(s); err != nil {
-						b.Fatal(err)
-					}
-				}
+				execAll(b, shape.setup, e)
 				sel, err := sqlparse.ParseOne(shape.query, dialect.SQLite)
 				if err != nil {
 					b.Fatal(err)
@@ -885,8 +540,8 @@ var (
 // multi-campaign work-stealing sweep (shared pool, pooled lifecycles)
 // against the per-database NewTester baseline the runner used before the
 // scheduler existed: one goroutine, a fresh Tester and engine for every
-// database. Same workload as BenchmarkCampaignThroughput (QueriesPerDB
-// 20, soundness).
+// database. Same workload as BenchmarkCampaign/OracleThroughput/pqs
+// (QueriesPerDB 20, soundness).
 func measureSchedulerThroughput(b *testing.B) map[string]float64 {
 	schedOnce.Do(func() {
 		schedRatios = map[string]float64{}
@@ -1113,32 +768,12 @@ var (
 func hashJoinBenchEngines(b *testing.B) (hashed, nested *engine.Engine) {
 	hashed = engine.Open(dialect.SQLite)
 	nested = engine.Open(dialect.SQLite, engine.WithoutHashJoin())
-	const rows = 1000
 	var stmts []string
 	for _, tbl := range []string{"jb0", "jb1"} {
 		stmts = append(stmts, fmt.Sprintf("CREATE TABLE %s(k INT, v TEXT)", tbl))
-		var sb strings.Builder
-		for i := 0; i < rows; i++ {
-			if i%200 == 0 {
-				if sb.Len() > 0 {
-					stmts = append(stmts, sb.String())
-				}
-				sb.Reset()
-				fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", tbl)
-			} else {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'v%d')", i, i)
-		}
-		stmts = append(stmts, sb.String())
+		stmts = append(stmts, insertBatches(tbl, 1000, 200, func(i int) string { return fmt.Sprintf("(%d, 'v%d')", i, i) })...)
 	}
-	for _, e := range []*engine.Engine{hashed, nested} {
-		for _, s := range stmts {
-			if _, err := e.Exec(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	execAll(b, stmts, hashed, nested)
 	return hashed, nested
 }
 
@@ -1202,29 +837,11 @@ func hashAggBenchEngines(tb testing.TB, groups int) (hashed, materialized *engin
 	tb.Helper()
 	hashed = engine.Open(dialect.SQLite)
 	materialized = engine.Open(dialect.SQLite, engine.WithoutHashAgg())
-	const rows = 10000
-	stmts := []string{"CREATE TABLE ab0(g INT, a INT, b REAL, c INT)"}
-	var sb strings.Builder
-	for i := 0; i < rows; i++ {
-		if i%200 == 0 {
-			if sb.Len() > 0 {
-				stmts = append(stmts, sb.String())
-			}
-			sb.Reset()
-			sb.WriteString("INSERT INTO ab0 VALUES ")
-		} else {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d.5, %d)", i%groups, i, i%100, i%7)
-	}
-	stmts = append(stmts, sb.String())
-	for _, e := range []*engine.Engine{hashed, materialized} {
-		for _, s := range stmts {
-			if _, err := e.Exec(s); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
+	stmts := append([]string{"CREATE TABLE ab0(g INT, a INT, b REAL, c INT)"},
+		insertBatches("ab0", 10000, 200, func(i int) string {
+			return fmt.Sprintf("(%d, %d, %d.5, %d)", i%groups, i, i%100, i%7)
+		})...)
+	execAll(tb, stmts, hashed, materialized)
 	return hashed, materialized
 }
 

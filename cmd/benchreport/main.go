@@ -1,8 +1,12 @@
 // Command benchreport regenerates every table and figure of the paper's
-// evaluation in one run and prints them as Markdown (the source of
-// EXPERIMENTS.md) or plain text.
+// evaluation (§4: Tables 1–4, Figures 2–3), the §3.4 throughput claim and
+// the §6 fuzzer baseline in one run, and prints them as Markdown or plain
+// text. It is the only code that computes these results; any error (a
+// missing source tree for the LOC columns, a failed run, a detection
+// Table 3 has no column for) exits non-zero instead of printing partial
+// numbers.
 //
-// Usage:
+// Usage (from the repository root, whose Go sources the LOC columns count):
 //
 //	benchreport [-budget 2000] [-markdown]
 package main
@@ -11,7 +15,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -27,101 +33,147 @@ import (
 	"repro/internal/sut/memengine"
 )
 
-var markdown = flag.Bool("markdown", false, "emit Markdown instead of plain text")
-
-func emit(t *report.Table) {
-	if *markdown {
-		fmt.Println(t.Markdown())
-	} else {
-		fmt.Println(t.Render())
-	}
-}
-
 func main() {
 	budget := flag.Int("budget", 2000, "database budget per fault campaign")
+	markdown := flag.Bool("markdown", false, "emit Markdown instead of plain text")
 	flag.Parse()
-
-	start := time.Now()
-	// Every dialect's whole fault corpus goes through one shared
-	// work-stealing scheduler pool: one sweep, not 3 × N serial campaigns.
-	var all []runner.Campaign
-	spans := map[dialect.Dialect][2]int{}
-	for _, d := range dialect.All {
-		cs := runner.CorpusCampaigns(d, *budget, 1, true)
-		spans[d] = [2]int{len(all), len(all) + len(cs)}
-		all = append(all, cs...)
+	if err := run(*budget, *markdown); err != nil {
+		fmt.Fprintln(os.Stderr, "benchreport:", err)
+		os.Exit(1)
 	}
-	s := &runner.Scheduler{}
-	swept := s.Sweep(context.Background(), all)
-	data := map[dialect.Dialect][]runner.Result{}
-	for _, d := range dialect.All {
-		data[d] = swept[spans[d][0]:spans[d][1]]
-	}
-	fmt.Printf("corpus sweep (%d campaigns, one scheduler pool) finished in %s\n\n",
-		len(all), time.Since(start).Round(time.Millisecond))
-
-	table1()
-	table2(data)
-	table3(data)
-	table4()
-	figure2(data)
-	figure3(data)
-	throughput()
-	baseline(*budget / 4)
 }
 
-func loc(dirs ...string) int {
+func run(budget int, markdown bool) error {
+	emit := func(t *report.Table, err error) error {
+		if err != nil {
+			return err
+		}
+		if markdown {
+			fmt.Println(t.Markdown())
+		} else {
+			fmt.Println(t.Render())
+		}
+		return nil
+	}
+	// Table 1 only counts source lines: a run outside the repository
+	// fails here, before the sweep.
+	t1, err := table1()
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	results := sweep(budget)
+	fmt.Printf("corpus sweep (%d campaigns, one scheduler pool) finished in %s\n\n",
+		len(results), time.Since(start).Round(time.Millisecond))
+
+	emit(t1, nil)
+	emit(table2(results), nil)
+	if err := emit(table3(results)); err != nil {
+		return err
+	}
+	if err := emit(table4()); err != nil {
+		return err
+	}
+	fmt.Println(figure2(results))
+	fmt.Print(figure3(results))
+	if err := emit(throughput()); err != nil {
+		return err
+	}
+	return emit(baseline(budget / 4))
+}
+
+// sweep runs every dialect's whole fault corpus through one shared
+// work-stealing scheduler pool: one sweep, not 3 × N serial campaigns.
+// Results come back in dialect.All order, each fault under the oracle its
+// registry entry routes to, with reduced test cases.
+func sweep(budget int) []runner.Result {
+	var all []runner.Campaign
+	for _, d := range dialect.All {
+		all = append(all, runner.CorpusCampaigns(d, budget, 1, true)...)
+	}
+	s := &runner.Scheduler{}
+	return s.Sweep(context.Background(), all)
+}
+
+// loc counts the non-test Go lines of internal/<dir> for each dir, from
+// the repository root; outside the repository it fails rather than
+// counting nothing.
+func loc(dirs ...string) (int, error) {
 	root := report.RepoRoot()
 	total := 0
 	for _, dir := range dirs {
 		n, err := report.CountLOC(filepath.Join(root, "internal", dir))
-		if err == nil {
-			total += n
+		if err != nil {
+			return 0, fmt.Errorf("counting LOC (run from the repository root): %w", err)
 		}
+		total += n
 	}
-	return total
+	return total, nil
 }
 
-func table1() {
-	substrate := loc("sqlval", "sqlast", "sqlparse", "schema", "storage", "eval", "engine", "xerr", "dialect", "faults")
-	t := &report.Table{
-		Title:   "Table 1: systems under test",
-		Headers: []string{"DBMS", "Paper LOC", "Paper age", "Our profile substrate LOC"},
+// table1 reproduces Table 1: the systems under test, their size, and
+// their provenance — the paper's DBMS column mapped onto our dialect
+// profiles.
+func table1() (*report.Table, error) {
+	substrate, err := loc("sqlval", "sqlast", "sqlparse", "schema", "storage", "eval", "engine", "xerr", "dialect", "faults")
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("SQLite", "0.3M", "19y", substrate)
-	t.AddRow("MySQL", "3.8M", "24y", substrate)
-	t.AddRow("PostgreSQL", "1.4M", "23y", substrate)
-	emit(t)
+	t := &report.Table{
+		Title:   "Table 1: systems under test (paper's DBMS -> our dialect profiles)",
+		Headers: []string{"DBMS", "Paper LOC", "Paper age (years)", "Our profile", "Shared substrate LOC"},
+		Note:    "One engine substrate implements all three dialect profiles; the paper's targets are separate 20-year-old C codebases.",
+	}
+	t.AddRow("SQLite", "0.3M", 19, "sqlite (dynamic typing, affinity, collations)", substrate)
+	t.AddRow("MySQL", "3.8M", 24, "mysql (coercions, unsigned, storage engines)", substrate)
+	t.AddRow("PostgreSQL", "1.4M", 23, "postgres (strict typing, inheritance)", substrate)
+	return t, nil
 }
 
-func table2(data map[dialect.Dialect][]runner.Result) {
+// table2 reproduces Table 2: bugs found per DBMS. Ground truth is the
+// fault corpus; detected campaigns map onto the paper's fixed/verified
+// reports.
+func table2(results []runner.Result) *report.Table {
 	t := &report.Table{
-		Title:   "Table 2: detected injected bugs (paper: fixed+verified 65/25/9)",
-		Headers: []string{"DBMS", "Faults", "Detected", "Missed"},
+		Title:   "Table 2: detected injected bugs per dialect (paper: fixed+verified reports)",
+		Headers: []string{"DBMS", "Faults", "Detected", "Missed", "Paper fixed+verified"},
+		Note:    "Shape check: SQLite-profile yields the most bugs, PostgreSQL-profile the fewest (paper: 65 / 25 / 9).",
+	}
+	paper := map[dialect.Dialect]string{
+		dialect.SQLite: "65", dialect.MySQL: "25", dialect.Postgres: "9",
 	}
 	for _, d := range dialect.All {
-		det := 0
-		for _, r := range data[d] {
+		n, det := 0, 0
+		for _, r := range results {
+			if r.Campaign.Dialect != d {
+				continue
+			}
+			n++
 			if r.Detected {
 				det++
 			}
 		}
-		t.AddRow(d.DisplayName(), len(data[d]), det, len(data[d])-det)
+		t.AddRow(d.DisplayName(), n, det, n-det, paper[d])
 	}
-	emit(t)
+	return t
 }
 
-// table3Oracles is every faults.Oracle in Table 3's column order, so each
-// dialect's row sums to its Table 2 detections.
+// table3Oracles is every faults.Oracle in Table 3's column order: the
+// paper's three, then the metamorphic, durability and isolation oracles.
 var table3Oracles = []faults.Oracle{
 	faults.OracleContainment, faults.OracleError, faults.OracleCrash,
 	faults.OracleTLP, faults.OracleNoREC, faults.OracleRecovery, faults.OracleSerializability,
 }
 
-func table3(data map[dialect.Dialect][]runner.Result) {
+// table3 reproduces Table 3: which oracle found each bug, extended with
+// one column per oracle the paper's three miss, so each dialect's row
+// sums to its Table 2 detections. A detection under an oracle with no
+// column is an error.
+func table3(results []runner.Result) (*report.Table, error) {
 	t := &report.Table{
-		Title:   "Table 3: detections per oracle (paper: 61/34/4 contains/error/segfault)",
+		Title:   "Table 3: detections per oracle (paper: 61 contains / 34 error / 4 segfault)",
 		Headers: []string{"DBMS"},
+		Note:    "Shape check: containment >> error > segfault, as in the paper; TLP/NoREC add the PQS-blind metamorphic faults, recovery and serializability the durability and isolation faults.",
 	}
 	for _, o := range table3Oracles {
 		t.Headers = append(t.Headers, string(o))
@@ -136,22 +188,35 @@ func table3(data map[dialect.Dialect][]runner.Result) {
 	sums := map[faults.Oracle]int{}
 	for _, d := range dialect.All {
 		counts := map[faults.Oracle]int{}
-		for _, r := range data[d] {
-			if r.Detected {
-				counts[r.Bug.Oracle]++
-				sums[r.Bug.Oracle]++
+		for _, r := range results {
+			if r.Campaign.Dialect != d || !r.Detected {
+				continue
 			}
+			if !slices.Contains(table3Oracles, r.Bug.Oracle) {
+				return nil, fmt.Errorf("table 3 has no column for %s's detecting oracle %q", r.Campaign.Fault, r.Bug.Oracle)
+			}
+			counts[r.Bug.Oracle]++
+			sums[r.Bug.Oracle]++
 		}
 		addRow(d.DisplayName(), counts)
 	}
 	addRow("Sum", sums)
-	emit(t)
+	return t, nil
 }
 
-func table4() {
-	testerLOC := loc("core", "gen", "interp", "oracle", "reduce", "runner")
-	engineLOC := loc("engine", "eval", "storage", "schema", "sqlparse", "sqlast", "sqlval", "xerr")
-	features := map[dialect.Dialect]int{}
+// table4 reproduces Table 4: tester size vs tested-system size, and how
+// much of the system a short testing run covers. Feature coverage stands
+// in for gcov line coverage (see DESIGN.md): distinct engine features hit
+// per dialect, relative to the union over all dialects.
+func table4() (*report.Table, error) {
+	testerLOC, err := loc("core", "gen", "interp", "oracle", "reduce", "runner")
+	if err != nil {
+		return nil, err
+	}
+	engineLOC, err := loc("engine", "eval", "storage", "schema", "sqlparse", "sqlast", "sqlval", "xerr")
+	if err != nil {
+		return nil, err
+	}
 	union := map[string]bool{}
 	perDialect := map[dialect.Dialect]map[string]bool{}
 	for _, d := range dialect.All {
@@ -160,46 +225,57 @@ func table4() {
 			e := engine.Open(d)
 			tester := core.NewTesterWithDB(core.Config{Seed: seed, QueriesPerDB: 10}, memengine.Wrap(e, sut.Session{}))
 			if _, err := tester.RunBoundDatabase(); err != nil {
-				continue
+				return nil, fmt.Errorf("table 4 coverage run (%s, seed %d): %w", d, seed, err)
 			}
 			for k := range e.Coverage().Snapshot() {
 				perDialect[d][k] = true
 				union[k] = true
 			}
 		}
-		features[d] = len(perDialect[d])
 	}
 	t := &report.Table{
-		Title:   "Table 4: tester vs engine size and feature coverage (paper: 13.1/0.6/1.5% size; 43/24/24% coverage)",
-		Headers: []string{"DBMS", "Tester LOC", "Engine LOC", "Size ratio", "Coverage"},
+		Title:   "Table 4: tester size vs engine size and feature coverage (paper: 6501/3995/4981 tester LOC, 13.1/0.6/1.5% of the DBMS; 43/24/24% line coverage)",
+		Headers: []string{"DBMS", "Tester LOC", "Engine LOC", "Size ratio", "Features hit", "Coverage"},
+		Note:    "Shape check: the tester is a fraction of the engine's size, and a testing run covers well under all of it.",
 	}
 	for _, d := range dialect.All {
 		t.AddRow(d.DisplayName(), testerLOC, engineLOC,
 			fmt.Sprintf("%.1f%%", 100*float64(testerLOC)/float64(engineLOC)),
-			fmt.Sprintf("%.1f%%", 100*float64(features[d])/float64(len(union))))
+			len(perDialect[d]),
+			fmt.Sprintf("%.1f%%", 100*float64(len(perDialect[d]))/float64(len(union))))
 	}
-	emit(t)
+	return t, nil
 }
 
-func figure2(data map[dialect.Dialect][]runner.Result) {
+// reducedLengths is Figure 2's sample: one reduced test-case statement
+// count per detection.
+func reducedLengths(results []runner.Result) []int {
 	var lengths []int
-	for _, d := range dialect.All {
-		for _, r := range data[d] {
-			if r.Detected {
-				lengths = append(lengths, len(r.Reduced))
-			}
+	for _, r := range results {
+		if r.Detected {
+			lengths = append(lengths, len(r.Reduced))
 		}
 	}
-	fmt.Println(report.RenderCDF("Figure 2: CDF of reduced test-case statement counts", report.CDF(lengths)))
-	fmt.Printf("mean=%.2f median=%.1f max=%d (paper: mean 3.71, max 8)\n\n",
-		report.Mean(lengths), report.Median(lengths), report.Max(lengths))
+	return lengths
 }
 
-func figure3(data map[dialect.Dialect][]runner.Result) {
+// figure2 reproduces Figure 2: the cumulative distribution of reduced
+// test-case lengths.
+func figure2(results []runner.Result) string {
+	lengths := reducedLengths(results)
+	return report.RenderCDF("Figure 2: CDF of reduced test-case statement counts", report.CDF(lengths)) +
+		fmt.Sprintf("mean=%.2f median=%.1f max=%d (paper: mean 3.71, max 8)\n",
+			report.Mean(lengths), report.Median(lengths), report.Max(lengths))
+}
+
+// figure3 reproduces Figure 3: which statement kinds appear in reduced
+// test cases, annotated with the triggering oracle.
+func figure3(results []runner.Result) string {
+	var text string
 	for _, d := range dialect.All {
 		h := report.NewStatementHistogram()
-		for _, r := range data[d] {
-			if !r.Detected || len(r.Reduced) == 0 {
+		for _, r := range results {
+			if r.Campaign.Dialect != d || !r.Detected {
 				continue
 			}
 			var kinds []string
@@ -212,11 +288,14 @@ func figure3(data map[dialect.Dialect][]runner.Result) {
 				h.AddCase(kinds, kinds[len(kinds)-1], string(r.Bug.Oracle))
 			}
 		}
-		fmt.Println(h.Render(fmt.Sprintf("Figure 3 (%s): statement kinds in reduced test cases", d.DisplayName())))
+		text += h.Render(fmt.Sprintf("Figure 3 (%s): statement kinds in reduced test cases", d.DisplayName())) + "\n"
 	}
+	return text
 }
 
-func throughput() {
+// throughput reproduces the §3.4 claim: statements per second of one
+// fault-free PQS tester per dialect over 40 databases.
+func throughput() (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Throughput (paper: 5,000-20,000 statements/second)",
 		Headers: []string{"DBMS", "Statements/s"},
@@ -226,44 +305,52 @@ func throughput() {
 		start := time.Now()
 		for i := 0; i < 40; i++ {
 			if _, err := tester.RunDatabase(); err != nil {
-				break
+				return nil, fmt.Errorf("throughput run (%s): %w", d, err)
 			}
 		}
 		el := time.Since(start).Seconds()
 		t.AddRow(d.DisplayName(), fmt.Sprintf("%.0f", float64(tester.Stats().Statements)/el))
 	}
-	emit(t)
+	return t, nil
 }
 
-func baseline(budget int) {
-	pqsLogic, fuzzLogic, logicTotal := 0, 0, 0
+// baseline reproduces the §6 argument: fuzzers cannot find logic bugs,
+// PQS can. Each fault gets the same database budget under the oracle its
+// registry entry routes to (PQS alone is blind to the TLP, NoREC,
+// recovery and serializability faults) and under the fuzzer.
+func baseline(budget int) (*report.Table, error) {
+	var pqs, fuzzer, total [2]int // [0] logic, [1] error/crash
 	for _, info := range faults.All() {
-		if !info.Logic {
-			continue
+		kind := 1
+		if info.Logic {
+			kind = 0
 		}
-		logicTotal++
-		// Each fault runs under the oracle its registry entry routes to,
-		// as BenchmarkBaselineComparison does: PQS alone is blind to the
-		// TLP, NoREC, recovery and serializability faults.
+		total[kind]++
 		if runner.Run(runner.Campaign{
 			Dialect: info.Dialect, Fault: info.ID, MaxDatabases: budget, BaseSeed: 1,
 			Oracles: []string{oracle.ForFault(info)},
 		}).Detected {
-			pqsLogic++
+			pqs[kind]++
 		}
 		for seed := int64(1); seed <= int64(budget); seed++ {
 			f := fuzz.New(fuzz.Config{Session: sut.Session{Dialect: info.Dialect, Faults: faults.NewSet(info.ID)}, Seed: seed})
-			if bug, _ := f.RunDatabase(); bug != nil {
-				fuzzLogic++
+			bug, err := f.RunDatabase()
+			if err != nil {
+				return nil, fmt.Errorf("fuzzer baseline (%s, seed %d): %w", info.ID, seed, err)
+			}
+			if bug != nil {
+				fuzzer[kind]++
 				break
 			}
 		}
 	}
 	t := &report.Table{
-		Title:   "Baseline: logic bugs found (fuzzers cannot see logic bugs)",
-		Headers: []string{"Approach", "Logic bugs"},
+		Title:   "Baseline comparison: PQS vs SQLsmith-style fuzzing (same budget)",
+		Headers: []string{"Approach", "Logic bugs found", "Error/crash bugs found"},
+		Note: fmt.Sprintf("Corpus: %d logic + %d error/crash faults, %d databases each. The fuzzer finds no logic bugs (§6: \"SQLsmith ... cannot find logic bugs found by our approach\").",
+			total[0], total[1], budget),
 	}
-	t.AddRow("PQS family (each fault's oracle)", fmt.Sprintf("%d/%d", pqsLogic, logicTotal))
-	t.AddRow("Fuzzer", fmt.Sprintf("%d/%d", fuzzLogic, logicTotal))
-	emit(t)
+	t.AddRow("PQS family (each fault's oracle)", fmt.Sprintf("%d/%d", pqs[0], total[0]), fmt.Sprintf("%d/%d", pqs[1], total[1]))
+	t.AddRow("Fuzzer baseline", fmt.Sprintf("%d/%d", fuzzer[0], total[0]), fmt.Sprintf("%d/%d", fuzzer[1], total[1]))
+	return t, nil
 }

@@ -72,7 +72,8 @@
 // lowest seed, so campaign results are identical at any worker count.
 // See DESIGN.md "Campaign scheduler & engine lifecycle".
 //
-// The root package holds the benchmark harness (bench_test.go) that
-// regenerates every table and figure of the paper's evaluation; the
-// implementation lives under internal/ (see DESIGN.md for the map).
+// cmd/benchreport regenerates every table and figure of the paper's
+// evaluation; the root package holds the benchmark harness
+// (bench_test.go) and the implementation lives under internal/ (see
+// DESIGN.md for the map).
 package repro

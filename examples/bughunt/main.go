@@ -1,8 +1,9 @@
 // Bughunt: run campaigns over the full injected-fault corpus in every
 // dialect — each fault under the testing oracle its registry entry routes
-// to (PQS, TLP, or NoREC) — printing a live Table 2/3-style summary. This
-// is the example analogue of the paper's three-month testing campaign,
-// compressed into a deterministic sweep with known ground truth.
+// to — printing one live line per fault. This is the example analogue of
+// the paper's three-month testing campaign, compressed into a
+// deterministic sweep with known ground truth. The paper's Tables 2 and 3
+// over the same sweep come from go run ./cmd/benchreport.
 package main
 
 import (
@@ -10,8 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/dialect"
-	"repro/internal/faults"
-	"repro/internal/report"
 	"repro/internal/runner"
 )
 
@@ -19,46 +18,22 @@ func main() {
 	budget := flag.Int("budget", 2000, "database budget per fault campaign")
 	flag.Parse()
 
-	perOracle := map[dialect.Dialect]map[faults.Oracle]int{}
-	detected := map[dialect.Dialect]int{}
-	missed := map[dialect.Dialect]int{}
-
 	// One work-stealing sweep per dialect: every fault campaign multiplexes
 	// over a shared scheduler pool of pooled, resettable engine sessions
 	// instead of standing up a fresh worker pool per fault.
 	for _, d := range dialect.All {
-		perOracle[d] = map[faults.Oracle]int{}
+		results := runner.RunCorpus(d, *budget, 1, true)
+		detected := 0
 		fmt.Printf("== %s ==\n", d.DisplayName())
-		for _, res := range runner.RunCorpus(d, *budget, 1, true) {
-			info, _ := faults.Lookup(res.Campaign.Fault)
+		for _, res := range results {
 			if res.Detected {
-				detected[d]++
-				perOracle[d][res.Bug.Oracle]++
+				detected++
 				fmt.Printf("  %-40s found by %-6s (%s verdict) at seed %4d, reduced to %d stmts\n",
-					info.ID, res.Bug.DetectedBy, res.Bug.Oracle, res.Seed, len(res.Reduced))
+					res.Campaign.Fault, res.Bug.DetectedBy, res.Bug.Oracle, res.Seed, len(res.Reduced))
 			} else {
-				missed[d]++
-				fmt.Printf("  %-40s MISSED in %d dbs\n", info.ID, res.Databases)
+				fmt.Printf("  %-40s MISSED in %d dbs\n", res.Campaign.Fault, res.Databases)
 			}
 		}
+		fmt.Printf("  detected %d/%d\n", detected, len(results))
 	}
-
-	t2 := &report.Table{
-		Title:   "Bug-report summary (Table 2 analogue: detected ≈ fixed/verified)",
-		Headers: []string{"DBMS", "Faults", "Detected", "Missed"},
-	}
-	t3 := &report.Table{
-		Title:   "Detections per oracle (Table 3 analogue)",
-		Headers: []string{"DBMS", "Contains", "Error", "SEGFAULT", "TLP", "NoREC"},
-	}
-	for _, d := range dialect.All {
-		total := len(faults.ForDialect(d))
-		t2.AddRow(d.DisplayName(), total, detected[d], missed[d])
-		t3.AddRow(d.DisplayName(), perOracle[d][faults.OracleContainment],
-			perOracle[d][faults.OracleError], perOracle[d][faults.OracleCrash],
-			perOracle[d][faults.OracleTLP], perOracle[d][faults.OracleNoREC])
-	}
-	fmt.Println()
-	fmt.Println(t2.Render())
-	fmt.Println(t3.Render())
 }

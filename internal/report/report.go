@@ -1,7 +1,7 @@
 // Package report renders the reproduction's tables and figures in the
 // shape the paper presents them: ASCII tables for Tables 1–4 and data
-// series for Figures 2–3. The benchmark harness and cmd/benchreport both
-// print through this package so EXPERIMENTS.md and bench output agree.
+// series for Figures 2–3. cmd/benchreport, the one generator of the
+// paper's results, and the ablation benchmarks print through it.
 package report
 
 import (
@@ -71,7 +71,7 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub Markdown (EXPERIMENTS.md).
+// Markdown renders the table as GitHub Markdown.
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s\n\n", t.Title)
@@ -258,7 +258,12 @@ func (h *StatementHistogram) Render(title string) string {
 	for k := range h.Counts {
 		kinds = append(kinds, k)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return h.Counts[kinds[i]] > h.Counts[kinds[j]] })
+	sort.Slice(kinds, func(i, j int) bool {
+		if h.Counts[kinds[i]] != h.Counts[kinds[j]] {
+			return h.Counts[kinds[i]] > h.Counts[kinds[j]]
+		}
+		return kinds[i] < kinds[j]
+	})
 	for _, k := range kinds {
 		frac := 0.0
 		if h.Total > 0 {

@@ -11,7 +11,8 @@ import (
 
 // TestFastPathThroughputRegression is the tripwire behind the documented
 // claim that the ExecAST fast path beats wire-fidelity mode by ≥1.3×
-// databases/sec (BenchmarkCampaignThroughput is the precise measurement).
+// databases/sec (BenchmarkCampaign's CampaignThroughput/WireFidelity row
+// against its OracleThroughput/pqs row is the precise measurement).
 // The target was ≥1.5× before the PR 8 allocation-free tokenizer made
 // render→reparse itself ~2× cheaper — wire fidelity got faster, so the
 // fast path's *relative* lead legitimately narrowed (~1.4× measured).
