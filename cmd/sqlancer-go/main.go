@@ -20,7 +20,13 @@
 // pooled, resettable engine sessions (-workers sizes the pool), each
 // fault routed to the oracle its registry entry expects, with -max-dbs
 // as the per-fault budget. Detections report the canonical lowest seed,
-// so corpus results are reproducible regardless of the worker count.
+// so corpus results are reproducible regardless of the worker count; the
+// summary line's errors= counts database lifecycles that failed.
+//
+// A campaign prints "no bug detected within budget" only when every
+// database lifecycle ran to completion. When some failed (for example
+// -oracle serializability on the single-session wire backend), it prints
+// their count and the first error instead and exits 1.
 //
 // -oracle selects the testing oracles of a pqs-mode campaign
 // (comma-separated: pqs, tlp, norec) — databases round-robin across them,
@@ -221,6 +227,9 @@ func runPQS(cfg core.Config, fault faults.Fault, maxDBs, workers int, doReduce b
 	fmt.Printf("dialect=%s fault=%s oracles=%s databases=%d statements=%d queries=%d elapsed=%s\n",
 		cfg.Dialect, fault, strings.Join(oracles, ","), res.Databases, res.Stats.Statements, res.Stats.Queries, res.Elapsed.Round(1000000))
 	if !res.Detected {
+		if res.Errors > 0 {
+			fatal(fmt.Errorf("%d of %d databases failed; first error: %w", res.Errors, res.Databases, res.Err))
+		}
 		fmt.Println("no bug detected within budget")
 		return
 	}
@@ -246,9 +255,10 @@ func runCorpus(cfg core.Config, maxDBs, workers int, doReduce bool) {
 	}
 	s := &runner.Scheduler{Workers: workers}
 	results := s.Sweep(context.Background(), cs)
-	detected, databases := 0, 0
+	detected, databases, errs := 0, 0, 0
 	for _, r := range results {
 		databases += r.Databases
+		errs += r.Errors
 		status := "missed"
 		if r.Detected {
 			detected++
@@ -256,8 +266,8 @@ func runCorpus(cfg core.Config, maxDBs, workers int, doReduce bool) {
 		}
 		fmt.Printf("%-40s %s\n", r.Campaign.Fault, status)
 	}
-	fmt.Printf("corpus: %d/%d faults detected, %d databases in %s (one shared scheduler pool)\n",
-		detected, len(results), databases, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("corpus: %d/%d faults detected, %d databases errors=%d in %s (one shared scheduler pool)\n",
+		detected, len(results), databases, errs, time.Since(start).Round(time.Millisecond))
 }
 
 func runFuzz(sess sut.Session, backend string, maxDBs int, seed int64, queries int) {

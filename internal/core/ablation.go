@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/eval"
-	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/sqlval"
 )
@@ -64,70 +63,4 @@ func (c *ctxEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
 		Affinity: ci.Affinity,
 		Unsigned: ci.Unsigned,
 	}, true
-}
-
-// pivotLayout is the compiled-evaluation counterpart of ctxEnv: one
-// relation whose single row is the pivot tuple, with columns bound in
-// bindPivot order. The engine-as-oracle ablation compiles each candidate
-// condition once against it and evaluates the condition and its rectified
-// wrapper through the same program, instead of re-walking the tree per
-// verification.
-type pivotLayout struct {
-	keys []pivotKey
-	meta []eval.Meta
-}
-
-type pivotKey struct {
-	table, column string // lower-cased
-}
-
-// newPivotLayout builds the layout over the bound pivot columns. Metadata
-// mirrors what bindPivot hands the interpreter context (and what ctxEnv
-// reports): collation, affinity, and unsignedness — no type name or table
-// engine, which the pivot oracle never had either.
-func newPivotLayout(cols []gen.ColumnPick) *pivotLayout {
-	l := &pivotLayout{
-		keys: make([]pivotKey, len(cols)),
-		meta: make([]eval.Meta, len(cols)),
-	}
-	for i, c := range cols {
-		coll, _ := sqlval.ParseCollation(c.Column.Collate)
-		l.keys[i] = pivotKey{table: strings.ToLower(c.Table), column: strings.ToLower(c.Column.Name)}
-		l.meta[i] = eval.Meta{
-			Coll:     coll,
-			Affinity: sqlval.AffinityOf(c.Column.TypeName),
-			Unsigned: c.Column.Unsigned,
-		}
-	}
-	return l
-}
-
-// NumRels implements eval.Layout.
-func (l *pivotLayout) NumRels() int { return 1 }
-
-// Resolve implements eval.Layout with ctxEnv's resolution rules: exact
-// lower-cased table match when qualified, unique-name match when not.
-func (l *pivotLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
-	lt, lc := strings.ToLower(table), strings.ToLower(column)
-	found, n := -1, 0
-	for i, k := range l.keys {
-		if k.column != lc {
-			continue
-		}
-		if lt != "" {
-			if k.table == lt {
-				return eval.Slot{Rel: 0, Col: i}, l.meta[i], nil
-			}
-			continue
-		}
-		found = i
-		n++
-	}
-	if n > 1 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrAmbiguousColumn(column)
-	}
-	if lt != "" || n == 0 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
-	}
-	return eval.Slot{Rel: 0, Col: found}, l.meta[found], nil
 }

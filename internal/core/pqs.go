@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/dialect"
-	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/interp"
@@ -32,9 +31,9 @@ import (
 
 // Config parameterizes a Tester. The embedded Session is what every
 // database of the campaign opens with: dialect, injected faults, storage
-// mode, wire fidelity, and switched-off engine features (NoCompile also
-// makes the UseEngineAsOracle ablation's pivot checks fall back to tree
-// walks; see DESIGN.md "Compiled expression programs").
+// mode, wire fidelity, and switched-off engine features. The
+// UseEngineAsOracle ablation evaluates pivot checks with the engine's
+// tree-walk evaluator whatever the session's switches are.
 type Config struct {
 	sut.Session
 	Seed int64
@@ -146,13 +145,6 @@ type Tester struct {
 	// retains these past one iteration).
 	colsBuf  []gen.ColumnPick
 	hintsBuf []sqlval.Value
-
-	// pivotLay/pivotFrame are the compiled pivot-check state of the
-	// engine-as-oracle ablation, rebuilt by bindPivot each iteration
-	// (nil/empty when the independent interpreter is the oracle or
-	// compilation is disabled).
-	pivotLay   *pivotLayout
-	pivotFrame eval.Frame
 }
 
 // NewTester creates a tester.
@@ -553,16 +545,15 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 // expression is modified to evaluate FALSE on the pivot row.
 func (t *Tester) falsifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
 	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
-	evalExpr, evalWrapped := t.condOracle(ctx)
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := evalExpr(expr)
+		tb, err := t.evalBool(expr, ctx)
 		if err != nil {
 			t.stats.Discarded++
 			continue
 		}
 		falsified := RectifyFalse(expr, tb)
-		if check, err := evalWrapped(expr, falsified); err != nil || check != sqlval.TriFalse {
+		if check, err := t.evalBool(falsified, ctx); err != nil || check != sqlval.TriFalse {
 			t.stats.Discarded++
 			continue
 		}
@@ -631,81 +622,29 @@ func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.S
 		hints = append(hints, sg.Hints...)
 	}
 	t.colsBuf, t.hintsBuf = cols, hints
-	t.pivotLay, t.pivotFrame = nil, eval.Frame{}
-	if t.cfg.UseEngineAsOracle && !t.cfg.NoCompile {
-		t.pivotLay = newPivotLayout(cols)
-		t.pivotFrame = eval.Frame{Rows: [][]sqlval.Value{pivotColValues(cols, hints)}}
-	}
 	return ctx, cols, hints
 }
 
-// condOracle returns the evaluator pair the condition loops use: evalExpr
-// evaluates a freshly generated expression on the pivot row, evalWrapped
-// re-checks the rectified wrapper built around the expression evalExpr saw
-// last. The default oracle stays the independent tree-walk interpreter
-// (Algorithm 2 shares no evaluation machinery with the engine — compiled
-// or otherwise — which is what keeps evaluator bugs observable). Under the
-// UseEngineAsOracle ablation the predicate compiles once per candidate
-// against the pivot layout, and the verification re-check wraps the
-// already-compiled program instead of re-walking the whole tree.
-func (t *Tester) condOracle(ctx *interp.Context) (
-	evalExpr func(sqlast.Expr) (sqlval.TriBool, error),
-	evalWrapped func(orig, wrapped sqlast.Expr) (sqlval.TriBool, error),
-) {
+// evalBool evaluates a condition on the pivot row through the configured
+// oracle: the independent tree-walk interpreter (Algorithm 2 shares no
+// evaluation machinery with the engine, which is what keeps evaluator bugs
+// observable) or, under the UseEngineAsOracle ablation, the engine's own
+// evaluator over the same bound pivot row.
+func (t *Tester) evalBool(expr sqlast.Expr, ctx *interp.Context) (sqlval.TriBool, error) {
 	if !t.cfg.UseEngineAsOracle {
-		return func(e sqlast.Expr) (sqlval.TriBool, error) {
-				return interp.EvalBool(e, ctx)
-			}, func(_, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-				return interp.EvalBool(wrapped, ctx)
-			}
+		return interp.EvalBool(expr, ctx)
 	}
 	ev := engineEvaluatorFor(t.cfg, ctx)
-	if t.pivotLay == nil {
-		env := &ctxEnv{ctx: ctx}
-		return func(e sqlast.Expr) (sqlval.TriBool, error) {
-				return ev.EvalBool(e, env)
-			}, func(_, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-				return ev.EvalBool(wrapped, env)
-			}
-	}
-	var lastExpr sqlast.Expr
-	var lastProg *eval.Program
-	evalExpr = func(e sqlast.Expr) (sqlval.TriBool, error) {
-		prog, err := ev.Compile(e, t.pivotLay)
-		if err != nil {
-			return sqlval.TriUnknown, err
-		}
-		lastExpr, lastProg = e, prog
-		return prog.EvalBool(&t.pivotFrame)
-	}
-	evalWrapped = func(orig, wrapped sqlast.Expr) (sqlval.TriBool, error) {
-		if wrapped == orig && orig == lastExpr && lastProg != nil {
-			return lastProg.EvalBool(&t.pivotFrame)
-		}
-		if u, ok := wrapped.(*sqlast.Unary); ok && u.X == lastExpr && lastProg != nil {
-			prog, err := ev.CompileWrapped(u, lastProg, t.pivotLay)
-			if err != nil {
-				return sqlval.TriUnknown, err
-			}
-			return prog.EvalBool(&t.pivotFrame)
-		}
-		prog, err := ev.Compile(wrapped, t.pivotLay)
-		if err != nil {
-			return sqlval.TriUnknown, err
-		}
-		return prog.EvalBool(&t.pivotFrame)
-	}
-	return evalExpr, evalWrapped
+	return ev.EvalBool(expr, &ctxEnv{ctx: ctx})
 }
 
 // rectifiedCondition implements steps 3–4: generate a random expression,
 // evaluate it on the pivot row, and modify it to yield TRUE (Algorithm 3).
 func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
 	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
-	evalExpr, evalWrapped := t.condOracle(ctx)
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := evalExpr(expr)
+		tb, err := t.evalBool(expr, ctx)
 		if err != nil {
 			t.stats.Discarded++
 			continue
@@ -722,7 +661,7 @@ func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, 
 		t.stats.Rectified[tb]++
 		rectified := Rectify(expr, tb)
 		// Sanity: the rectified condition must evaluate TRUE.
-		if check, err := evalWrapped(expr, rectified); err != nil || check != sqlval.TriTrue {
+		if check, err := t.evalBool(rectified, ctx); err != nil || check != sqlval.TriTrue {
 			t.stats.Discarded++
 			continue
 		}
@@ -997,7 +936,6 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, cols []gen.ColumnPick, hints []
 	if len(hints) < len(cols) {
 		return nil, false
 	}
-	evalExpr, _ := t.condOracle(ctx)
 	type cand struct {
 		x       sqlast.Expr
 		variant bool // equal only under an explicit non-binary collation
@@ -1027,7 +965,7 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, cols []gen.ColumnPick, hints []
 				}
 			}
 			x := &sqlast.Binary{Op: sqlast.OpEq, L: l, R: r}
-			if tb, err := evalExpr(x); err != nil || tb != sqlval.TriTrue {
+			if tb, err := t.evalBool(x, ctx); err != nil || tb != sqlval.TriTrue {
 				continue
 			}
 			cands = append(cands, cand{x: x, variant: variant})

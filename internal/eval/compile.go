@@ -118,56 +118,6 @@ func (ev *Evaluator) Compile(e sqlast.Expr, lay Layout) (*Program, error) {
 	return &Program{ev: ev, root: t}, nil
 }
 
-// CompileWrapped compiles a rectification-style unary wrapper (NOT /
-// IS NULL / IS NOT NULL) around an already-compiled inner program without
-// re-walking the inner tree — the PQS sanity re-check evaluates the
-// wrapped predicate right after the original, and recompiling the whole
-// condition per verification would cost a full extra walk. Wrapper shapes
-// the structural fault rewrites inspect (NOT over NOT, NOT over IS NULL)
-// fall back to a full compile so fault semantics stay exact.
-func (ev *Evaluator) CompileWrapped(n *sqlast.Unary, inner *Program, lay Layout) (*Program, error) {
-	if n.Op == sqlast.OpNot {
-		if in, ok := n.X.(*sqlast.Unary); ok && (in.Op == sqlast.OpNot || in.Op == sqlast.OpIsNull) {
-			return ev.Compile(n, lay)
-		}
-	}
-	x := inner.root
-	var t thunk
-	switch n.Op {
-	case sqlast.OpNot:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			tb, err := ev.Truthy(v)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(tb.Not()), nil
-		}
-	case sqlast.OpIsNull:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(sqlval.TriOf(v.IsNull())), nil
-		}
-	case sqlast.OpNotNull:
-		t = func(f *Frame) (sqlval.Value, error) {
-			v, err := x(f)
-			if err != nil {
-				return sqlval.Null(), err
-			}
-			return ev.boolVal(sqlval.TriOf(!v.IsNull())), nil
-		}
-	default:
-		return ev.Compile(n, lay)
-	}
-	return &Program{ev: ev, root: t}, nil
-}
-
 // layoutMeta adapts a Layout into the metadata half of Env. Values never
 // travel through it — comparisonFaults, comparisonCollation, and
 // outOfTypeRange consult ColumnMeta exclusively; slot thunks carry the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dialect"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 )
@@ -183,49 +182,6 @@ func TestCompileCaseSensitiveLikeIsRuntime(t *testing.T) {
 	ev.CaseSensitiveLike = true
 	if tb, _ := prog.EvalBool(f); tb != sqlval.TriFalse {
 		t.Fatalf("case-sensitive LIKE = %v, want FALSE", tb)
-	}
-}
-
-func TestCompileWrappedMatchesFullCompile(t *testing.T) {
-	for _, d := range dialect.All {
-		for _, fs := range []*faults.Set{nil, faults.NewSet(faults.DoubleNegation), faults.NewSet(faults.IsNotNullOpt)} {
-			w, _ := diffWorldFor(d)
-			ev := &eval.Evaluator{D: d, Faults: fs}
-			f := &eval.Frame{Rows: w.rows}
-			for i := range w.rows[0] {
-				w.rows[0][i] = sqlval.Int(int64(i - 1))
-				w.rows[1][i] = sqlval.Null()
-			}
-			inners := []sqlast.Expr{
-				sqlast.Col("t0", "c0"),
-				sqlast.Not(sqlast.Col("t0", "c0")), // NOT-over-NOT shape under the wrapper
-				sqlast.IsNullExpr(sqlast.Col("t1", "c3")),
-				&sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(-1))},
-			}
-			for _, inner := range inners {
-				innerProg, err := ev.Compile(inner, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, op := range []sqlast.UnaryOp{sqlast.OpNot, sqlast.OpIsNull, sqlast.OpNotNull} {
-					wrapper := &sqlast.Unary{Op: op, X: inner}
-					wrapped, err := ev.CompileWrapped(wrapper, innerProg, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					full, err := ev.Compile(wrapper, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wv, werr := wrapped.Eval(f)
-					fv, ferr := full.Eval(f)
-					if describeOutcome(wv, werr) != describeOutcome(fv, ferr) {
-						t.Fatalf("%s/%v op %d: wrapped %s != full %s",
-							d, fs.List(), op, describeOutcome(wv, werr), describeOutcome(fv, ferr))
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -1,170 +1,26 @@
 package oracle_test
 
 import (
-	"sync"
 	"testing"
 
-	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/oracle"
-	"repro/internal/runner"
 )
-
-// oracleNames are the testing oracles the matrix crosses every fault with.
-var oracleNames = []string{"pqs", "tlp", "norec"}
-
-// expectation is one cell of the cross-oracle fault-detection matrix.
-type expectation uint8
-
-const (
-	// mustDetect: the oracle is expected to catch the fault within budget.
-	mustDetect expectation = iota
-	// mustMiss: the oracle is structurally blind to the fault — its
-	// campaigns never generate the query shape the fault is gated on — so
-	// any detection is a matrix bug.
-	mustMiss
-	// mayDetect: detection is possible but not guaranteed (metamorphic
-	// oracles catch many containment-class row drops, budget permitting).
-	mayDetect
-)
-
-// expectationFor encodes the matrix: error/crash faults fire in the
-// database-generation phase (or on any SELECT) every campaign shares, so
-// every oracle catches them; metamorphic faults are caught by their oracle
-// and are invisible to the others; containment faults are PQS's home turf,
-// with the metamorphic oracles as opportunistic backstops.
-func expectationFor(info faults.Info, oracleName string) expectation {
-	switch info.Oracle {
-	case faults.OracleError, faults.OracleCrash:
-		return mustDetect
-	case faults.OracleTLP:
-		if oracleName == "tlp" {
-			return mustDetect
-		}
-		return mustMiss
-	case faults.OracleNoREC:
-		if oracleName == "norec" {
-			return mustDetect
-		}
-		return mustMiss
-	case faults.OracleRecovery:
-		// Durability faults are dormant without the pager storage backend:
-		// pqs/tlp/norec campaigns run in-memory, so the fault's code never
-		// executes and any detection is a matrix bug. The recovery oracle
-		// itself is swept by TestRecoveryFaultMatrix (it needs a pager
-		// session the shared budget table here doesn't configure).
-		return mustMiss
-	case faults.OracleSerializability:
-		// Isolation faults are gated on open transactions from concurrent
-		// sessions; single-session pqs/tlp/norec campaigns never open one,
-		// so the fault sites stay dormant and any detection is a matrix
-		// bug. The serializability oracle itself is swept by
-		// TestSerializabilityFaultMatrix.
-		return mustMiss
-	default: // containment
-		if oracleName == "pqs" {
-			return mustDetect
-		}
-		return mayDetect
-	}
-}
 
 // TestCrossOracleFaultMatrix runs every registered fault (all 3 dialects)
 // under each of PQS, TLP, and NoREC and asserts the expected detects and
-// misses per oracle. The load-bearing cells are the metamorphic faults:
-// they must be caught by their oracle and must NOT be caught by PQS —
-// the structural blindness the metamorphic oracles exist to remove.
+// misses per oracle: error/crash faults fire in the database-generation
+// phase every campaign shares, so every oracle catches them; metamorphic
+// faults are caught by their oracle and are invisible to the others;
+// durability and isolation faults stay dormant without a pager session or
+// concurrent transactions; containment faults are PQS's home turf, with
+// the metamorphic oracles as opportunistic backstops. The load-bearing
+// cells are the metamorphic faults: they must be caught by their oracle and
+// must NOT be caught by PQS — the structural blindness the metamorphic
+// oracles exist to remove.
 func TestCrossOracleFaultMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-oracle matrix sweep is not short")
-	}
-	var (
-		mu              sync.Mutex
-		pqsBlindCatches = map[faults.Fault]bool{} // caught by tlp/norec AND missed by pqs
-	)
-	for _, d := range dialect.All {
-		for _, info := range faults.ForDialect(d) {
-			for _, name := range oracleNames {
-				info, d, name := info, d, name
-				t.Run(string(info.ID)+"/"+name, func(t *testing.T) {
-					t.Parallel()
-					want := expectationFor(info, name)
-					// mustMiss cells always burn their whole budget (there
-					// is nothing to short-circuit on) and mayDetect cells
-					// are best-effort coverage, so both run small.
-					budget := 1500
-					switch want {
-					case mustMiss:
-						budget = 300
-					case mayDetect:
-						budget = 150
-					}
-					res := runner.Run(runner.Campaign{
-						Dialect:      d,
-						Fault:        info.ID,
-						MaxDatabases: budget,
-						Workers:      2,
-						BaseSeed:     1,
-						Oracles:      []string{name},
-					})
-					switch want {
-					case mustDetect:
-						if !res.Detected {
-							t.Fatalf("%s expected to detect %s, missed in %d databases", name, info.ID, res.Databases)
-						}
-						if res.Bug.Oracle != info.Oracle {
-							t.Errorf("%s caught %s via %s verdict, registry says %s", name, info.ID, res.Bug.Oracle, info.Oracle)
-						}
-						if isMetamorphic(info) && res.Bug.DetectedBy != name {
-							t.Errorf("detection attributed to %q, want %q", res.Bug.DetectedBy, name)
-						}
-						if isMetamorphic(info) {
-							mu.Lock()
-							if _, seen := pqsBlindCatches[info.ID]; !seen {
-								pqsBlindCatches[info.ID] = false
-							}
-							mu.Unlock()
-						}
-					case mustMiss:
-						if res.Detected {
-							t.Fatalf("%s is structurally blind to %s but detected it: %s", name, info.ID, res.Bug.Message)
-						}
-						if name == "pqs" && isMetamorphic(info) {
-							mu.Lock()
-							pqsBlindCatches[info.ID] = true
-							mu.Unlock()
-						}
-					default:
-						// Best-effort coverage: detection is not required,
-						// but any detection must be correctly attributed.
-						if res.Detected && res.Bug.DetectedBy != name {
-							t.Errorf("detection attributed to %q, want %q", res.Bug.DetectedBy, name)
-						}
-						t.Logf("%s vs %s (best-effort): detected=%v in %d databases", name, info.ID, res.Detected, res.Databases)
-					}
-				})
-			}
-		}
-	}
-	t.Cleanup(func() {
-		// Acceptance criterion: >= 3 faults provably detected by TLP/NoREC
-		// while missed by PQS.
-		blind := 0
-		for id, pqsMissed := range pqsBlindCatches {
-			if pqsMissed {
-				blind++
-			} else {
-				t.Errorf("metamorphic fault %s was not confirmed missed by pqs", id)
-			}
-		}
-		if blind < 3 {
-			t.Errorf("only %d faults proven TLP/NoREC-detected and PQS-missed, want >= 3", blind)
-		}
-	})
-}
-
-func isMetamorphic(info faults.Info) bool {
-	return info.Oracle == faults.OracleTLP || info.Oracle == faults.OracleNoREC
+	faultmatrix.Run(t, faultmatrix.CrossOracle)
 }
 
 // TestOracleRouting checks ForFault's registry mapping.

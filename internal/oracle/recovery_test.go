@@ -4,61 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
 
-// durabilityFaults are the injected pager bugs only the recovery oracle
-// can observe.
-var durabilityFaults = []faults.Fault{
-	faults.PagerLostFlush,
-	faults.PagerTornPageAccept,
-	faults.PagerTruncatedReplay,
-}
-
 // TestRecoveryFaultMatrix hunts every injected durability fault with the
-// recovery-equivalence oracle in all three dialects. The faults live in
+// recovery-equivalence oracle in all three dialects, and reduces each
+// detection to a replayable repro with its crash plan. The faults live in
 // the pager, below the SQL surface, so the dialect axis checks the oracle
 // end to end (dialect-specific DML generation, introspection, reporting)
 // rather than dialect-specific fault behaviour.
 func TestRecoveryFaultMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("recovery fault matrix is not short")
-	}
-	for _, d := range dialect.All {
-		for _, f := range durabilityFaults {
-			d, f := d, f
-			t.Run(d.String()+"/"+string(f), func(t *testing.T) {
-				t.Parallel()
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        f,
-					MaxDatabases: 300,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{"recovery"},
-					Reduce:       true,
-				})
-				if !res.Detected {
-					t.Fatalf("recovery oracle missed %s in %d databases", f, res.Databases)
-				}
-				if res.Bug.Oracle != faults.OracleRecovery {
-					t.Errorf("detection carries oracle %q, want %q", res.Bug.Oracle, faults.OracleRecovery)
-				}
-				if res.Bug.DetectedBy != "recovery" {
-					t.Errorf("DetectedBy = %q, want recovery", res.Bug.DetectedBy)
-				}
-				if res.Bug.CrashPlan == "" {
-					t.Error("detection has no crash plan: the reducer cannot replay it")
-				}
-				if len(res.Reduced) == 0 || len(res.Reduced) > len(res.Bug.Trace) {
-					t.Errorf("reduction produced %d statements from %d", len(res.Reduced), len(res.Bug.Trace))
-				}
-				t.Logf("%s/%s: seed %d, %d databases, trace %d → %d stmts: %s",
-					d, f, res.Seed, res.Databases, len(res.Bug.Trace), len(res.Reduced), res.Bug.Message)
-			})
-		}
-	}
+	faultmatrix.Run(t, faultmatrix.Recovery)
 }
 
 // TestRecoveryNoFalsePositives soaks the sound pager: across all three

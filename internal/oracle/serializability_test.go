@@ -5,20 +5,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 	"repro/internal/sut"
 )
-
-// isolationFaults are the injected transaction-isolation bugs only the
-// serializability oracle can observe (the cross-oracle matrix proves
-// pqs/tlp/norec structurally miss all four).
-var isolationFaults = []faults.Fault{
-	faults.TxnDirtyReadLeak,
-	faults.TxnLostUpdate,
-	faults.TxnSnapshotSkewCommit,
-	faults.TxnRollbackRestoreMiss,
-}
 
 // TestSerializabilityFaultMatrix hunts every injected isolation fault
 // with the serializability oracle in all three dialects, and reduces each
@@ -28,40 +19,7 @@ var isolationFaults = []faults.Fault{
 // serial-order search, session-tagged reporting) rather than
 // dialect-specific fault behaviour.
 func TestSerializabilityFaultMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serializability fault matrix is not short")
-	}
-	for _, d := range dialect.All {
-		for _, f := range isolationFaults {
-			d, f := d, f
-			t.Run(d.String()+"/"+string(f), func(t *testing.T) {
-				t.Parallel()
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        f,
-					MaxDatabases: 300,
-					Workers:      2,
-					BaseSeed:     1,
-					Oracles:      []string{"serializability"},
-					Reduce:       true,
-				})
-				if !res.Detected {
-					t.Fatalf("serializability oracle missed %s in %d databases", f, res.Databases)
-				}
-				if res.Bug.Oracle != faults.OracleSerializability {
-					t.Errorf("detection carries oracle %q, want %q", res.Bug.Oracle, faults.OracleSerializability)
-				}
-				if res.Bug.DetectedBy != "serializability" {
-					t.Errorf("DetectedBy = %q, want serializability", res.Bug.DetectedBy)
-				}
-				if len(res.Reduced) == 0 || len(res.Reduced) > len(res.Bug.Trace) {
-					t.Errorf("reduction produced %d statements from %d", len(res.Reduced), len(res.Bug.Trace))
-				}
-				t.Logf("%s/%s: seed %d, %d databases, trace %d → %d stmts: %s",
-					d, f, res.Seed, res.Databases, len(res.Bug.Trace), len(res.Reduced), res.Bug.Message)
-			})
-		}
-	}
+	faultmatrix.Run(t, faultmatrix.Serializability)
 }
 
 // TestSerializabilityNoFalsePositives soaks the sound engine: across all

@@ -55,8 +55,18 @@ type Result struct {
 	Seed      int64
 	Reduced   []string
 	Databases int
-	Stats     core.Stats
-	Elapsed   time.Duration
+	// Errors counts database lifecycles that failed instead of finishing
+	// their checks (an unknown oracle, a backend that cannot open a
+	// database). A failed lifecycle still counts against the budget, so a
+	// campaign with Errors > 0 and no detection did not really run clean.
+	Errors int
+	// Err is the error of the lowest failing seed (nil when Errors == 0).
+	// Like Seed it does not depend on the worker count, as long as that
+	// seed lies below any detecting one: seeds above a detection may or
+	// may not run.
+	Err     error
+	Stats   core.Stats
+	Elapsed time.Duration
 }
 
 // Run executes the campaign to completion (no external cancellation).

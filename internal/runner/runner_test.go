@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -42,6 +43,31 @@ func TestCampaignSoundness(t *testing.T) {
 	}
 	if res.Databases != 40 {
 		t.Errorf("budget not exhausted: %d databases", res.Databases)
+	}
+	if res.Errors != 0 {
+		t.Errorf("%d databases failed: %v", res.Errors, res.Err)
+	}
+}
+
+// TestCampaignReportsLifecycleErrors: an oracle the registry does not know
+// fails every database lifecycle. The failures still count against the
+// budget, and the campaign must report them rather than a clean miss.
+func TestCampaignReportsLifecycleErrors(t *testing.T) {
+	res := Run(Campaign{
+		Dialect:      dialect.SQLite,
+		MaxDatabases: 10,
+		Workers:      2,
+		BaseSeed:     1,
+		Oracles:      []string{"tlpp"},
+	})
+	if res.Detected {
+		t.Fatalf("unexpected detection: %s", res.Bug.Message)
+	}
+	if res.Errors != res.Campaign.MaxDatabases || res.Databases != res.Campaign.MaxDatabases {
+		t.Fatalf("Errors = %d, Databases = %d, want both %d", res.Errors, res.Databases, res.Campaign.MaxDatabases)
+	}
+	if res.Err == nil || !strings.Contains(res.Err.Error(), `"tlpp"`) {
+		t.Fatalf("Err = %v, want the unknown-oracle error", res.Err)
 	}
 }
 

@@ -48,6 +48,9 @@ type schedTask struct {
 	stopped   bool  // a detection landed: stop issuing new offsets
 	bestSeed  int64 // lowest detecting offset so far; -1 = none
 	bug       *core.Bug
+	errSeed   int64 // lowest failing offset so far; -1 = none
+	err       error
+	errors    int
 	databases int
 	stats     core.Stats
 	finished  bool
@@ -80,18 +83,24 @@ func (t *schedTask) hasUnits() bool {
 }
 
 // complete records one finished unit and reports whether the caller just
-// completed the whole task (and must finalize it). Detections keep the
-// lowest offset: offsets are issued in order, so by the time any offset
-// detects, every lower offset has been issued and will complete, making
-// the minimum over completed units the canonical, schedule-independent
-// answer.
-func (t *schedTask) complete(off int64, bug *core.Bug, stats *core.Stats) bool {
+// completed the whole task (and must finalize it). Detections and errors
+// keep the lowest offset: offsets are issued in order, so by the time any
+// offset detects, every lower offset has been issued and will complete,
+// making the minimum over completed units the canonical, schedule-
+// independent answer.
+func (t *schedTask) complete(off int64, bug *core.Bug, err error, stats *core.Stats) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.inFlight--
 	t.databases++
 	t.lastDone = time.Now()
 	t.stats.Add(stats)
+	if err != nil {
+		t.errors++
+		if t.errSeed < 0 || off < t.errSeed {
+			t.errSeed, t.err = off, err
+		}
+	}
 	if bug != nil {
 		if t.bestSeed < 0 || off < t.bestSeed {
 			t.bestSeed, t.bug = off, bug
@@ -150,6 +159,7 @@ func (s *Scheduler) Sweep(ctx context.Context, campaigns []Campaign) []Result {
 			cfg:      cfg,
 			pool:     sut.NewPool(cfg.Backend, cfg.Session),
 			bestSeed: -1,
+			errSeed:  -1,
 			stats:    core.Stats{Rectified: map[sqlval.TriBool]int{}},
 		}
 	}
@@ -159,6 +169,8 @@ func (s *Scheduler) Sweep(ctx context.Context, campaigns []Campaign) []Result {
 		res := Result{
 			Campaign:  t.c,
 			Databases: t.databases,
+			Errors:    t.errors,
+			Err:       t.err,
 			Stats:     t.stats,
 			Seed:      -1,
 		}
@@ -225,10 +237,10 @@ func (s *Scheduler) Sweep(ctx context.Context, campaigns []Campaign) []Result {
 				if len(t.c.Oracles) > 0 {
 					lc.SetOracle(t.c.Oracles[int(off)%len(t.c.Oracles)])
 				}
-				// Errors are swallowed like the one-campaign runner always
-				// has: the database still counts against the budget.
-				bug, _ := lc.RunSeed(t.c.BaseSeed + off)
-				if t.complete(off, bug, lc.TakeStats()) {
+				// A failed lifecycle still counts against the budget; the
+				// Result reports it in Errors/Err.
+				bug, err := lc.RunSeed(t.c.BaseSeed + off)
+				if t.complete(off, bug, err, lc.TakeStats()) {
 					finalize(t)
 				}
 			}
