@@ -690,6 +690,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	seed.Crash(pager.CrashPlan{Point: pager.AfterSync, Mode: pager.LostTail})
 
 	b.SetBytes(int64(commits * len(img)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := pager.Open(pager.OS(), dir, nil)

@@ -92,12 +92,13 @@ type Engine struct {
 	// Durable-storage backend (nil for the default in-memory engine).
 	// ddlLog holds the SQL of every successful DDL statement since the
 	// last Reset — recovery replays it to rebuild the catalog; recovering
-	// suppresses logging/persisting while the replay itself runs.
+	// suppresses logging/persisting while the replay itself runs. image
+	// and imageNames are the durable image encoder's buffers (persist.go).
 	pg         *pager.Pager
-	vfs        pager.VFS
-	dir        string
 	ddlLog     []string
 	recovering bool
+	image      []byte
+	imageNames []string
 
 	// Transaction machinery (txn.go): the default session, the sessions
 	// with open transactions, which session's working state currently

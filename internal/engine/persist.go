@@ -21,7 +21,7 @@ package engine
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dialect"
 	"repro/internal/sqlast"
@@ -40,7 +40,7 @@ func OpenDurable(d dialect.Dialect, vfs pager.VFS, dir string, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	e.pg, e.vfs, e.dir = pg, vfs, dir
+	e.pg = pg
 	if err := e.loadDurable(); err != nil {
 		pg.Close()
 		return nil, err
@@ -98,10 +98,11 @@ func (e *Engine) DisarmCrash() {
 
 // CrashRecover simulates a power cut per the plan (a no-op if an armed
 // crash already killed the pager mid-commit), then reopens the database
-// from the surviving files and runs recovery. The in-memory state is
-// rebuilt from disk; outstanding data snapshots are invalidated. A
-// returned error means recovery itself failed — for a sound pager that
-// is a durability bug, and the recovery oracle reports it.
+// from the surviving files and runs recovery. The pager is reopened in
+// place, keeping its buffers. The in-memory state is rebuilt from disk;
+// outstanding data snapshots are invalidated. A returned error means
+// recovery itself failed — for a sound pager that is a durability bug,
+// and the recovery oracle reports it.
 func (e *Engine) CrashRecover(plan pager.CrashPlan) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -112,11 +113,9 @@ func (e *Engine) CrashRecover(plan pager.CrashPlan) error {
 		return xerr.New(xerr.CodeUnsupported, "VFS does not support simulated crashes")
 	}
 	e.pg.Crash(plan)
-	pg, err := pager.Open(e.vfs, e.dir, e.fs)
-	if err != nil {
+	if err := e.pg.Reopen(); err != nil {
 		return err
 	}
-	e.pg = pg
 	e.resetLocked()
 	return e.loadDurable()
 }
@@ -124,10 +123,7 @@ func (e *Engine) CrashRecover(plan pager.CrashPlan) error {
 // persistLocked serializes the engine state and commits it through the
 // pager. Called with e.mu held after every mutating statement.
 func (e *Engine) persistLocked() error {
-	if err := e.pg.Commit(e.encodeStateLocked()); err != nil {
-		return err
-	}
-	return nil
+	return e.pg.Commit(e.encodeStateLocked())
 }
 
 // mutating reports whether a statement can change persistent state.
@@ -286,9 +282,11 @@ const (
 	stBigIntSeen
 )
 
-// encodeStateLocked serializes the engine's logical state.
+// encodeStateLocked serializes the engine's logical state into e.image,
+// reused from commit to commit (the pager does not keep it), and
+// returns it. The sorted name lists share e.imageNames.
 func (e *Engine) encodeStateLocked() []byte {
-	w := &imgWriter{buf: make([]byte, 0, 1024)}
+	w := imgWriter{buf: e.image[:0]}
 	w.u32(imageMagic)
 	w.u32(imageVersion)
 	w.i64(e.seq)
@@ -300,19 +298,19 @@ func (e *Engine) encodeStateLocked() []byte {
 		w.str(sql)
 	}
 
-	gnames := make([]string, 0, len(e.globals))
+	gnames := e.imageNames[:0]
 	for name := range e.globals {
 		gnames = append(gnames, name)
 	}
-	sort.Strings(gnames)
+	slices.Sort(gnames)
 	w.u32(uint32(len(gnames)))
 	for _, name := range gnames {
 		w.str(name)
 		w.value(e.globals[name])
 	}
 
-	tnames := append([]string(nil), e.cat.TableNames()...)
-	sort.Strings(tnames)
+	tnames := append(gnames[:0], e.cat.TableNames()...)
+	slices.Sort(tnames)
 	w.u32(uint32(len(tnames)))
 	for _, name := range tnames {
 		td := e.data[lower(name)]
@@ -334,11 +332,11 @@ func (e *Engine) encodeStateLocked() []byte {
 		}
 	}
 
-	skeys := make([]string, 0, len(e.state))
+	skeys := tnames[:0]
 	for k := range e.state {
 		skeys = append(skeys, k)
 	}
-	sort.Strings(skeys)
+	slices.Sort(skeys)
 	w.u32(uint32(len(skeys)))
 	for _, k := range skeys {
 		ts := e.state[k]
@@ -362,6 +360,7 @@ func (e *Engine) encodeStateLocked() []byte {
 		w.i64(int64(ts.dqHijackCol))
 		w.str(ts.dqHijackVal)
 	}
+	e.imageNames, e.image = skeys[:0], w.buf
 	return w.buf
 }
 

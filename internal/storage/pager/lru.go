@@ -5,11 +5,17 @@ package pager
 // commit, not yet in the WAL) are pinned — eviction skips them, so a
 // commit can always re-read its own staged writes; Commit marks them
 // clean once their frames are durably in the WAL.
+//
+// The cache owns its page bytes: insert hands out the buffer of an entry,
+// the pager fills or overwrites it in place, and nothing outside the
+// pager keeps it. Evicted and reset entries keep their buffers on a spare
+// list for the next insert, so a warm cache allocates nothing.
 type lruCache struct {
 	cap   int
 	pages map[uint32]*cachedPage
 	head  *cachedPage // most recently used
 	tail  *cachedPage // least recently used
+	spare []*cachedPage
 
 	hits, misses, evictions int
 }
@@ -40,29 +46,44 @@ func (c *lruCache) get(no uint32) ([]byte, bool) {
 	return p.data, true
 }
 
-// put inserts or refreshes a page, evicting the least recently used clean
-// page when over capacity.
-func (c *lruCache) put(no uint32, data []byte, dirty bool) {
-	if p, ok := c.pages[no]; ok {
-		p.data = data
-		p.dirty = dirty
-		c.moveToFront(p)
-		return
+// insert adds page no, which must not be cached, as the most recently
+// used entry and returns its PageSize buffer for the caller to fill. The
+// buffer's old content is arbitrary. A full cache first evicts its least
+// recently used clean page, so the entry handed out is never the one
+// evicted; with every page dirty the cache exceeds capacity until commit
+// cleans them.
+func (c *lruCache) insert(no uint32, dirty bool) []byte {
+	for len(c.pages) >= c.cap && c.evictOne() {
 	}
-	p := &cachedPage{no: no, data: data, dirty: dirty}
+	var p *cachedPage
+	if n := len(c.spare); n > 0 {
+		p = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+	} else {
+		p = &cachedPage{data: make([]byte, PageSize)}
+	}
+	p.no, p.dirty = no, dirty
 	c.pages[no] = p
 	c.pushFront(p)
-	for len(c.pages) > c.cap {
-		if !c.evictOne() {
-			break // every page dirty: exceed capacity until commit cleans them
-		}
+	return p.data
+}
+
+// drop removes page no, keeping its buffer spare (a read into a freshly
+// inserted buffer that failed).
+func (c *lruCache) drop(no uint32) {
+	if p, ok := c.pages[no]; ok {
+		c.unlink(p)
+		delete(c.pages, no)
+		c.spare = append(c.spare, p)
 	}
 }
 
-// markClean clears the dirty pin after the page's frame is in the WAL.
-func (c *lruCache) markClean(no uint32) {
+// setDirty pins (or, once the page's frame is in the WAL, unpins) a
+// cached page.
+func (c *lruCache) setDirty(no uint32, dirty bool) {
 	if p, ok := c.pages[no]; ok {
-		p.dirty = false
+		p.dirty = dirty
 	}
 }
 
@@ -74,14 +95,19 @@ func (c *lruCache) evictOne() bool {
 		}
 		c.unlink(p)
 		delete(c.pages, p.no)
+		c.spare = append(c.spare, p)
 		c.evictions++
 		return true
 	}
 	return false
 }
 
-// reset empties the cache (pager Reset / recovery).
+// reset empties the cache (pager Reset / recovery), keeping every
+// entry's buffer spare.
 func (c *lruCache) reset() {
+	for p := c.head; p != nil; p = p.next {
+		c.spare = append(c.spare, p)
+	}
 	clear(c.pages)
 	c.head, c.tail = nil, nil
 }

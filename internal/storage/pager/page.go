@@ -36,8 +36,7 @@ type meta struct {
 	gen       uint64
 }
 
-func encodeMeta(m meta) []byte {
-	p := make([]byte, metaSize)
+func encodeMeta(m meta) (p [metaSize]byte) {
 	binary.LittleEndian.PutUint32(p[0:], metaMagic)
 	binary.LittleEndian.PutUint32(p[4:], metaVersion)
 	binary.LittleEndian.PutUint32(p[8:], m.pageCount)
@@ -68,17 +67,24 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // pageCRC checksums a page: page number mixed with the payload, so a page
 // written to the wrong offset fails verification too.
 func pageCRC(pageNo uint32, payload []byte) uint32 {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], pageNo)
-	crc := crc32.Update(0, crcTable, n[:])
-	return crc32.Update(crc, crcTable, payload)
+	// The little-endian page number goes through the table byte by byte:
+	// a 4-byte array handed to crc32.Update would escape to the heap.
+	crc := ^uint32(0)
+	for i := 0; i < 4; i++ {
+		crc = crcTable[byte(crc)^byte(pageNo>>(8*i))] ^ crc>>8
+	}
+	return crc32.Update(^crc, crcTable, payload)
 }
 
 // encodePage assembles one on-disk page from a payload (≤ PagePayload
-// bytes; shorter payloads are zero-padded).
-func encodePage(pageNo uint32, payload []byte) []byte {
-	pg := make([]byte, PageSize)
-	copy(pg[pageHdrSize:], payload)
+// bytes) into dst (PageSize bytes) and returns it. Every byte of dst is
+// written: the reserved header bytes and the padding after a short
+// payload are zeroed, so a reused buffer encodes exactly as a fresh one.
+func encodePage(dst []byte, pageNo uint32, payload []byte) []byte {
+	pg := dst[:PageSize]
+	n := copy(pg[pageHdrSize:], payload)
+	clear(pg[pageHdrSize+n:])
+	clear(pg[4:pageHdrSize])
 	binary.LittleEndian.PutUint32(pg[0:], pageCRC(pageNo, pg[pageHdrSize:]))
 	return pg
 }
@@ -95,12 +101,16 @@ func verifyPage(pageNo uint32, pg []byte) ([]byte, error) {
 	return pg[pageHdrSize:], nil
 }
 
-// paginate chunks a database image into page payloads; index 0 is the
-// meta page.
-func paginate(image []byte, gen uint64) [][]byte {
-	n := (len(image) + PagePayload - 1) / PagePayload
-	pages := make([][]byte, 0, n+1)
-	pages = append(pages, encodeMeta(meta{pageCount: uint32(n), imageLen: uint64(len(image)), gen: gen}))
+// pageCount is the number of image pages (the meta page excluded) an
+// image of n bytes takes.
+func pageCount(n int) int { return (n + PagePayload - 1) / PagePayload }
+
+// paginate chunks a database image into page payloads, appended to
+// pages[:0]; index 0 is the encoded meta page. The payloads alias meta
+// and image.
+func paginate(pages [][]byte, metaPage, image []byte) [][]byte {
+	n := pageCount(len(image))
+	pages = append(pages[:0], metaPage)
 	for i := 0; i < n; i++ {
 		lo := i * PagePayload
 		hi := lo + PagePayload

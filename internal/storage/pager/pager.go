@@ -63,6 +63,26 @@ type Pager struct {
 	crashed bool
 
 	stats Stats
+
+	// Scratch of Commit, Checkpoint and WAL replay, reused from call to
+	// call and never handed out. pages aliases the image only while
+	// Commit runs; dirty points into cache-owned page buffers. loaded is
+	// the image Load returns.
+	loaded   []byte
+	metaPage [metaSize]byte
+	pages    [][]byte
+	dirty    []stagedPage
+	page     [PageSize]byte
+	frame    [walHdrSize + PageSize]byte
+	replay   walReplay
+}
+
+// stagedPage is one page a commit changed: its cached bytes and, once
+// appended, its payload's WAL offset.
+type stagedPage struct {
+	no  uint32
+	pg  []byte
+	off int64
 }
 
 // Open opens (or creates) the pager files in dir and recovers from the
@@ -75,14 +95,11 @@ func Open(vfs VFS, dir string, fs *faults.Set) (*Pager, error) {
 		walPath:         filepath.Join(dir, "db.wal"),
 		fs:              fs,
 		cache:           newLRU(0),
+		index:           map[uint32]int64{},
 		CheckpointBytes: DefaultCheckpointBytes,
+		closed:          true,
 	}
-	if err := p.openFiles(); err != nil {
-		return nil, err
-	}
-	if err := p.recover(); err != nil {
-		p.dbf.Close()
-		p.walf.Close()
+	if err := p.Reopen(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -100,13 +117,38 @@ func (p *Pager) openFiles() error {
 	return nil
 }
 
+// Reopen brings a pager that died to a simulated power cut, or was
+// closed, back in place: it reopens the files and recovers from the WAL,
+// keeping the pager's cache buffers, WAL index and scratch. It is the one
+// recovery path; Open runs it on a new pager. The work counters restart
+// at zero, as a new pager's would; CheckpointBytes is kept. If recovery
+// fails the pager stays closed, and dead if it had crashed, with its
+// counters restored, until a Reset or another Reopen.
+func (p *Pager) Reopen() error {
+	if !p.closed {
+		return xerr.New(xerr.CodeIO, "pager: reopen of an open database")
+	}
+	if err := p.openFiles(); err != nil {
+		return err
+	}
+	stats, crashed := p.stats, p.crashed
+	p.closed, p.crashed, p.armed = false, false, nil
+	p.stats = Stats{}
+	if err := p.recover(); err != nil {
+		p.dbf.Close()
+		p.walf.Close()
+		p.closed, p.crashed, p.stats = true, crashed, stats
+		return err
+	}
+	return nil
+}
+
 // recover replays the WAL and loads the committed meta page.
 func (p *Pager) recover() error {
-	index, commits, end, err := replayWAL(p.walf, p.fs)
+	commits, end, err := p.replay.run(p.walf, p.fs, p.index)
 	if err != nil {
 		return xerr.New(xerr.CodeIO, "pager: WAL replay: %v", err)
 	}
-	p.index = index
 	p.walEnd = end
 	p.stats.Recoveries += commits
 	p.cache.reset()
@@ -151,12 +193,12 @@ func (p *Pager) readPage(no uint32) ([]byte, error) {
 		return pg, nil
 	}
 	p.stats.CacheMisses++
-	pg := make([]byte, PageSize)
 	if off, ok := p.index[no]; ok {
+		pg := p.cache.insert(no, false)
 		if _, err := p.walf.ReadAt(pg, off); err != nil {
+			p.cache.drop(no)
 			return nil, xerr.New(xerr.CodeIO, "pager: WAL read page %d: %v", no, err)
 		}
-		p.cache.put(no, pg, false)
 		return pg, nil
 	}
 	size, err := p.dbf.Size()
@@ -167,15 +209,18 @@ func (p *Pager) readPage(no uint32) ([]byte, error) {
 	if off+PageSize > size {
 		return nil, nil
 	}
+	pg := p.cache.insert(no, false)
 	if _, err := p.dbf.ReadAt(pg, off); err != nil {
+		p.cache.drop(no)
 		return nil, xerr.New(xerr.CodeIO, "pager: read page %d: %v", no, err)
 	}
-	p.cache.put(no, pg, false)
 	return pg, nil
 }
 
 // Load reconstructs the committed database image (nil for a fresh
-// database). Page checksums are verified on the way.
+// database). Page checksums are verified on the way. The image is
+// assembled in a buffer the pager reuses: it stays valid until the next
+// Load.
 func (p *Pager) Load() ([]byte, error) {
 	if err := p.live(); err != nil {
 		return nil, err
@@ -186,7 +231,7 @@ func (p *Pager) Load() ([]byte, error) {
 	// No presizing from imageLen: a meta page accepted without its
 	// checksum (torn-page-accept) can claim any length, and the check
 	// after the loop reports a short image as corrupt.
-	var img []byte
+	img := p.loaded[:0]
 	for n := uint32(1); n <= p.m.pageCount; n++ {
 		pg, err := p.readPage(n)
 		if err != nil {
@@ -201,6 +246,7 @@ func (p *Pager) Load() ([]byte, error) {
 		}
 		img = append(img, payload...)
 	}
+	p.loaded = img
 	if uint64(len(img)) < p.m.imageLen {
 		return nil, xerr.New(xerr.CodeCorrupt, "pager: image truncated: %d of %d bytes", len(img), p.m.imageLen)
 	}
@@ -211,22 +257,23 @@ func (p *Pager) Load() ([]byte, error) {
 // pages are appended to the WAL, a commit frame seals the transaction,
 // and the log is fsynced (WAL append → fsync → checkpoint). An armed
 // BeforeSync crash plan cuts power between the append and the fsync.
+//
+// Commit does not keep image after it returns, so the caller may reuse
+// it. A changed page is written into the buffer the cache already holds
+// for it; once warm, a commit allocates nothing.
 func (p *Pager) Commit(image []byte) error {
 	if err := p.live(); err != nil {
 		return err
 	}
 	gen := p.m.gen + 1
-	payloads := paginate(image, gen)
+	p.metaPage = encodeMeta(meta{pageCount: uint32(pageCount(len(image))), imageLen: uint64(len(image)), gen: gen})
+	p.pages = paginate(p.pages, p.metaPage[:], image)
+	defer clear(p.pages) // the payloads alias image
 
-	type staged struct {
-		no  uint32
-		pg  []byte
-		off int64
-	}
-	var dirty []staged
-	for n, payload := range payloads {
+	p.dirty = p.dirty[:0]
+	for n, payload := range p.pages {
 		no := uint32(n)
-		enc := encodePage(no, payload)
+		enc := encodePage(p.page[:], no, payload)
 		cur, err := p.readPage(no)
 		if err != nil {
 			return err
@@ -234,21 +281,27 @@ func (p *Pager) Commit(image []byte) error {
 		if cur != nil && bytes.Equal(cur, enc) {
 			continue
 		}
-		p.cache.put(no, enc, true)
-		dirty = append(dirty, staged{no: no, pg: enc})
+		if cur == nil {
+			cur = p.cache.insert(no, true)
+		} else {
+			p.cache.setDirty(no, true)
+		}
+		copy(cur, enc)
+		p.dirty = append(p.dirty, stagedPage{no: no, pg: cur})
 	}
 
 	// WAL append: one frame per dirty page, then the commit frame.
 	off := p.walEnd
 	var err error
-	for i := range dirty {
-		dirty[i].off = off + walHdrSize
-		if off, err = appendFrame(p.walf, off, dirty[i].no, 0, gen, dirty[i].pg); err != nil {
+	for i := range p.dirty {
+		s := &p.dirty[i]
+		s.off = off + walHdrSize
+		if off, err = appendFrame(p.walf, p.frame[:], off, s.no, 0, gen, s.pg); err != nil {
 			return xerr.New(xerr.CodeIO, "pager: WAL append: %v", err)
 		}
 		p.stats.WalFrames++
 	}
-	if off, err = appendFrame(p.walf, off, commitMark, flagCommit, gen, nil); err != nil {
+	if off, err = appendFrame(p.walf, p.frame[:], off, commitMark, flagCommit, gen, nil); err != nil {
 		return xerr.New(xerr.CodeIO, "pager: WAL commit frame: %v", err)
 	}
 	p.stats.WalFrames++
@@ -268,12 +321,12 @@ func (p *Pager) Commit(image []byte) error {
 		}
 	}
 
-	for _, s := range dirty {
+	for _, s := range p.dirty {
 		p.index[s.no] = s.off
-		p.cache.markClean(s.no)
+		p.cache.setDirty(s.no, false)
 	}
 	p.walEnd = off
-	p.m = meta{pageCount: uint32(len(payloads) - 1), imageLen: uint64(len(image)), gen: gen}
+	p.m = meta{pageCount: uint32(len(p.pages) - 1), imageLen: uint64(len(image)), gen: gen}
 	p.stats.Commits++
 
 	if p.walEnd >= p.CheckpointBytes {
@@ -288,7 +341,7 @@ func (p *Pager) Checkpoint() error {
 	if err := p.live(); err != nil {
 		return err
 	}
-	pg := make([]byte, PageSize)
+	pg := p.page[:]
 	for no, off := range p.index {
 		if _, err := p.walf.ReadAt(pg, off); err != nil {
 			return xerr.New(xerr.CodeIO, "pager: checkpoint read: %v", err)
@@ -321,7 +374,8 @@ func (p *Pager) Disarm() { p.armed = nil }
 
 // Crash simulates a power cut now: the unsynced write tail is resolved
 // per the plan's mode and the pager goes dead (every later call fails
-// with CodeIO) until a new Open recovers from the surviving files.
+// with CodeIO) until Reopen, or a new Open, recovers from the surviving
+// files.
 // Idempotent — a pager already dead from an armed mid-commit crash stays
 // as it fell.
 func (p *Pager) Crash(plan CrashPlan) {

@@ -2,6 +2,9 @@ package pager
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -204,10 +207,9 @@ func TestResetWipesFiles(t *testing.T) {
 
 func TestLRUEvictionAndDirtyPinning(t *testing.T) {
 	c := newLRU(2)
-	pg := func(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
-	c.put(1, pg(1), false)
-	c.put(2, pg(2), false)
-	c.put(3, pg(3), false) // evicts page 1 (LRU)
+	c.insert(1, false)
+	c.insert(2, false)
+	c.insert(3, false) // evicts page 1 (LRU)
 	if _, ok := c.get(1); ok {
 		t.Fatal("page 1 not evicted")
 	}
@@ -216,7 +218,7 @@ func TestLRUEvictionAndDirtyPinning(t *testing.T) {
 	}
 	// Recency: touching 2 makes 3 the eviction victim.
 	c.get(2)
-	c.put(4, pg(4), false)
+	c.insert(4, false)
 	if _, ok := c.get(3); ok {
 		t.Fatal("page 3 not evicted despite being LRU")
 	}
@@ -225,9 +227,9 @@ func TestLRUEvictionAndDirtyPinning(t *testing.T) {
 	}
 	// Dirty pages are pinned: capacity is exceeded rather than losing them.
 	c.reset()
-	c.put(10, pg(10), true)
-	c.put(11, pg(11), true)
-	c.put(12, pg(12), true)
+	c.insert(10, true)
+	c.insert(11, true)
+	c.insert(12, true)
 	if c.len() != 3 {
 		t.Fatalf("cache holds %d pages, want 3 (dirty pages pinned)", c.len())
 	}
@@ -237,8 +239,8 @@ func TestLRUEvictionAndDirtyPinning(t *testing.T) {
 		}
 	}
 	// Cleaning unpins: the next insert can evict again.
-	c.markClean(10)
-	c.put(13, pg(13), false)
+	c.setDirty(10, false)
+	c.insert(13, false)
 	if _, ok := c.get(10); ok {
 		t.Fatal("cleaned page 10 not evicted")
 	}
@@ -543,7 +545,9 @@ func FuzzWALRecovery(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			index, commits, end, err := replayWAL(wf, fs)
+			var r walReplay
+			index := map[uint32]int64{}
+			commits, end, err := r.run(wf, fs, index)
 			wf.Close()
 			if err != nil {
 				t.Fatalf("replayWAL errored on in-memory-readable file: %v", err)
@@ -604,6 +608,290 @@ func TestTornMetaImageLenRejected(t *testing.T) {
 			_, err = p2.Load()
 			if code, _ := xerr.CodeOf(err); code != xerr.CodeCorrupt {
 				t.Fatalf("Load with a torn meta page: err=%v, want CodeCorrupt", err)
+			}
+		})
+	}
+}
+
+// memVFS is an in-memory base VFS for SimVFS: a file holds what was
+// written to it, in a buffer that keeps its capacity.
+type memVFS struct{ files map[string]*memFile }
+
+func newMemVFS() *memVFS { return &memVFS{files: map[string]*memFile{}} }
+
+func (v *memVFS) Open(path string) (File, error) {
+	f := v.files[path]
+	if f == nil {
+		f = &memFile{}
+		v.files[path] = f
+	}
+	return f, nil
+}
+
+func (v *memVFS) Remove(path string) error {
+	delete(v.files, path)
+	return nil
+}
+
+type memFile struct{ buf []byte }
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(f.buf)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := off + int64(len(p)); end > int64(len(f.buf)) {
+		f.buf = extend(f.buf, end)
+	}
+	return copy(f.buf[off:], p), nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	if size <= int64(len(f.buf)) {
+		f.buf = f.buf[:size]
+	} else {
+		f.buf = extend(f.buf, size)
+	}
+	return nil
+}
+
+func (f *memFile) Size() (int64, error) { return int64(len(f.buf)), nil }
+func (f *memFile) Sync() error          { return nil }
+func (f *memFile) Close() error         { return nil }
+
+// TestWarmCommitAllocatesNothing pins the reused-buffer commit path: once
+// the cache, the scratch and the files have grown through a checkpoint
+// cycle, committing a changed image of the same size allocates nothing.
+func TestWarmCommitAllocatesNothing(t *testing.T) {
+	p := mustOpen(t, NewSim(newMemVFS()), "db", nil)
+	defer p.Close()
+	p.CheckpointBytes = 64 << 10
+	imgs := [2][]byte{image(3*PagePayload+100, 1), image(3*PagePayload+100, 2)}
+	for i := 0; i < 40; i++ { // several checkpoint cycles
+		mustCommit(t, p, imgs[i%2])
+	}
+	if p.Stats().Checkpoints == 0 {
+		t.Fatal("test premise broken: warm-up never checkpointed")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if err := p.Commit(imgs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Commit allocates %.1f times, want 0", allocs)
+	}
+	if got := mustLoad(t, p); !bytes.Equal(got, imgs[i%2]) {
+		t.Fatal("image lost across allocation-free commits")
+	}
+}
+
+// TestReplayAllocsFlatInWALLength checks WAL replay reads every payload
+// into one buffer: scanning 64 committed transactions allocates no more
+// than scanning 4, each from fresh replay state.
+func TestReplayAllocsFlatInWALLength(t *testing.T) {
+	replayAllocs := func(commits int) float64 {
+		p := mustOpen(t, NewSim(newMemVFS()), "db", nil)
+		defer p.Close()
+		p.CheckpointBytes = 1 << 30 // keep every commit in the WAL
+		for i := 0; i < commits; i++ {
+			mustCommit(t, p, image(2*PagePayload, byte(i)))
+		}
+		return testing.AllocsPerRun(20, func() {
+			var r walReplay
+			n, _, err := r.run(p.walf, nil, map[uint32]int64{})
+			if err != nil || n != commits {
+				t.Fatalf("replay: %d commits, err %v; want %d", n, err, commits)
+			}
+		})
+	}
+	short, long := replayAllocs(4), replayAllocs(64)
+	if long > short {
+		t.Fatalf("replay allocates %.0f times over 64 commits, %.0f over 4: it grows with the WAL", long, short)
+	}
+}
+
+// TestReusedPageBuffersEncodeFresh shrinks the image from three pages to
+// one and a half, then commits the same image again. A reused page
+// buffer must encode exactly as a fresh zeroed one: stale bytes after a
+// short payload would still pass every checksum, and would show only as
+// frames the repeat commit appends for pages that did not change.
+func TestReusedPageBuffersEncodeFresh(t *testing.T) {
+	p := mustOpen(t, NewSim(newMemVFS()), "db", nil)
+	defer p.Close()
+	big, small := image(3*PagePayload, 1), image(PagePayload+PagePayload/2, 2)
+	mustCommit(t, p, big)
+	mustCommit(t, p, small)
+
+	check := func(img []byte) {
+		t.Helper()
+		meta := encodeMeta(p.m)
+		for no, payload := range paginate(nil, meta[:], img) {
+			want := encodePage(make([]byte, PageSize), uint32(no), payload)
+			got, err := p.readPage(uint32(no))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("page %d differs from a fresh encoding", no)
+			}
+		}
+	}
+	check(small)
+	frames := p.Stats().WalFrames
+	mustCommit(t, p, small)
+	check(small)
+	// The meta page carries the commit generation, so it changes with
+	// every commit; no image page may be appended again.
+	if got := p.Stats().WalFrames - frames; got != 2 {
+		t.Fatalf("repeat commit appended %d frames, want 2 (meta page + commit frame)", got)
+	}
+	if got := mustLoad(t, p); !bytes.Equal(got, small) {
+		t.Fatal("loaded image differs from the committed one")
+	}
+}
+
+// TestReopenReusesBuffers recovers one crashed history three times: in
+// place, in place again, and with a new pager. All three must load the
+// same image and report the same counters, and the second in-place
+// recovery must work in the page and image buffers the first one grew.
+func TestReopenReusesBuffers(t *testing.T) {
+	for _, plan := range []CrashPlan{
+		{Point: AfterSync, Mode: LostTail},
+		{Point: BeforeSync, Mode: LostTail},
+		{Point: BeforeSync, Mode: Torn, Frac: 0.5},
+		{Point: BeforeSync, Mode: BitFlip, Frac: 1, BitOffset: 4321},
+	} {
+		sim := NewSim(newMemVFS())
+		p := mustOpen(t, sim, "db", nil)
+		p.CheckpointBytes = 48 << 10
+		for i := 0; i < 12; i++ {
+			mustCommit(t, p, image(PagePayload*(1+i%3), byte(i)))
+		}
+		if plan.Point == BeforeSync {
+			p.Arm(plan)
+			if err := p.Commit(image(2*PagePayload, 99)); err == nil {
+				t.Fatalf("plan %s: armed commit succeeded", plan)
+			}
+		} else {
+			p.Crash(plan)
+		}
+		// A power cut with nothing unsynced leaves the files as they are,
+		// so every later recovery sees the same history.
+		again := CrashPlan{Point: AfterSync, Mode: LostTail}
+		recoverInPlace := func() ([]byte, Stats) {
+			t.Helper()
+			if err := p.Reopen(); err != nil {
+				t.Fatalf("plan %s: Reopen: %v", plan, err)
+			}
+			return bytes.Clone(mustLoad(t, p)), p.Stats()
+		}
+		want, wantStats := recoverInPlace()
+		owned := map[*byte]bool{}
+		for _, c := range p.cache.spare {
+			owned[&c.data[0]] = true
+		}
+		for c := p.cache.head; c != nil; c = c.next {
+			owned[&c.data[0]] = true
+		}
+		loaded := &p.loaded[0]
+
+		p.Crash(again)
+		img, stats := recoverInPlace()
+		if !bytes.Equal(img, want) || stats != wantStats {
+			t.Fatalf("plan %s: second recovery loaded a different image or counters %+v, want %+v", plan, stats, wantStats)
+		}
+		for c := p.cache.head; c != nil; c = c.next {
+			if !owned[&c.data[0]] {
+				t.Fatalf("plan %s: second recovery allocated a buffer for page %d", plan, c.no)
+			}
+		}
+		if &p.loaded[0] != loaded {
+			t.Fatalf("plan %s: second recovery allocated a new image buffer", plan)
+		}
+
+		p.Crash(again)
+		fresh := mustOpen(t, sim, "db", nil)
+		if got := mustLoad(t, fresh); !bytes.Equal(got, want) || fresh.Stats() != wantStats {
+			t.Fatalf("plan %s: a new pager loaded a different image or counters %+v, want %+v", plan, fresh.Stats(), wantStats)
+		}
+		if err := fresh.Reopen(); err == nil {
+			t.Fatal("Reopen of an open pager succeeded")
+		}
+		mustCommit(t, fresh, image(100, 7))
+		if got := mustLoad(t, fresh); !bytes.Equal(got, image(100, 7)) {
+			t.Fatal("recovered pager cannot commit")
+		}
+		fresh.Close()
+	}
+}
+
+// TestChecksumFormat pins both checksums to plain CRC32C over the bytes
+// they cover, so the allocation-free computation keeps the on-disk
+// format: a page's little-endian number then its payload, and a frame's
+// first 16 header bytes then its payload.
+func TestChecksumFormat(t *testing.T) {
+	payload := image(100, 3)
+	for _, no := range []uint32{0, 1, 258, 0xDEADBEEF} {
+		want := crc32.Checksum(append(binary.LittleEndian.AppendUint32(nil, no), payload...), crcTable)
+		if got := pageCRC(no, payload); got != want {
+			t.Fatalf("pageCRC(%d) = %#x, want %#x", no, got, want)
+		}
+	}
+	var frame [walHdrSize + PageSize]byte
+	if _, err := appendFrame(&memFile{}, frame[:], 0, 7, 0, 42, payload); err != nil {
+		t.Fatal(err)
+	}
+	want := crc32.Checksum(append(frame[:16:16], payload...), crcTable)
+	if got := binary.LittleEndian.Uint32(frame[16:]); got != want {
+		t.Fatalf("frame checksum = %#x, want %#x", got, want)
+	}
+}
+
+// TestCommitBeyondCacheCapacity commits an image of more pages than the
+// cache holds, reopens, and commits it again with every page changed: the
+// commit stages more dirty pages than the cache's capacity, so each page
+// a cache miss reads in must keep its own buffer while the pinned pages
+// push the cache over capacity.
+func TestCommitBeyondCacheCapacity(t *testing.T) {
+	const pages = 300 // more than the cache's 256 entries
+	for _, reopen := range []string{"close", "crash"} {
+		t.Run(reopen, func(t *testing.T) {
+			p := mustOpen(t, NewSim(newMemVFS()), "db", nil)
+			defer p.Close()
+			p.CheckpointBytes = 1 << 30
+			mustCommit(t, p, image(pages*PagePayload, 1))
+			reopenPager := func() {
+				t.Helper()
+				if reopen == "close" {
+					if err := p.Close(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					p.Crash(CrashPlan{Point: AfterSync, Mode: LostTail})
+				}
+				if err := p.Reopen(); err != nil {
+					t.Fatalf("Reopen: %v", err)
+				}
+			}
+			reopenPager()
+			want := image(pages*PagePayload, 2)
+			mustCommit(t, p, want)
+			if got := mustLoad(t, p); !bytes.Equal(got, want) {
+				t.Fatal("Load after an over-capacity commit differs from the committed image")
+			}
+			reopenPager()
+			if got := mustLoad(t, p); !bytes.Equal(got, want) {
+				t.Fatal("recovered image differs from the committed one")
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package pager
 import (
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/xerr"
@@ -115,31 +116,46 @@ func NewSim(base VFS) *SimVFS {
 // Open implements VFS. Reopening a path returns a fresh handle over the
 // same base file; unsynced writes never survive a close (the pager always
 // syncs before a graceful close, so nothing is lost on the benign path).
+// The fresh handle takes over the closed handle's memory, so a
+// crash-and-reopen cycle reuses its buffers.
 func (s *SimVFS) Open(path string) (File, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.files[path]; ok && !f.closed {
-		return f, nil
+	old, reopen := s.files[path]
+	if reopen && !old.closed {
+		return old, nil
 	}
 	bf, err := s.base.Open(path)
 	if err != nil {
 		return nil, err
+	}
+	f := &simFile{base: bf}
+	if reopen {
+		old.handOver(f)
 	}
 	size, err := bf.Size()
 	if err != nil {
 		bf.Close()
 		return nil, xerr.New(xerr.CodeIO, "pager: size %s: %v", path, err)
 	}
-	buf := make([]byte, size)
+	f.buf = extend(f.buf, size)
 	if size > 0 {
-		if _, err := bf.ReadAt(buf, 0); err != nil && err != io.EOF {
+		if _, err := bf.ReadAt(f.buf, 0); err != nil && err != io.EOF {
 			bf.Close()
 			return nil, xerr.New(xerr.CodeIO, "pager: read %s: %v", path, err)
 		}
 	}
-	f := &simFile{base: bf, buf: buf}
 	s.files[path] = f
 	return f, nil
+}
+
+// extend lengthens buf to n bytes, in its own capacity when that
+// suffices, and zeroes the new bytes (a reused capacity holds stale ones).
+func extend(buf []byte, n int64) []byte {
+	old := len(buf)
+	buf = slices.Grow(buf, int(n)-old)[:n]
+	clear(buf[old:])
+	return buf
 }
 
 // Remove implements VFS.
@@ -188,6 +204,8 @@ type simFile struct {
 	buf    []byte
 	ops    []writeOp
 	closed bool
+
+	salvaged []byte // crash's scratch: the salvaged bytes in write order
 }
 
 func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
@@ -206,8 +224,8 @@ func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *simFile) WriteAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if grow := off + int64(len(p)) - int64(len(f.buf)); grow > 0 {
-		f.buf = append(f.buf, make([]byte, grow)...)
+	if end := off + int64(len(p)); end > int64(len(f.buf)) {
+		f.buf = extend(f.buf, end)
 	}
 	copy(f.buf[off:], p)
 	f.ops = append(f.ops, writeOp{off: off, size: int64(len(p))})
@@ -220,7 +238,7 @@ func (f *simFile) Truncate(size int64) error {
 	if size < int64(len(f.buf)) {
 		f.buf = f.buf[:size]
 	} else if size > int64(len(f.buf)) {
-		f.buf = append(f.buf, make([]byte, size-int64(len(f.buf)))...)
+		f.buf = extend(f.buf, size)
 	}
 	f.ops = append(f.ops, writeOp{off: size, size: -size - 1})
 	return nil
@@ -245,7 +263,7 @@ func (f *simFile) flushLocked() error {
 			return err
 		}
 	}
-	f.ops = nil
+	f.ops = f.ops[:0]
 	if err := f.base.Sync(); err != nil {
 		return xerr.New(xerr.CodeIO, "pager: fsync: %v", err)
 	}
@@ -291,6 +309,15 @@ func (f *simFile) Close() error {
 	return err
 }
 
+// handOver gives a closed file's memory to the handle that replaces it:
+// the buffers, emptied, with their capacity.
+func (f *simFile) handOver(to *simFile) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	to.buf, to.ops, to.salvaged = f.buf[:0], f.ops[:0], f.salvaged[:0]
+	f.buf, f.ops, f.salvaged = nil, nil, nil
+}
+
 // crash resolves the unsynced tail per mode and makes the result the
 // durable content.
 func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
@@ -311,7 +338,7 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 	// Rebuild durable content: base file as-is, plus the salvaged prefix
 	// of the unsynced ops. A partially-salvaged write persists its prefix
 	// (the torn write).
-	var flipped []byte // salvaged byte region, for the bit flip
+	flipped := f.salvaged[:0] // salvaged byte region, for the bit flip
 	for _, op := range f.ops {
 		if op.size < 0 {
 			if salvage > 0 {
@@ -322,11 +349,7 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 		if salvage <= 0 {
 			break
 		}
-		n := op.size
-		if n > salvage {
-			n = op.size - (op.size - salvage) // prefix only
-			n = salvage
-		}
+		n := min(op.size, salvage) // a torn write persists its prefix
 		end := op.off + n
 		if end > int64(len(f.buf)) {
 			end = int64(len(f.buf))
@@ -349,18 +372,19 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 			f.base.WriteAt(b[:], off)
 		}
 	}
+	f.salvaged = flipped
 	f.base.Sync()
-	f.ops = nil
-	// Reload the durable content as the new logical content.
+	f.ops = f.ops[:0]
+	// Reload the durable content as the new logical content, into the
+	// buffer's own capacity.
 	size, err := f.base.Size()
 	if err != nil {
 		size = 0
 	}
-	buf := make([]byte, size)
+	f.buf = extend(f.buf[:0], size)
 	if size > 0 {
-		f.base.ReadAt(buf, 0)
+		f.base.ReadAt(f.buf, 0)
 	}
-	f.buf = buf
 }
 
 // locateSalvaged maps the i-th salvaged byte back to its file offset.
@@ -375,7 +399,8 @@ func (f *simFile) locateSalvaged(i int) int64 {
 		}
 		seen += int(op.size)
 	}
-	// ops were cleared before the flip could be located; flip the byte in
-	// place using the already-salvaged region bookkeeping instead.
+	// Unreachable while i indexes the salvaged bytes: they are a prefix
+	// of the positive-size ops walked above (crash calls this before it
+	// clears ops).
 	return -1
 }

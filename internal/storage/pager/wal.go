@@ -40,23 +40,21 @@ type walFrame struct {
 
 func (f walFrame) commit() bool { return f.flags&flagCommit != 0 }
 
-// frameCRC checksums a frame header + payload.
-func frameCRC(pageNo, flags uint32, gen uint64, payload []byte) uint32 {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], pageNo)
-	binary.LittleEndian.PutUint32(hdr[4:], flags)
-	binary.LittleEndian.PutUint64(hdr[8:], gen)
-	crc := crc32.Update(0, crcTable, hdr[:])
+// frameCRC checksums a frame header (its pageNo, flags and gen bytes) and
+// the payload.
+func frameCRC(hdr, payload []byte) uint32 {
+	crc := crc32.Update(0, crcTable, hdr[:16])
 	return crc32.Update(crc, crcTable, payload)
 }
 
-// appendFrame writes one frame at off and returns the next offset.
-func appendFrame(w io.WriterAt, off int64, pageNo, flags uint32, gen uint64, payload []byte) (int64, error) {
-	buf := make([]byte, walHdrSize+len(payload))
+// appendFrame writes one frame at off, assembled in frame (at least
+// walHdrSize+len(payload) bytes of scratch), and returns the next offset.
+func appendFrame(w io.WriterAt, frame []byte, off int64, pageNo, flags uint32, gen uint64, payload []byte) (int64, error) {
+	buf := frame[:walHdrSize+len(payload)]
 	binary.LittleEndian.PutUint32(buf[0:], pageNo)
 	binary.LittleEndian.PutUint32(buf[4:], flags)
 	binary.LittleEndian.PutUint64(buf[8:], gen)
-	binary.LittleEndian.PutUint32(buf[16:], frameCRC(pageNo, flags, gen, payload))
+	binary.LittleEndian.PutUint32(buf[16:], frameCRC(buf, payload))
 	copy(buf[walHdrSize:], payload)
 	if _, err := w.WriteAt(buf, off); err != nil {
 		return off, err
@@ -64,22 +62,39 @@ func appendFrame(w io.WriterAt, off int64, pageNo, flags uint32, gen uint64, pay
 	return off + int64(len(buf)), nil
 }
 
-// replayWAL scans the log and returns the latest committed frame offset
-// per page, the number of commit frames applied, and the WAL size in use.
-// fs is the injected-fault set: PagerTruncatedReplay stops after the
-// first commit frame; PagerTornPageAccept skips checksum verification and
-// salvages the trailing uncommitted frames as an implicit commit.
-func replayWAL(f File, fs *faults.Set) (index map[uint32]int64, commits int, end int64, err error) {
-	index = map[uint32]int64{}
+// walReplay is the reusable memory of a WAL scan: the buffer every page
+// payload is read into (a payload is only checksummed, so one buffer
+// serves the whole log) and the page frames of the transaction whose
+// commit frame has not been reached yet.
+type walReplay struct {
+	hdr     [walHdrSize]byte
+	page    [PageSize]byte
+	pending []walEntry
+}
+
+// walEntry is one page frame: the page and its payload's WAL offset.
+type walEntry struct {
+	pageNo uint32
+	off    int64
+}
+
+// run scans the log into index (cleared first): the latest committed
+// frame offset per page. It returns the number of commit frames applied
+// and the WAL size in use. fs is the injected-fault set:
+// PagerTruncatedReplay stops after the first commit frame;
+// PagerTornPageAccept skips checksum verification and salvages the
+// trailing uncommitted frames as an implicit commit.
+func (r *walReplay) run(f File, fs *faults.Set, index map[uint32]int64) (commits int, end int64, err error) {
+	clear(index)
 	size, err := f.Size()
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	pending := map[uint32]int64{}
+	r.pending = r.pending[:0]
 	off := int64(0)
-	var hdr [walHdrSize]byte
+	hdr := r.hdr[:]
 	for off+walHdrSize <= size {
-		if _, rerr := f.ReadAt(hdr[:], off); rerr != nil {
+		if _, rerr := f.ReadAt(hdr, off); rerr != nil {
 			break // torn header
 		}
 		fr := walFrame{
@@ -94,14 +109,14 @@ func replayWAL(f File, fs *faults.Set) (index map[uint32]int64, commits int, end
 			if next+PageSize > size {
 				break // torn payload
 			}
-			payload = make([]byte, PageSize)
+			payload = r.page[:]
 			if _, rerr := f.ReadAt(payload, next); rerr != nil {
 				break
 			}
 			fr.payloadOff = next
 			next += PageSize
 		}
-		if frameCRC(fr.pageNo, fr.flags, fr.gen, payload) != wantCRC {
+		if frameCRC(hdr, payload) != wantCRC {
 			// pager.torn-page-accept: trust the torn frame anyway. A
 			// commit frame with a bad checksum is accepted as a commit; a
 			// page frame joins the pending set to be salvaged below.
@@ -110,29 +125,33 @@ func replayWAL(f File, fs *faults.Set) (index map[uint32]int64, commits int, end
 			}
 		}
 		if fr.commit() {
-			for p, o := range pending {
-				index[p] = o
-			}
-			clear(pending)
+			r.apply(index)
 			commits++
 			end = next
 			if fs.Has(faults.PagerTruncatedReplay) && commits == 1 {
-				return index, commits, end, nil
+				return commits, end, nil
 			}
 		} else {
-			pending[fr.pageNo] = fr.payloadOff
+			r.pending = append(r.pending, walEntry{pageNo: fr.pageNo, off: fr.payloadOff})
 		}
 		off = next
 	}
 	// Frames after the last commit belong to an uncommitted transaction:
 	// discard them — unless the torn-page-accept fault salvages them as
 	// an implicit commit.
-	if fs.Has(faults.PagerTornPageAccept) && len(pending) > 0 {
-		for p, o := range pending {
-			index[p] = o
-		}
+	if fs.Has(faults.PagerTornPageAccept) && len(r.pending) > 0 {
+		r.apply(index)
 		commits++
 		end = off
 	}
-	return index, commits, end, nil
+	return commits, end, nil
+}
+
+// apply commits the pending frames into index in log order, so a page
+// written twice in one transaction ends at its later frame.
+func (r *walReplay) apply(index map[uint32]int64) {
+	for _, e := range r.pending {
+		index[e.pageNo] = e.off
+	}
+	r.pending = r.pending[:0]
 }
