@@ -1,10 +1,10 @@
 // Command benchreport regenerates every table and figure of the paper's
-// evaluation (§4: Tables 1–4, Figures 2–3), the §3.4 throughput claim and
-// the §6 fuzzer baseline in one run, and prints them as Markdown or plain
-// text. It is the only code that computes these results; any error (a
-// missing source tree for the LOC columns, a failed run, a detection
-// Table 3 has no column for) exits non-zero instead of printing partial
-// numbers.
+// evaluation (§4: Tables 1–4, Figures 2–3), the §3.4 throughput claim,
+// the §6 fuzzer baseline, and the design ablations and §7 extension of
+// DESIGN.md in one run, and prints them as Markdown or plain text. It is
+// the only code that computes these results; any error (a missing source
+// tree for the LOC columns, a failed run, a detection Table 3 has no
+// column for) exits non-zero instead of printing partial numbers.
 //
 // Usage (from the repository root, whose Go sources the LOC columns count):
 //
@@ -79,7 +79,15 @@ func run(budget int, markdown bool) error {
 	if err := emit(throughput()); err != nil {
 		return err
 	}
-	return emit(baseline(budget / 4))
+	if err := emit(baseline(budget / 4)); err != nil {
+		return err
+	}
+	for _, build := range ablations {
+		if err := emit(build(budget / 4)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sweep runs every dialect's whole fault corpus through one shared
@@ -294,24 +302,47 @@ func figure3(results []runner.Result) string {
 }
 
 // throughput reproduces the §3.4 claim: statements per second of one
-// fault-free PQS tester per dialect over 40 databases.
+// fault-free PQS lifecycle per dialect over 40 databases.
 func throughput() (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Throughput (paper: 5,000-20,000 statements/second)",
 		Headers: []string{"DBMS", "Statements/s"},
 	}
 	for _, d := range dialect.All {
-		tester := core.NewTester(core.Config{Session: sut.Session{Dialect: d}, Seed: 1, QueriesPerDB: 20})
-		start := time.Now()
-		for i := 0; i < 40; i++ {
-			if _, err := tester.RunDatabase(); err != nil {
-				return nil, fmt.Errorf("throughput run (%s): %w", d, err)
-			}
+		r, err := lifecycleRun(core.Config{Session: sut.Session{Dialect: d}, QueriesPerDB: 20}, 40)
+		if err != nil {
+			return nil, fmt.Errorf("throughput run: %w", err)
 		}
-		el := time.Since(start).Seconds()
-		t.AddRow(d.DisplayName(), fmt.Sprintf("%.0f", float64(tester.Stats().Statements)/el))
+		t.AddRow(d.DisplayName(), fmt.Sprintf("%.0f", r.stmtsPerS))
 	}
 	return t, nil
+}
+
+// rate is the throughput of one lifecycleRun.
+type rate struct {
+	stats                            *core.Stats
+	dbsPerS, stmtsPerS, queriesPerDB float64
+}
+
+// lifecycleRun runs seeds 1..dbs of cfg through one pooled
+// core.Lifecycle, the path campaigns take. Every configuration measured
+// here is fault-free, so a detection is an error.
+func lifecycleRun(cfg core.Config, dbs int) (rate, error) {
+	lc := core.NewLifecycle(cfg)
+	defer lc.Close()
+	start := time.Now()
+	for seed := int64(1); seed <= int64(dbs); seed++ {
+		bug, err := lc.RunSeed(seed)
+		if err == nil && bug != nil {
+			err = fmt.Errorf("false positive: %s", bug.Message)
+		}
+		if err != nil {
+			return rate{}, fmt.Errorf("%s seed %d: %w", cfg.DSN(), seed, err)
+		}
+	}
+	el := time.Since(start).Seconds()
+	st := lc.Stats()
+	return rate{st, float64(dbs) / el, float64(st.Statements) / el, float64(st.Queries) / float64(dbs)}, nil
 }
 
 // baseline reproduces the §6 argument: fuzzers cannot find logic bugs,
@@ -353,4 +384,179 @@ func baseline(budget int) (*report.Table, error) {
 	t.AddRow("PQS family (each fault's oracle)", fmt.Sprintf("%d/%d", pqs[0], total[0]), fmt.Sprintf("%d/%d", pqs[1], total[1]))
 	t.AddRow("Fuzzer baseline", fmt.Sprintf("%d/%d", fuzzer[0], total[0]), fmt.Sprintf("%d/%d", fuzzer[1], total[1]))
 	return t, nil
+}
+
+// ablations build DESIGN.md's design ablations and the §7 extension, in
+// its numbering; each takes the database budget per campaign.
+var ablations = []func(budget int) (*report.Table, error){
+	sharedEvaluator, rejectionSampling, generation, containmentForm, negativeContainment,
+}
+
+// hunt runs the PQS campaign for one fault under cfg's tester settings. A
+// failed database lifecycle is an error: the campaign did not run clean.
+func hunt(f faults.Fault, budget int, cfg core.Config) (runner.Result, error) {
+	info, _ := faults.Lookup(f)
+	r := runner.Run(runner.Campaign{Dialect: info.Dialect, Fault: f, MaxDatabases: budget, BaseSeed: 1, Tester: cfg})
+	if r.Errors > 0 {
+		return r, fmt.Errorf("%s campaign: %d failed databases: %w", f, r.Errors, r.Err)
+	}
+	return r, nil
+}
+
+// sharedEvaluator is ablation 1: using the engine's own evaluator as the
+// oracle blinds PQS to evaluator-level logic bugs, the reason
+// internal/interp exists.
+func sharedEvaluator(budget int) (*report.Table, error) {
+	evalFaults := []faults.Fault{
+		faults.DoubleNegation, faults.TextIntSubtract, faults.AffinityCompare,
+		faults.TextDoubleBool, faults.UnsignedCompare,
+	}
+	t := &report.Table{
+		Title:   "Ablation 1: independent oracle interpreter vs sharing the engine's evaluator",
+		Headers: []string{"Oracle", "Evaluator-level logic bugs found"},
+		Note:    fmt.Sprintf("%d databases per fault. A shared evaluator computes the same wrong answer as the engine, so the containment check passes.", budget),
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"Independent interpreter (PQS)", core.Config{}},
+		{"Engine's own evaluator", core.Config{UseEngineAsOracle: true}},
+	} {
+		found := 0
+		for _, f := range evalFaults {
+			r, err := hunt(f, budget, mode.cfg)
+			if err != nil {
+				return nil, fmt.Errorf("ablation 1: %w", err)
+			}
+			if r.Detected {
+				found++
+			}
+		}
+		t.AddRow(mode.name, fmt.Sprintf("%d/%d", found, len(evalFaults)))
+	}
+	return t, nil
+}
+
+// rejectionSampling is ablation 2: rectification against discarding the
+// expressions that are not TRUE on the pivot row.
+func rejectionSampling(budget int) (*report.Table, error) {
+	t := &report.Table{
+		Title:   "Ablation 2: rectification (Algorithm 3) vs rejection sampling",
+		Headers: []string{"Strategy", "Queries issued", "Expressions discarded"},
+		Note:    fmt.Sprintf("SQLite, %d databases of 30 queries each. Rectification keeps every expression the oracle interpreter can evaluate; rejection sampling also throws away the FALSE and NULL ones.", budget),
+	}
+	for _, mode := range []struct {
+		name    string
+		disable bool
+	}{{"Rectification", false}, {"Rejection sampling", true}} {
+		r, err := lifecycleRun(core.Config{Session: sut.Session{Dialect: dialect.SQLite}, QueriesPerDB: 30, DisableRectification: mode.disable}, budget)
+		if err != nil {
+			return nil, fmt.Errorf("ablation 2: %w", err)
+		}
+		t.AddRow(mode.name, r.stats.Queries, r.stats.Discarded)
+	}
+	return t, nil
+}
+
+// generation is ablations 3, 4 and 6 on SQLite: table size, expression
+// depth, and how many queries run on one database before the next. Each
+// row runs budget/25 databases: at 100 rows per table one database takes
+// about a quarter second on 2 vCPUs, the join blowup ablation 3 shows.
+func generation(budget int) (*report.Table, error) {
+	dbs := max(1, budget/25)
+	t := &report.Table{
+		Title:   "Ablations 3, 4 and 6: generation parameters (SQLite, PQS)",
+		Headers: []string{"Parameter", "Value", "Databases/s", "Statements/s", "Queries/database"},
+		Note: fmt.Sprintf("%d databases per row. The paper keeps tables at 10-30 rows to avoid join blowup; deeper expressions exercise more operator combinations but cost throughput; "+
+			"queries per database is Figure 1's \"continue with 1 or 2\".", dbs),
+	}
+	type row struct {
+		param string
+		value int
+		cfg   core.Config
+	}
+	var rows []row
+	for _, n := range []int{2, 8, 30, 100} {
+		rows = append(rows, row{"Rows per table", n, core.Config{QueriesPerDB: 10, MinRows: n, MaxRows: n}})
+	}
+	for _, n := range []int{1, 2, 3, 5} {
+		rows = append(rows, row{"Expression depth", n, core.Config{QueriesPerDB: 20, MaxExprDepth: n}})
+	}
+	for _, n := range []int{1, 10, 30, 100} {
+		rows = append(rows, row{"Queries per database", n, core.Config{QueriesPerDB: n}})
+	}
+	for _, r := range rows {
+		r.cfg.Dialect = dialect.SQLite
+		res, err := lifecycleRun(r.cfg, dbs)
+		if err != nil {
+			return nil, fmt.Errorf("ablations 3, 4 and 6: %w", err)
+		}
+		t.AddRow(r.param, r.value, fmt.Sprintf("%.0f", res.dbsPerS), fmt.Sprintf("%.0f", res.stmtsPerS), fmt.Sprintf("%.1f", res.queriesPerDB))
+	}
+	return t, nil
+}
+
+// containmentForm is ablation 5: the client-side containment check
+// against the paper's INTERSECT query form (§3.2 combines steps 6 and 7).
+func containmentForm(budget int) (*report.Table, error) {
+	t := &report.Table{
+		Title:   "Ablation 5: containment check form (client-side vs INTERSECT query)",
+		Headers: []string{"Probe fault", "Client-side row search", "INTERSECT query (paper)"},
+		Note:    fmt.Sprintf("%d databases per campaign; a cell is the detecting database. Both forms are sound; the INTERSECT form pays an extra result-set pass in the engine.", budget),
+	}
+	for _, f := range []faults.Fault{faults.PartialIndexNotNull, faults.DoubleNegation, faults.InsertVisibility} {
+		cells := []any{f}
+		for _, cfg := range []core.Config{{}, {ContainmentViaQuery: true}} {
+			r, err := hunt(f, budget, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("ablation 5: %w", err)
+			}
+			cells = append(cells, detection(r))
+		}
+		t.AddRow(cells...)
+	}
+	return t, nil
+}
+
+// negativeContainment measures the §7 extension: FALSE-rectified
+// conditions whose pivot row must be absent (anticontainment).
+func negativeContainment(budget int) (*report.Table, error) {
+	t := &report.Table{
+		Title:   "Extension (§7): negative containment checks",
+		Headers: []string{"Mode", "Detected at database", "Anticontainment"},
+		Note: "Target: sqlite.is-not-null-opt, which rewrites NOT(x IS NULL) to TRUE. It adds rows, and under a further NOT it removes them, so ordinary containment can detect it too. " +
+			"Anticontainment says whether the detecting check was a FALSE-rectified one, whose pivot row the query fetched although the condition excludes it.",
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"Containment only", core.Config{}},
+		{"With negative checks", core.Config{NegativeChecks: true}},
+	} {
+		r, err := hunt(faults.IsNotNullOpt, budget, mode.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("§7 extension: %w", err)
+		}
+		negative := "-"
+		switch {
+		case r.Detected && r.Bug.Negative:
+			negative = "yes"
+		case r.Detected:
+			negative = "no"
+		}
+		t.AddRow(mode.name, detection(r), negative)
+	}
+	return t, nil
+}
+
+// detection is a campaign's detecting database (its seed, counted from
+// BaseSeed 1, which does not depend on the worker count), or "no" with
+// the budget it exhausted.
+func detection(r runner.Result) string {
+	if !r.Detected {
+		return fmt.Sprintf("no (>%d)", r.Campaign.MaxDatabases)
+	}
+	return fmt.Sprint(r.Seed)
 }

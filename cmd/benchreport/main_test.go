@@ -98,6 +98,33 @@ func TestTable3CoversRegistryOracles(t *testing.T) {
 	}
 }
 
+// Every ablation table builds at a small budget. The one ordering checked
+// is the one any budget shows: rejection sampling discards more
+// expressions than rectification. Which faults a campaign detects within
+// a budget varies with the budget, so no detection count is compared.
+func TestAblationTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation campaigns are not short")
+	}
+	const budget = 20
+	for _, build := range ablations {
+		tbl, err := build(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) == 0 {
+			t.Errorf("%s: no rows", tbl.Title)
+		}
+	}
+	tbl, err := rejectionSampling(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rect, reject := cell(t, tbl.Rows[0], 2), cell(t, tbl.Rows[1], 2); reject <= rect {
+		t.Errorf("rejection sampling discarded %d expressions, rectification %d: want more", reject, rect)
+	}
+}
+
 func cell(t *testing.T, row []string, c int) int {
 	t.Helper()
 	n, err := strconv.Atoi(row[c])

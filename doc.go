@@ -73,7 +73,8 @@
 // See DESIGN.md "Campaign scheduler & engine lifecycle".
 //
 // cmd/benchreport regenerates every table and figure of the paper's
-// evaluation; the root package holds the benchmark harness
-// (bench_test.go) and the implementation lives under internal/ (see
+// evaluation and the design ablations; the root package holds the
+// campaign and engine-path benchmarks with their ratio tripwires
+// (bench_test.go), and the implementation lives under internal/ (see
 // DESIGN.md for the map).
 package repro

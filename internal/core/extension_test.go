@@ -91,15 +91,3 @@ func TestNegativeChecksDetectRowAddingBug(t *testing.T) {
 		t.Error("negative checks never produced an anticontainment detection")
 	}
 }
-
-func TestRectifyFalse(t *testing.T) {
-	// For every tri-value, RectifyFalse's output evaluates FALSE — the
-	// table-driven dual of TestRectify.
-	cases := []struct {
-		tb   string
-		want string
-	}{
-		{"TRUE", "NOT"}, {"FALSE", "identity"}, {"NULL", "NOTNULL"},
-	}
-	_ = cases // documented by TestNegativeChecksSoundness at scale
-}

@@ -106,16 +106,47 @@ func TestDetectsRepresentativeFaults(t *testing.T) {
 	}
 }
 
+// TestRectify checks Algorithm 3 on a bound pivot: for an expression of each
+// truth value, Rectify's output evaluates TRUE.
 func TestRectify(t *testing.T) {
-	e, _ := sqlparse.ParseExpr("c0 > 1", dialect.SQLite)
-	if got := Rectify(e, sqlval.TriTrue); got != e {
-		t.Error("TRUE expressions pass through unchanged")
-	}
-	if got, ok := Rectify(e, sqlval.TriFalse).(*sqlast.Unary); !ok || got.Op != sqlast.OpNot {
-		t.Error("FALSE expressions get NOT")
-	}
-	if got, ok := Rectify(e, sqlval.TriUnknown).(*sqlast.Unary); !ok || got.Op != sqlast.OpIsNull {
-		t.Error("NULL expressions get IS NULL")
+	checkRectifier(t, Rectify, sqlval.TriTrue)
+}
+
+// TestRectifyFalse checks the §7 dual: for an expression of each truth value,
+// RectifyFalse's output evaluates FALSE.
+func TestRectifyFalse(t *testing.T) {
+	checkRectifier(t, RectifyFalse, sqlval.TriFalse)
+}
+
+// checkRectifier rectifies a TRUE, a FALSE and a NULL expression over a bound
+// pivot row and checks that each result evaluates to want.
+func checkRectifier(t *testing.T, rectify func(sqlast.Expr, sqlval.TriBool) sqlast.Expr, want sqlval.TriBool) {
+	t.Helper()
+	ctx := interp.NewContext(dialect.SQLite)
+	ctx.Bind("t0", "c0", interp.ColInfo{Val: sqlval.Int(3)})
+	ctx.Bind("t0", "c1", interp.ColInfo{Val: sqlval.Null()})
+	for _, tc := range []struct {
+		name, expr string
+		tb         sqlval.TriBool
+	}{
+		{"true", "c0 > 1", sqlval.TriTrue},
+		{"false", "c0 > 5", sqlval.TriFalse},
+		{"null", "c0 > c1", sqlval.TriUnknown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := sqlparse.ParseExpr(tc.expr, dialect.SQLite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb, err := interp.EvalBool(e, ctx); err != nil || tb != tc.tb {
+				t.Fatalf("%s evaluates to %v (err %v), want %v", tc.expr, tb, err, tc.tb)
+			}
+			got := rectify(e, tc.tb)
+			if tb, err := interp.EvalBool(got, ctx); err != nil || tb != want {
+				t.Errorf("rectified %s = %s evaluates to %v (err %v), want %v",
+					tc.expr, sqlast.ExprSQL(got, dialect.SQLite), tb, err, want)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -330,6 +332,45 @@ func TestSimVFSCrashModes(t *testing.T) {
 		want[1] = 1 << 3
 		if !bytes.Equal(got, want) {
 			t.Fatalf("after BitFlip crash got %v, want %v", got, want)
+		}
+	})
+
+	// An unsynced truncate shrinks the file under bytes salvaged before
+	// it: the flip must land inside the surviving content, never past its
+	// end. Each row writes 100 bytes of 1s, truncates to 10 and writes 10
+	// bytes of 2s at off; want is the surviving content before the flip.
+	t.Run("bitflip-after-shrinking-truncate", func(t *testing.T) {
+		ones, twos := bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 10)
+		for _, tc := range []struct {
+			name   string
+			off    int64
+			frac   float64
+			bitOff int
+			want   []byte
+		}{
+			{"whole-tail", 10, 1.0, 200, slices.Concat(ones[:10], twos)},
+			// 105 of 110 bytes survive: the second write is torn after 5.
+			{"torn-tail", 50, 105.0 / 110, 456, slices.Concat(ones[:10], make([]byte, 40), twos[:5])},
+		} {
+			sim := NewSim(newMemVFS())
+			f, _ := sim.Open("f")
+			write(t, f, ones, 0)
+			if err := f.Truncate(10); err != nil {
+				t.Fatal(err)
+			}
+			write(t, f, twos, tc.off)
+			sim.Crash(BitFlip, tc.frac, tc.bitOff)
+			got := read(t, sim, "f")
+			if len(got) != len(tc.want) {
+				t.Fatalf("%s: after BitFlip crash the file is %d bytes, want %d", tc.name, len(got), len(tc.want))
+			}
+			flipped := 0
+			for i := range got {
+				flipped += bits.OnesCount8(got[i] ^ tc.want[i])
+			}
+			if flipped != 1 {
+				t.Fatalf("%s: %d bits differ from the surviving content, want 1: %v", tc.name, flipped, got)
+			}
 		}
 	})
 

@@ -205,7 +205,7 @@ type simFile struct {
 	ops    []writeOp
 	closed bool
 
-	salvaged []byte // crash's scratch: the salvaged bytes in write order
+	segs []writeOp // crash's scratch: the salvaged segments in write order
 }
 
 func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
@@ -314,8 +314,8 @@ func (f *simFile) Close() error {
 func (f *simFile) handOver(to *simFile) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	to.buf, to.ops, to.salvaged = f.buf[:0], f.ops[:0], f.salvaged[:0]
-	f.buf, f.ops, f.salvaged = nil, nil, nil
+	to.buf, to.ops, to.segs = f.buf[:0], f.ops[:0], f.segs[:0]
+	f.buf, f.ops, f.segs = nil, nil, nil
 }
 
 // crash resolves the unsynced tail per mode and makes the result the
@@ -337,12 +337,23 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 
 	// Rebuild durable content: base file as-is, plus the salvaged prefix
 	// of the unsynced ops. A partially-salvaged write persists its prefix
-	// (the torn write).
-	flipped := f.salvaged[:0] // salvaged byte region, for the bit flip
+	// (the torn write). segs records where each salvaged byte sits in the
+	// file, so the bit flip below lands on one of them.
+	segs := f.segs[:0]
 	for _, op := range f.ops {
 		if op.size < 0 {
 			if salvage > 0 {
-				f.base.Truncate(-op.size - 1)
+				size := -op.size - 1
+				f.base.Truncate(size)
+				// Salvaged bytes past the new end are gone from the file.
+				kept := segs[:0]
+				for _, s := range segs {
+					if s.off < size {
+						s.size = min(s.size, size-s.off)
+						kept = append(kept, s)
+					}
+				}
+				segs = kept
 			}
 			continue
 		}
@@ -355,24 +366,32 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 			end = int64(len(f.buf))
 		}
 		if end > op.off {
-			seg := f.buf[op.off:end]
-			f.base.WriteAt(seg, op.off)
-			flipped = append(flipped, seg...)
+			f.base.WriteAt(f.buf[op.off:end], op.off)
+			segs = append(segs, writeOp{off: op.off, size: end - op.off})
 		}
 		salvage -= n
 	}
-	if mode == BitFlip && len(flipped) > 0 {
-		i := bitOff / 8 % len(flipped)
-		var b [1]byte
-		b[0] = flipped[i] ^ (1 << (bitOff % 8))
-		// Locate the byte's file offset: it sits inside one of the
-		// salvaged segments; recompute by walking the ops again.
-		off := f.locateSalvaged(i)
-		if off >= 0 {
-			f.base.WriteAt(b[:], off)
+	if mode == BitFlip {
+		var total int64
+		for _, s := range segs {
+			total += s.size
+		}
+		if total > 0 {
+			// The i-th salvaged byte, counted in write order. Every
+			// segment was written from buf, the final content, so buf
+			// holds the byte the file holds there.
+			i := int64(bitOff/8) % total
+			for _, s := range segs {
+				if i < s.size {
+					b := [1]byte{f.buf[s.off+i] ^ (1 << (bitOff % 8))}
+					f.base.WriteAt(b[:], s.off+i)
+					break
+				}
+				i -= s.size
+			}
 		}
 	}
-	f.salvaged = flipped
+	f.segs = segs
 	f.base.Sync()
 	f.ops = f.ops[:0]
 	// Reload the durable content as the new logical content, into the
@@ -385,22 +404,4 @@ func (f *simFile) crash(mode CrashMode, frac float64, bitOff int) {
 	if size > 0 {
 		f.base.ReadAt(f.buf, 0)
 	}
-}
-
-// locateSalvaged maps the i-th salvaged byte back to its file offset.
-func (f *simFile) locateSalvaged(i int) int64 {
-	seen := 0
-	for _, op := range f.ops {
-		if op.size <= 0 {
-			continue
-		}
-		if i < seen+int(op.size) {
-			return op.off + int64(i-seen)
-		}
-		seen += int(op.size)
-	}
-	// Unreachable while i indexes the salvaged bytes: they are a prefix
-	// of the positive-size ops walked above (crash calls this before it
-	// clears ops).
-	return -1
 }
