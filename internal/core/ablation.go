@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"repro/internal/eval"
 	"repro/internal/interp"
 	"repro/internal/sqlval"
@@ -26,26 +24,9 @@ type ctxEnv struct {
 	ctx *interp.Context
 }
 
-func (c *ctxEnv) find(table, column string) (interp.ColInfo, bool) {
-	if table != "" {
-		ci, ok := c.ctx.Cols[strings.ToLower(table)+"."+strings.ToLower(column)]
-		return ci, ok
-	}
-	suffix := "." + strings.ToLower(column)
-	var found interp.ColInfo
-	n := 0
-	for k, ci := range c.ctx.Cols {
-		if strings.HasSuffix(k, suffix) {
-			found = ci
-			n++
-		}
-	}
-	return found, n == 1
-}
-
 // ColumnValue implements eval.Env.
 func (c *ctxEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
-	ci, ok := c.find(table, column)
+	ci, ok := c.ctx.Lookup(table, column)
 	if !ok {
 		return sqlval.Null(), false
 	}
@@ -54,7 +35,7 @@ func (c *ctxEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
 
 // ColumnMeta implements eval.Env.
 func (c *ctxEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
-	ci, ok := c.find(table, column)
+	ci, ok := c.ctx.Lookup(table, column)
 	if !ok {
 		return eval.Meta{}, false
 	}

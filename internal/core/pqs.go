@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dialect"
@@ -129,6 +130,15 @@ func (s *Stats) Add(o *Stats) {
 }
 
 // Tester runs PQS against fresh engine instances.
+//
+// A Tester reuses its pivot-iteration memory: the interpreter context, the
+// pivot list, the generator's column and hint pools, the pivot query's
+// Select scaffold (its clause slices), the expected tuple and the
+// plain-column marks are all overwritten by the next pivot iteration. So a
+// pivot query's AST and scaffold live until the next iteration; a
+// detection renders its trace at once and copies Expected, so nothing a
+// Bug keeps aliases tester memory. Column references are built once per
+// database (snapshotPivotSources) and shared by every query on it.
 type Tester struct {
 	cfg   Config
 	rnd   *gen.Rand
@@ -140,11 +150,18 @@ type Tester struct {
 	meta    oracle.Oracle
 	metaErr error
 
-	// colsBuf/hintsBuf are bindPivot scratch reused across the pivot
-	// iterations of a lifecycle (a Tester is single-threaded; nothing
-	// retains these past one iteration).
-	colsBuf  []gen.ColumnPick
-	hintsBuf []sqlval.Value
+	// Pivot-iteration scratch (see the lifetime rule above). A Tester is
+	// single-threaded, so one set serves every iteration.
+	snapBuf   []pivotSource
+	pivots    []pivotRow
+	ctx       interp.Context
+	colsBuf   []gen.ColumnPick
+	hintsBuf  []sqlval.Value
+	sel       sqlast.Select
+	expected  []sqlval.Value
+	plainCols []bool
+	joinCands []joinCand
+	joinNodes joinScratch
 }
 
 // NewTester creates a tester.
@@ -294,7 +311,7 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 	// executes only SELECTs, so schema and stored rows are constant and
 	// re-introspecting (copying every row) on each of the QueriesPerDB
 	// iterations would be pure overhead.
-	snap := snapshotPivotSources(db.Introspect())
+	snap := t.snapshotPivotSources(db.Introspect())
 
 	for q := 0; q < t.cfg.QueriesPerDB; q++ {
 		bug, err := t.pivotIteration(db, snap, sg, tr)
@@ -313,7 +330,7 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 // one-shot form behind the registered "pqs" oracle and dbshell's .oracle
 // meta command.
 func (t *Tester) CheckPivot(db sut.DB) (*Bug, error) {
-	snap := snapshotPivotSources(db.Introspect())
+	snap := t.snapshotPivotSources(db.Introspect())
 	if len(snap) == 0 {
 		return nil, nil
 	}
@@ -323,16 +340,21 @@ func (t *Tester) CheckPivot(db sut.DB) (*Bug, error) {
 }
 
 // pivotSource is one table's cached introspection for a database
-// lifecycle: name, schema, and ground-truth rows.
+// lifecycle: name, schema, ground-truth rows, and per column the
+// interpreter metadata (collation, affinity, signedness; Val left NULL)
+// and one reference node that every query on the database shares.
 type pivotSource struct {
 	table string
 	info  schema.TableInfo
 	rows  [][]sqlval.Value
+	meta  []interp.ColInfo
+	refs  []*sqlast.ColumnRef
 }
 
-// snapshotPivotSources captures every non-empty table's pivot material.
-func snapshotPivotSources(intro sut.Introspection) []pivotSource {
-	var out []pivotSource
+// snapshotPivotSources captures every non-empty table's pivot material
+// into the tester's snapshot buffer.
+func (t *Tester) snapshotPivotSources(intro sut.Introspection) []pivotSource {
+	out := t.snapBuf[:0]
 	for _, tn := range intro.Tables() {
 		rows := intro.RawRows(tn)
 		if len(rows) == 0 {
@@ -342,37 +364,41 @@ func snapshotPivotSources(intro sut.Introspection) []pivotSource {
 		if err != nil {
 			continue
 		}
-		out = append(out, pivotSource{table: tn, info: info, rows: rows})
+		meta := make([]interp.ColInfo, len(info.Columns))
+		nodes := make([]sqlast.ColumnRef, len(info.Columns))
+		refs := make([]*sqlast.ColumnRef, len(info.Columns))
+		for i, col := range info.Columns {
+			coll, _ := sqlval.ParseCollation(col.Collate)
+			meta[i] = interp.ColInfo{Coll: coll, Affinity: sqlval.AffinityOf(col.TypeName), Unsigned: col.Unsigned}
+			nodes[i] = sqlast.ColumnRef{Table: tn, Column: col.Name}
+			refs[i] = &nodes[i]
+		}
+		out = append(out, pivotSource{table: tn, info: info, rows: rows, meta: meta, refs: refs})
 	}
+	t.snapBuf = out
 	return out
 }
 
-// pivotRow is one table's pivot selection. rows and rowIdx keep the full
-// scan-order snapshot and the pivot's position in it, so buildQuery can
-// compute the pivot's exact ORDER BY rank for position-tight LIMITs.
+// pivotRow is one table's pivot selection: its source (whose rows keep
+// the full scan-order snapshot), the pivot's values and its position in
+// the snapshot, so buildQuery can compute the pivot's exact ORDER BY rank
+// for position-tight LIMITs.
 type pivotRow struct {
-	table  string
-	info   schema.TableInfo
+	*pivotSource
 	vals   []sqlval.Value
-	rows   [][]sqlval.Value
 	rowIdx int
 }
 
 // pivotIteration runs steps 2–7 once.
 func (t *Tester) pivotIteration(db sut.DB, snap []pivotSource, sg *gen.StateGen, tr *trace) (*Bug, error) {
-	intro := db.Introspect()
 	// Step 2: select a pivot row from each table.
-	pivots := make([]pivotRow, 0, len(snap))
-	for _, src := range snap {
+	pivots := t.pivots[:0]
+	for i := range snap {
+		src := &snap[i]
 		ri := t.rnd.Intn(len(src.rows))
-		pivots = append(pivots, pivotRow{
-			table:  src.table,
-			info:   src.info,
-			vals:   src.rows[ri],
-			rows:   src.rows,
-			rowIdx: ri,
-		})
+		pivots = append(pivots, pivotRow{pivotSource: src, vals: src.rows[ri], rowIdx: ri})
 	}
+	t.pivots = pivots
 	if len(pivots) == 0 {
 		return nil, nil
 	}
@@ -382,25 +408,25 @@ func (t *Tester) pivotIteration(db sut.DB, snap []pivotSource, sg *gen.StateGen,
 		pivots = pivots[:len(pivots)-1]
 	}
 
-	ctx, cols, hints := t.bindPivot(intro, pivots, sg)
+	ctx, cols, hints := t.bindPivot(db.Introspect(), pivots, sg)
+	// One generator serves every condition and result expression of the
+	// iteration, so its per-category column grouping is built once.
+	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
 
 	// §7 extension: occasionally check the dual property — a FALSE
 	// condition must NOT fetch the pivot row.
 	if t.cfg.NegativeChecks && t.rnd.Bool(0.3) {
-		return t.negativeIteration(db, pivots, ctx, cols, hints, tr)
+		return t.negativeIteration(db, pivots, ctx, eg, tr)
 	}
 
 	// Steps 3–4: generate and rectify conditions.
-	where, ok := t.rectifiedCondition(ctx, cols, hints)
+	where, ok := t.rectifiedCondition(ctx, eg)
 	if !ok {
 		return nil, nil
 	}
 
 	// Step 5: synthesize the query.
-	sel, expected, err := t.buildQuery(ctx, pivots, cols, hints, where)
-	if err != nil || sel == nil {
-		return nil, err
-	}
+	sel, expected := t.buildQuery(ctx, pivots, eg, where)
 
 	// Step 6+7 combined (§3.2): either run the query and search the
 	// result client-side, or wrap it in the paper's INTERSECT form where
@@ -439,23 +465,43 @@ func (t *Tester) pivotIteration(db sut.DB, snap []pivotSource, sg *gen.StateGen,
 		contained = len(res.Rows) > 0
 	}
 	if !contained {
-		pt := map[string][]sqlval.Value{}
-		for _, p := range pivots {
-			pt[p.table] = p.vals
-		}
 		return &Bug{
 			Oracle:      faults.OracleContainment,
 			DetectedBy:  "pqs",
 			Message:     fmt.Sprintf("pivot row %s not contained in result set (%d rows)", tupleString(expected), len(res.Rows)),
 			Trace:       tr.render(),
-			Expected:    expected,
-			PivotTables: pt,
+			Expected:    slices.Clone(expected),
+			PivotTables: pivotTables(pivots),
 		}, nil
 	}
 	// Keep the trace bounded: successful pivot queries don't help
 	// reproduce later bugs.
 	tr.pop()
 	return nil, nil
+}
+
+// pivotTables maps each pivot table to its pivot row, for a detection.
+func pivotTables(pivots []pivotRow) map[string][]sqlval.Value {
+	pt := make(map[string][]sqlval.Value, len(pivots))
+	for _, p := range pivots {
+		pt[p.table] = p.vals
+	}
+	return pt
+}
+
+// resetSelect empties the tester's Select scaffold for a new pivot query,
+// keeping its clause slices' memory.
+func (t *Tester) resetSelect(where sqlast.Expr) *sqlast.Select {
+	sel := &t.sel
+	*sel = sqlast.Select{
+		Cols:    sel.Cols[:0],
+		From:    sel.From[:0],
+		Joins:   sel.Joins[:0],
+		Where:   where,
+		GroupBy: sel.GroupBy[:0],
+		OrderBy: sel.OrderBy[:0],
+	}
+	return sel
 }
 
 // intersectForm wraps a pivot query in the paper's containment idiom:
@@ -475,8 +521,8 @@ func intersectForm(sel *sqlast.Select, expected []sqlval.Value) *sqlast.Compound
 // negativeIteration generates a FALSE-rectified condition and verifies the
 // pivot row is absent from the result (§7: "we could also generate
 // conditions and check that the pivot row is not contained").
-func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value, tr *trace) (*Bug, error) {
-	where, ok := t.falsifiedCondition(ctx, cols, hints)
+func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Context, eg *gen.ExprGen, tr *trace) (*Bug, error) {
+	where, ok := t.falsifiedCondition(ctx, eg)
 	if !ok {
 		return nil, nil
 	}
@@ -484,22 +530,20 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 	// with the condition referencing only these tables' columns, any
 	// combo whose tuple equals the pivot tuple evaluates the condition
 	// identically, so presence of the tuple is exactly the violation.
-	sel := &sqlast.Select{Where: where}
-	var expected []sqlval.Value
+	sel := t.resetSelect(where)
+	expected := t.expected[:0]
 	for _, p := range pivots {
-		for ci, col := range p.info.Columns {
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: sqlast.Col(p.table, col.Name)})
+		for ci := range p.info.Columns {
+			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.refs[ci]})
 			var v sqlval.Value
 			if ci < len(p.vals) {
 				v = p.vals[ci]
 			}
 			expected = append(expected, v)
 		}
-	}
-	sel.From = []sqlast.TableRef{{Name: pivots[0].table}}
-	for _, p := range pivots[1:] {
 		sel.From = append(sel.From, sqlast.TableRef{Name: p.table})
 	}
+	t.expected = expected
 
 	tr.add(sel)
 	t.stats.Statements++
@@ -523,17 +567,13 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 		}
 	}
 	if oracle.Containment(res.Rows, expected) {
-		pt := map[string][]sqlval.Value{}
-		for _, p := range pivots {
-			pt[p.table] = p.vals
-		}
 		return &Bug{
 			Oracle:      faults.OracleContainment,
 			DetectedBy:  "pqs",
 			Message:     fmt.Sprintf("pivot row %s contained despite FALSE condition (%d rows)", tupleString(expected), len(res.Rows)),
 			Trace:       tr.render(),
-			Expected:    expected,
-			PivotTables: pt,
+			Expected:    slices.Clone(expected),
+			PivotTables: pivotTables(pivots),
 			Negative:    true,
 		}, nil
 	}
@@ -543,8 +583,7 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 
 // falsifiedCondition is the dual of rectifiedCondition: the generated
 // expression is modified to evaluate FALSE on the pivot row.
-func (t *Tester) falsifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
-	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
+func (t *Tester) falsifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
 		tb, err := t.evalBool(expr, ctx)
@@ -594,27 +633,22 @@ func tupleString(vals []sqlval.Value) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// bindPivot builds the oracle interpreter context and the generator's
-// column/hint pools.
+// bindPivot binds the pivot row into the tester's interpreter context and
+// fills the generator's column/hint pools.
 func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.StateGen) (*interp.Context, []gen.ColumnPick, []sqlval.Value) {
-	ctx := interp.NewContext(t.cfg.Dialect)
+	ctx := &t.ctx
+	ctx.Reset(t.cfg.Dialect)
 	ctx.CaseSensitiveLike = intro.CaseSensitiveLike()
 	cols := t.colsBuf[:0]
 	hints := t.hintsBuf[:0]
 	for _, p := range pivots {
+		bindRowValues(ctx, p, p.vals)
 		for ci, col := range p.info.Columns {
-			coll, _ := sqlval.ParseCollation(col.Collate)
 			var v sqlval.Value
 			if ci < len(p.vals) {
 				v = p.vals[ci]
 			}
-			ctx.Bind(p.table, col.Name, interp.ColInfo{
-				Val:      v,
-				Coll:     coll,
-				Affinity: sqlval.AffinityOf(col.TypeName),
-				Unsigned: col.Unsigned,
-			})
-			cols = append(cols, gen.ColumnPick{Table: p.table, Column: col})
+			cols = append(cols, gen.ColumnPick{Table: p.table, Column: col, Ref: p.refs[ci]})
 			hints = append(hints, v)
 		}
 	}
@@ -640,8 +674,7 @@ func (t *Tester) evalBool(expr sqlast.Expr, ctx *interp.Context) (sqlval.TriBool
 
 // rectifiedCondition implements steps 3–4: generate a random expression,
 // evaluate it on the pivot row, and modify it to yield TRUE (Algorithm 3).
-func (t *Tester) rectifiedCondition(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value) (sqlast.Expr, bool) {
-	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
+func (t *Tester) rectifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
 		tb, err := t.evalBool(expr, ctx)
@@ -695,25 +728,24 @@ func Rectify(expr sqlast.Expr, tb sqlval.TriBool) sqlast.Expr {
 
 // buildQuery implements step 5: a SELECT over the pivot tables whose WHERE
 // (and JOIN) conditions are rectified-TRUE expressions, with random
-// keywords (DISTINCT, ORDER BY, LIMIT, GROUP BY).
-func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.ColumnPick, hints []sqlval.Value, where sqlast.Expr) (*sqlast.Select, []sqlval.Value, error) {
-	sel := &sqlast.Select{Where: where}
-	nCols := 0
-	for _, p := range pivots {
-		nCols += len(p.info.Columns)
-	}
-	sel.Cols = make([]sqlast.ResultCol, 0, nCols)
-	expected := make([]sqlval.Value, 0, nCols)
+// keywords (DISTINCT, ORDER BY, LIMIT, GROUP BY). The query and its
+// expected tuple live in the tester's scaffold until the next iteration.
+func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.ExprGen, where sqlast.Expr) (*sqlast.Select, []sqlval.Value) {
+	sel := t.resetSelect(where)
+	expected := t.expected[:0]
 
 	// Result columns: every pivot table column, occasionally replaced by
 	// a random expression on columns (§3.4 extension).
-	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
 	// plainCols marks the first pivot table's columns emitted as plain
 	// references — the only legal sort keys for the position-tight ORDER
 	// BY shape below (ORDER BY must match a result column).
-	plainCols := make([]bool, len(pivots[0].info.Columns))
+	plainCols := t.plainCols[:0]
+	for range pivots[0].info.Columns {
+		plainCols = append(plainCols, false)
+	}
+	t.plainCols = plainCols
 	for pi, p := range pivots {
-		for ci, col := range p.info.Columns {
+		for ci := range p.info.Columns {
 			if t.rnd.Bool(0.15) {
 				expr := eg.GenerateValueExpr()
 				v, err := t.evalValue(expr, ctx)
@@ -724,7 +756,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.C
 				}
 				t.stats.Discarded++
 			}
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: sqlast.Col(p.table, col.Name)})
+			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.refs[ci]})
 			if pi == 0 {
 				plainCols[ci] = true
 			}
@@ -735,22 +767,26 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.C
 			expected = append(expected, v)
 		}
 	}
+	t.expected = expected
 
 	// FROM and JOIN clauses. With multiple tables, sometimes express one
 	// as JOIN ... ON <rectified-TRUE condition>, preferring plain
 	// column-equality ON conditions that hold on the pivot pair — the
-	// shape the planner turns into hash or index-lookup joins.
-	sel.From = []sqlast.TableRef{{Name: pivots[0].table}}
-	placed := map[string]bool{pivots[0].table: true}
+	// shape the planner turns into hash or index-lookup joins. The tables
+	// placed before a join are exactly the earlier pivots, whose columns
+	// lead eg.Cols.
+	sel.From = append(sel.From, sqlast.TableRef{Name: pivots[0].table})
+	placed := len(pivots[0].info.Columns)
 	for _, p := range pivots[1:] {
+		joined := placed + len(p.info.Columns)
 		if t.rnd.Bool(0.3) {
 			var on sqlast.Expr
 			ok := false
 			if t.rnd.Bool(0.6) {
-				on, ok = t.equiJoinOn(ctx, cols, hints, placed, p.table)
+				on, ok = t.equiJoinOn(ctx, eg, placed, joined)
 			}
 			if !ok {
-				on, ok = t.rectifiedCondition(ctx, cols, hints)
+				on, ok = t.rectifiedCondition(ctx, eg)
 			}
 			if !ok {
 				on = sqlast.Lit(trueLiteral(t.cfg.Dialect))
@@ -766,11 +802,10 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.C
 				Table: sqlast.TableRef{Name: p.table},
 				On:    on,
 			})
-			placed[p.table] = true
-			continue
+		} else {
+			sel.From = append(sel.From, sqlast.TableRef{Name: p.table})
 		}
-		sel.From = append(sel.From, sqlast.TableRef{Name: p.table})
-		placed[p.table] = true
+		placed = joined
 	}
 
 	// Random query keywords (step 5: "we randomly select appropriate
@@ -784,7 +819,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.C
 	if t.cfg.Dialect != dialect.Postgres &&
 		len(pivots) == 1 && len(sel.Joins) == 0 && t.rnd.Bool(0.2) &&
 		t.exactPositionOrder(sel, pivots[0], plainCols, ctx) {
-		return sel, expected, nil
+		return sel, expected
 	}
 	switch {
 	case (t.cfg.Dialect == dialect.Postgres || t.cfg.Dialect == dialect.SQLite) && t.rnd.Bool(0.25):
@@ -802,15 +837,19 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, cols []gen.C
 	}
 	if t.rnd.Bool(0.25) {
 		rc := sel.Cols[t.rnd.Intn(len(sel.Cols))]
-		sel.OrderBy = []sqlast.OrderItem{{X: rc.X, Desc: t.rnd.Bool(0.5)}}
+		sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: rc.X, Desc: t.rnd.Bool(0.5)})
 		if t.rnd.Bool(0.5) {
 			// A LIMIT at least as large as any possible result set never
 			// excludes the pivot row.
-			sel.Limit = sqlast.Lit(sqlval.Int(1_000_000))
+			sel.Limit = limitAll
 		}
 	}
-	return sel, expected, nil
+	return sel, expected
 }
+
+// limitAll is the LIMIT no generated result set reaches, one node shared
+// by every query (statements are never mutated).
+var limitAll = sqlast.Lit(sqlval.Int(1_000_000))
 
 // exactPositionOrder rewrites a single-table pivot query into the
 // position-tight ORDER BY + LIMIT shape: the sort key is one plain result
@@ -894,7 +933,7 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 			pos++
 		}
 	}
-	sel.OrderBy = []sqlast.OrderItem{{X: sqlast.Col(p.table, p.info.Columns[ci].Name), Desc: desc}}
+	sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: p.refs[ci], Desc: desc})
 	off := 0
 	if pos > 1 && t.rnd.Bool(0.4) {
 		off = t.rnd.Intn(pos)
@@ -906,86 +945,104 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 	return true
 }
 
-// bindRowValues rebinds one table's column values in the interpreter
-// context to a different snapshot row (collation/affinity metadata is
-// recomputed the way bindPivot does).
+// bindRowValues binds one table's columns in the interpreter context to
+// a snapshot row, with the source's column metadata.
 func bindRowValues(ctx *interp.Context, p pivotRow, row []sqlval.Value) {
 	for ci, col := range p.info.Columns {
-		coll, _ := sqlval.ParseCollation(col.Collate)
-		var v sqlval.Value
+		info := p.meta[ci]
 		if ci < len(row) {
-			v = row[ci]
+			info.Val = row[ci]
 		}
-		ctx.Bind(p.table, col.Name, interp.ColInfo{
-			Val:      v,
-			Coll:     coll,
-			Affinity: sqlval.AffinityOf(col.TypeName),
-			Unsigned: col.Unsigned,
-		})
+		ctx.Bind(p.table, col.Name, info)
 	}
 }
 
 // equiJoinOn builds a `placed.a = joining.b` ON condition that evaluates
 // TRUE on the pivot pair, so the pivot combo stays matched and containment
-// holds. On SQLite it prefers text pairs that are equal only under NOCASE
-// or RTRIM and pins that collation explicitly — exactly the keys a
-// collation-blind hash-join key builder mishandles. Returns false when no
-// pivot-true equality exists between the placed tables and the one being
-// joined.
-func (t *Tester) equiJoinOn(ctx *interp.Context, cols []gen.ColumnPick, hints []sqlval.Value, placed map[string]bool, joining string) (sqlast.Expr, bool) {
+// holds. The placed tables' columns are eg.Cols[:placed] and the joining
+// table's eg.Cols[placed:joined]. On SQLite it prefers text pairs that are
+// equal only under NOCASE or RTRIM and pins that collation explicitly —
+// exactly the keys a collation-blind hash-join key builder mishandles.
+// Returns false when no pivot-true equality exists between the placed
+// tables and the one being joined. Candidates are evaluated on the
+// tester's scratch nodes; only the chosen one is built.
+func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined int) (sqlast.Expr, bool) {
+	cols, hints := eg.Cols, eg.Hints
 	if len(hints) < len(cols) {
 		return nil, false
 	}
-	type cand struct {
-		x       sqlast.Expr
-		variant bool // equal only under an explicit non-binary collation
-	}
-	var cands []cand
-	for i, ca := range cols {
-		if !placed[ca.Table] {
-			continue
-		}
-		for j, cb := range cols {
-			if cb.Table != joining {
-				continue
-			}
-			l := sqlast.Col(ca.Table, ca.Column.Name)
-			var r sqlast.Expr = sqlast.Col(cb.Table, cb.Column.Name)
-			variant := false
+	cands, variants := t.joinCands[:0], 0
+	for i := range cols[:placed] {
+		for j := placed; j < joined; j++ {
+			c := joinCand{l: i, r: j}
 			va, vb := hints[i], hints[j]
 			if t.cfg.Dialect == dialect.SQLite &&
 				va.Kind() == sqlval.KText && vb.Kind() == sqlval.KText && va.Str() != vb.Str() {
 				switch a, b := va.Str(), vb.Str(); {
 				case strings.EqualFold(a, b):
-					r = &sqlast.Collate{X: r, Coll: sqlval.CollNoCase}
-					variant = true
+					c.coll, c.variant = sqlval.CollNoCase, true
 				case strings.TrimRight(a, " ") == strings.TrimRight(b, " "):
-					r = &sqlast.Collate{X: r, Coll: sqlval.CollRTrim}
-					variant = true
+					c.coll, c.variant = sqlval.CollRTrim, true
 				}
 			}
-			x := &sqlast.Binary{Op: sqlast.OpEq, L: l, R: r}
+			x := c.build(cols, &t.joinNodes)
 			if tb, err := t.evalBool(x, ctx); err != nil || tb != sqlval.TriTrue {
 				continue
 			}
-			cands = append(cands, cand{x: x, variant: variant})
+			cands = append(cands, c)
+			if c.variant {
+				variants++
+			}
 		}
 	}
+	t.joinCands = cands
 	if len(cands) == 0 {
 		return nil, false
 	}
 	// Collation-variant keys are the interesting ones; take one when found.
-	var variants []cand
+	if variants == 0 {
+		return cands[t.rnd.Intn(len(cands))].build(cols, nil), true
+	}
+	k := t.rnd.Intn(variants)
 	for _, c := range cands {
 		if c.variant {
-			variants = append(variants, c)
+			if k == 0 {
+				return c.build(cols, nil), true
+			}
+			k--
 		}
 	}
-	pool := cands
-	if len(variants) > 0 {
-		pool = variants
+	panic("unreachable")
+}
+
+// joinCand is one candidate equality of equiJoinOn: eg.Cols[l] = eg.Cols[r],
+// the right side under an explicit collation when variant (equal only
+// under a non-binary collation).
+type joinCand struct {
+	l, r    int
+	coll    sqlval.Collation
+	variant bool
+}
+
+// joinScratch holds the nodes equiJoinOn evaluates candidates on.
+type joinScratch struct {
+	eq   sqlast.Binary
+	coll sqlast.Collate
+}
+
+// build returns the candidate's ON condition: in the scratch nodes when
+// given, else in new nodes.
+func (c joinCand) build(cols []gen.ColumnPick, s *joinScratch) sqlast.Expr {
+	if s == nil {
+		s = &joinScratch{}
 	}
-	return pool[t.rnd.Intn(len(pool))].x, true
+	var r sqlast.Expr = cols[c.r].Ref
+	if c.variant {
+		s.coll = sqlast.Collate{X: r, Coll: c.coll}
+		r = &s.coll
+	}
+	s.eq = sqlast.Binary{Op: sqlast.OpEq, L: cols[c.l].Ref, R: r}
+	return &s.eq
 }
 
 func trueLiteral(d dialect.Dialect) sqlval.Value {

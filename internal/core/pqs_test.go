@@ -173,8 +173,9 @@ func TestRectifiedAlwaysTrue(t *testing.T) {
 				Column: schema.ColumnInfo{Name: n, TypeName: types[i]},
 			})
 		}
+		eg := &gen.ExprGen{Rnd: tester.rnd, Cols: cols, Hints: pivotVals, ColValues: pivotVals, MaxDepth: tester.cfg.MaxExprDepth}
 		for i := 0; i < 500; i++ {
-			expr, ok := tester.rectifiedCondition(ctx, cols, pivotVals)
+			expr, ok := tester.rectifiedCondition(ctx, eg)
 			if !ok {
 				continue
 			}

@@ -141,6 +141,30 @@ type stmtMem struct {
 	// key is the normalized-key scratch of one grouping or DISTINCT pass
 	// at a time, reused across statements.
 	key []byte
+	// distinct is the hashed DISTINCT pass's bucket index (key hash → 1 +
+	// the bucket's first kept row), reused across statements.
+	distinct map[uint64]int32
+}
+
+// distinctRetain caps the buckets an idle DISTINCT index keeps: a Go map
+// never shrinks, so one huge DISTINCT would otherwise pin its buckets for
+// the engine's lifetime.
+const distinctRetain = 1 << 12
+
+// distinctBuckets returns the DISTINCT bucket index, empty.
+func (m *stmtMem) distinctBuckets() map[uint64]int32 {
+	if m.distinct == nil {
+		m.distinct = make(map[uint64]int32)
+	}
+	clear(m.distinct)
+	return m.distinct
+}
+
+// shedDistinct drops a DISTINCT bucket index grown past the idle cap.
+func (m *stmtMem) shedDistinct() {
+	if len(m.distinct) > distinctRetain {
+		m.distinct = nil
+	}
 }
 
 // stmtMark is a mark over every statement slab.

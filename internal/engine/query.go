@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -1074,12 +1075,16 @@ func rowsEqual(a, b []sqlval.Value, coll sqlval.Collation) bool {
 }
 
 // distinctHashed is the binary-collation DISTINCT fast path. Rows bucket
-// by their normalized group keys (appendAggKey): Compare-equal rows always
-// share a key, so bucket equality is a prefilter and rowsEqual the verdict.
-// A bucket is a chain through the kept rows: buckets holds 1 + the index
-// in out of its first row, next the index of each row's successor.
+// by the maphash of their normalized group keys (appendAggKey):
+// Compare-equal rows always share a key and so a hash, so bucket equality
+// is a prefilter and rowsEqual the verdict — a hash collision only
+// lengthens a chain. A bucket is a chain through the kept rows: the
+// bucket index holds 1 + the index in out of its first row, next the
+// index of each row's successor. Output keeps input order, so the
+// per-process hash seed cannot change a result.
 func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
-	buckets := make(map[string]int32, len(rows))
+	buckets := e.mem.distinctBuckets()
+	defer e.mem.shedDistinct()
 	next := e.mem.slots.alloc(len(rows))
 	out := e.mem.resRows.carve(len(rows))
 	key := e.mem.key
@@ -1088,8 +1093,9 @@ func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
 		for _, v := range row {
 			key = append(appendAggKey(key, v), 0)
 		}
+		h := maphash.Bytes(distinctSeed, key)
 		dup, last := false, int32(0)
-		for i := buckets[string(key)]; i != 0; i = next[i-1] {
+		for i := buckets[h]; i != 0; i = next[i-1] {
 			if rowsEqual(row, out[i-1], sqlval.CollBinary) {
 				dup = true
 				break
@@ -1101,7 +1107,7 @@ func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
 		}
 		out = append(out, row)
 		if last == 0 {
-			buckets[string(key)] = int32(len(out))
+			buckets[h] = int32(len(out))
 		} else {
 			next[last-1] = int32(len(out))
 		}
@@ -1109,6 +1115,9 @@ func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
 	e.mem.key = key
 	return e.mem.resRows.fit(out)
 }
+
+// distinctSeed seeds the DISTINCT bucket hash.
+var distinctSeed = maphash.MakeSeed()
 
 // resolveOrderKeys maps ORDER BY expressions onto output-column indexes by
 // rendered SQL (or positionally through star expansions), shared by the

@@ -12,6 +12,18 @@ import (
 type ColumnPick struct {
 	Table  string
 	Column schema.ColumnInfo
+	// Ref, when set, is a prebuilt reference to Table.Column that every
+	// generated use of the column shares instead of building its own (the
+	// engine never mutates a statement, so one node can appear anywhere).
+	Ref *sqlast.ColumnRef
+}
+
+// ref returns the column's reference node: the shared Ref, or a new one.
+func (c ColumnPick) ref() *sqlast.ColumnRef {
+	if c.Ref != nil {
+		return c.Ref
+	}
+	return sqlast.Col(c.Table, c.Column.Name)
 }
 
 // ExprGen generates random expression ASTs over a schema (Algorithm 1 of
@@ -64,17 +76,30 @@ func (eg *ExprGen) Generate() sqlast.Expr {
 func (eg *ExprGen) simpleComparison() sqlast.Expr {
 	c := eg.Cols[eg.Rnd.Intn(len(eg.Cols))]
 	if eg.Rnd.D == dialect.SQLite && eg.Rnd.Bool(0.5) {
-		var interesting []ColumnPick
+		interesting := func(cand ColumnPick) bool {
+			return (cand.Column.Collate != "" && cand.Column.Collate != "BINARY") || cand.Column.PK
+		}
+		n := 0
 		for _, cand := range eg.Cols {
-			if (cand.Column.Collate != "" && cand.Column.Collate != "BINARY") || cand.Column.PK {
-				interesting = append(interesting, cand)
+			if interesting(cand) {
+				n++
 			}
 		}
-		if len(interesting) > 0 {
-			c = interesting[eg.Rnd.Intn(len(interesting))]
+		if n > 0 {
+			// The k-th interesting column, counted without collecting them.
+			k := eg.Rnd.Intn(n)
+			for _, cand := range eg.Cols {
+				if interesting(cand) {
+					if k == 0 {
+						c = cand
+						break
+					}
+					k--
+				}
+			}
 		}
 	}
-	col := sqlast.Col(c.Table, c.Column.Name)
+	col := c.ref()
 	lit := eg.pivotLiteral(c)
 	switch eg.Rnd.D {
 	case dialect.SQLite:
@@ -195,12 +220,11 @@ func (eg *ExprGen) GenerateValueExpr() sqlast.Expr {
 }
 
 func (eg *ExprGen) column() sqlast.Expr {
-	c := eg.Cols[eg.Rnd.Intn(len(eg.Cols))]
-	return sqlast.Col(c.Table, c.Column.Name)
+	return eg.Cols[eg.Rnd.Intn(len(eg.Cols))].ref()
 }
 
 func (eg *ExprGen) pick(c ColumnPick) sqlast.Expr {
-	return sqlast.Col(c.Table, c.Column.Name)
+	return c.ref()
 }
 
 // literal draws a constant, biased toward hint values.

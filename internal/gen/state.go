@@ -188,9 +188,13 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 		cols = info.Columns
 		ins.Columns = nil
 	}
-	batch := map[string][]sqlval.Value{} // values produced by this statement
+	// batch holds this statement's values of each WITHOUT ROWID PK column,
+	// the only ones caseVariantOf draws from; made on first use.
+	var batch map[string][]sqlval.Value
+	keepBatch := sg.Rnd.D == dialect.SQLite && info.WithoutRowid
+	ins.Rows = make([][]sqlast.Expr, 0, rows)
 	for r := 0; r < rows; r++ {
-		var row []sqlast.Expr
+		row := make([]sqlast.Expr, 0, len(cols))
 		for _, c := range cols {
 			var v sqlval.Value
 			switch {
@@ -215,7 +219,12 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 				v = sg.Rnd.Value()
 			}
 			sg.Hints = append(sg.Hints, v)
-			batch[c.Name] = append(batch[c.Name], v)
+			if keepBatch && c.PK {
+				if batch == nil {
+					batch = map[string][]sqlval.Value{}
+				}
+				batch[c.Name] = append(batch[c.Name], v)
+			}
 			row = append(row, sqlast.Lit(v))
 		}
 		ins.Rows = append(ins.Rows, row)

@@ -28,40 +28,70 @@ type ColInfo struct {
 	Unsigned bool
 }
 
-// Context is the pivot-row environment.
+// Context is the pivot-row environment: the bound columns of the pivot
+// tables plus dialect switches. It is reusable — Reset empties it without
+// giving back its memory, so a tester binds every pivot into one Context.
 type Context struct {
 	D dialect.Dialect
-	// Cols maps lower-case "table.column" to the pivot value. Unqualified
-	// lookups scan for a unique column-name match.
-	Cols map[string]ColInfo
 	// CaseSensitiveLike mirrors SQLite's PRAGMA case_sensitive_like.
 	CaseSensitiveLike bool
+
+	// binds holds one entry per bound (table, column), names compared
+	// case-insensitively. Pivot tables have a handful of columns, so a
+	// linear scan beats hashing a built key.
+	binds []binding
+}
+
+// binding is one bound pivot column.
+type binding struct {
+	table, column string
+	info          ColInfo
 }
 
 // NewContext returns an empty pivot environment for the dialect.
 func NewContext(d dialect.Dialect) *Context {
-	return &Context{D: d, Cols: map[string]ColInfo{}}
+	return &Context{D: d}
 }
 
-// Bind registers a pivot column value.
+// Reset empties the context for the dialect, as NewContext would, keeping
+// its binding storage for reuse.
+func (c *Context) Reset(d dialect.Dialect) {
+	clear(c.binds)
+	*c = Context{D: d, binds: c.binds[:0]}
+}
+
+// Bind registers a pivot column value, replacing an earlier binding of
+// the same (table, column).
 func (c *Context) Bind(table, column string, info ColInfo) {
-	c.Cols[strings.ToLower(table)+"."+strings.ToLower(column)] = info
+	for i := range c.binds {
+		b := &c.binds[i]
+		if strings.EqualFold(b.table, table) && strings.EqualFold(b.column, column) {
+			b.info = info
+			return
+		}
+	}
+	c.binds = append(c.binds, binding{table: table, column: column, info: info})
 }
 
-// lookup resolves a column reference.
-func (c *Context) lookup(ref *sqlast.ColumnRef) (ColInfo, bool) {
-	if ref.Table != "" {
-		ci, ok := c.Cols[strings.ToLower(ref.Table)+"."+strings.ToLower(ref.Column)]
-		return ci, ok
-	}
-	suffix := "." + strings.ToLower(ref.Column)
+// Lookup resolves a column reference. A qualified reference matches its
+// (table, column) binding; an unqualified one (table "") resolves only
+// when exactly one bound column has that name.
+func (c *Context) Lookup(table, column string) (ColInfo, bool) {
 	var found ColInfo
 	n := 0
-	for k, ci := range c.Cols {
-		if strings.HasSuffix(k, suffix) {
-			found = ci
-			n++
+	for i := range c.binds {
+		b := &c.binds[i]
+		if !strings.EqualFold(b.column, column) {
+			continue
 		}
+		if table != "" {
+			if strings.EqualFold(b.table, table) {
+				return b.info, true
+			}
+			continue
+		}
+		found = b.info
+		n++
 	}
 	return found, n == 1
 }
@@ -89,7 +119,7 @@ func Eval(e sqlast.Expr, ctx *Context) (sqlval.Value, error) {
 	case *sqlast.Literal:
 		return n.Val, nil
 	case *sqlast.ColumnRef:
-		ci, ok := ctx.lookup(n)
+		ci, ok := ctx.Lookup(n.Table, n.Column)
 		if !ok {
 			if n.MaybeString && ctx.D == dialect.SQLite {
 				// SQLite misfeature: unresolvable "..." is a string.
@@ -424,7 +454,7 @@ func explicitCollation(e sqlast.Expr) (sqlval.Collation, bool) {
 
 func columnCollation(e sqlast.Expr, ctx *Context) (sqlval.Collation, bool) {
 	if ref, ok := e.(*sqlast.ColumnRef); ok {
-		if ci, ok := ctx.lookup(ref); ok {
+		if ci, ok := ctx.Lookup(ref.Table, ref.Column); ok {
 			return ci.Coll, true
 		}
 	}

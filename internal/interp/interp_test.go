@@ -213,6 +213,9 @@ func TestCaseSensitiveLikePragma(t *testing.T) {
 	}
 }
 
+// TestColumnResolution covers the pivot context: Figure 1's expression
+// over bound columns, then one reused Context per row — reset, bound, and
+// looked up both directly and through a column reference.
 func TestColumnResolution(t *testing.T) {
 	ctx := NewContext(dialect.SQLite)
 	ctx.Bind("t0", "c0", ColInfo{Val: sqlval.Int(3)})
@@ -225,14 +228,54 @@ func TestColumnResolution(t *testing.T) {
 		t.Errorf("Figure 1 expression = %v, %v; want 1 after double negation", v, err)
 	}
 
-	// Unqualified unique name resolves; ambiguous one fails.
-	e, _ = sqlparse.ParseExpr("c1", dialect.SQLite)
-	if v, err := Eval(e, ctx); err != nil || !v.Equal(sqlval.Int(1)) {
-		t.Errorf("unqualified c1 = %v, %v", v, err)
+	type bind struct {
+		table, column string
+		v             sqlval.Value
 	}
-	e, _ = sqlparse.ParseExpr("c0", dialect.SQLite)
-	if _, err := Eval(e, ctx); err == nil {
-		t.Error("ambiguous c0 should fail to resolve")
+	base := []bind{{"t0", "c0", sqlval.Int(3)}, {"t0", "c1", sqlval.Bool(true)}, {"t1", "c0", sqlval.Int(-5)}}
+	for _, tc := range []struct {
+		name          string
+		binds         []bind
+		reset         bool // Reset after binding
+		table, column string
+		want          sqlval.Value
+		ok            bool
+	}{
+		{name: "qualified", binds: base, table: "t0", column: "c1", want: sqlval.Bool(true), ok: true},
+		{name: "qualified-other-table", binds: base, table: "t1", column: "c0", want: sqlval.Int(-5), ok: true},
+		{name: "qualified-case-insensitive", binds: base, table: "T0", column: "C1", want: sqlval.Bool(true), ok: true},
+		{name: "qualified-unbound", binds: base, table: "t1", column: "c1"},
+		{name: "unqualified-unique", binds: base, column: "c1", want: sqlval.Bool(true), ok: true},
+		{name: "unqualified-ambiguous", binds: base, column: "c0"},
+		{name: "unqualified-unbound", binds: base, column: "c9"},
+		{name: "bind-replaces-case-insensitively", binds: append(base[:3:3], bind{"T0", "C0", sqlval.Int(7)}),
+			table: "t0", column: "c0", want: sqlval.Int(7), ok: true},
+		{name: "replaced-column-stays-unique", binds: append(base[:3:3], bind{"T0", "C1", sqlval.Int(8)}),
+			column: "c1", want: sqlval.Int(8), ok: true},
+		{name: "reset-unbinds-qualified", binds: base, reset: true, table: "t0", column: "c1"},
+		{name: "reset-unbinds-unqualified", binds: base, reset: true, column: "c1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx.Reset(dialect.SQLite)
+			ctx.CaseSensitiveLike = true
+			for _, b := range tc.binds {
+				ctx.Bind(b.table, b.column, ColInfo{Val: b.v})
+			}
+			if tc.reset {
+				ctx.Reset(dialect.MySQL)
+				if ctx.D != dialect.MySQL || ctx.CaseSensitiveLike {
+					t.Fatalf("Reset(mysql) left dialect %s, case_sensitive_like %v", ctx.D, ctx.CaseSensitiveLike)
+				}
+			}
+			got, ok := ctx.Lookup(tc.table, tc.column)
+			if ok != tc.ok || (ok && !got.Val.Equal(tc.want)) {
+				t.Errorf("Lookup(%q, %q) = %v, %v; want %v, %v", tc.table, tc.column, got.Val, ok, tc.want, tc.ok)
+			}
+			v, err := Eval(sqlast.Col(tc.table, tc.column), ctx)
+			if (err == nil) != tc.ok || (err == nil && !v.Equal(tc.want)) {
+				t.Errorf("Eval(%s.%s) = %v, %v; want %v (resolves: %v)", tc.table, tc.column, v, err, tc.want, tc.ok)
+			}
+		})
 	}
 }
 

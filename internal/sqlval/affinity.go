@@ -132,11 +132,22 @@ func integerify(v Value) Value {
 // expression coercion lives with each evaluator.
 func TextToNumeric(s string) (Value, bool) {
 	t := strings.TrimSpace(s)
-	if t == "" {
+	// Skip the strconv calls that must fail: a failed parse allocates its
+	// error and a copy of the input. Only a digit or '.' can follow the
+	// optional sign of an accepted literal (strconv's inf/nan and hex
+	// forms are rejected below anyway), and only all-digit text can parse
+	// as an integer.
+	body := t
+	if body != "" && (body[0] == '+' || body[0] == '-') {
+		body = body[1:]
+	}
+	if body == "" || (body[0] != '.' && !isDigit(body[0])) {
 		return Null(), false
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return Int(i), true
+	if allDigits(body) {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return Int(i), true
+		}
 	}
 	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) {
 		// Reject hex/underscore forms Go accepts but SQL does not.
@@ -146,4 +157,16 @@ func TextToNumeric(s string) (Value, bool) {
 		return Real(f), true
 	}
 	return Null(), false
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// allDigits reports whether s is non-empty ASCII decimal digits only.
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -243,6 +243,43 @@ func TestTextToNumericRejectsPartial(t *testing.T) {
 	}
 }
 
+// textToNumericStrconv is TextToNumeric as strconv alone decides it,
+// without the leading-byte pre-check: the reference FuzzTextToNumeric
+// compares against.
+func textToNumericStrconv(s string) (Value, bool) {
+	t := strings.TrimSpace(s)
+	if t == "" {
+		return Null(), false
+	}
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return Int(i), true
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) {
+		if strings.ContainsAny(t, "xX_pP") {
+			return Null(), false
+		}
+		return Real(f), true
+	}
+	return Null(), false
+}
+
+// FuzzTextToNumeric checks that the pre-check rejects only what strconv
+// would have rejected: same verdict, same kind and value on every input.
+func FuzzTextToNumeric(f *testing.F) {
+	for _, s := range []string{"12", "-4", " 7 ", "2.5e3", ".5", "+.5e-3", "1e10", "12abc", "0x10", "1_000",
+		"", "  ", "-", "+", "--3", "inf", "-Inf", "NaN", "infinity", "0x1p4", "1e400", "\t9\n", "99999999999999999999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gotOK := TextToNumeric(s)
+		want, wantOK := textToNumericStrconv(s)
+		if gotOK != wantOK || got.Kind() != want.Kind() || !got.Equal(want) {
+			t.Fatalf("TextToNumeric(%q) = %v (%v, %v), strconv gives %v (%v, %v)",
+				s, got, got.Kind(), gotOK, want, want.Kind(), wantOK)
+		}
+	})
+}
+
 func TestCompareCrossClassOrdering(t *testing.T) {
 	// NULL < numeric < TEXT < BLOB
 	ordered := []Value{Null(), Int(math.MinInt64), Real(-1.5), Int(0), Bool(true),
