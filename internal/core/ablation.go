@@ -9,39 +9,38 @@ import (
 // engineEvaluatorFor builds an engine-side evaluator sharing the tester's
 // fault set — the "shared evaluator" ablation, which demonstrates why the
 // oracle interpreter must be independent: with the engine's evaluator as
-// the oracle, evaluator-level logic bugs become invisible.
-func engineEvaluatorFor(cfg Config, ctx *interp.Context) *eval.Evaluator {
-	return &eval.Evaluator{
+// the oracle, evaluator-level logic bugs become invisible. It returns the
+// evaluator with the layout and frame of the bound pivot row.
+func engineEvaluatorFor(cfg Config, ctx *interp.Context) (*eval.Evaluator, eval.Layout, *eval.Frame) {
+	ev := &eval.Evaluator{
 		D:                 cfg.Dialect,
 		Faults:            cfg.Faults,
 		CaseSensitiveLike: ctx.CaseSensitiveLike,
 	}
+	return ev, pivotLayout{ctx: ctx}, &eval.Frame{Rows: [][]sqlval.Value{ctx.Values(nil)}}
 }
 
-// ctxEnv adapts the pivot-row interpreter context into the engine
-// evaluator's Env interface (ablation support only).
-type ctxEnv struct {
+// pivotLayout is the pivot row as an eval.Layout (ablation support only):
+// one relation whose columns are the context's bindings, at the positions
+// interp.Context.Index reports. An ambiguous reference fails as missing,
+// so a double-quoted token naming two columns demotes to a string here,
+// as it does in the interpreter.
+type pivotLayout struct {
 	ctx *interp.Context
 }
 
-// ColumnValue implements eval.Env.
-func (c *ctxEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
-	ci, ok := c.ctx.Lookup(table, column)
-	if !ok {
-		return sqlval.Null(), false
-	}
-	return ci.Val, true
-}
+// NumRels implements eval.Layout.
+func (pivotLayout) NumRels() int { return 1 }
 
-// ColumnMeta implements eval.Env.
-func (c *ctxEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
-	ci, ok := c.ctx.Lookup(table, column)
-	if !ok {
-		return eval.Meta{}, false
+// Resolve implements eval.Layout.
+func (l pivotLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+	i, ci := l.ctx.Index(table, column)
+	if i < 0 {
+		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
 	}
-	return eval.Meta{
+	return eval.Slot{Col: i}, eval.Meta{
 		Coll:     ci.Coll,
 		Affinity: ci.Affinity,
 		Unsigned: ci.Unsigned,
-	}, true
+	}, nil
 }

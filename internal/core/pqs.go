@@ -668,8 +668,8 @@ func (t *Tester) evalBool(expr sqlast.Expr, ctx *interp.Context) (sqlval.TriBool
 	if !t.cfg.UseEngineAsOracle {
 		return interp.EvalBool(expr, ctx)
 	}
-	ev := engineEvaluatorFor(t.cfg, ctx)
-	return ev.EvalBool(expr, &ctxEnv{ctx: ctx})
+	ev, lay, f := engineEvaluatorFor(t.cfg, ctx)
+	return ev.EvalBool(expr, lay, f)
 }
 
 // rectifiedCondition implements steps 3–4: generate a random expression,
@@ -709,8 +709,8 @@ func (t *Tester) evalValue(expr sqlast.Expr, ctx *interp.Context) (sqlval.Value,
 	if !t.cfg.UseEngineAsOracle {
 		return interp.Eval(expr, ctx)
 	}
-	ev := engineEvaluatorFor(t.cfg, ctx)
-	return ev.Eval(expr, &ctxEnv{ctx: ctx})
+	ev, lay, f := engineEvaluatorFor(t.cfg, ctx)
+	return ev.Eval(expr, lay, f)
 }
 
 // Rectify is Algorithm 3 verbatim: TRUE stays, FALSE gets NOT, NULL gets

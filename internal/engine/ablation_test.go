@@ -469,6 +469,9 @@ var aggQueries = []string{
 	// ORDER BY + LIMIT over grouped results.
 	"SELECT k, SUM(v) FROM g0 GROUP BY k ORDER BY k LIMIT 2",
 	"SELECT s, COUNT(*) FROM g0 GROUP BY s ORDER BY COUNT(*) DESC LIMIT 2",
+	// A compound ORDER BY key resolves to the result column that renders
+	// the same SQL (a different node: the parser never shares nodes).
+	"SELECT v * 2, k FROM g0 ORDER BY v * 2 DESC, k LIMIT 3",
 }
 
 // randomAggQuery generates a grouped, ordered, and/or limited query over

@@ -115,25 +115,6 @@ type hashAggGroup struct {
 	keyBytes []byte
 }
 
-// streamableAgg reports whether every aggregate in the projection is
-// expressible as a streaming accumulator. Every aggregate the executor
-// accepts currently is (the AST has no DISTINCT-qualified aggregate form);
-// the hook exists so inexpressible shapes fall back to the materialized
-// path instead of growing accumulator special cases.
-func streamableAgg(cols []outCol) bool {
-	for _, c := range cols {
-		if c.x == nil {
-			continue
-		}
-		if fc, ok := isAggregate(c.x); ok {
-			if !aggNames[strings.ToUpper(fc.Name)] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // appendAggKey appends one group-key value's normalized component. The
 // invariant mirrors appendJoinKey's: keysEqual-equal values (NULLs equal,
 // otherwise Compare under CollBinary) must produce byte-identical

@@ -1,21 +1,23 @@
-// Compiled-expression wiring for the executor: the relation layout the
-// eval compiler binds slots against, and exprEval — the per-SELECT facade
+// Expression wiring for the executor: relLayout, the one eval.Layout both
+// evaluation paths bind columns through; exprEval — the per-SELECT facade
 // that hands the query path closures which evaluate through compiled
 // programs by default and through the tree-walk interpreter when
 // compilation is disabled (WithoutCompiledEval, the -disable compile
-// escape hatch). Programs are compiled per statement and die with it.
+// escape hatch); and tableScope, the single-table layout DML, CHECK and
+// index-key expressions evaluate in. Programs are compiled per statement
+// and die with it.
 package engine
 
 import (
 	"repro/internal/eval"
+	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 )
 
-// relLayout exposes a statement's FROM relations as the compile-time
-// layout for eval.Compile. Resolution goes through the same findColumn
-// the tree-walk env uses — same case folding, same alias/table precedence
-// — so compiled and interpreted paths bind identically.
+// relLayout exposes a statement's FROM relations as the eval.Layout that
+// eval.Compile binds slots against once and the tree-walk Evaluator.Eval
+// resolves through on every evaluation, so both paths bind identically.
 type relLayout struct {
 	rels []*relation
 }
@@ -44,13 +46,12 @@ func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
 
 // exprEval evaluates the expressions of one SELECT execution. It exists so
 // the query path asks for a closure once per clause and calls it once per
-// row combination — with compilation on, the closure runs a slot-bound
-// program over a reusable frame; with compilation off, it walks the tree
-// through the joined-row env exactly as before.
+// row combination over a reusable frame — with compilation on, the closure
+// runs a slot-bound program; with compilation off, it walks the tree,
+// resolving each column reference through the same layout as it goes.
 type exprEval struct {
 	e        *Engine
 	compiled bool
-	env      joinedEnv
 	lay      relLayout
 	frame    eval.Frame
 }
@@ -58,12 +59,8 @@ type exprEval struct {
 // newExprEval prepares expression evaluation over a relation set.
 func (e *Engine) newExprEval(rels []*relation) *exprEval {
 	x := &e.mem.exprs.alloc(1)[0]
-	*x = exprEval{e: e, env: joinedEnv{rels: rels}}
-	if !e.noCompile {
-		x.compiled = true
-		x.lay = relLayout{rels: rels}
-		x.frame.Rows = e.mem.frames.alloc(len(rels))
-	}
+	*x = exprEval{e: e, compiled: !e.noCompile, lay: relLayout{rels: rels}}
+	x.frame.Rows = e.mem.frames.alloc(len(rels))
 	return x
 }
 
@@ -73,10 +70,6 @@ func (e *Engine) newExprEval(rels []*relation) *exprEval {
 // they then evaluate on it. A nil row (or a combo shorter than the
 // layout) is the NULL-extended side of an outer join.
 func (x *exprEval) setRow(combo []*rowVals) {
-	if !x.compiled {
-		x.env.current = combo
-		return
-	}
 	rows := x.frame.Rows
 	for i := range rows {
 		if i < len(combo) && combo[i] != nil {
@@ -97,7 +90,7 @@ func (x *exprEval) setRow(combo []*rowVals) {
 func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), error) {
 	if !x.compiled {
 		return func() (sqlval.Value, error) {
-			return x.e.ev.Eval(expr, &x.env)
+			return x.e.ev.Eval(expr, &x.lay, &x.frame)
 		}, nil
 	}
 	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
@@ -113,7 +106,7 @@ func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), erro
 func (x *exprEval) boolFn(expr sqlast.Expr) (func() (sqlval.TriBool, error), error) {
 	if !x.compiled {
 		return func() (sqlval.TriBool, error) {
-			return x.e.ev.EvalBool(expr, &x.env)
+			return x.e.ev.EvalBool(expr, &x.lay, &x.frame)
 		}, nil
 	}
 	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
@@ -123,4 +116,28 @@ func (x *exprEval) boolFn(expr sqlast.Expr) (func() (sqlval.TriBool, error), err
 	return func() (sqlval.TriBool, error) {
 		return prog.EvalBool(&x.frame)
 	}, nil
+}
+
+// tableScope is the single-relation layout and frame that DML row
+// predicates, SET expressions, CHECK constraints and index keys evaluate
+// in: the table is the only relation, so a qualifier other than its name
+// does not resolve. The Engine owns one and rebinds it per row, so those
+// evaluations allocate nothing per row.
+type tableScope struct {
+	rel   relation
+	rels  [1]*relation
+	lay   relLayout
+	rows  [1][]sqlval.Value
+	frame eval.Frame
+}
+
+// bind points the scope at one row of t and returns the layout and frame
+// to evaluate it in. Both stay valid until the next bind.
+func (s *tableScope) bind(t *schema.Table, vals []sqlval.Value) (eval.Layout, *eval.Frame) {
+	s.rel = relation{name: t.Name, table: t.Name, columns: t.Columns, engine: t.Engine}
+	s.rels[0] = &s.rel
+	s.lay.rels = s.rels[:]
+	s.rows[0] = vals
+	s.frame.Rows = s.rows[:]
+	return &s.lay, &s.frame
 }

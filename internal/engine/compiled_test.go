@@ -7,9 +7,9 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// TestAmbiguousColumnDistinctError is the regression test for the
-// joinedEnv.find conflation bug: an unqualified column matching two FROM
-// sources must report "ambiguous column name", not "no such column". The
+// TestAmbiguousColumnDistinctError is the regression test for a
+// resolution bug that conflated the two misses: an unqualified column
+// matching two FROM sources must report "ambiguous column name", not "no such column". The
 // compiled-off engine returns the same text (TestAblationDifferential's
 // compiled row runs these queries with each feature off).
 func TestAmbiguousColumnDistinctError(t *testing.T) {

@@ -289,9 +289,9 @@ func (e *Engine) nocaseIndexDrops(t *schema.Table, ix *schema.Index, key []sqlva
 // indexKey computes a row's key for an index; include=false means a partial
 // index excludes the row.
 func (e *Engine) indexKey(ix *schema.Index, t *schema.Table, vals []sqlval.Value) ([]sqlval.Value, bool, error) {
-	env := newTableEnv(t, vals)
+	lay, f := e.scope.bind(t, vals)
 	if ix.Where != nil {
-		tb, err := e.ev.EvalBool(ix.Where, env)
+		tb, err := e.ev.EvalBool(ix.Where, lay, f)
 		if err != nil {
 			return nil, false, err
 		}
@@ -308,7 +308,7 @@ func (e *Engine) indexKey(ix *schema.Index, t *schema.Table, vals []sqlval.Value
 	}
 	key := make([]sqlval.Value, len(ix.Parts))
 	for i, p := range ix.Parts {
-		v, err := e.ev.Eval(p.X, env)
+		v, err := e.ev.Eval(p.X, lay, f)
 		if err != nil {
 			return nil, false, err
 		}

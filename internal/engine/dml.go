@@ -193,10 +193,10 @@ func (e *Engine) storeRow(t *schema.Table, td *storage.TableData, vals []sqlval.
 		}
 	}
 	// CHECK.
-	env := newTableEnv(t, vals)
+	lay, f := e.scope.bind(t, vals)
 	for ci := range t.Columns {
 		if chk := t.Columns[ci].Check; chk != nil {
-			tb, err := e.ev.EvalBool(chk, env)
+			tb, err := e.ev.EvalBool(chk, lay, f)
 			if err != nil {
 				return false, err
 			}
@@ -341,7 +341,8 @@ func (e *Engine) update(n *sqlast.Update) (*Result, error) {
 	var targets []int64
 	for _, r := range td.Rows() {
 		if n.Where != nil {
-			tb, err := e.ev.EvalBool(n.Where, newTableEnv(t, r.Vals))
+			lay, f := e.scope.bind(t, r.Vals)
+			tb, err := e.ev.EvalBool(n.Where, lay, f)
 			if err != nil {
 				return nil, err
 			}
@@ -359,9 +360,9 @@ func (e *Engine) update(n *sqlast.Update) (*Result, error) {
 		}
 		newVals := make([]sqlval.Value, len(r.Vals))
 		copy(newVals, r.Vals)
-		env := newTableEnv(t, r.Vals)
+		lay, f := e.scope.bind(t, r.Vals)
 		for _, a := range n.Sets {
-			v, err := e.ev.Eval(a.Value, env)
+			v, err := e.ev.Eval(a.Value, lay, f)
 			if err != nil {
 				return nil, err
 			}
@@ -415,7 +416,8 @@ func (e *Engine) delete(n *sqlast.Delete) (*Result, error) {
 	var victims []int64
 	for _, r := range td.Rows() {
 		if n.Where != nil {
-			tb, err := e.ev.EvalBool(n.Where, newTableEnv(t, r.Vals))
+			lay, f := e.scope.bind(t, r.Vals)
+			tb, err := e.ev.EvalBool(n.Where, lay, f)
 			if err != nil {
 				return nil, err
 			}

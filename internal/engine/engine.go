@@ -88,6 +88,9 @@ type Engine struct {
 	// mem backs everything a SELECT allocates (mem.go): statement slabs
 	// are empty between statements, result slabs hold the last result.
 	mem stmtMem
+	// scope is the single-table layout DML and index-key expressions
+	// evaluate in (compiled.go), rebound per row.
+	scope tableScope
 
 	// Durable-storage backend (nil for the default in-memory engine).
 	// ddlLog holds the SQL of every successful DDL statement since the
@@ -489,7 +492,7 @@ func (e *Engine) Coverage() *Coverage { return e.cov }
 
 // constEval evaluates an expression with no row context.
 func (e *Engine) constEval(x sqlast.Expr) (sqlval.Value, error) {
-	return e.ev.Eval(x, eval.EmptyEnv{})
+	return e.ev.Eval(x, nil, nil)
 }
 
 // Coverage counts distinct engine features exercised, standing in for the

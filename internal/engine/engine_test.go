@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
+	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 	"repro/internal/xerr"
 )
@@ -481,6 +483,62 @@ func TestOrderByLimit(t *testing.T) {
 	res = mustExec(t, e, `SELECT c0 FROM t0 ORDER BY c0 LIMIT 2 OFFSET 1`)
 	if len(res.Rows) != 2 || !res.Rows[0][0].Equal(sqlval.Int(1)) {
 		t.Errorf("offset: %v", res.Rows)
+	}
+}
+
+// TestOrderByKeyResolution pins how an ORDER BY key finds its result
+// column in ASTs built in code, which may share nodes: a column holding
+// the key's own node, a different node with the same text, and an alias
+// ahead of the shared node (the alias wins, as it does in SQL text).
+func TestOrderByKeyResolution(t *testing.T) {
+	e := Open(dialect.SQLite)
+	mustExec(t, e, `CREATE TABLE t0(c0 INT, c1 INT); INSERT INTO t0(c0, c1) VALUES (2, 20), (1, 30), (3, 10)`)
+	ref := sqlast.Col("", "c0")
+	for _, tc := range []struct {
+		name string
+		cols []sqlast.ResultCol
+		key  sqlast.Expr
+		want []int64 // the c0 result column, in order
+	}{
+		{"shared node", []sqlast.ResultCol{{X: sqlast.Col("", "c1")}, {X: ref}}, ref, []int64{1, 2, 3}},
+		{"same text, other node", []sqlast.ResultCol{{X: sqlast.Col("", "c1")}, {X: ref}}, sqlast.Col("", "c0"), []int64{1, 2, 3}},
+		{"alias before shared node", []sqlast.ResultCol{{X: sqlast.Col("", "c1"), Alias: "c0"}, {X: ref}}, ref, []int64{3, 2, 1}},
+	} {
+		sel := &sqlast.Select{Cols: tc.cols, From: []sqlast.TableRef{{Name: "t0"}}, OrderBy: []sqlast.OrderItem{{X: tc.key}}}
+		res, err := e.ExecStmt(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, w := range tc.want {
+			if got := res.Rows[i][1]; !got.Equal(sqlval.Int(w)) {
+				t.Errorf("%s: row %d c0 = %v, want %d", tc.name, i, got, w)
+			}
+		}
+	}
+}
+
+// TestDMLWhereAllocsFlat: an UPDATE or DELETE whose WHERE matches no row
+// evaluates the predicate once per row without allocating per row.
+func TestDMLWhereAllocsFlat(t *testing.T) {
+	allocs := func(rows int, stmt string) float64 {
+		e := Open(dialect.SQLite)
+		mustExec(t, e, `CREATE TABLE t0(c0 INT, c1 TEXT)`)
+		for i := 0; i < rows; i++ {
+			mustExec(t, e, fmt.Sprintf(`INSERT INTO t0(c0, c1) VALUES (%d, 'x')`, i))
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, stmt := range []string{
+		`DELETE FROM t0 WHERE c0 < 0 AND t0.c1 = 'x'`,
+		`UPDATE t0 SET c1 = 'y' WHERE c0 < 0 AND t0.c1 = 'x'`,
+	} {
+		if small, large := allocs(10, stmt), allocs(1000, stmt); small != large {
+			t.Errorf("%s: %.1f allocations over 10 rows, %.1f over 1,000", stmt, small, large)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"strings"
 
-	"repro/internal/eval"
 	"repro/internal/schema"
 	"repro/internal/sqlval"
 )
@@ -24,13 +23,6 @@ type rowVals struct {
 	vals  []sqlval.Value
 }
 
-// joinedEnv resolves columns over a set of relations with one current row
-// each. It implements eval.Env.
-type joinedEnv struct {
-	rels    []*relation
-	current []*rowVals // parallel to rels
-}
-
 // eqFold is strings.EqualFold with an exact-match fast path: generated
 // identifiers are case-consistent, so the byte comparison almost always
 // decides and the rune-wise fold never runs.
@@ -41,8 +33,7 @@ func eqFold(a, b string) bool {
 // findColumn resolves a (possibly unqualified) column reference over a
 // relation set. ambiguous reports an unqualified name matching more than
 // one column — a distinct condition from a missing name (both return
-// ri = -1). The compile-time layout (relLayout) and the tree-walk env
-// below share this resolver so both paths bind identically.
+// ri = -1). relLayout resolves through it for both evaluation paths.
 func findColumn(rels []*relation, table, column string) (ri, ci int, ambiguous bool) {
 	if table != "" {
 		for ri, r := range rels {
@@ -70,94 +61,4 @@ func findColumn(rels []*relation, table, column string) (ri, ci int, ambiguous b
 		return foundR, foundC, false
 	}
 	return -1, -1, n > 1
-}
-
-func (j *joinedEnv) find(table, column string) (int, int) {
-	ri, ci, _ := findColumn(j.rels, table, column)
-	return ri, ci
-}
-
-// ColumnErr implements eval.ResolveErrEnv: an unqualified reference
-// matching more than one relation column reports "ambiguous column name"
-// instead of masquerading as a missing column.
-func (j *joinedEnv) ColumnErr(table, column string) error {
-	if _, _, ambiguous := findColumn(j.rels, table, column); ambiguous {
-		return eval.ErrAmbiguousColumn(column)
-	}
-	return nil
-}
-
-// ColumnValue implements eval.Env.
-func (j *joinedEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
-	ri, ci := j.find(table, column)
-	if ri < 0 {
-		return sqlval.Null(), false
-	}
-	row := j.current[ri]
-	if row == nil {
-		// NULL-extended side of an outer join.
-		return sqlval.Null(), true
-	}
-	if ci >= len(row.vals) {
-		return sqlval.Null(), true
-	}
-	return row.vals[ci], true
-}
-
-// ColumnMeta implements eval.Env.
-func (j *joinedEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
-	ri, ci := j.find(table, column)
-	if ri < 0 {
-		return eval.Meta{}, false
-	}
-	col := j.rels[ri].columns[ci]
-	return eval.Meta{
-		Coll:        col.Collate,
-		Affinity:    col.Affinity,
-		Unsigned:    col.Unsigned,
-		TypeName:    col.TypeName,
-		TableEngine: j.rels[ri].engine,
-	}, true
-}
-
-// tableEnv is a single-table row environment (DML paths, index keys).
-type tableEnv struct {
-	t      *schema.Table
-	engine string
-	vals   []sqlval.Value
-}
-
-func newTableEnv(t *schema.Table, vals []sqlval.Value) *tableEnv {
-	return &tableEnv{t: t, engine: t.Engine, vals: vals}
-}
-
-// ColumnValue implements eval.Env.
-func (te *tableEnv) ColumnValue(table, column string) (sqlval.Value, bool) {
-	if table != "" && !strings.EqualFold(table, te.t.Name) {
-		return sqlval.Null(), false
-	}
-	ci := te.t.ColumnIndex(column)
-	if ci < 0 || ci >= len(te.vals) {
-		return sqlval.Null(), false
-	}
-	return te.vals[ci], true
-}
-
-// ColumnMeta implements eval.Env.
-func (te *tableEnv) ColumnMeta(table, column string) (eval.Meta, bool) {
-	if table != "" && !strings.EqualFold(table, te.t.Name) {
-		return eval.Meta{}, false
-	}
-	ci := te.t.ColumnIndex(column)
-	if ci < 0 {
-		return eval.Meta{}, false
-	}
-	col := te.t.Columns[ci]
-	return eval.Meta{
-		Coll:        col.Collate,
-		Affinity:    col.Affinity,
-		Unsigned:    col.Unsigned,
-		TypeName:    col.TypeName,
-		TableEngine: te.engine,
-	}, true
 }

@@ -60,6 +60,7 @@ func (e *Engine) resetLocked() {
 	e.caseSensitiveLike = false
 	e.ev.CaseSensitiveLike = false
 	e.skipIndexMaint = false
+	e.scope = tableScope{} // drop the last DML row and table it held
 	e.ddlLog = e.ddlLog[:0]
 }
 

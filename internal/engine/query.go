@@ -783,7 +783,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 
 	pc := &projCtx{n: n, rels: rels, cols: cols, outNames: outNames,
 		x: x, groupKeys: groupKeys}
-	if !e.noHashAgg && streamableAgg(cols) {
+	if !e.noHashAgg {
 		return e.projectGroupedHash(pc, combos)
 	}
 	return e.projectGroupedNaive(pc, combos)
@@ -1119,22 +1119,24 @@ func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
 // distinctSeed seeds the DISTINCT bucket hash.
 var distinctSeed = maphash.MakeSeed()
 
-// resolveOrderKeys maps ORDER BY expressions onto output-column indexes by
-// rendered SQL (or positionally through star expansions), shared by the
-// full sort and the top-K path so both raise the identical resolution
-// error.
+// resolveOrderKeys maps ORDER BY expressions onto output-column indexes: a
+// result column holding the key's own node, else by rendered SQL (or
+// positionally through star expansions). The full sort and the top-K path
+// share it so both raise the identical resolution error.
 func (e *Engine) resolveOrderKeys(n *sqlast.Select, rels []*relation) ([]int, error) {
 	keyIdx := make([]int, len(n.OrderBy))
 	for i, oi := range n.OrderBy {
-		keyIdx[i] = -1
-		want := sqlast.ExprSQL(oi.X, e.d)
-		for ci, rc := range n.Cols {
-			if rc.Star {
-				continue
-			}
-			if sqlast.ExprSQL(rc.X, e.d) == want || (rc.Alias != "" && rc.Alias == want) {
-				keyIdx[i] = ci
-				break
+		keyIdx[i] = sameNodeCol(n.Cols, oi.X)
+		if keyIdx[i] < 0 {
+			want := sqlast.ExprSQL(oi.X, e.d)
+			for ci, rc := range n.Cols {
+				if rc.Star {
+					continue
+				}
+				if sqlast.ExprSQL(rc.X, e.d) == want || (rc.Alias != "" && rc.Alias == want) {
+					keyIdx[i] = ci
+					break
+				}
 			}
 		}
 		// Star projections: resolve a bare column reference positionally.
@@ -1163,6 +1165,25 @@ func (e *Engine) resolveOrderKeys(n *sqlast.Select, rels []*relation) ([]int, er
 		}
 	}
 	return keyIdx, nil
+}
+
+// sameNodeCol returns the first result column holding x itself, or -1. It
+// spares an ORDER BY key that shares its node with a result column (as
+// generated queries do) from rendering any SQL, and picks what the text
+// match would: the node renders the key's SQL, and an earlier column with
+// that SQL computes the same values. Only an alias could match earlier
+// with other values, so an alias before the node leaves the choice to the
+// text match.
+func sameNodeCol(cols []sqlast.ResultCol, x sqlast.Expr) int {
+	for ci, rc := range cols {
+		if rc.Alias != "" {
+			return -1
+		}
+		if !rc.Star && rc.X == x {
+			return ci
+		}
+	}
+	return -1
 }
 
 // orderBy sorts output rows in place by the ORDER BY items. Sort keys are

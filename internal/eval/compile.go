@@ -6,10 +6,14 @@
 // operations, never string-based column resolution or interface dispatch
 // over AST nodes.
 //
+// Both paths bind columns through the same Layout and the same rule
+// (bindColumn): the tree-walk interpreter resolves a reference each time it
+// evaluates it, a Program once, when it is compiled.
+//
 // Fault fidelity is the design constraint: compiled comparisons route
 // through the very same comparisonFaults/comparisonCollation helpers the
-// tree-walk interpreter uses (over a metadata env bound at compile time),
-// and fault toggles that the interpreter consults at evaluation time
+// tree-walk interpreter uses (reading metadata through the layout), and
+// fault toggles that the interpreter consults at evaluation time
 // (faults.Set.Has, CaseSensitiveLike) stay runtime reads in the compiled
 // closures. The one deliberate deviation: constant folding bakes in results
 // computed under the fault set active at compile time, so mutating an
@@ -52,9 +56,9 @@ type Layout interface {
 }
 
 // ErrAmbiguousColumn is the distinct diagnostic for an unqualified column
-// reference matching more than one relation column. Layouts and envs must
-// build it through this constructor so the compiled and tree-walk paths
-// report identical errors.
+// reference matching more than one relation column. Layouts must build it
+// through this constructor: bindColumn recognizes it to keep an ambiguous
+// MaybeString token an error.
 func ErrAmbiguousColumn(column string) error {
 	return xerr.New(xerr.CodeNoObject, "ambiguous column name: %s", column)
 }
@@ -81,12 +85,53 @@ type Frame struct {
 	Rows [][]sqlval.Value
 }
 
+// value reads a slot of the frame's current rows. A nil row (the NULL side
+// of an outer join) or a row shorter than the slot reads as NULL.
+func (f *Frame) value(s Slot) sqlval.Value {
+	row := f.Rows[s.Rel]
+	if row == nil || s.Col >= len(row) {
+		return sqlval.Null()
+	}
+	return row[s.Col]
+}
+
+// bindColumn resolves a column reference against lay — the one binding
+// rule Eval and Compile share. A nil layout has no columns. When the
+// reference does not resolve, SQLite's double-quote misfeature applies:
+// an unresolvable MaybeString token is demoted to the string constant
+// n.Column (demoted=true). An ambiguous reference outranks the demotion,
+// matching SQLite: a double-quoted token naming two columns is an
+// ambiguous identifier, not a string.
+func (ev *Evaluator) bindColumn(n *sqlast.ColumnRef, lay Layout) (slot Slot, demoted bool, err error) {
+	if lay == nil {
+		err = ErrNoSuchColumn(n.Table, n.Column)
+	} else if slot, _, err = lay.Resolve(n.Table, n.Column); err == nil {
+		return slot, false, nil
+	}
+	if n.MaybeString && ev.D == dialect.SQLite && !IsAmbiguousColumn(err) {
+		return Slot{}, true, nil
+	}
+	return Slot{}, false, err
+}
+
+// columnMeta is the metadata half of bindColumn, for the fault and
+// collation helpers: ok is false when the column does not resolve.
+func columnMeta(lay Layout, table, column string) (Meta, bool) {
+	if lay == nil {
+		return Meta{}, false
+	}
+	_, m, err := lay.Resolve(table, column)
+	return m, err == nil
+}
+
 // thunk is one compiled node: a closure from row state to value-or-error.
 type thunk func(*Frame) (sqlval.Value, error)
 
 // Program is a compiled expression. Eval/EvalBool mirror Evaluator.Eval
 // and Evaluator.EvalBool exactly — same values, same errors, same fault
-// behaviour — at slot-load cost per column reference.
+// behaviour — at slot-load cost per column reference. A Program keeps its
+// layout (comparisons read column metadata through it), so it should not
+// outlive the statement the layout describes.
 type Program struct {
 	ev   *Evaluator
 	root thunk
@@ -118,41 +163,10 @@ func (ev *Evaluator) Compile(e sqlast.Expr, lay Layout) (*Program, error) {
 	return &Program{ev: ev, root: t}, nil
 }
 
-// layoutMeta adapts a Layout into the metadata half of Env. Values never
-// travel through it — comparisonFaults, comparisonCollation, and
-// outOfTypeRange consult ColumnMeta exclusively; slot thunks carry the
-// values. A Program keeps its layout through this adapter, so it should
-// not outlive the statement the layout describes.
-type layoutMeta struct {
-	lay Layout
-}
-
-// ColumnValue implements Env; the compiled path never reads values by name.
-func (layoutMeta) ColumnValue(string, string) (sqlval.Value, bool) {
-	return sqlval.Null(), false
-}
-
-// ColumnMeta implements Env by resolving through the layout.
-func (b layoutMeta) ColumnMeta(table, column string) (Meta, bool) {
-	_, m, err := b.lay.Resolve(table, column)
-	return m, err == nil
-}
-
 // compiler carries one Compile invocation's state.
 type compiler struct {
-	ev   *Evaluator
-	lay  Layout
-	menv Env // layoutMeta over lay, boxed on first use (see meta)
-}
-
-// meta returns the metadata env the fault and collation helpers consult.
-// It is boxed once per Compile, and only for expressions that compare: a
-// bare column reference compiles without it.
-func (c *compiler) meta() Env {
-	if c.menv == nil {
-		c.menv = layoutMeta{lay: c.lay}
-	}
-	return c.menv
+	ev  *Evaluator
+	lay Layout
 }
 
 // constThunk wraps a precomputed value.
@@ -189,24 +203,15 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 		return constThunk(n.Val), true, nil
 
 	case *sqlast.ColumnRef:
-		slot, _, err := c.lay.Resolve(n.Table, n.Column)
+		slot, demoted, err := ev.bindColumn(n, c.lay)
 		if err != nil {
-			// The SQLite double-quote misfeature: an unresolvable
-			// MaybeString token demotes to a string constant. An ambiguous
-			// reference stays an error in both paths.
-			if n.MaybeString && ev.D == dialect.SQLite && !IsAmbiguousColumn(err) {
-				return constThunk(sqlval.Text(n.Column)), true, nil
-			}
 			return nil, false, err
 		}
-		rel, col := slot.Rel, slot.Col
+		if demoted {
+			return constThunk(sqlval.Text(n.Column)), true, nil
+		}
 		return func(f *Frame) (sqlval.Value, error) {
-			row := f.Rows[rel]
-			if row == nil || col >= len(row) {
-				// NULL-extended outer-join side, or a short row.
-				return sqlval.Null(), nil
-			}
-			return row[col], nil
+			return f.value(slot), nil
 		}, false, nil
 
 	case *sqlast.Collate:
@@ -234,7 +239,7 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		coll := ev.comparisonCollation(n.X, n.Lo, c.meta())
+		coll := ev.comparisonCollation(n.X, n.Lo, c.lay)
 		not := n.Not
 		return func(f *Frame) (sqlval.Value, error) {
 			xv, err := x(f)
@@ -279,7 +284,7 @@ func (c *compiler) compileNode(e sqlast.Expr) (thunk, bool, error) {
 			items[i] = it
 			pure = pure && ip
 		}
-		coll := ev.comparisonCollation(n.X, nil, c.meta())
+		coll := ev.comparisonCollation(n.X, nil, c.lay)
 		not := n.Not
 		return func(f *Frame) (sqlval.Value, error) {
 			xv, err := x(f)
@@ -507,8 +512,8 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
-		coll := ev.comparisonCollation(n.L, n.R, c.meta())
-		node, menv := n, c.meta()
+		coll := ev.comparisonCollation(n.L, n.R, c.lay)
+		node, lay := n, c.lay
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
 			if err != nil {
@@ -521,7 +526,7 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 			// Same injected-bug routing as the interpreter: the helper
 			// checks the enabled-fault set itself, so detection parity is
 			// by construction rather than by transcription.
-			if v, handled, err := ev.comparisonFaults(node, lv, rv, menv); handled || err != nil {
+			if v, handled, err := ev.comparisonFaults(node, lv, rv, lay); handled || err != nil {
 				return v, err
 			}
 			t, err := ev.compareOp(lv, rv, node.Op, coll)
@@ -532,7 +537,7 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpIs, sqlast.OpIsNot:
-		coll := ev.comparisonCollation(n.L, n.R, c.meta())
+		coll := ev.comparisonCollation(n.L, n.R, c.lay)
 		isNot := n.Op == sqlast.OpIsNot
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
@@ -554,8 +559,8 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 		}, pure, nil
 
 	case sqlast.OpNullSafeEq:
-		coll := ev.comparisonCollation(n.L, n.R, c.meta())
-		node, menv := n, c.meta()
+		coll := ev.comparisonCollation(n.L, n.R, c.lay)
+		node, lay := n, c.lay
 		return func(f *Frame) (sqlval.Value, error) {
 			lv, err := l(f)
 			if err != nil {
@@ -567,10 +572,10 @@ func (c *compiler) compileBinary(n *sqlast.Binary) (thunk, bool, error) {
 			}
 			// Fault site (mysql.null-safe-eq-range, Listing 12).
 			if ev.D == dialect.MySQL && ev.Faults.Has(faults.NullSafeEqRange) {
-				if outOfTypeRange(node.L, rv, menv) {
+				if outOfTypeRange(node.L, rv, lay) {
 					return ev.boolVal(sqlval.TriOf(lv.IsNull())), nil
 				}
-				if outOfTypeRange(node.R, lv, menv) {
+				if outOfTypeRange(node.R, lv, lay) {
 					return ev.boolVal(sqlval.TriOf(rv.IsNull())), nil
 				}
 			}
@@ -679,7 +684,7 @@ func (c *compiler) compileCase(n *sqlast.Case) (thunk, bool, error) {
 		whens[i], thens[i] = wt, tt
 		pure = pure && wp && tp
 		if n.Operand != nil {
-			colls[i] = ev.comparisonCollation(n.Operand, w.When, c.meta())
+			colls[i] = ev.comparisonCollation(n.Operand, w.When, c.lay)
 		}
 	}
 	var elseT thunk

@@ -14,11 +14,9 @@ import (
 	"repro/internal/sqlval"
 )
 
-// diffWorld is a two-table row world implementing both sides of the
-// equivalence being tested: the tree-walk evaluator's Env (with the
-// ResolveErrEnv extension) and the compiler's Layout, sharing one
-// resolver so any divergence the suite finds is in evaluation, not
-// binding.
+// diffWorld is a two-table row world: the one Layout both sides of the
+// equivalence bind through, so any divergence the suite finds is in
+// evaluation, not binding.
 type diffWorld struct {
 	rels []diffRel
 	rows [][]sqlval.Value
@@ -61,32 +59,6 @@ func (w *diffWorld) resolve(table, column string) (ri, ci int, ambiguous bool) {
 		return fr, fc, false
 	}
 	return -1, -1, n > 1
-}
-
-// ColumnValue implements eval.Env.
-func (w *diffWorld) ColumnValue(table, column string) (sqlval.Value, bool) {
-	ri, ci, _ := w.resolve(table, column)
-	if ri < 0 {
-		return sqlval.Null(), false
-	}
-	return w.rows[ri][ci], true
-}
-
-// ColumnMeta implements eval.Env.
-func (w *diffWorld) ColumnMeta(table, column string) (eval.Meta, bool) {
-	ri, ci, _ := w.resolve(table, column)
-	if ri < 0 {
-		return eval.Meta{}, false
-	}
-	return w.rels[ri].cols[ci].meta, true
-}
-
-// ColumnErr implements eval.ResolveErrEnv.
-func (w *diffWorld) ColumnErr(table, column string) error {
-	if _, _, ambiguous := w.resolve(table, column); ambiguous {
-		return eval.ErrAmbiguousColumn(column)
-	}
-	return nil
 }
 
 // NumRels implements eval.Layout.
@@ -218,7 +190,7 @@ func TestCompiledTreeWalkEquivalence(t *testing.T) {
 					expr := eg.Generate()
 					stripSomeQualifiers(expr, w, rnd)
 
-					wantV, wantErr := ev.Eval(expr, w)
+					wantV, wantErr := ev.Eval(expr, w, frame)
 					prog, cerr := ev.Compile(expr, w)
 					if cerr != nil {
 						t.Fatalf("expr %d: Compile failed on a fully-resolvable expression: %v\nexpr: %s",
@@ -230,7 +202,7 @@ func TestCompiledTreeWalkEquivalence(t *testing.T) {
 							i, sqlast.ExprSQL(expr, d), describeOutcome(wantV, wantErr), describeOutcome(gotV, gotErr))
 					}
 
-					wantTB, wantTBErr := ev.EvalBool(expr, w)
+					wantTB, wantTBErr := ev.EvalBool(expr, w, frame)
 					gotTB, gotTBErr := prog.EvalBool(frame)
 					if wantTB != gotTB || (wantTBErr == nil) != (gotTBErr == nil) ||
 						(wantTBErr != nil && wantTBErr.Error() != gotTBErr.Error()) {

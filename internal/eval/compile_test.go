@@ -62,13 +62,13 @@ func TestCompileBindErrors(t *testing.T) {
 		t.Fatalf("ambiguous column message = %q", err.Error())
 	}
 
-	// The tree-walk fallback reports the same distinction at lookup time
-	// through the ResolveErrEnv extension.
-	_, err = ev.Eval(&sqlast.ColumnRef{Column: "dup"}, w)
+	// The tree-walk path reports the same distinction at evaluation time.
+	f := &eval.Frame{Rows: w.rows}
+	_, err = ev.Eval(&sqlast.ColumnRef{Column: "dup"}, w, f)
 	if !eval.IsAmbiguousColumn(err) {
 		t.Fatalf("tree-walk ambiguous column: err = %v", err)
 	}
-	_, err = ev.Eval(sqlast.Col("t0", "nope"), w)
+	_, err = ev.Eval(sqlast.Col("t0", "nope"), w, f)
 	if err == nil || !strings.Contains(err.Error(), "no such column") {
 		t.Fatalf("tree-walk missing column: err = %v", err)
 	}
@@ -94,7 +94,7 @@ func TestCompileMaybeStringDemotion(t *testing.T) {
 	if _, err := ev.Compile(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w); !eval.IsAmbiguousColumn(err) {
 		t.Fatalf("compiled ambiguous MaybeString: err = %v", err)
 	}
-	if _, err := ev.Eval(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w); !eval.IsAmbiguousColumn(err) {
+	if _, err := ev.Eval(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w, &eval.Frame{Rows: w.rows}); !eval.IsAmbiguousColumn(err) {
 		t.Fatalf("tree-walk ambiguous MaybeString: err = %v", err)
 	}
 
@@ -188,9 +188,9 @@ func TestCompileCaseSensitiveLikeIsRuntime(t *testing.T) {
 // TestCompileAllocs pins the cost of compiling the shapes every campaign
 // query is made of. Programs live for one statement, so compile runs once
 // per clause and its allocations are paid per query: a bare column costs
-// its slot thunk and the Program, and a comparison adds one metadata env
-// (boxed once per Compile, never a memo map), its literal and its own
-// thunk.
+// its slot thunk and the Program, and a comparison adds its literal and
+// its own thunk (column metadata is read through the layout itself, with
+// no adapter boxed per Compile and no memo map).
 func TestCompileAllocs(t *testing.T) {
 	w := sqliteWorld()
 	ev := eval.New(dialect.SQLite)
@@ -200,7 +200,7 @@ func TestCompileAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"t0.c0", sqlast.Col("t0", "c0"), 2},
-		{"t0.c0 = 1", &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(1))}, 5},
+		{"t0.c0 = 1", &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(1))}, 4},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := ev.Compile(tc.expr, w); err != nil {

@@ -1,8 +1,9 @@
 // Package eval is the engine-side expression evaluator. It mirrors the SQL
 // semantics the oracle interpreter (internal/interp) implements, but it is
-// the production half: it resolves columns through the executor's row
-// environment, consults column metadata from the catalog, and hosts many of
-// the injected bug sites (the paper's evaluator/optimizer bug classes).
+// the production half: it resolves columns through the executor's relation
+// layout and row frame, consults column metadata from the catalog, and
+// hosts many of the injected bug sites (the paper's evaluator/optimizer bug
+// classes).
 //
 // It shares no evaluation code with internal/interp — that separation is
 // what keeps injected bugs observable to the oracle.
@@ -28,37 +29,6 @@ type Meta struct {
 	TableEngine string // MySQL storage engine of the owning table
 }
 
-// Env resolves column references during evaluation.
-type Env interface {
-	// ColumnValue returns the current row's value for a column. table may
-	// be empty for unqualified references; the env must then resolve a
-	// unique match or report !ok.
-	ColumnValue(table, column string) (sqlval.Value, bool)
-	// ColumnMeta returns metadata for a column.
-	ColumnMeta(table, column string) (Meta, bool)
-}
-
-// ResolveErrEnv is an optional Env extension: an env that can explain a
-// failed column resolution (most importantly distinguishing an ambiguous
-// unqualified reference from a missing one) returns the diagnostic here.
-// The evaluator consults it before the generic "no such column" fallback,
-// so tree-walk lookups report the same distinct errors compiled programs
-// surface at bind time.
-type ResolveErrEnv interface {
-	// ColumnErr reports why (table, column) failed to resolve, or nil to
-	// fall through to the default missing-column handling.
-	ColumnErr(table, column string) error
-}
-
-// EmptyEnv is an Env with no columns (constant expressions).
-type EmptyEnv struct{}
-
-// ColumnValue always reports !ok.
-func (EmptyEnv) ColumnValue(string, string) (sqlval.Value, bool) { return sqlval.Null(), false }
-
-// ColumnMeta always reports !ok.
-func (EmptyEnv) ColumnMeta(string, string) (Meta, bool) { return Meta{}, false }
-
 // Evaluator evaluates expressions under a dialect, session options, and an
 // enabled-fault set.
 type Evaluator struct {
@@ -74,57 +44,52 @@ func typeError(format string, args ...any) error {
 	return xerr.New(xerr.CodeType, format, args...)
 }
 
-// Eval computes the value of e in the row environment.
-func (ev *Evaluator) Eval(e sqlast.Expr, env Env) (sqlval.Value, error) {
+// Eval computes the value of e for the frame's current rows. It is the
+// tree-walk reference compiled programs are checked against: every column
+// reference resolves through lay each time it is evaluated, so a reference
+// the walk never reaches never fails to bind. A nil layout has no columns
+// (constant expressions).
+func (ev *Evaluator) Eval(e sqlast.Expr, lay Layout, f *Frame) (sqlval.Value, error) {
 	switch n := e.(type) {
 	case *sqlast.Literal:
 		return n.Val, nil
 	case *sqlast.ColumnRef:
-		v, ok := env.ColumnValue(n.Table, n.Column)
-		if !ok {
-			// Ambiguity (and other env-specific diagnostics) outranks the
-			// MaybeString string demotion, matching SQLite: a double-quoted
-			// token matching two columns is an ambiguous identifier, not a
-			// string literal.
-			if re, hasErr := env.(ResolveErrEnv); hasErr {
-				if err := re.ColumnErr(n.Table, n.Column); err != nil {
-					return sqlval.Null(), err
-				}
-			}
-			if n.MaybeString && ev.D == dialect.SQLite {
-				return sqlval.Text(n.Column), nil
-			}
-			return sqlval.Null(), ErrNoSuchColumn(n.Table, n.Column)
+		slot, demoted, err := ev.bindColumn(n, lay)
+		if err != nil {
+			return sqlval.Null(), err
 		}
-		return v, nil
+		if demoted {
+			return sqlval.Text(n.Column), nil
+		}
+		return f.value(slot), nil
 	case *sqlast.Collate:
-		return ev.Eval(n.X, env)
+		return ev.Eval(n.X, lay, f)
 	case *sqlast.Unary:
-		return ev.evalUnary(n, env)
+		return ev.evalUnary(n, lay, f)
 	case *sqlast.Binary:
-		return ev.evalBinary(n, env)
+		return ev.evalBinary(n, lay, f)
 	case *sqlast.Between:
-		return ev.evalBetween(n, env)
+		return ev.evalBetween(n, lay, f)
 	case *sqlast.InList:
-		return ev.evalIn(n, env)
+		return ev.evalIn(n, lay, f)
 	case *sqlast.Cast:
-		x, err := ev.Eval(n.X, env)
+		x, err := ev.Eval(n.X, lay, f)
 		if err != nil {
 			return sqlval.Null(), err
 		}
 		return ev.Cast(x, n.TypeName)
 	case *sqlast.Case:
-		return ev.evalCase(n, env)
+		return ev.evalCase(n, lay, f)
 	case *sqlast.FuncCall:
-		return ev.evalFunc(n, env)
+		return ev.evalFunc(n, lay, f)
 	default:
 		return sqlval.Null(), xerr.New(xerr.CodeUnsupported, "unsupported expression %T", e)
 	}
 }
 
-// EvalBool computes e as a filter condition.
-func (ev *Evaluator) EvalBool(e sqlast.Expr, env Env) (sqlval.TriBool, error) {
-	v, err := ev.Eval(e, env)
+// EvalBool computes e as a filter condition (see Eval).
+func (ev *Evaluator) EvalBool(e sqlast.Expr, lay Layout, f *Frame) (sqlval.TriBool, error) {
+	v, err := ev.Eval(e, lay, f)
 	if err != nil {
 		return sqlval.TriUnknown, err
 	}
@@ -246,13 +211,13 @@ func (ev *Evaluator) boolVal(t sqlval.TriBool) sqlval.Value {
 	return t.Value()
 }
 
-func (ev *Evaluator) evalUnary(n *sqlast.Unary, env Env) (sqlval.Value, error) {
+func (ev *Evaluator) evalUnary(n *sqlast.Unary, lay Layout, f *Frame) (sqlval.Value, error) {
 	// Fault site (mysql.double-negation, Listing 13): NOT(NOT x) is
 	// folded to x before evaluation — correct for booleans, wrong for
 	// general integers.
 	if n.Op == sqlast.OpNot && ev.D == dialect.MySQL && ev.Faults.Has(faults.DoubleNegation) {
 		if inner, ok := n.X.(*sqlast.Unary); ok && inner.Op == sqlast.OpNot {
-			return ev.Eval(inner.X, env)
+			return ev.Eval(inner.X, lay, f)
 		}
 	}
 	// Fault site (sqlite.is-not-null-opt): NOT (x IS NULL) on a bare
@@ -264,7 +229,7 @@ func (ev *Evaluator) evalUnary(n *sqlast.Unary, env Env) (sqlval.Value, error) {
 			}
 		}
 	}
-	x, err := ev.Eval(n.X, env)
+	x, err := ev.Eval(n.X, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
@@ -342,13 +307,13 @@ func clampInt64(v sqlval.Value) int64 {
 	return 0
 }
 
-func (ev *Evaluator) evalBinary(n *sqlast.Binary, env Env) (sqlval.Value, error) {
+func (ev *Evaluator) evalBinary(n *sqlast.Binary, lay Layout, f *Frame) (sqlval.Value, error) {
 	if n.Op == sqlast.OpAnd || n.Op == sqlast.OpOr {
-		l, err := ev.EvalBool(n.L, env)
+		l, err := ev.EvalBool(n.L, lay, f)
 		if err != nil {
 			return sqlval.Null(), err
 		}
-		r, err := ev.EvalBool(n.R, env)
+		r, err := ev.EvalBool(n.R, lay, f)
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -358,27 +323,27 @@ func (ev *Evaluator) evalBinary(n *sqlast.Binary, env Env) (sqlval.Value, error)
 		return ev.boolVal(l.Or(r)), nil
 	}
 
-	l, err := ev.Eval(n.L, env)
+	l, err := ev.Eval(n.L, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	r, err := ev.Eval(n.R, env)
+	r, err := ev.Eval(n.R, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
 
 	switch n.Op {
 	case sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
-		if v, handled, err := ev.comparisonFaults(n, l, r, env); handled || err != nil {
+		if v, handled, err := ev.comparisonFaults(n, l, r, lay); handled || err != nil {
 			return v, err
 		}
-		t, err := ev.compareOp(l, r, n.Op, ev.comparisonCollation(n.L, n.R, env))
+		t, err := ev.compareOp(l, r, n.Op, ev.comparisonCollation(n.L, n.R, lay))
 		if err != nil {
 			return sqlval.Null(), err
 		}
 		return ev.boolVal(t), nil
 	case sqlast.OpIs, sqlast.OpIsNot:
-		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, env))
+		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, lay))
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -392,14 +357,14 @@ func (ev *Evaluator) evalBinary(n *sqlast.Binary, env Env) (sqlval.Value, error)
 		// loses null-safety — NULL <=> <out-of-range> yields TRUE, so
 		// Listing 12's NOT(c0 <=> 2035382037) stops fetching the row.
 		if ev.D == dialect.MySQL && ev.Faults.Has(faults.NullSafeEqRange) {
-			if outOfTypeRange(n.L, r, env) {
+			if outOfTypeRange(n.L, r, lay) {
 				return ev.boolVal(sqlval.TriOf(l.IsNull())), nil
 			}
-			if outOfTypeRange(n.R, l, env) {
+			if outOfTypeRange(n.R, l, lay) {
 				return ev.boolVal(sqlval.TriOf(r.IsNull())), nil
 			}
 		}
-		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, env))
+		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, lay))
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -425,7 +390,7 @@ func (ev *Evaluator) evalBinary(n *sqlast.Binary, env Env) (sqlval.Value, error)
 
 // comparisonFaults hosts the comparison-related injected bugs. It reports
 // handled=true when a fault rewrote the result.
-func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, env Env) (sqlval.Value, bool, error) {
+func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, lay Layout) (sqlval.Value, bool, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqlval.Value{}, false, nil
 	}
@@ -435,7 +400,7 @@ func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, env E
 		// comparison against an INTEGER-affinity column is numerified,
 		// breaking storage-class comparison.
 		if ev.Faults.Has(faults.AffinityCompare) {
-			if m, side := columnSideMeta(n, env); side != 0 && numericAffinity(m.Affinity) {
+			if m, side := columnSideMeta(n, lay); side != 0 && numericAffinity(m.Affinity) {
 				var cmp int
 				if side == 1 && r.Kind() == sqlval.KText {
 					cmp = sqlval.Compare(ev.numeric(l), ev.numeric(r), sqlval.CollBinary)
@@ -450,8 +415,8 @@ func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, env E
 	case dialect.MySQL:
 		// Fault site (mysql.memory-engine-cast, Listing 11): comparisons
 		// involving CAST(... AS UNSIGNED) on MEMORY-engine tables invert.
-		if ev.Faults.Has(faults.MemoryEngineCast) && involvesMemoryEngineCast(n, env) {
-			t, err := ev.compareOp(l, r, n.Op, ev.comparisonCollation(n.L, n.R, env))
+		if ev.Faults.Has(faults.MemoryEngineCast) && involvesMemoryEngineCast(n, lay) {
+			t, err := ev.compareOp(l, r, n.Op, ev.comparisonCollation(n.L, n.R, lay))
 			if err != nil {
 				return sqlval.Value{}, false, err
 			}
@@ -460,7 +425,7 @@ func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, env E
 		// Fault site (mysql.unsigned-compare): an UNSIGNED column
 		// compared with a negative constant coerces the constant.
 		if ev.Faults.Has(faults.UnsignedCompare) {
-			if m, side := columnSideMeta(n, env); side != 0 && m.Unsigned {
+			if m, side := columnSideMeta(n, lay); side != 0 && m.Unsigned {
 				other := r
 				if side == 2 {
 					other = l
@@ -484,7 +449,7 @@ func (ev *Evaluator) comparisonFaults(n *sqlast.Binary, l, r sqlval.Value, env E
 		// Fault site (mysql.tinyint-range-clamp): TINYINT comparisons
 		// with out-of-range constants yield FALSE.
 		if ev.Faults.Has(faults.TinyintRangeClamp) {
-			if outOfTypeRange(n.L, r, env) || outOfTypeRange(n.R, l, env) {
+			if outOfTypeRange(n.L, r, lay) || outOfTypeRange(n.R, l, lay) {
 				return sqlval.Int(0), true, nil
 			}
 		}
@@ -498,14 +463,14 @@ func numericAffinity(a sqlval.Affinity) bool {
 
 // columnSideMeta reports which side of a binary comparison is a bare
 // column (1=left, 2=right, 0=neither) plus that column's metadata.
-func columnSideMeta(n *sqlast.Binary, env Env) (Meta, int) {
+func columnSideMeta(n *sqlast.Binary, lay Layout) (Meta, int) {
 	if c, ok := n.L.(*sqlast.ColumnRef); ok {
-		if m, ok := env.ColumnMeta(c.Table, c.Column); ok {
+		if m, ok := columnMeta(lay, c.Table, c.Column); ok {
 			return m, 1
 		}
 	}
 	if c, ok := n.R.(*sqlast.ColumnRef); ok {
-		if m, ok := env.ColumnMeta(c.Table, c.Column); ok {
+		if m, ok := columnMeta(lay, c.Table, c.Column); ok {
 			return m, 2
 		}
 	}
@@ -514,12 +479,12 @@ func columnSideMeta(n *sqlast.Binary, env Env) (Meta, int) {
 
 // outOfTypeRange reports whether colExpr is a TINYINT column and v is an
 // integer constant outside [-128, 127].
-func outOfTypeRange(colExpr sqlast.Expr, v sqlval.Value, env Env) bool {
+func outOfTypeRange(colExpr sqlast.Expr, v sqlval.Value, lay Layout) bool {
 	c, ok := colExpr.(*sqlast.ColumnRef)
 	if !ok {
 		return false
 	}
-	m, ok := env.ColumnMeta(c.Table, c.Column)
+	m, ok := columnMeta(lay, c.Table, c.Column)
 	if !ok || !strings.Contains(strings.ToUpper(m.TypeName), "TINYINT") {
 		return false
 	}
@@ -534,13 +499,13 @@ func outOfTypeRange(colExpr sqlast.Expr, v sqlval.Value, env Env) bool {
 
 // involvesMemoryEngineCast detects the Listing 11 trigger: one comparison
 // side contains CAST(col AS UNSIGNED) where col's table uses MEMORY.
-func involvesMemoryEngineCast(n *sqlast.Binary, env Env) bool {
+func involvesMemoryEngineCast(n *sqlast.Binary, lay Layout) bool {
 	found := false
 	probe := func(e sqlast.Expr) {
 		sqlast.WalkExprs(e, func(x sqlast.Expr) bool {
 			if cast, ok := x.(*sqlast.Cast); ok && strings.Contains(strings.ToUpper(cast.TypeName), "UNSIGNED") {
 				if col, ok := cast.X.(*sqlast.ColumnRef); ok {
-					if m, ok := env.ColumnMeta(col.Table, col.Column); ok && m.TableEngine == "MEMORY" {
+					if m, ok := columnMeta(lay, col.Table, col.Column); ok && m.TableEngine == "MEMORY" {
 						found = true
 					}
 				}
@@ -573,7 +538,7 @@ func cmpToTri(c int, op sqlast.BinOp) sqlval.TriBool {
 // comparisonCollation resolves the collation for a comparison: explicit
 // COLLATE first, then the left column's declared collation, then the
 // right's, then the dialect default.
-func (ev *Evaluator) comparisonCollation(l, r sqlast.Expr, env Env) sqlval.Collation {
+func (ev *Evaluator) comparisonCollation(l, r sqlast.Expr, lay Layout) sqlval.Collation {
 	for _, e := range []sqlast.Expr{l, r} {
 		if c, ok := e.(*sqlast.Collate); ok {
 			return c.Coll
@@ -581,7 +546,7 @@ func (ev *Evaluator) comparisonCollation(l, r sqlast.Expr, env Env) sqlval.Colla
 	}
 	for _, e := range []sqlast.Expr{l, r} {
 		if c, ok := e.(*sqlast.ColumnRef); ok {
-			if m, ok := env.ColumnMeta(c.Table, c.Column); ok {
+			if m, ok := columnMeta(lay, c.Table, c.Column); ok {
 				return m.Coll
 			}
 		}
@@ -904,20 +869,20 @@ func shift(a, by int64) int64 {
 	}
 }
 
-func (ev *Evaluator) evalBetween(n *sqlast.Between, env Env) (sqlval.Value, error) {
-	x, err := ev.Eval(n.X, env)
+func (ev *Evaluator) evalBetween(n *sqlast.Between, lay Layout, f *Frame) (sqlval.Value, error) {
+	x, err := ev.Eval(n.X, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	lo, err := ev.Eval(n.Lo, env)
+	lo, err := ev.Eval(n.Lo, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	hi, err := ev.Eval(n.Hi, env)
+	hi, err := ev.Eval(n.Hi, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	coll := ev.comparisonCollation(n.X, n.Lo, env)
+	coll := ev.comparisonCollation(n.X, n.Lo, lay)
 	ge, err := ev.compareOp(x, lo, sqlast.OpGe, coll)
 	if err != nil {
 		return sqlval.Null(), err
@@ -933,15 +898,15 @@ func (ev *Evaluator) evalBetween(n *sqlast.Between, env Env) (sqlval.Value, erro
 	return ev.boolVal(res), nil
 }
 
-func (ev *Evaluator) evalIn(n *sqlast.InList, env Env) (sqlval.Value, error) {
-	x, err := ev.Eval(n.X, env)
+func (ev *Evaluator) evalIn(n *sqlast.InList, lay Layout, f *Frame) (sqlval.Value, error) {
+	x, err := ev.Eval(n.X, lay, f)
 	if err != nil {
 		return sqlval.Null(), err
 	}
 	res := sqlval.TriFalse
-	coll := ev.comparisonCollation(n.X, nil, env)
+	coll := ev.comparisonCollation(n.X, nil, lay)
 	for _, item := range n.List {
-		v, err := ev.Eval(item, env)
+		v, err := ev.Eval(item, lay, f)
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -957,35 +922,35 @@ func (ev *Evaluator) evalIn(n *sqlast.InList, env Env) (sqlval.Value, error) {
 	return ev.boolVal(res), nil
 }
 
-func (ev *Evaluator) evalCase(n *sqlast.Case, env Env) (sqlval.Value, error) {
+func (ev *Evaluator) evalCase(n *sqlast.Case, lay Layout, f *Frame) (sqlval.Value, error) {
 	for _, w := range n.Whens {
 		var hit sqlval.TriBool
 		if n.Operand != nil {
-			op, err := ev.Eval(n.Operand, env)
+			op, err := ev.Eval(n.Operand, lay, f)
 			if err != nil {
 				return sqlval.Null(), err
 			}
-			wv, err := ev.Eval(w.When, env)
+			wv, err := ev.Eval(w.When, lay, f)
 			if err != nil {
 				return sqlval.Null(), err
 			}
-			hit, err = ev.compareOp(op, wv, sqlast.OpEq, ev.comparisonCollation(n.Operand, w.When, env))
+			hit, err = ev.compareOp(op, wv, sqlast.OpEq, ev.comparisonCollation(n.Operand, w.When, lay))
 			if err != nil {
 				return sqlval.Null(), err
 			}
 		} else {
 			var err error
-			hit, err = ev.EvalBool(w.When, env)
+			hit, err = ev.EvalBool(w.When, lay, f)
 			if err != nil {
 				return sqlval.Null(), err
 			}
 		}
 		if hit == sqlval.TriTrue {
-			return ev.Eval(w.Then, env)
+			return ev.Eval(w.Then, lay, f)
 		}
 	}
 	if n.Else != nil {
-		return ev.Eval(n.Else, env)
+		return ev.Eval(n.Else, lay, f)
 	}
 	return sqlval.Null(), nil
 }
@@ -1050,10 +1015,10 @@ func (ev *Evaluator) Cast(x sqlval.Value, typeName string) (sqlval.Value, error)
 	}
 }
 
-func (ev *Evaluator) evalFunc(n *sqlast.FuncCall, env Env) (sqlval.Value, error) {
+func (ev *Evaluator) evalFunc(n *sqlast.FuncCall, lay Layout, f *Frame) (sqlval.Value, error) {
 	args := make([]sqlval.Value, len(n.Args))
 	for i, a := range n.Args {
-		v, err := ev.Eval(a, env)
+		v, err := ev.Eval(a, lay, f)
 		if err != nil {
 			return sqlval.Null(), err
 		}

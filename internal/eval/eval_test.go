@@ -13,42 +13,43 @@ import (
 	"repro/internal/xerr"
 )
 
-// mapEnv is a test Env over fixed columns.
-type mapEnv struct {
-	vals map[string]sqlval.Value
-	meta map[string]Meta
+// testCol is one column of a testRow.
+type testCol struct {
+	table, column string
+	val           sqlval.Value
+	meta          Meta
 }
 
-func (m *mapEnv) key(table, col string) (string, bool) {
-	if table != "" {
-		k := table + "." + col
-		_, ok := m.vals[k]
-		return k, ok
-	}
-	found, n := "", 0
-	for k := range m.vals {
-		if len(k) > len(col) && k[len(k)-len(col)-1] == '.' && k[len(k)-len(col):] == col {
-			found = k
-			n++
+// testRow is a test Layout over fixed columns, all in one relation: column
+// i binds to slot {0, i} and frame() holds their values.
+type testRow []testCol
+
+func (r testRow) NumRels() int { return 1 }
+
+func (r testRow) Resolve(table, column string) (Slot, Meta, error) {
+	found, n := -1, 0
+	for i, c := range r {
+		if c.column != column || (table != "" && c.table != table) {
+			continue
 		}
+		found = i
+		n++
 	}
-	return found, n == 1
+	switch {
+	case n == 1:
+		return Slot{Col: found}, r[found].meta, nil
+	case n > 1:
+		return Slot{}, Meta{}, ErrAmbiguousColumn(column)
+	}
+	return Slot{}, Meta{}, ErrNoSuchColumn(table, column)
 }
 
-func (m *mapEnv) ColumnValue(table, col string) (sqlval.Value, bool) {
-	k, ok := m.key(table, col)
-	if !ok {
-		return sqlval.Null(), false
+func (r testRow) frame() *Frame {
+	vals := make([]sqlval.Value, len(r))
+	for i, c := range r {
+		vals[i] = c.val
 	}
-	return m.vals[k], true
-}
-
-func (m *mapEnv) ColumnMeta(table, col string) (Meta, bool) {
-	k, ok := m.key(table, col)
-	if !ok {
-		return Meta{}, false
-	}
-	return m.meta[k], true
+	return &Frame{Rows: [][]sqlval.Value{vals}}
 }
 
 func evalConst(t *testing.T, src string, d dialect.Dialect) (sqlval.Value, error) {
@@ -57,7 +58,7 @@ func evalConst(t *testing.T, src string, d dialect.Dialect) (sqlval.Value, error
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return New(d).Eval(e, EmptyEnv{})
+	return New(d).Eval(e, nil, nil)
 }
 
 func TestEngineBasics(t *testing.T) {
@@ -109,8 +110,8 @@ func TestFaultDoubleNegation(t *testing.T) {
 	e, _ := sqlparse.ParseExpr("123 != (NOT (NOT 123))", dialect.MySQL)
 	good := &Evaluator{D: dialect.MySQL}
 	bad := &Evaluator{D: dialect.MySQL, Faults: faults.NewSet(faults.DoubleNegation)}
-	gv, err1 := good.Eval(e, EmptyEnv{})
-	bv, err2 := bad.Eval(e, EmptyEnv{})
+	gv, err1 := good.Eval(e, nil, nil)
+	bv, err2 := bad.Eval(e, nil, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -125,7 +126,7 @@ func TestFaultDoubleNegation(t *testing.T) {
 func TestFaultTextIntSubtract(t *testing.T) {
 	e, _ := sqlparse.ParseExpr("'' - 2851427734582196970", dialect.SQLite)
 	bad := &Evaluator{D: dialect.SQLite, Faults: faults.NewSet(faults.TextIntSubtract)}
-	bv, err := bad.Eval(e, EmptyEnv{})
+	bv, err := bad.Eval(e, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,24 +140,22 @@ func TestFaultTextIntSubtract(t *testing.T) {
 }
 
 func TestFaultTextDoubleBool(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Text("0.5")},
-		meta: map[string]Meta{"t0.c0": {TypeName: "TEXT"}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Text("0.5"), meta: Meta{TypeName: "TEXT"}},
 	}
 	e, _ := sqlparse.ParseExpr("t0.c0", dialect.MySQL)
 	good := &Evaluator{D: dialect.MySQL}
 	bad := &Evaluator{D: dialect.MySQL, Faults: faults.NewSet(faults.TextDoubleBool)}
-	gt, _ := good.EvalBool(e, env)
-	bt, _ := bad.EvalBool(e, env)
+	gt, _ := good.EvalBool(e, env, env.frame())
+	bt, _ := bad.EvalBool(e, env, env.frame())
 	if gt != sqlval.TriTrue || bt != sqlval.TriFalse {
 		t.Errorf("truthiness good=%v bad=%v, want TRUE/FALSE", gt, bt)
 	}
 }
 
 func TestFaultNullSafeEqRange(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Null()},
-		meta: map[string]Meta{"t0.c0": {TypeName: "TINYINT"}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Null(), meta: Meta{TypeName: "TINYINT"}},
 	}
 	good := &Evaluator{D: dialect.MySQL}
 	bad := &Evaluator{D: dialect.MySQL, Faults: faults.NewSet(faults.NullSafeEqRange)}
@@ -164,112 +163,104 @@ func TestFaultNullSafeEqRange(t *testing.T) {
 	// Listing 12's inner comparison: c0 <=> <out-of-range> with c0 NULL is
 	// correctly FALSE; the faulty engine loses null-safety and says TRUE.
 	inner, _ := sqlparse.ParseExpr("t0.c0 <=> 2035382037", dialect.MySQL)
-	if gi, _ := good.Eval(inner, env); !gi.Equal(sqlval.Int(0)) {
+	if gi, _ := good.Eval(inner, env, env.frame()); !gi.Equal(sqlval.Int(0)) {
 		t.Errorf("correct inner = %v, want FALSE", gi)
 	}
-	if bi, _ := bad.Eval(inner, env); !bi.Equal(sqlval.Int(1)) {
+	if bi, _ := bad.Eval(inner, env, env.frame()); !bi.Equal(sqlval.Int(1)) {
 		t.Errorf("faulty inner = %v, want TRUE (Listing 12)", bi)
 	}
 
 	// So the full Listing 12 predicate stops fetching the row.
 	e, _ := sqlparse.ParseExpr("NOT (t0.c0 <=> 2035382037)", dialect.MySQL)
-	if gv, _ := good.Eval(e, env); !gv.Equal(sqlval.Int(1)) {
+	if gv, _ := good.Eval(e, env, env.frame()); !gv.Equal(sqlval.Int(1)) {
 		t.Errorf("correct: %v, want TRUE (row fetched)", gv)
 	}
-	if bv, _ := bad.Eval(e, env); !bv.Equal(sqlval.Int(0)) {
+	if bv, _ := bad.Eval(e, env, env.frame()); !bv.Equal(sqlval.Int(0)) {
 		t.Errorf("faulty: %v, want FALSE (row not fetched)", bv)
 	}
 
 	// In-range constants are untouched by the fault.
-	env2 := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Int(117)},
-		meta: map[string]Meta{"t0.c0": {TypeName: "TINYINT"}},
+	env2 := testRow{
+		{table: "t0", column: "c0", val: sqlval.Int(117), meta: Meta{TypeName: "TINYINT"}},
 	}
 	eq, _ := sqlparse.ParseExpr("t0.c0 <=> 117", dialect.MySQL)
-	if v, _ := good.Eval(eq, env2); !v.Equal(sqlval.Int(1)) {
+	if v, _ := good.Eval(eq, env2, env2.frame()); !v.Equal(sqlval.Int(1)) {
 		t.Errorf("in-range <=> should be TRUE, got %v", v)
 	}
-	if v, _ := bad.Eval(eq, env2); !v.Equal(sqlval.Int(1)) {
+	if v, _ := bad.Eval(eq, env2, env2.frame()); !v.Equal(sqlval.Int(1)) {
 		t.Errorf("fault must not fire for in-range constants, got %v", v)
 	}
 }
 
 func TestFaultUnsignedCompare(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Uint(5)},
-		meta: map[string]Meta{"t0.c0": {Unsigned: true, TypeName: "INT UNSIGNED"}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Uint(5), meta: Meta{Unsigned: true, TypeName: "INT UNSIGNED"}},
 	}
 	e, _ := sqlparse.ParseExpr("t0.c0 > -1", dialect.MySQL)
 	good := &Evaluator{D: dialect.MySQL}
 	bad := &Evaluator{D: dialect.MySQL, Faults: faults.NewSet(faults.UnsignedCompare)}
-	gv, _ := good.Eval(e, env)
-	bv, _ := bad.Eval(e, env)
+	gv, _ := good.Eval(e, env, env.frame())
+	bv, _ := bad.Eval(e, env, env.frame())
 	if !gv.Equal(sqlval.Int(1)) || !bv.Equal(sqlval.Int(0)) {
 		t.Errorf("unsigned compare good=%v bad=%v, want 1/0", gv, bv)
 	}
 }
 
 func TestFaultLikeAffinityOpt(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Text("./")},
-		meta: map[string]Meta{"t0.c0": {Affinity: sqlval.AffInteger, Coll: sqlval.CollNoCase}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Text("./"), meta: Meta{Affinity: sqlval.AffInteger, Coll: sqlval.CollNoCase}},
 	}
 	e, _ := sqlparse.ParseExpr("t0.c0 LIKE './'", dialect.SQLite)
 	good := &Evaluator{D: dialect.SQLite}
 	bad := &Evaluator{D: dialect.SQLite, Faults: faults.NewSet(faults.LikeAffinityOpt)}
-	gv, _ := good.Eval(e, env)
-	bv, _ := bad.Eval(e, env)
+	gv, _ := good.Eval(e, env, env.frame())
+	bv, _ := bad.Eval(e, env, env.frame())
 	if !gv.Equal(sqlval.Int(1)) || !bv.Equal(sqlval.Int(0)) {
 		t.Errorf("Listing 7 good=%v bad=%v, want 1/0", gv, bv)
 	}
 }
 
 func TestFaultIsNotNullOpt(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Null()},
-		meta: map[string]Meta{"t0.c0": {}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Null()},
 	}
 	e, _ := sqlparse.ParseExpr("NOT (t0.c0 IS NULL)", dialect.SQLite)
 	good := &Evaluator{D: dialect.SQLite}
 	bad := &Evaluator{D: dialect.SQLite, Faults: faults.NewSet(faults.IsNotNullOpt)}
-	gv, _ := good.Eval(e, env)
-	bv, _ := bad.Eval(e, env)
+	gv, _ := good.Eval(e, env, env.frame())
+	bv, _ := bad.Eval(e, env, env.frame())
 	if !gv.Equal(sqlval.Int(0)) || !bv.Equal(sqlval.Int(1)) {
 		t.Errorf("is-not-null opt good=%v bad=%v, want 0/1", gv, bv)
 	}
 }
 
 func TestFaultAffinityCompare(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t0.c0": sqlval.Int(5)},
-		meta: map[string]Meta{"t0.c0": {Affinity: sqlval.AffInteger}},
+	env := testRow{
+		{table: "t0", column: "c0", val: sqlval.Int(5), meta: Meta{Affinity: sqlval.AffInteger}},
 	}
 	e, _ := sqlparse.ParseExpr("t0.c0 = '5'", dialect.SQLite)
 	good := &Evaluator{D: dialect.SQLite}
 	bad := &Evaluator{D: dialect.SQLite, Faults: faults.NewSet(faults.AffinityCompare)}
-	gv, _ := good.Eval(e, env)
-	bv, _ := bad.Eval(e, env)
+	gv, _ := good.Eval(e, env, env.frame())
+	bv, _ := bad.Eval(e, env, env.frame())
 	if !gv.Equal(sqlval.Int(0)) || !bv.Equal(sqlval.Int(1)) {
 		t.Errorf("affinity compare good=%v bad=%v, want 0/1", gv, bv)
 	}
 }
 
 func TestFaultMemoryEngineCast(t *testing.T) {
-	env := &mapEnv{
-		vals: map[string]sqlval.Value{"t1.c0": sqlval.Int(-1), "t0.c0": sqlval.Int(0)},
-		meta: map[string]Meta{
-			"t1.c0": {TableEngine: "MEMORY", TypeName: "INT"},
-			"t0.c0": {TypeName: "INT"},
-		},
+	env := testRow{
+		{table: "t1", column: "c0", val: sqlval.Int(-1), meta: Meta{TableEngine: "MEMORY", TypeName: "INT"}},
+		{table: "t0", column: "c0", val: sqlval.Int(0), meta: Meta{TypeName: "INT"}},
 	}
 	e, _ := sqlparse.ParseExpr("(CAST(t1.c0 AS UNSIGNED)) > (IFNULL('u', t0.c0))", dialect.MySQL)
 	good := &Evaluator{D: dialect.MySQL}
 	bad := &Evaluator{D: dialect.MySQL, Faults: faults.NewSet(faults.MemoryEngineCast)}
-	gv, err := good.Eval(e, env)
+	gv, err := good.Eval(e, env, env.frame())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bv, _ := bad.Eval(e, env)
+	bv, _ := bad.Eval(e, env, env.frame())
 	// CAST(-1 AS UNSIGNED) = 2^64-1 > 'u'→0, so correct is TRUE.
 	if !gv.Equal(sqlval.Int(1)) || !bv.Equal(sqlval.Int(0)) {
 		t.Errorf("Listing 11 good=%v bad=%v, want 1/0", gv, bv)
@@ -365,16 +356,16 @@ func TestDifferentialEvalVsInterp(t *testing.T) {
 					v1 = sqlval.Null()
 				}
 			}
-			env := &mapEnv{
-				vals: map[string]sqlval.Value{"t0.c0": v0, "t0.c1": v1},
-				meta: map[string]Meta{"t0.c0": {}, "t0.c1": {}},
+			env := testRow{
+				{table: "t0", column: "c0", val: v0},
+				{table: "t0", column: "c1", val: v1},
 			}
 			ctx := interp.NewContext(d)
 			ctx.Bind("t0", "c0", interp.ColInfo{Val: v0})
 			ctx.Bind("t0", "c1", interp.ColInfo{Val: v1})
 
 			e := randomExpr(rng, d, 3)
-			engineV, engineErr := New(d).Eval(e, env)
+			engineV, engineErr := New(d).Eval(e, env, env.frame())
 			oracleV, oracleErr := interp.Eval(e, ctx)
 			if (engineErr == nil) != (oracleErr == nil) {
 				t.Fatalf("[%s] error mismatch on %s: engine=%v oracle=%v",

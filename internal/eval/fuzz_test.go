@@ -1,15 +1,21 @@
 package eval
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
 	"repro/internal/sqlparse"
+	"repro/internal/sqlval"
 )
 
-// FuzzEval feeds arbitrary parsed literal expressions to the evaluator and
-// asserts it never panics: every outcome must be a value or an error. The
-// seed corpus runs as a unit test under plain `go test`.
+// FuzzEval feeds arbitrary parsed expressions, with no columns in scope, to
+// both halves of the evaluator: the tree-walk Eval and a Program compiled
+// against the empty (nil) layout. Neither may panic, and both must produce
+// the same value or error. The one allowed difference is binding: Compile
+// rejects an unresolvable column reference up front, while the tree walk
+// reports it only if it reaches the reference. The seed corpus runs as a
+// unit test under plain `go test`.
 func FuzzEval(f *testing.F) {
 	seeds := []string{
 		"1 + 2 * 3",
@@ -35,6 +41,9 @@ func FuzzEval(f *testing.F) {
 		"'a' COLLATE NOCASE = 'A'",
 		"1 <=> NULL",
 		"5 % 0",
+		"c0 + 1",
+		"CASE WHEN 0 THEN c0 ELSE 2 END",
+		"\"ghost\" = 'ghost'",
 	}
 	for _, s := range seeds {
 		for d := range dialect.All {
@@ -48,8 +57,26 @@ func FuzzEval(f *testing.F) {
 			return // not a parsable expression
 		}
 		ev := New(d)
-		// Errors are fine (type errors, division by zero, overflow); only a
-		// panic fails the target, which the fuzz driver catches itself.
-		_, _ = ev.Eval(expr, EmptyEnv{})
+		// Errors are fine (type errors, division by zero, overflow) as long
+		// as both paths agree; a panic fails the target by itself.
+		want := outcome(ev.Eval(expr, nil, nil))
+		prog, err := ev.Compile(expr, nil)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "no such column: ") {
+				t.Fatalf("%s [%s]: Compile failed with a non-binding error: %v", src, d, err)
+			}
+			return
+		}
+		if got := outcome(prog.Eval(&Frame{})); got != want {
+			t.Fatalf("%s [%s]: tree-walk %s, compiled %s", src, d, want, got)
+		}
 	})
+}
+
+// outcome renders a value-or-error result for comparison.
+func outcome(v sqlval.Value, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return v.Kind().String() + "(" + v.String() + ")"
 }

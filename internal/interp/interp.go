@@ -77,7 +77,14 @@ func (c *Context) Bind(table, column string, info ColInfo) {
 // (table, column) binding; an unqualified one (table "") resolves only
 // when exactly one bound column has that name.
 func (c *Context) Lookup(table, column string) (ColInfo, bool) {
-	var found ColInfo
+	i, ci := c.Index(table, column)
+	return ci, i >= 0
+}
+
+// Index is Lookup that also reports where the binding sits: the column's
+// position in Values, or -1 when the reference does not resolve.
+func (c *Context) Index(table, column string) (int, ColInfo) {
+	found := -1
 	n := 0
 	for i := range c.binds {
 		b := &c.binds[i]
@@ -86,14 +93,26 @@ func (c *Context) Lookup(table, column string) (ColInfo, bool) {
 		}
 		if table != "" {
 			if strings.EqualFold(b.table, table) {
-				return b.info, true
+				return i, b.info
 			}
 			continue
 		}
-		found = b.info
+		found = i
 		n++
 	}
-	return found, n == 1
+	if n != 1 {
+		return -1, ColInfo{}
+	}
+	return found, c.binds[found].info
+}
+
+// Values appends the bound columns' values to dst in binding order, the
+// positions Index reports.
+func (c *Context) Values(dst []sqlval.Value) []sqlval.Value {
+	for i := range c.binds {
+		dst = append(dst, c.binds[i].info.Val)
+	}
+	return dst
 }
 
 // ErrUnsupported reports an expression the interpreter cannot evaluate; the

@@ -271,6 +271,9 @@ func TestColumnResolution(t *testing.T) {
 			if ok != tc.ok || (ok && !got.Val.Equal(tc.want)) {
 				t.Errorf("Lookup(%q, %q) = %v, %v; want %v, %v", tc.table, tc.column, got.Val, ok, tc.want, tc.ok)
 			}
+			if i, _ := ctx.Index(tc.table, tc.column); (i >= 0) != tc.ok || (i >= 0 && !ctx.Values(nil)[i].Equal(tc.want)) {
+				t.Errorf("Index(%q, %q) = %d, want a position holding %v (resolves: %v)", tc.table, tc.column, i, tc.want, tc.ok)
+			}
 			v, err := Eval(sqlast.Col(tc.table, tc.column), ctx)
 			if (err == nil) != tc.ok || (err == nil && !v.Equal(tc.want)) {
 				t.Errorf("Eval(%s.%s) = %v, %v; want %v (resolves: %v)", tc.table, tc.column, v, err, tc.want, tc.ok)

@@ -106,7 +106,7 @@ func (o *tlp) checkJoin(db sut.DB, env *Env, t1 string, info1 schema.TableInfo) 
 		}
 		return sel
 	}
-	rep, err := comparePartitions(db, env, t1+" JOIN "+t2, mk, pred)
+	rep, err := comparePartitions(db, env, mk, pred, multisetDiff(t1+" JOIN "+t2))
 	return rep, err, true
 }
 
@@ -181,13 +181,18 @@ func PartitionCheck(db sut.DB, env *Env, table string, cols []string, pred sqlas
 		}
 		return sel
 	}
-	return comparePartitions(db, env, table, mk, pred)
+	return comparePartitions(db, env, mk, pred, multisetDiff(table))
 }
 
+// partitionDiff compares an unpartitioned query's rows with the rows of
+// the UNION ALL of its partitions. On a mismatch it returns a Report
+// holding its Message (and Agg for the aggregate variant), which
+// comparePartitions completes; nil means the rows agree.
+type partitionDiff func(orig, comp [][]sqlval.Value) *Report
+
 // comparePartitions executes mk(nil) against the UNION ALL of mk over the
-// three partitions of pred and reports any multiset deviation. shape names
-// the query source for the report message.
-func comparePartitions(db sut.DB, env *Env, shape string, mk func(sqlast.Expr) *sqlast.Select, pred sqlast.Expr) (*Report, error) {
+// three partitions of pred and reports what diff finds between them.
+func comparePartitions(db sut.DB, env *Env, mk func(sqlast.Expr) *sqlast.Select, pred sqlast.Expr, diff partitionDiff) (*Report, error) {
 	orig := mk(nil)
 	parts := partitions(pred)
 	comp := &sqlast.Compound{
@@ -203,18 +208,29 @@ func comparePartitions(db sut.DB, env *Env, shape string, mk func(sqlast.Expr) *
 	if rep != nil || err != nil || compRes == nil {
 		return rep, err
 	}
-	if !MultisetEqual(origRows, compRes.Rows) {
-		return &Report{
-			Oracle:     faults.OracleTLP,
-			DetectedBy: "tlp",
-			Message: fmt.Sprintf(
-				"TLP partition mismatch on %s: unpartitioned query returned %d rows, UNION ALL of partitions %d",
-				shape, len(origRows), len(compRes.Rows)),
-			Trace:   append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect)),
-			Compare: sqlast.SQL(orig, env.Dialect),
-		}, nil
+	rep = diff(origRows, compRes.Rows)
+	if rep == nil {
+		return nil, nil
 	}
-	return nil, nil
+	rep.Oracle = faults.OracleTLP
+	rep.DetectedBy = "tlp"
+	rep.Trace = append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect))
+	rep.Compare = sqlast.SQL(orig, env.Dialect)
+	return rep, nil
+}
+
+// multisetDiff is the WHERE variant's comparison: the two sides must be
+// equal as multisets of rows. shape names the query source for the
+// report message.
+func multisetDiff(shape string) partitionDiff {
+	return func(orig, comp [][]sqlval.Value) *Report {
+		if MultisetEqual(orig, comp) {
+			return nil
+		}
+		return &Report{Message: fmt.Sprintf(
+			"TLP partition mismatch on %s: unpartitioned query returned %d rows, UNION ALL of partitions %d",
+			shape, len(orig), len(comp))}
+	}
 }
 
 // checkAgg runs the aggregate variant: COUNT always works; SUM only over
@@ -234,35 +250,14 @@ func (o *tlp) checkAgg(db sut.DB, env *Env, table string, info schema.TableInfo,
 			Where: where,
 		}
 	}
-	orig := mk(nil)
-	parts := partitions(pred)
-	comp := &sqlast.Compound{
-		Selects: []*sqlast.Select{mk(parts[0]), mk(parts[1]), mk(parts[2])},
-		Ops:     []sqlast.CompoundOp{sqlast.OpUnionAll, sqlast.OpUnionAll},
-	}
-	origRes, rep, err := execCheck(db, env, orig, "tlp")
-	if rep != nil || err != nil || origRes == nil {
-		return rep, err
-	}
-	origRows := sut.CloneRows(origRes.Rows) // kept across comp
-	compRes, rep, err := execCheck(db, env, comp, "tlp")
-	if rep != nil || err != nil || compRes == nil {
-		return rep, err
-	}
-	if !AggValuesEqual(fn, origRows, compRes.Rows) {
-		combined := CombineAgg(fn, compRes.Rows)
-		return &Report{
-			Oracle:     faults.OracleTLP,
-			DetectedBy: "tlp",
-			Agg:        fn,
-			Message: fmt.Sprintf(
-				"TLP aggregate mismatch on %s: %s(%s) is %s unpartitioned but %s recombined from partitions",
-				table, fn, col, aggDisplay(origRows), combined.String()),
-			Trace:   append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect)),
-			Compare: sqlast.SQL(orig, env.Dialect),
-		}, nil
-	}
-	return nil, nil
+	return comparePartitions(db, env, mk, pred, func(orig, comp [][]sqlval.Value) *Report {
+		if AggValuesEqual(fn, orig, comp) {
+			return nil
+		}
+		return &Report{Agg: fn, Message: fmt.Sprintf(
+			"TLP aggregate mismatch on %s: %s(%s) is %s unpartitioned but %s recombined from partitions",
+			table, fn, col, aggDisplay(orig), CombineAgg(fn, comp).String())}
+	})
 }
 
 func aggDisplay(rows [][]sqlval.Value) string {
