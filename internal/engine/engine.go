@@ -84,6 +84,10 @@ type Engine struct {
 	// instead of reallocating per database.
 	freeTables  []*storage.TableData
 	freeIndexes []*storage.IndexData
+	// freeSnaps recycles the Snapshots the transaction machinery parks
+	// session states in (recycleLocked); diffBuf holds Diff's sort buffers.
+	freeSnaps []*Snapshot
+	diffBuf   [2][]*storage.Row
 
 	// mem backs everything a SELECT allocates (mem.go): statement slabs
 	// are empty between statements, result slabs hold the last result.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/sqlval"
 	"repro/internal/storage"
 	"repro/internal/xerr"
@@ -94,6 +96,12 @@ func (e *Engine) newIndexData(colls []sqlval.Collation, descs []bool) *storage.I
 // their snapshots. The pointers are valid for the snapshot's DDL epoch:
 // containers are only created, renamed or recycled by DDL and Reset, which
 // both move the epoch on.
+//
+// The transaction machinery parks sessions' states in snapshots of its
+// own and recycles each one once it is reinstalled or discarded (see
+// recycleLocked), so a session switch allocates nothing for the Snapshot
+// itself. A Snapshot returned by Engine.Snapshot belongs to the caller
+// and is never recycled.
 type Snapshot struct {
 	epoch   int64
 	seq     int64
@@ -101,12 +109,12 @@ type Snapshot struct {
 	csLike  bool
 	tables  []tableSnap
 	indexes []indexSnap
-	state   []stateSnap  // nil when the engine has no bookkeeping
-	globals []globalSnap // nil when the engine has no globals
+	state   []stateSnap
+	globals []globalSnap
 }
 
 type tableSnap struct {
-	name string
+	name string // the catalog's spelling; lookups fold it with lower
 	td   *storage.TableData
 	snap *storage.TableSnapshot
 }
@@ -127,10 +135,10 @@ type globalSnap struct {
 	v    sqlval.Value
 }
 
-// table returns the snapshot of the named table, or nil.
-func (s *Snapshot) table(name string) *storage.TableSnapshot {
+// table returns the snapshot of the named table (lower-cased), or nil.
+func (s *Snapshot) table(key string) *storage.TableSnapshot {
 	for i := range s.tables {
-		if s.tables[i].name == name {
+		if lower(s.tables[i].name) == key {
 			return s.tables[i].snap
 		}
 	}
@@ -157,6 +165,20 @@ func (s *Snapshot) tableState(name string) (tableState, bool) {
 	return tableState{}, false
 }
 
+// RawRows returns a copy of the named table's rows as s captured them
+// (nil if s holds no such table), like Engine.RawRows.
+func (s *Snapshot) RawRows(table string) [][]sqlval.Value {
+	ts := s.table(lower(table))
+	if ts == nil {
+		return nil
+	}
+	out := make([][]sqlval.Value, ts.Len())
+	for i, r := range ts.Rows() {
+		out[i] = append([]sqlval.Value(nil), r.Vals...)
+	}
+	return out
+}
+
 // Snapshot captures the current data state (see type Snapshot). Cost is
 // proportional to the number of rows and index entries of the tables that
 // changed since their last capture or restore, not their size — the row
@@ -172,36 +194,136 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // snapshotLocked captures whatever state is currently installed (e.mu
-// held). The transaction machinery uses it to park a session's working
-// state while another session's is installed.
+// held), in a recycled Snapshot when one is free. The transaction
+// machinery uses it to park a session's working state while another
+// session's is installed.
+//
+// Tables and their indexes come from the catalog's cached lists and
+// per-table bookkeeping from one lookup per table, so a capture walks no
+// map but the options'. The lists cover the maps: DDL creates, renames
+// and drops a base table's heap, its indexes' containers and its
+// bookkeeping together with its catalog entry, and views have none.
 func (e *Engine) snapshotLocked() *Snapshot {
-	s := &Snapshot{
-		epoch:   e.ddlEpoch,
-		seq:     e.seq,
-		corrupt: e.corrupt,
-		csLike:  e.caseSensitiveLike,
-		tables:  make([]tableSnap, 0, len(e.data)),
-		indexes: make([]indexSnap, 0, len(e.idx)),
+	var s *Snapshot
+	if n := len(e.freeSnaps); n > 0 {
+		s = e.freeSnaps[n-1]
+		e.freeSnaps = e.freeSnaps[:n-1]
+	} else {
+		s = &Snapshot{}
 	}
-	for name, td := range e.data {
-		s.tables = append(s.tables, tableSnap{name, td, td.Snapshot()})
-	}
-	for name, ixd := range e.idx {
-		s.indexes = append(s.indexes, indexSnap{name, ixd, ixd.Snapshot()})
-	}
-	if len(e.state) > 0 {
-		s.state = make([]stateSnap, 0, len(e.state))
-		for name, ts := range e.state {
-			s.state = append(s.state, stateSnap{name, *ts})
+	s.epoch, s.seq, s.corrupt, s.csLike = e.ddlEpoch, e.seq, e.corrupt, e.caseSensitiveLike
+	s.tables = slices.Grow(s.tables, len(e.data))
+	s.indexes = slices.Grow(s.indexes, len(e.idx))
+	s.state = slices.Grow(s.state, len(e.state))
+	for _, name := range e.cat.TableNames() {
+		k := lower(name)
+		if td := e.data[k]; td != nil {
+			s.tables = append(s.tables, tableSnap{name, td, td.Snapshot()})
+		}
+		for _, ix := range e.cat.IndexesOn(name) {
+			ik := lower(ix.Name)
+			if ixd := e.idx[ik]; ixd != nil {
+				s.indexes = append(s.indexes, indexSnap{ik, ixd, ixd.Snapshot()})
+			}
+		}
+		if ts := e.state[k]; ts != nil {
+			s.state = append(s.state, stateSnap{k, *ts})
 		}
 	}
-	if len(e.globals) > 0 {
-		s.globals = make([]globalSnap, 0, len(e.globals))
-		for name, v := range e.globals {
-			s.globals = append(s.globals, globalSnap{name, v})
-		}
+	for name, v := range e.globals {
+		s.globals = append(s.globals, globalSnap{name, v})
 	}
 	return s
+}
+
+// recycleLocked takes back an internal snapshot the transaction machinery
+// has dropped: parked committed or working state once reinstalled or
+// discarded, and a commit's working snapshot once merged. Its slices keep
+// their capacity for the next capture; the storage snapshots they pointed
+// to are released to whoever else holds them. Never call it on a
+// snapshot a caller may still hold.
+func (e *Engine) recycleLocked(s *Snapshot) {
+	if s == nil {
+		return
+	}
+	clear(s.tables)
+	clear(s.indexes)
+	clear(s.globals)
+	s.tables, s.indexes, s.state, s.globals = s.tables[:0], s.indexes[:0], s.state[:0], s.globals[:0]
+	s.corrupt = ""
+	e.freeSnaps = append(e.freeSnaps, s)
+}
+
+// Diff compares the data of s, a snapshot taken from this engine, with
+// the installed data as row multisets and names the first table that
+// differs: among the tables s captured, the least name in byte order (a
+// table the live data lacks counts as empty); failing that, the least
+// live table s did not capture, with captured false. It returns "" when
+// both hold the same rows.
+//
+// Two rows are equal when their values are equal under
+// sqlval.LitCompare, that is, when they render to the same literals. A
+// table whose live heap holds the very storage snapshot s captured is
+// equal without reading a row. Rows are matched by sorting pointers in the
+// engine's buffers; no row is copied and no value rendered. The schema
+// may have changed since s (crash recovery rebuilds it), so tables pair
+// by name, never by container.
+func (e *Engine) Diff(s *Snapshot) (table string, captured bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range s.tables {
+		ts := &s.tables[i]
+		if table != "" && ts.name >= table {
+			continue
+		}
+		var live []*storage.Row
+		if td := e.data[lower(ts.name)]; td != nil {
+			if td.Holds(ts.snap) {
+				continue
+			}
+			live = td.Rows()
+		}
+		if !e.sameRows(ts.snap.Rows(), live) {
+			table = ts.name
+		}
+	}
+	if table != "" {
+		return table, true
+	}
+	for _, name := range e.cat.TableNames() {
+		if s.table(lower(name)) == nil && (table == "" || name < table) {
+			table = name
+		}
+	}
+	return table, false
+}
+
+// sameRows reports whether two row lists hold the same multiset under
+// sqlval.LitCompareRows. Lists in the same order (a replay that
+// reproduced its inserts) match without sorting.
+func (e *Engine) sameRows(a, b []*storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	i := 0
+	for i < len(a) && sqlval.LitCompareRows(a[i].Vals, b[i].Vals) == 0 {
+		i++
+	}
+	if i == len(a) {
+		return true
+	}
+	byLit := func(x, y *storage.Row) int { return sqlval.LitCompareRows(x.Vals, y.Vals) }
+	sa := append(e.diffBuf[0][:0], a[i:]...)
+	sb := append(e.diffBuf[1][:0], b[i:]...)
+	e.diffBuf[0], e.diffBuf[1] = sa, sb
+	slices.SortFunc(sa, byLit)
+	slices.SortFunc(sb, byLit)
+	for j := range sa {
+		if byLit(sa[j], sb[j]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Restore rewinds the engine's data to a snapshot taken from it. It fails

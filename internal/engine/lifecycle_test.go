@@ -149,3 +149,39 @@ func TestSnapshotRestoreData(t *testing.T) {
 		t.Error("restore accepted a stale snapshot after DDL")
 	}
 }
+
+// TestSnapshotDiff checks Diff, the row-multiset comparison of a snapshot
+// with the live data: an untouched state is equal through its shared
+// storage snapshots, rows rewritten to the same content in another order
+// are equal, a changed table is named (the least name when several
+// differ), and a live table the snapshot lacks is named with captured
+// false.
+func TestSnapshotDiff(t *testing.T) {
+	e := Open(dialect.SQLite)
+	execAll(t, e,
+		"CREATE TABLE t1(c0 INT, c1 TEXT)",
+		"CREATE TABLE t0(c0 REAL)",
+		"INSERT INTO t1 VALUES (1, 'a'), (2, 'b'), (2, 'b')",
+		"INSERT INTO t0 VALUES (0.5)",
+	)
+	snap := e.Snapshot()
+	check := func(wantTable string, wantCaptured bool) {
+		t.Helper()
+		if table, captured := e.Diff(snap); table != wantTable || (table != "" && captured != wantCaptured) {
+			t.Fatalf("Diff = (%q, %v), want (%q, %v)", table, captured, wantTable, wantCaptured)
+		}
+	}
+	check("", false)
+	execAll(t, e, "DELETE FROM t1 WHERE c0 = 1", "INSERT INTO t1 VALUES (1, 'a')")
+	check("", false)
+	execAll(t, e, "UPDATE t1 SET c1 = 'c' WHERE c0 = 1")
+	check("t1", true)
+	execAll(t, e, "DELETE FROM t0")
+	check("t0", true)
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("", false)
+	execAll(t, e, "CREATE TABLE t2(c0 INT)")
+	check("t2", false)
+}

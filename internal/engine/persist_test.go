@@ -212,6 +212,34 @@ func TestDurableSnapshotStaleAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestDurableDiffAfterRecovery checks the recovery oracle's comparison:
+// a pre-crash snapshot compares equal to the recovered state by reading
+// its rows, since recovery rebuilds every heap and none may still hold a
+// pre-crash storage snapshot.
+func TestDurableDiffAfterRecovery(t *testing.T) {
+	e, err := OpenDurable(dialect.SQLite, pager.NewSim(pager.OS()), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustExec(t, e, `CREATE TABLE t0(c0)`)
+	mustExec(t, e, `INSERT INTO t0(c0) VALUES (1), (2)`)
+	snap := e.Snapshot()
+	if err := e.CrashRecover(pager.CrashPlan{Point: pager.AfterSync, Mode: pager.LostTail}); err != nil {
+		t.Fatalf("CrashRecover: %v", err)
+	}
+	if e.data["t0"].Holds(snap.table("t0")) {
+		t.Fatal("recovered heap holds a pre-crash storage snapshot")
+	}
+	if table, _ := e.Diff(snap); table != "" {
+		t.Fatalf("Diff after a clean recovery names %s", table)
+	}
+	mustExec(t, e, `DELETE FROM t0 WHERE c0 = 2`)
+	if table, captured := e.Diff(snap); table != "t0" || !captured {
+		t.Fatalf("Diff = (%q, %v), want (t0, true)", table, captured)
+	}
+}
+
 // TestDurableSnapshotRestorePersists checks Restore re-commits the rewound
 // state: what a reopened engine sees is the restored data, not the DML
 // that came after the snapshot.

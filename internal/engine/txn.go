@@ -173,7 +173,8 @@ func (e *Engine) execTxnLocked(c *Conn, tx *sqlast.Txn) (*Result, error) {
 
 // installLocked makes `want`'s working state (nil: the committed state)
 // the one installed in e.data, parking the current occupant as a COW
-// snapshot. The global statement counter survives the swap.
+// snapshot and recycling the reinstalled one. The global statement
+// counter survives the swap.
 func (e *Engine) installLocked(want *Conn) {
 	if e.curOwn == want {
 		return
@@ -199,6 +200,7 @@ func (e *Engine) installLocked(want *Conn) {
 	if err := e.restoreLocked(target); err != nil {
 		e.corrupt = "transaction state switch failed: " + err.Error()
 	}
+	e.recycleLocked(target)
 	e.seq = seq
 	e.curOwn = want
 }
@@ -222,17 +224,15 @@ func (e *Engine) commitTxnLocked(c *Conn) error {
 		e.abortTxnLocked(c, false)
 		return xerr.New(xerr.CodeConflict, "cannot commit: %s", conflict)
 	}
-	var work *Snapshot
-	if e.curOwn == c {
-		work = e.snapshotLocked()
-	}
+	// Installing the committed state parks c's working state in t.work,
+	// if it was not parked already: that one snapshot is what the merge
+	// reads.
 	e.installLocked(nil)
-	if work == nil {
-		work = t.work // was parked
-	}
+	work := t.work
 	c.txn = nil
 	delete(e.txns, c)
 	e.mergeWorkLocked(t, work)
+	e.recycleLocked(work)
 	e.commitSeq++
 	if len(e.txns) > 0 {
 		e.commitLog = append(e.commitLog, commitRecord{seq: e.commitSeq, writes: t.writes})
@@ -388,6 +388,7 @@ func (e *Engine) abortTxnLocked(c *Conn, explicitRollback bool) {
 		if err := e.restoreLocked(e.commSnap); err != nil {
 			e.corrupt = "transaction rollback failed: " + err.Error()
 		}
+		e.recycleLocked(e.commSnap)
 		e.seq = seq
 		e.curOwn = nil
 		e.commSnap = nil
@@ -398,7 +399,11 @@ func (e *Engine) abortTxnLocked(c *Conn, explicitRollback bool) {
 				td.Restore(tsnap)
 			}
 		}
+		if leakTab != t.work {
+			e.recycleLocked(leakTab)
+		}
 	}
+	e.recycleLocked(t.work)
 	c.txn = nil
 	delete(e.txns, c)
 	if len(e.txns) == 0 {
@@ -434,11 +439,13 @@ func (e *Engine) abortAllTxnsLocked() {
 				e.corrupt = "transaction abort failed: " + err.Error()
 			}
 		}
+		e.recycleLocked(e.commSnap)
 		e.seq = seq
 		e.curOwn = nil
 		e.commSnap = nil
 	}
 	for c := range e.txns {
+		e.recycleLocked(c.txn.work)
 		c.txn = nil
 	}
 	clear(e.txns)

@@ -2,9 +2,8 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/sqlast"
@@ -18,10 +17,12 @@ func init() {
 }
 
 // crashableDB is the capability surface the recovery oracle needs beyond
-// sut.DB. It is asserted structurally so any backend that supports
-// simulated crashes (today sut/memengine over the pager storage mode)
-// works without a registry change.
+// sut.DB: simulated crashes, plus the whole-state snapshots its expected
+// and recovered states are compared through. It is asserted structurally
+// so any backend that supports both (today sut/memengine over the pager
+// storage mode) works without a registry change.
 type crashableDB interface {
+	snapshotDB
 	Durable() bool
 	ArmCrash(pager.CrashPlan) bool
 	DisarmCrash()
@@ -38,72 +39,16 @@ type crashableDB interface {
 // anything in between) for a mid-commit crash. The injected durability
 // faults — skipped commit fsync, checksum-blind torn-tail salvage,
 // truncated WAL replay — all surface as divergences or recovery failures
-// here; the ground truth is the tester's own introspection of what it
-// committed, never the (possibly buggy) recovery path.
+// here; the ground truth is a snapshot of the in-memory state taken
+// before the crash, never the (possibly buggy) recovery path. A recovered
+// table never shares a storage snapshot with it (recovery rebuilds every
+// heap), so the comparison always reads its rows.
 type recovery struct {
 	opts Options
 }
 
 // Name implements Oracle.
 func (*recovery) Name() string { return "recovery" }
-
-// tableDump is the expected/recovered state: table → sorted encoded rows
-// (a multiset; duplicates stay as repeated entries).
-type tableDump map[string][]string
-
-// dump captures the row multiset of every table through the ground-truth
-// introspection surface (RawRows bypasses the query and recovery paths).
-func dump(db sut.DB) tableDump {
-	intro := db.Introspect()
-	out := tableDump{}
-	for _, t := range intro.Tables() {
-		rows := intro.RawRows(t)
-		enc := make([]string, len(rows))
-		for i, r := range rows {
-			var b strings.Builder
-			for j, v := range r {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				b.WriteString(v.Literal())
-			}
-			enc[i] = b.String()
-		}
-		sort.Strings(enc)
-		out[t] = enc
-	}
-	return out
-}
-
-// diff describes the first divergence between two dumps ("" when equal).
-// Deterministic: tables in sorted order, rows pre-sorted by dump.
-func (d tableDump) diff(got tableDump) string {
-	names := make([]string, 0, len(d))
-	for t := range d {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
-		want, have := d[t], got[t]
-		if len(want) != len(have) {
-			return fmt.Sprintf("table %s: %d rows committed, %d recovered", t, len(want), len(have))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				return fmt.Sprintf("table %s: committed row (%s) vs recovered (%s)", t, want[i], have[i])
-			}
-		}
-	}
-	for t := range got {
-		if _, ok := d[t]; !ok {
-			return fmt.Sprintf("table %s: absent at commit time, present after recovery", t)
-		}
-	}
-	return ""
-}
-
-// equal reports whether two dumps hold identical multisets.
-func (d tableDump) equal(got tableDump) bool { return d.diff(got) == "" }
 
 // RecoveryReplay replays a candidate trace on a crash-capable database
 // and reports whether the bug's recorded crash schedule still produces a
@@ -125,7 +70,7 @@ func RecoveryReplay(db sut.DB, bug *Report, trace []string) bool {
 		for _, sql := range trace[:len(trace)-1] {
 			_, _ = db.Exec(sql) // setup errors just weaken the candidate
 		}
-		before := dump(db)
+		before := cdb.Snapshot()
 		if !cdb.ArmCrash(plan) {
 			return false
 		}
@@ -136,21 +81,20 @@ func RecoveryReplay(db sut.DB, bug *Report, trace []string) bool {
 			cdb.DisarmCrash()
 			return false
 		}
-		after := dump(db)
+		after := cdb.Snapshot()
 		if cdb.CrashRecover(plan) != nil {
 			return true // recovery failure is itself the detection
 		}
-		rec := dump(db)
-		return !before.equal(rec) && !after.equal(rec)
+		return !sameState(cdb, before) && !sameState(cdb, after)
 	}
 	for _, sql := range trace {
 		_, _ = db.Exec(sql)
 	}
-	expected := dump(db)
+	expected := cdb.Snapshot()
 	if cdb.CrashRecover(plan) != nil {
 		return true
 	}
-	return !expected.equal(dump(db))
+	return !sameState(cdb, expected)
 }
 
 // Check implements Oracle: one crash-recovery round.
@@ -182,8 +126,8 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 	}
 
 	plan := pager.RandomPlan(env.Rnd.Intn)
-	expected := dump(db)
-	var expectedAfter tableDump // BeforeSync: state after the armed statement
+	expected := cdb.Snapshot()
+	var expectedAfter *engine.Snapshot // BeforeSync: state after the armed statement
 
 	if plan.Point == pager.BeforeSync {
 		// Arm the crash inside the next commit and run one more DML: the
@@ -193,7 +137,7 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 		// the "transaction became durable" half of the atomicity check.
 		fired := false
 		for try := 0; try < 4 && !fired; try++ {
-			expected = dump(db)
+			expected = cdb.Snapshot()
 			if !cdb.ArmCrash(plan) {
 				return nil, xerr.New(xerr.CodeUnsupported, "backend cannot simulate crashes")
 			}
@@ -206,7 +150,7 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 			if err != nil {
 				if code, _ := xerr.CodeOf(err); code == xerr.CodeIO {
 					fired = true
-					expectedAfter = dump(db)
+					expectedAfter = cdb.Snapshot()
 					break
 				}
 				// An expected statement error still commits its partial
@@ -220,7 +164,7 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 			// to an after-sync crash between statements.
 			cdb.DisarmCrash()
 			plan.Point = pager.AfterSync
-			expected = dump(db)
+			expected = cdb.Snapshot()
 		}
 	}
 
@@ -236,21 +180,20 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 		}, nil
 	}
 
-	recovered := dump(db)
 	if plan.Point == pager.BeforeSync {
 		// Atomicity: the mid-commit transaction either became durable
 		// (the unsynced tail survived intact) or vanished — both legal.
-		if expected.equal(recovered) || expectedAfter.equal(recovered) {
+		if sameState(cdb, expected) || sameState(cdb, expectedAfter) {
 			return nil, nil
 		}
-	} else if expected.equal(recovered) {
+	} else if sameState(cdb, expected) {
 		return nil, nil
 	}
 	return &Report{
 		Oracle:     faults.OracleRecovery,
 		DetectedBy: "recovery",
 		Message: fmt.Sprintf("recovery divergence after simulated crash (%s): %s",
-			plan, expected.diff(recovered)),
+			plan, stateDiff(cdb, expected)),
 		Trace:     append(env.SetupTrace(), extra...),
 		CrashPlan: plan.String(),
 	}, nil

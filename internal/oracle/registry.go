@@ -17,8 +17,9 @@ import (
 // Oracle is one pluggable testing oracle: given an open database under
 // test, generate a check (a query or a metamorphic query pair), run it
 // through the SUT boundary, and report a detection or a clean pass
-// (nil, nil). Implementations are stateless between checks beyond the
-// randomness the Env supplies, so one instance may serve many databases.
+// (nil, nil). Implementations keep no state between checks beyond the
+// randomness the Env supplies and memory they reuse, so one instance may
+// serve many databases, one check at a time.
 type Oracle interface {
 	// Name is the registry name ("pqs", "norec", "tlp").
 	Name() string

@@ -2,7 +2,7 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/sqlast"
 	"repro/internal/sqlparse"
+	"repro/internal/sqlval"
 	"repro/internal/sut"
 	"repro/internal/xerr"
 )
@@ -20,14 +21,13 @@ func init() {
 }
 
 // multiDB is the capability surface the serializability oracle needs
-// beyond sut.DB: extra concurrent sessions, plus whole-state snapshot and
-// restore for serial-order replay. Asserted structurally like the
-// recovery oracle's crash capability; sut/memengine satisfies it, the
-// wire backend (one database per driver connection) cannot.
+// beyond sut.DB: extra concurrent sessions, plus whole-state snapshot,
+// comparison and restore for serial-order replay. Asserted structurally
+// like the recovery oracle's crash capability; sut/memengine satisfies
+// it, the wire backend (one database per driver connection) cannot.
 type multiDB interface {
-	sut.DB
+	snapshotDB
 	sut.MultiSession
-	Snapshot() *engine.Snapshot
 	RestoreSnapshot(*engine.Snapshot) error
 }
 
@@ -41,8 +41,12 @@ type multiDB interface {
 // leave no trace. The engine's first-committer-wins validation makes the
 // commit order itself a witness serial order, so a sound engine passes on
 // the first candidate — any history with no witness at all is a bug.
+//
+// An instance reuses its check memory (see history), so it serves one
+// check at a time.
 type serializability struct {
 	opts Options
+	h    history
 }
 
 // Name implements Oracle.
@@ -85,38 +89,23 @@ type histStep struct {
 }
 
 // stepOutcome is the comparable observation of one statement: error code
-// on failure, sorted row multiset and rows-affected on success. Rows are
-// compared as sorted multisets so legal row-order differences between the
-// interleaved run and a serial replay never count as divergence.
+// on failure, row multiset and rows-affected on success. Rows are
+// compared as multisets, sorted by sqlval.LitCompareRows, so legal
+// row-order differences between the interleaved run and a serial replay
+// never count as divergence; two rows are equal exactly when they render
+// to the same literals. The rows alias memory the outcome does not own
+// (see history.observe).
 type stepOutcome struct {
 	failed   bool
 	code     xerr.Code
-	rows     []string
+	rows     [][]sqlval.Value
 	affected int
 }
 
-func observeStep(res *sut.Result, err error) stepOutcome {
-	if err != nil {
-		code, _ := xerr.CodeOf(err)
-		return stepOutcome{failed: true, code: code}
-	}
-	out := stepOutcome{affected: res.RowsAffected}
-	if len(res.Rows) > 0 {
-		enc := make([]string, len(res.Rows))
-		for i, row := range res.Rows {
-			parts := make([]string, len(row))
-			for j, v := range row {
-				parts[j] = v.Literal()
-			}
-			enc[i] = strings.Join(parts, ",")
-		}
-		sort.Strings(enc)
-		out.rows = enc
-	}
-	return out
-}
-
 // diff describes the first divergence from another outcome ("" if equal).
+// Rows compare typed; only a divergent pair of row multisets is rendered,
+// and the message quotes the first row at which the two sorted renderings
+// differ.
 func (o stepOutcome) diff(rep stepOutcome) string {
 	if o.failed != rep.failed {
 		return fmt.Sprintf("error divergence (observed failed=%v code=%s, serial failed=%v code=%s)",
@@ -131,9 +120,12 @@ func (o stepOutcome) diff(rep stepOutcome) string {
 	if len(o.rows) != len(rep.rows) {
 		return fmt.Sprintf("%d rows observed, %d in serial replay", len(o.rows), len(rep.rows))
 	}
-	for i := range o.rows {
-		if o.rows[i] != rep.rows[i] {
-			return fmt.Sprintf("row (%s) observed vs (%s) in serial replay", o.rows[i], rep.rows[i])
+	if !slices.EqualFunc(o.rows, rep.rows, sameRow) {
+		obs, ser := renderRows(o.rows), renderRows(rep.rows)
+		for i := range obs {
+			if obs[i] != ser[i] {
+				return fmt.Sprintf("row (%s) observed vs (%s) in serial replay", obs[i], ser[i])
+			}
 		}
 	}
 	if o.affected != rep.affected {
@@ -142,55 +134,140 @@ func (o stepOutcome) diff(rep stepOutcome) string {
 	return ""
 }
 
+func sameRow(a, b []sqlval.Value) bool { return sqlval.LitCompareRows(a, b) == 0 }
+
 // unit is one committed unit of a history: a committed transaction's
 // statements, or a single auto-committed statement. pos is the global
 // step index at which the unit took effect (its COMMIT, or the statement
-// itself) — sorting by pos yields the commit order.
+// itself) — sorting by pos yields the commit order. A unit still open or
+// rolled back has pos -1.
 type unit struct {
 	pos   int
 	stmts []int // indices into the history's steps
 }
 
-// assembleUnits extracts the committed units from an executed history.
-// Rolled-back transactions, transactions whose COMMIT failed (conflict
-// aborts), and statements that failed with CodeBusy (the first-writer
-// lock — a pure concurrency artifact with no serial counterpart) are
-// excluded: a serializable history is equivalent to some serial execution
-// of exactly what committed.
-func assembleUnits(steps []histStep) []unit {
-	var units []unit
-	open := map[int]*unit{} // session → pending transaction unit
-	for i, s := range steps {
+// history is one check's memory: the executed steps and their observed
+// outcomes, the committed units, the open-transaction table, the arenas
+// the observed result rows are copied into, the replay's row buffer and
+// the serial-order search's permutation. The next check overwrites all of
+// it, so nothing outlives the check that filled it: a detection renders
+// its message and trace before the check returns, and no Report aliases
+// this memory. An oracle instance owns one history (its checks run one at
+// a time, 30 per database); SerializabilityReplay builds its own.
+type history struct {
+	db    multiDB
+	steps []histStep
+	units []unit
+	open  []int // session → index into units of its open transaction, or -1
+
+	// vals and rows hold the observed outcomes' rows. Engine result rows
+	// die at the next statement, so every row the history observes is
+	// copied here; growing an arena leaves earlier outcomes on the old
+	// backing array, which nothing writes again during the check.
+	vals []sqlval.Value
+	rows [][]sqlval.Value
+	// replay holds a serial replay's row headers while they are sorted
+	// and compared; the values stay in the engine's result.
+	replay [][]sqlval.Value
+
+	order, heap []int // searchSerial's permutation and Heap's counters
+}
+
+// reset prepares h for a history of n steps on db.
+func (h *history) reset(db multiDB, n int) {
+	h.db = db
+	h.steps = slices.Grow(h.steps[:0], n)
+	h.vals, h.rows = h.vals[:0], h.rows[:0]
+}
+
+// observe turns one statement's result into an outcome. An observed
+// history statement (keep) copies its rows into the arenas, since the
+// outcome outlives the result; a serial replay's only sorts the result's
+// row headers in h.replay, valid until its next statement.
+func (h *history) observe(res *sut.Result, err error, keep bool) stepOutcome {
+	if err != nil {
+		code, _ := xerr.CodeOf(err)
+		return stepOutcome{failed: true, code: code}
+	}
+	out := stepOutcome{affected: res.RowsAffected}
+	if len(res.Rows) == 0 {
+		return out
+	}
+	if keep {
+		start := len(h.rows)
+		for _, row := range res.Rows {
+			at := len(h.vals)
+			h.vals = append(h.vals, row...)
+			h.rows = append(h.rows, h.vals[at:len(h.vals):len(h.vals)])
+		}
+		out.rows = h.rows[start:len(h.rows):len(h.rows)]
+	} else {
+		h.replay = append(h.replay[:0], res.Rows...)
+		out.rows = h.replay
+	}
+	slices.SortFunc(out.rows, sqlval.LitCompareRows)
+	return out
+}
+
+// assembleUnits extracts the committed units from the executed history
+// into h.units, in commit order. Rolled-back transactions, transactions
+// whose COMMIT failed (conflict aborts), and statements that failed with
+// CodeBusy (the first-writer lock — a pure concurrency artifact with no
+// serial counterpart) are excluded: a serializable history is equivalent
+// to some serial execution of exactly what committed. Units keep their
+// statement lists' capacity from check to check.
+func (h *history) assembleUnits(nSessions int) {
+	units := h.units[:0]
+	add := func(pos int) int {
+		units = slices.Grow(units, 1)[:len(units)+1]
+		u := &units[len(units)-1]
+		u.pos, u.stmts = pos, u.stmts[:0]
+		return len(units) - 1
+	}
+	h.open = slices.Grow(h.open[:0], nSessions)[:nSessions]
+	for i := range h.open {
+		h.open[i] = -1
+	}
+	for i, s := range h.steps {
 		if tx, ok := s.st.(*sqlast.Txn); ok {
+			u := h.open[s.session]
 			switch tx.Op {
 			case sqlast.TxnBegin:
 				if !s.out.failed {
-					open[s.session] = &unit{}
+					h.open[s.session] = add(-1)
 				}
 			case sqlast.TxnCommit:
-				if u := open[s.session]; u != nil {
-					delete(open, s.session)
-					if !s.out.failed && len(u.stmts) > 0 {
-						u.pos = i
-						units = append(units, *u)
-					}
+				if u >= 0 && !s.out.failed && len(units[u].stmts) > 0 {
+					units[u].pos = i
 				}
+				h.open[s.session] = -1
 			default: // TxnRollback
-				delete(open, s.session)
+				h.open[s.session] = -1
 			}
 			continue
 		}
 		if s.out.failed && s.out.code == xerr.CodeBusy {
 			continue
 		}
-		if u := open[s.session]; u != nil {
-			u.stmts = append(u.stmts, i)
+		if u := h.open[s.session]; u >= 0 {
+			units[u].stmts = append(units[u].stmts, i)
 			continue
 		}
-		units = append(units, unit{pos: i, stmts: []int{i}})
+		u := add(i)
+		units[u].stmts = append(units[u].stmts, i)
 	}
-	sort.Slice(units, func(a, b int) bool { return units[a].pos < units[b].pos })
-	return units
+	// Drop the uncommitted units, swapping rather than overwriting so
+	// every unit keeps its statement list's backing array.
+	n := 0
+	for i := range units {
+		if units[i].pos >= 0 {
+			units[n], units[i] = units[i], units[n]
+			n++
+		}
+	}
+	units = units[:n]
+	slices.SortFunc(units, func(a, b unit) int { return a.pos - b.pos })
+	h.units = units
 }
 
 // replaySerial executes the units in the given order on the restored base
@@ -198,20 +275,21 @@ func assembleUnits(steps []histStep) []unit {
 // needs no transaction machinery, which also keeps replay off the
 // injected isolation-fault sites) and compares every statement's outcome
 // and the final committed state against the interleaved observations.
-func replaySerial(db multiDB, base *engine.Snapshot, steps []histStep, units []unit, order []int, final tableDump) (bool, string) {
+func (h *history) replaySerial(base, final *engine.Snapshot) (bool, string) {
+	db := h.db
 	if err := db.RestoreSnapshot(base); err != nil {
 		return false, "snapshot restore failed: " + err.Error()
 	}
-	for _, ui := range order {
-		for _, si := range units[ui].stmts {
-			res, err := db.ExecAST(steps[si].st)
-			if d := steps[si].out.diff(observeStep(res, err)); d != "" {
+	for _, ui := range h.order {
+		for _, si := range h.units[ui].stmts {
+			res, err := db.ExecAST(h.steps[si].st)
+			if d := h.steps[si].out.diff(h.observe(res, err, false)); d != "" {
 				return false, fmt.Sprintf("statement %d (%s): %s",
-					si, sqlast.SQL(steps[si].st, db.Session().Dialect), d)
+					si, sqlast.SQL(h.steps[si].st, db.Session().Dialect), d)
 			}
 		}
 	}
-	if d := final.diff(dump(db)); d != "" {
+	if d := stateDiff(db, final); d != "" {
 		return false, "final state: " + d
 	}
 	return true, ""
@@ -222,19 +300,22 @@ func replaySerial(db multiDB, base *engine.Snapshot, steps []histStep, units []u
 // witness), then every other permutation up to maxSerialOrders. Returns
 // whether a witness order exists, plus the commit-order divergence when
 // none does (the most readable explanation of the violation).
-func searchSerial(db multiDB, base *engine.Snapshot, steps []histStep, units []unit, final tableDump) (bool, string) {
-	n := len(units)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+func (h *history) searchSerial(base, final *engine.Snapshot) (bool, string) {
+	n := len(h.units)
+	h.order = slices.Grow(h.order[:0], n)[:n]
+	for i := range h.order {
+		h.order[i] = i
 	}
-	ok, commitDiff := replaySerial(db, base, steps, units, order, final)
+	ok, commitDiff := h.replaySerial(base, final)
 	if ok {
 		return true, ""
 	}
 	// Permute: Heap's algorithm over the remaining orders, bounded.
+	order := h.order
 	tried := 1
-	c := make([]int, n)
+	c := slices.Grow(h.heap[:0], n)[:n]
+	clear(c)
+	h.heap = c
 	i := 0
 	for i < n && tried < maxSerialOrders {
 		if c[i] < i {
@@ -244,7 +325,7 @@ func searchSerial(db multiDB, base *engine.Snapshot, steps []histStep, units []u
 				order[c[i]], order[i] = order[i], order[c[i]]
 			}
 			tried++
-			if ok, _ := replaySerial(db, base, steps, units, order, final); ok {
+			if ok, _ := h.replaySerial(base, final); ok {
 				return true, ""
 			}
 			c[i]++
@@ -262,7 +343,8 @@ func searchSerial(db multiDB, base *engine.Snapshot, steps []histStep, units []u
 // the shared error oracle classifies as a bug or crash short-circuits
 // with that report (the build-phase error oracle, extended into the
 // multi-session phase).
-func runHistory(db multiDB, env *Env, steps []histStep, nSessions int) (*Report, error) {
+func (h *history) runHistory(env *Env, nSessions int) (*Report, error) {
+	db := h.db
 	conns := make([]sut.Conn, nSessions)
 	defer func() {
 		for _, c := range conns {
@@ -271,8 +353,8 @@ func runHistory(db multiDB, env *Env, steps []histStep, nSessions int) (*Report,
 			}
 		}
 	}()
-	for i := range steps {
-		s := &steps[i]
+	for i := range h.steps {
+		s := &h.steps[i]
 		if conns[s.session] == nil {
 			c, err := db.NewConn()
 			if err != nil {
@@ -284,7 +366,7 @@ func runHistory(db multiDB, env *Env, steps []histStep, nSessions int) (*Report,
 			env.Record()
 		}
 		res, err := conns[s.session].ExecAST(s.st)
-		s.out = observeStep(res, err)
+		s.out = h.observe(res, err, true)
 		if err != nil {
 			switch v := Classify(s.st, err, db.Session().Dialect); v {
 			case VerdictBug, VerdictCrash:
@@ -296,13 +378,35 @@ func runHistory(db multiDB, env *Env, steps []histStep, nSessions int) (*Report,
 					Code:       code,
 				}
 				if env != nil {
-					rep.Trace = append(env.SetupTrace(), historyTrace(steps[:i+1], db)...)
+					rep.Trace = append(env.SetupTrace(), historyTrace(h.steps[:i+1], db)...)
 				}
 				return rep, nil
 			}
 		}
 	}
 	return nil, nil
+}
+
+// check runs the history in h.steps on nSessions sessions and searches
+// for a serial order, restoring the pre-history state before returning,
+// pass or fail. A non-empty detail is the commit order's divergence: no
+// serial order matched.
+func (h *history) check(env *Env, nSessions int) (rep *Report, detail string, err error) {
+	base := h.db.Snapshot()
+	defer func() {
+		if rerr := h.db.RestoreSnapshot(base); err == nil {
+			err = rerr
+		}
+	}()
+	if rep, err = h.runHistory(env, nSessions); err != nil || rep != nil {
+		return rep, "", err
+	}
+	final := h.db.Snapshot()
+	h.assembleUnits(nSessions)
+	if ok, d := h.searchSerial(base, final); !ok {
+		return nil, d, nil
+	}
+	return nil, "", nil
 }
 
 // historyTrace renders the executed history with session tags.
@@ -335,36 +439,21 @@ func (o *serializability) Check(db sut.DB, env *Env) (*Report, error) {
 	if len(schedule) == 0 {
 		return nil, nil
 	}
-	steps := make([]histStep, len(schedule))
-	for i, stp := range schedule {
-		steps[i] = histStep{session: stp.Session, st: scripts[stp.Session][stp.Index]}
+	h := &o.h
+	h.reset(mdb, len(schedule))
+	for _, stp := range schedule {
+		h.steps = append(h.steps, histStep{session: stp.Session, st: scripts[stp.Session][stp.Index]})
 	}
-
-	base := mdb.Snapshot()
-	rep, err := runHistory(mdb, env, steps, len(scripts))
-	if err != nil || rep != nil {
-		restoreErr := mdb.RestoreSnapshot(base)
-		if err == nil {
-			err = restoreErr
-		}
+	rep, detail, err := h.check(env, len(scripts))
+	if err != nil || rep != nil || detail == "" {
 		return rep, err
-	}
-
-	final := dump(db)
-	units := assembleUnits(steps)
-	serializable, detail := searchSerial(mdb, base, steps, units, final)
-	if rerr := mdb.RestoreSnapshot(base); rerr != nil {
-		return nil, rerr
-	}
-	if serializable {
-		return nil, nil
 	}
 	return &Report{
 		Oracle:     faults.OracleSerializability,
 		DetectedBy: "serializability",
 		Message: fmt.Sprintf("history of %d committed units matches no serial order; vs commit order: %s",
-			len(units), detail),
-		Trace: append(env.SetupTrace(), historyTrace(steps, db)...),
+			len(h.units), detail),
+		Trace: append(env.SetupTrace(), historyTrace(h.steps, db)...),
 	}, nil
 }
 
@@ -380,7 +469,8 @@ func SerializabilityReplay(db sut.DB, bug *Report, trace []string) bool {
 		return false
 	}
 	d := db.Session().Dialect
-	var steps []histStep
+	h := &history{}
+	h.reset(mdb, 0)
 	maxSession := -1
 	for _, line := range trace {
 		if sess, sql, tagged := splitSessionTag(line); tagged {
@@ -388,25 +478,15 @@ func SerializabilityReplay(db sut.DB, bug *Report, trace []string) bool {
 			if err != nil {
 				continue // candidate mangled a statement: skip it
 			}
-			steps = append(steps, histStep{session: sess, st: st})
-			if sess > maxSession {
-				maxSession = sess
-			}
+			h.steps = append(h.steps, histStep{session: sess, st: st})
+			maxSession = max(maxSession, sess)
 		} else {
 			_, _ = db.Exec(line) // setup errors just weaken the candidate
 		}
 	}
-	if len(steps) == 0 {
+	if len(h.steps) == 0 {
 		return false
 	}
-	base := mdb.Snapshot()
-	if rep, err := runHistory(mdb, nil, steps, maxSession+1); err != nil || rep != nil {
-		_ = mdb.RestoreSnapshot(base)
-		return false
-	}
-	final := dump(db)
-	units := assembleUnits(steps)
-	serializable, _ := searchSerial(mdb, base, steps, units, final)
-	_ = mdb.RestoreSnapshot(base)
-	return !serializable
+	rep, detail, _ := h.check(nil, maxSession+1)
+	return rep == nil && detail != ""
 }

@@ -1,6 +1,9 @@
 package sqlval
 
-import "math"
+import (
+	"math"
+	"strings"
+)
 
 // Compare is the engine's total storage ordering over values, used by
 // indexes, ORDER BY, DISTINCT, and UNIQUE enforcement. It follows SQLite's
@@ -150,4 +153,90 @@ func blobCompare(a, b string) int {
 		}
 	}
 	return cmpInt64(int64(len(a)), int64(len(b)))
+}
+
+// LitCompare is a total order over values whose equality is exactly
+// equality of their Literal renderings: a non-negative KInt equals the
+// KUint of the same number, a NaN real equals NULL (both render NULL),
+// and any nonzero bool equals TRUE. Everything else compares by kind,
+// then by payload bits or bytes, so -0.0 and 0.0 differ and so do a text
+// and a blob holding the same bytes. The order itself means nothing
+// numerically; it exists so code that compares row multisets "as
+// rendered" can sort and compare values without rendering them.
+func LitCompare(a, b Value) int {
+	ra, rb := litRank(a), litRank(b)
+	if ra != rb {
+		return cmpInt64(int64(ra), int64(rb))
+	}
+	switch ra {
+	case litNull:
+		return 0
+	case litText, litBlob:
+		return strings.Compare(a.s, b.s)
+	case litBool:
+		return cmpBool(a.n != 0, b.n != 0)
+	default: // integers of one sign, or non-NaN real bits
+		return cmpUint64(a.n, b.n)
+	}
+}
+
+// LitCompareRows extends LitCompare to rows: value by value, then by
+// length. Two rows compare equal exactly when their comma-joined
+// literals do.
+func LitCompareRows(a, b []Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := LitCompare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmpInt64(int64(len(a)), int64(len(b)))
+}
+
+// Literal-order ranks. Negative KInts and non-negative integers of either
+// kind get separate ranks so the integer payload compares as plain
+// uint64 bits within each.
+const (
+	litNull = iota
+	litNegInt
+	litNonNegInt
+	litReal
+	litText
+	litBlob
+	litBool
+)
+
+func litRank(v Value) int {
+	switch v.kind {
+	case KInt:
+		if int64(v.n) < 0 {
+			return litNegInt
+		}
+		return litNonNegInt
+	case KUint:
+		return litNonNegInt
+	case KReal:
+		if math.IsNaN(math.Float64frombits(v.n)) {
+			return litNull
+		}
+		return litReal
+	case KText:
+		return litText
+	case KBlob:
+		return litBlob
+	case KBool:
+		return litBool
+	default:
+		return litNull
+	}
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	default:
+		return 1
+	}
 }

@@ -412,3 +412,120 @@ func pickValue(pick uint8, i int64, f float64, s string) Value {
 		return Bool(i&1 == 1)
 	}
 }
+
+// litCases are the LitCompare edge cases: every pair whose Literal
+// renderings agree or nearly agree across kinds.
+var litCases = []Value{
+	Null(), Real(math.NaN()), Real(math.Float64frombits(0x7ff8000000000001)),
+	Real(0), Real(math.Copysign(0, -1)), Real(math.Inf(1)), Real(math.Inf(-1)), Real(1), Real(-1.5),
+	Int(0), Uint(0), Int(1), Uint(1), Int(-1), Uint(math.MaxUint64),
+	Int(math.MaxInt64), Uint(math.MaxInt64), Uint(math.MaxInt64 + 1), Int(math.MinInt64),
+	Text(""), Blob(nil), Text("a"), Blob([]byte("a")), Text("TRUE"), Text("NULL"), Text("1"),
+	Bool(true), Bool(false), {kind: KBool, n: 2}, {kind: KBool, n: math.MaxUint64},
+}
+
+// TestLitCompareMatchesLiteral checks LitCompare against the rendering it
+// stands in for on every pair of edge cases: equal exactly when Literal
+// agrees, antisymmetric, and transitive.
+func TestLitCompareMatchesLiteral(t *testing.T) {
+	for _, a := range litCases {
+		for _, b := range litCases {
+			checkLitPair(t, a, b)
+			for _, c := range litCases {
+				checkLitTriple(t, a, b, c)
+			}
+		}
+	}
+	for _, c := range []struct {
+		a, b Value
+		eq   bool
+	}{
+		{Real(math.NaN()), Null(), true},
+		{Int(7), Uint(7), true},
+		{Int(math.MaxInt64), Uint(math.MaxInt64), true},
+		{Int(-1), Uint(math.MaxUint64), false},
+		{Int(math.MinInt64), Uint(math.MaxInt64 + 1), false},
+		{Real(math.Copysign(0, -1)), Real(0), false},
+		{Real(math.Inf(1)), Real(math.Inf(-1)), false},
+		{Text("a"), Blob([]byte("a")), false},
+		{Value{kind: KBool, n: 2}, Bool(true), true},
+		{Bool(false), Int(0), false},
+	} {
+		if got := LitCompare(c.a, c.b) == 0; got != c.eq {
+			t.Errorf("LitCompare(%v, %v) == 0 is %v, want %v", c.a, c.b, got, c.eq)
+		}
+	}
+	rows := [][]Value{{Int(1), Text("a,b")}, {Int(1), Text("a"), Text("b")}, {Uint(1), Text("a,b")}}
+	for _, a := range rows {
+		for _, b := range rows {
+			if got, want := LitCompareRows(a, b) == 0, joinLiterals(a) == joinLiterals(b); got != want {
+				t.Errorf("LitCompareRows(%v, %v) == 0 is %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
+// FuzzLitOrder checks LitCompare's contract on arbitrary values: equality
+// exactly when Literal agrees, antisymmetry and transitivity. A kind byte
+// picks the kind (low bits) and which of two payloads the value takes
+// (bit 3), so values of different kinds often share a payload.
+func FuzzLitOrder(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(3), uint64(7), uint64(0x7ff8000000000000), "a", "b")
+	f.Add(uint8(1), uint8(2|8), uint8(6), uint64(1<<63), uint64(1<<63-1), "", "x")
+	f.Add(uint8(3), uint8(0), uint8(3|8), uint64(0), uint64(1<<63), "a", "a")
+	f.Add(uint8(4), uint8(5), uint8(6|8), uint64(2), uint64(0x7ff0000000000000), "TRUE", "TRUE")
+	f.Fuzz(func(t *testing.T, ka, kb, kc uint8, n0, n1 uint64, s0, s1 string) {
+		mk := func(k uint8) Value {
+			n, s := n0, s0
+			if k&8 != 0 {
+				n, s = n1, s1
+			}
+			switch k % 7 {
+			case 0:
+				return Null()
+			case 1:
+				return Int(int64(n))
+			case 2:
+				return Uint(n)
+			case 3:
+				return Value{kind: KReal, n: n}
+			case 4:
+				return Text(s)
+			case 5:
+				return Blob([]byte(s))
+			default:
+				return Value{kind: KBool, n: n}
+			}
+		}
+		a, b, c := mk(ka), mk(kb), mk(kc)
+		checkLitPair(t, a, b)
+		checkLitPair(t, b, c)
+		checkLitTriple(t, a, b, c)
+	})
+}
+
+func checkLitPair(t *testing.T, a, b Value) {
+	t.Helper()
+	ab, ba := LitCompare(a, b), LitCompare(b, a)
+	if (ab == 0) != (a.Literal() == b.Literal()) {
+		t.Fatalf("LitCompare(%v, %v) = %d, literals %q and %q", a, b, ab, a.Literal(), b.Literal())
+	}
+	if ab != -ba {
+		t.Fatalf("LitCompare not antisymmetric: (%v, %v) = %d, reversed %d", a, b, ab, ba)
+	}
+}
+
+func checkLitTriple(t *testing.T, a, b, c Value) {
+	t.Helper()
+	if LitCompare(a, b) <= 0 && LitCompare(b, c) <= 0 && LitCompare(a, c) > 0 {
+		t.Fatalf("LitCompare not transitive: %v <= %v <= %v but %v > %v", a, b, c, a, c)
+	}
+}
+
+func joinLiterals(row []Value) string {
+	parts := make([]string, len(row))
+	for i, v := range row {
+		parts[i] = v.Literal()
+	}
+	return strings.Join(parts, ",")
+}

@@ -28,8 +28,18 @@ type TableSnapshot struct {
 	nextRowid int64
 }
 
-// Rows reports how many rows the snapshot captured.
-func (s *TableSnapshot) Rows() int { return len(s.rows) }
+// Len reports how many rows the snapshot captured.
+func (s *TableSnapshot) Len() int { return len(s.rows) }
+
+// Rows returns the captured rows in the heap's order at capture time.
+// Callers must not mutate the slice or the rows.
+func (s *TableSnapshot) Rows() []*Row { return s.rows }
+
+// Holds reports whether the heap's content is known to equal s without
+// reading a row: s is the heap's clean snapshot. A heap that was reset,
+// or changed since it took or restored s, does not hold it, even when its
+// rows happen to match.
+func (t *TableData) Holds(s *TableSnapshot) bool { return s != nil && s == t.clean }
 
 // Snapshot captures the heap's current state: a shallow copy of the row
 // pointers (the snapshot owns its backing array, so later inserts and

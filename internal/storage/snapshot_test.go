@@ -22,8 +22,8 @@ func TestTableSnapshotRestore(t *testing.T) {
 	td.Insert([]sqlval.Value{sqlval.Int(1)})
 	td.Insert([]sqlval.Value{sqlval.Int(2)})
 	snap := td.Snapshot()
-	if snap.Rows() != 2 {
-		t.Fatalf("snapshot rows = %d, want 2", snap.Rows())
+	if snap.Len() != 2 {
+		t.Fatalf("snapshot rows = %d, want 2", snap.Len())
 	}
 
 	// Mutate every way the engine does: insert, delete, add a column.

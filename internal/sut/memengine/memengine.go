@@ -160,6 +160,11 @@ func (d *DB) Snapshot() *engine.Snapshot { return d.e.Snapshot() }
 // RestoreSnapshot rewinds the engine's data to a snapshot taken from it.
 func (d *DB) RestoreSnapshot(s *engine.Snapshot) error { return d.e.Restore(s) }
 
+// DiffSnapshot compares a snapshot taken from this database with its
+// live data as row multisets and names the first table that differs
+// (engine.Engine.Diff).
+func (d *DB) DiffSnapshot(s *engine.Snapshot) (table string, captured bool) { return d.e.Diff(s) }
+
 // Plan implements sut.DB.
 func (d *DB) Plan(sql string) ([]string, error) {
 	paths, err := d.e.PlanSQL(sql)
