@@ -825,7 +825,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 	case (t.cfg.Dialect == dialect.Postgres || t.cfg.Dialect == dialect.SQLite) && t.rnd.Bool(0.25):
 		// GROUP BY over every result column is containment-preserving —
 		// each output tuple is (a representative of) its own group, and
-		// keysEqual-equal tuples are Value.Equal-equal, so the pivot tuple
+		// rowsEqual-equal tuples are Value.Equal-equal, so the pivot tuple
 		// always survives. On Postgres this is the Listing 15 trigger; on
 		// SQLite it routes through the hash-aggregation executor and its
 		// collation-folding fault site.

@@ -1,13 +1,13 @@
 // Streaming hash aggregation and top-K ordering. project (query.go)
 // dispatches grouped/aggregate projections here unless disable=hashagg:
 //
-//   - grouping: group membership resolves through a hash table over
-//     normalized byte keys instead of a linear keysEqual scan per input row.
-//     Key normalization COARSENS group equality (keysEqual-equal rows always
-//     share a key; unequal rows may collide on one), so every bucket match
-//     is re-verified by the full keysEqual comparison — collisions cost
-//     time, never correctness. NULLs key on a sentinel, matching SQL GROUP
-//     BY's NULLs-group-together semantics.
+//   - grouping: group membership resolves through the engine's keyTable
+//     (keytable.go) over normalized byte keys instead of a linear rowsEqual
+//     scan per input row. Key normalization COARSENS group equality
+//     (rowsEqual-equal keys always share bytes; unequal keys may collide on
+//     them), so every bucket match is re-verified by rowsEqual under
+//     CollBinary — collisions cost time, never correctness. NULLs key on a
+//     sentinel, matching SQL GROUP BY's NULLs-group-together semantics.
 //   - aggregation: COUNT/COUNT(*)/SUM/AVG/MIN/MAX/TOTAL fold into per-group
 //     streaming accumulators in a single pass over the input. No group
 //     retains its combos; only one representative row (the group's first)
@@ -26,7 +26,6 @@
 package engine
 
 import (
-	"math"
 	"sort"
 	"strings"
 
@@ -106,32 +105,26 @@ type hashAggGroup struct {
 	rep   []*rowVals
 	n     int64
 	cells []aggCell
-
-	// The group's slot-table key: its hash, and either the folded float
-	// bits of a numeric fast-path key (isNum) or the normalized key bytes.
-	hash     uint64
-	isNum    bool
-	numBits  uint64
-	keyBytes []byte
 }
 
-// appendAggKey appends one group-key value's normalized component. The
-// invariant mirrors appendJoinKey's: keysEqual-equal values (NULLs equal,
-// otherwise Compare under CollBinary) must produce byte-identical
-// components; the converse need not hold, since bucket matches re-verify.
-func appendAggKey(buf []byte, v sqlval.Value) []byte {
+// appendAggKey appends one value's normalized key component for GROUP BY,
+// DISTINCT and the set operators. The invariant mirrors appendJoinKey's:
+// values Compare calls equal under coll (NULLs equal each other) must
+// produce byte-identical components; the converse need not hold, since
+// bucket matches re-verify with rowsEqual.
+func appendAggKey(buf []byte, v sqlval.Value, coll sqlval.Collation) []byte {
 	switch {
 	case v.IsNull():
 		return append(buf, 'n')
 	case v.Kind() == sqlval.KText:
 		buf = append(buf, 't')
-		return append(buf, v.Str()...)
+		return append(buf, sqlval.CollKey(v.Str(), coll)...)
 	case v.Kind() == sqlval.KBlob:
 		buf = append(buf, 'x')
 		return append(buf, v.BlobStr()...)
 	default:
 		// Numeric (incl. bool): one float rendering, negative zero folded.
-		// Distinct huge integers can collide; keysEqual disambiguates.
+		// Distinct huge integers can collide; rowsEqual disambiguates.
 		return appendKeyFloat(buf, v.AsFloat())
 	}
 }
@@ -143,14 +136,13 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 
 	// Fault site (sqlite.hash-agg-collation): TEXT group keys fold through
 	// the source column's declared collation instead of binary bytes, and
-	// bucket matches skip keysEqual re-verification — NOCASE/RTRIM-equal
+	// bucket matches skip rowsEqual re-verification — NOCASE/RTRIM-equal
 	// variants silently collapse into one group (whose representative row is
 	// the first variant seen).
 	collFault := e.d == dialect.SQLite && e.fs.Has(faults.HashAggCollation)
-	keyColls := make([]sqlval.Collation, len(pc.groupKeys))
+	keyColls := make([]sqlval.Collation, len(pc.groupKeys)) // zero value: CollBinary
 	if collFault {
 		for i, gx := range pc.groupKeys {
-			keyColls[i] = sqlval.CollBinary
 			if cr, ok := gx.(*sqlast.ColumnRef); ok && !cr.MaybeString {
 				if ri, ci, amb := findColumn(rels, cr.Table, cr.Column); ri >= 0 && !amb {
 					keyColls[i] = rels[ri].columns[ci].Collate
@@ -249,39 +241,13 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 		groups = m.groups.carve(len(combos))
 	}
 
-	// Group lookup is an open-addressing table over an inline FNV-1a of the
-	// normalized key bytes — a map[string] here costs a string conversion
-	// plus the runtime's map machinery per input row, which profiles as the
-	// single biggest line of the whole grouped pass. Slot values are group
-	// index + 1 (0 = empty); matches compare the stored key bytes, then
-	// keysEqual exactly like the map version did (hash and even byte
-	// equality COARSEN group equality, so both are pre-filters, never the
-	// verdict).
-	slots := m.slots.alloc(64)
-	mask := uint64(len(slots) - 1)
-	// add appends a new group at slot and returns it.
-	add := func(g hashAggGroup, slot uint64) *hashAggGroup {
-		slots[slot] = int32(len(groups)) + 1
-		groups = append(groups, g)
-		if 2*len(groups) > len(slots) {
-			slots = m.slots.alloc(2 * len(slots))
-			mask = uint64(len(slots) - 1)
-			for gi := range groups {
-				i := groups[gi].hash & mask
-				for slots[i] != 0 {
-					i = (i + 1) & mask
-				}
-				slots[i] = int32(gi) + 1
-			}
-		}
-		return &groups[len(groups)-1]
+	// Group lookup goes through a keyTable whose items are group indexes:
+	// the groups under a key come back in creation order and the first
+	// rowsEqual one wins, exactly as the materialized path's linear scan.
+	var tab keyTable
+	if !implicit {
+		tab = m.keyTable(len(combos), len(combos))
 	}
-	// A single bare-column numeric key skips byte normalization entirely:
-	// its canonical form IS the folded float bits (appendKeyFloat), so the
-	// bits are hashed and matched directly. Numeric and byte-keyed groups
-	// never alias — a numeric value always takes this path, anything else
-	// always takes the generic one — and both re-verify with keysEqual.
-	fastNum := len(keyGets) == 1 && keyGets[0].direct && !collFault
 	keyBuf := m.key
 	keyScratch := m.vals.alloc(len(pc.groupKeys))
 	for _, combo := range combos {
@@ -295,119 +261,37 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				g.rep = combo
 			}
 		} else {
-			generic := true
-			if fastNum {
+			keyBuf = keyBuf[:0]
+			for i := range keyGets {
 				var v sqlval.Value
-				kg := &keyGets[0]
-				if kg.rel < len(combo) {
+				if kg := &keyGets[i]; kg.direct {
+					// readDirect, inlined: this is the per-row hot path.
 					if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.vals) {
 						v = rv.vals[kg.col]
 					}
+				} else {
+					var err error
+					v, err = kg.fn()
+					if err != nil {
+						return nil, nil, err
+					}
 				}
-				if k := v.Kind(); k != sqlval.KNull && k != sqlval.KText && k != sqlval.KBlob {
-					generic = false
-					keyScratch[0] = v
-					f := v.AsFloat()
-					if f == 0 {
-						f = 0 // fold negative zero, like appendKeyFloat
-					}
-					bits := math.Float64bits(f)
-					if f != f {
-						bits = math.Float64bits(math.NaN())
-					}
-					// murmur3 finalizer: the xor-shift before each multiply
-					// pushes the exponent/mantissa-top bits (the only ones
-					// that vary across small integers) down into the slot
-					// index; a plain multiply-then-shift leaves the low bits
-					// constant and chains every small-int key into one slot.
-					h := bits
-					h ^= h >> 33
-					h *= 0xFF51AFD7ED558CCD
-					h ^= h >> 33
-					h *= 0xC4CEB9FE1A85EC53
-					h ^= h >> 33
-					slot := h & mask
-					for {
-						s := slots[slot]
-						if s == 0 {
-							break
-						}
-						gi := s - 1
-						// Identical Value structs short-circuit the keysEqual
-						// re-verify; the call remains for cross-kind equality
-						// (2 vs 2.0) and beyond-2^53 ints whose folded float
-						// bits collide.
-						if gk := &groups[gi]; gk.isNum && gk.numBits == bits {
-							if gk.key[0] == v || keysEqual(gk.key, keyScratch) {
-								g = gk
-								break
-							}
-						}
-						slot = (slot + 1) & mask
-					}
-					if g == nil {
-						key := m.vals.alloc(1)
-						key[0] = v
-						ng := newGroup(key, combo)
-						ng.hash, ng.isNum, ng.numBits = h, true, bits
-						g = add(ng, slot)
-					}
+				keyScratch[i] = v
+				keyBuf = append(appendAggKey(keyBuf, v, keyColls[i]), 0)
+			}
+			k := tab.find(keyBuf, true)
+			for gi := tab.first(k); gi >= 0; gi = tab.after(gi) {
+				if collFault || rowsEqual(groups[gi].key, keyScratch, sqlval.CollBinary) {
+					g = &groups[gi]
+					break
 				}
 			}
-			if generic {
-				keyBuf = keyBuf[:0]
-				for i := range keyGets {
-					var v sqlval.Value
-					if kg := &keyGets[i]; kg.direct {
-						// readDirect, inlined: this is the per-row hot path.
-						if rv := combo[kg.rel]; rv != nil && kg.col < len(rv.vals) {
-							v = rv.vals[kg.col]
-						}
-					} else {
-						var err error
-						v, err = kg.fn()
-						if err != nil {
-							return nil, nil, err
-						}
-					}
-					keyScratch[i] = v
-					if collFault && v.Kind() == sqlval.KText {
-						keyBuf = append(keyBuf, 't')
-						keyBuf = append(keyBuf, sqlval.CollKey(v.Str(), keyColls[i])...)
-					} else {
-						keyBuf = appendAggKey(keyBuf, v)
-					}
-					keyBuf = append(keyBuf, 0)
-				}
-				h := uint64(14695981039346656037) // FNV-1a
-				for _, b := range keyBuf {
-					h ^= uint64(b)
-					h *= 1099511628211
-				}
-				slot := h & mask
-				for {
-					s := slots[slot]
-					if s == 0 {
-						break
-					}
-					gi := s - 1
-					if gk := &groups[gi]; gk.hash == h && !gk.isNum &&
-						string(gk.keyBytes) == string(keyBuf) &&
-						(collFault || keysEqual(gk.key, keyScratch)) {
-						g = gk
-						break
-					}
-					slot = (slot + 1) & mask
-				}
-				if g == nil {
-					key := m.vals.alloc(len(keyScratch))
-					copy(key, keyScratch)
-					ng := newGroup(key, combo)
-					ng.hash = h
-					ng.keyBytes = m.bytes.alloc(len(keyBuf))
-					copy(ng.keyBytes, keyBuf)
-					g = add(ng, slot)
-				}
+			if g == nil {
+				key := m.vals.alloc(len(keyScratch))
+				copy(key, keyScratch)
+				tab.push(k, int32(len(groups)))
+				groups = append(groups, newGroup(key, combo))
+				g = &groups[len(groups)-1]
 			}
 		}
 		g.n++
@@ -559,7 +443,7 @@ func (e *Engine) accumulate(ac *aggCol, cell *aggCell, v sqlval.Value, nullSkipF
 // fault, the arity error, and lazy argument binding for zero-row groups
 // (whose compile errors the materialized path still raises).
 func (e *Engine) finalizeAgg(ac *aggCol, cell *aggCell, groupRows int64, x *exprEval) (sqlval.Value, error) {
-	e.cov.hit("dql.aggregate." + ac.name)
+	e.cov.hit(aggNames[ac.name])
 	// Fault site (sqlite.agg-empty-group) — mirrored from aggregate() so
 	// the fault matrix is path-independent.
 	if e.d == dialect.SQLite && e.fs.Has(faults.AggEmptyGroup) && groupRows == 0 {

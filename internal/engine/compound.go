@@ -9,13 +9,17 @@ import (
 )
 
 // execCompound evaluates UNION / UNION ALL / INTERSECT / EXCEPT chains,
-// left-associatively. The set operators use SQL's DISTINCT-style equality:
-// NULLs compare equal, numeric values compare across storage classes.
+// left-associatively. The set operators use SQL's DISTINCT-style equality
+// (rowsEqual under CollBinary): NULLs compare equal, numeric values
+// compare across storage classes. Their tables live in the statement
+// slabs, marked here like execSelect marks them; the rows they return
+// live in the result slabs.
 func (e *Engine) execCompound(n *sqlast.Compound) (*Result, error) {
 	e.cov.hit("dql.compound")
 	if len(n.Selects) < 2 || len(n.Ops) != len(n.Selects)-1 {
 		return nil, xerr.New(xerr.CodeSyntax, "malformed compound select")
 	}
+	defer e.mem.release(e.mem.mark())
 	hasUnionAll := false
 	for _, op := range n.Ops {
 		if op == sqlast.OpUnionAll {
@@ -52,81 +56,64 @@ func (e *Engine) execCompound(n *sqlast.Compound) (*Result, error) {
 				"SELECTs to the left and right of %s do not have the same number of result columns",
 				n.Ops[i])
 		}
+		var rows [][]sqlval.Value
 		switch n.Ops[i] {
 		case sqlast.OpUnionAll:
-			rows := append(acc.Rows, right.Rows...)
+			rows = e.concat(acc.Rows, right.Rows)
 			// Fault site (sqlite.union-all-dedup): UNION ALL deduplicates
 			// its concatenation the way UNION does.
 			if e.d == dialect.SQLite && e.fs.Has(faults.UnionAllDedup) {
-				rows = setDedup(rows)
+				rows, _ = e.dedup(rows, sqlval.CollBinary)
 			}
-			acc = &Result{Columns: acc.Columns, Rows: rows}
 		case sqlast.OpUnion:
-			acc = &Result{Columns: acc.Columns, Rows: setDedup(append(acc.Rows, right.Rows...))}
+			rows, _ = e.dedup(e.concat(acc.Rows, right.Rows), sqlval.CollBinary)
 		case sqlast.OpIntersect:
-			acc = &Result{Columns: acc.Columns, Rows: setIntersect(acc.Rows, right.Rows)}
+			rows = e.setFilter(acc.Rows, right.Rows, true)
 		case sqlast.OpExcept:
-			acc = &Result{Columns: acc.Columns, Rows: setExcept(acc.Rows, right.Rows)}
+			rows = e.setFilter(acc.Rows, right.Rows, false)
 		}
-		e.cov.hit("dql.compound." + n.Ops[i].String())
+		acc = &Result{Columns: acc.Columns, Rows: rows}
+		e.cov.hit(compoundCoverageKeys[n.Ops[i]])
 	}
 	return acc, nil
 }
 
-// rowsSetEqual is DISTINCT-style row equality: NULLs equal, numerics
-// compare across storage classes, text under BINARY.
-func rowsSetEqual(a, b []sqlval.Value) bool {
-	if len(a) != len(b) {
-		return false
+// compoundCoverageKeys maps each compound operator to its coverage key.
+var compoundCoverageKeys = func() (keys [sqlast.OpExcept + 1]string) {
+	for op := range keys {
+		keys[op] = "dql.compound." + sqlast.CompoundOp(op).String()
 	}
-	for i := range a {
-		if a[i].IsNull() || b[i].IsNull() {
-			if a[i].IsNull() != b[i].IsNull() {
-				return false
+	return keys
+}()
+
+// concat places left's rows, then right's, in the result slabs.
+func (e *Engine) concat(left, right [][]sqlval.Value) [][]sqlval.Value {
+	rows := e.mem.resRows.alloc(len(left) + len(right))
+	copy(rows[copy(rows, left):], right)
+	return rows
+}
+
+// setFilter is INTERSECT (in=true) and EXCEPT (in=false): the distinct
+// rows of left, in first-occurrence order, that have (or lack) a
+// rowsEqual match in right. Every right row marks each kept row it
+// equals, not only the first: rowsEqual need not be transitive.
+func (e *Engine) setFilter(left, right [][]sqlval.Value, in bool) [][]sqlval.Value {
+	kept, t := e.dedup(left, sqlval.CollBinary)
+	hit := e.mem.slots.alloc(len(kept))
+	key := e.mem.key
+	for _, row := range right {
+		key = appendRowKey(key[:0], row, sqlval.CollBinary)
+		for i := t.first(t.find(key, false)); i >= 0; i = t.after(i) {
+			if rowsEqual(kept[i], row, sqlval.CollBinary) {
+				hit[i] = 1
 			}
-			continue
-		}
-		if sqlval.Compare(a[i], b[i], sqlval.CollBinary) != 0 {
-			return false
 		}
 	}
-	return true
-}
-
-func setContains(rows [][]sqlval.Value, row []sqlval.Value) bool {
-	for _, r := range rows {
-		if rowsSetEqual(r, row) {
-			return true
-		}
-	}
-	return false
-}
-
-func setDedup(rows [][]sqlval.Value) [][]sqlval.Value {
-	var out [][]sqlval.Value
-	for _, r := range rows {
-		if !setContains(out, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func setIntersect(left, right [][]sqlval.Value) [][]sqlval.Value {
-	var out [][]sqlval.Value
-	for _, r := range setDedup(left) {
-		if setContains(right, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func setExcept(left, right [][]sqlval.Value) [][]sqlval.Value {
-	var out [][]sqlval.Value
-	for _, r := range setDedup(left) {
-		if !setContains(right, r) {
-			out = append(out, r)
+	e.mem.key = key
+	out := kept[:0]
+	for i, row := range kept {
+		if (hit[i] != 0) == in {
+			out = append(out, row)
 		}
 	}
 	return out

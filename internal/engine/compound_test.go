@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -17,29 +18,77 @@ func compoundFixture(t *testing.T) *Engine {
 	return e
 }
 
-func TestUnion(t *testing.T) {
-	e := compoundFixture(t)
-	// UNION dedups: {1, 2, NULL, 3}.
-	if n := rowCount(t, e, `SELECT x FROM a UNION SELECT x FROM b`); n != 4 {
-		t.Errorf("UNION: %d rows, want 4", n)
+// literalRows runs sql and renders each result row as comma-joined
+// literals, so a test can assert exact rows in order.
+func literalRows(t *testing.T, e *Engine, sql string) []string {
+	t.Helper()
+	var out []string
+	for _, row := range mustExec(t, e, sql).Rows {
+		lits := make([]string, len(row))
+		for i, v := range row {
+			lits[i] = v.Literal()
+		}
+		out = append(out, strings.Join(lits, ","))
 	}
-	// UNION ALL keeps everything: 4 + 3.
-	if n := rowCount(t, e, `SELECT x FROM a UNION ALL SELECT x FROM b`); n != 7 {
-		t.Errorf("UNION ALL: %d rows, want 7", n)
+	return out
+}
+
+// edgeFixture holds the values a set operator's key normalization must
+// not confuse: 1 and 1.0 are equal, 2^53 and 2^53+1 share a float key but
+// differ, 0.0 and -0.0 are equal, text 'a' and blob x'61' differ, NULLs
+// are equal, and 'a'/'A' differ under BINARY.
+const edgeFixture = `CREATE TABLE e(x);
+	INSERT INTO e(x) VALUES (1), (1.0), (9007199254740992), (9007199254740993),
+		(0.0), (-0.0), ('a'), (x'61'), (NULL), (NULL), ('A')`
+
+// compoundCases asserts exact compound results, rows in order.
+func compoundCases(t *testing.T, cases []struct{ sql, want string }) {
+	t.Helper()
+	e := compoundFixture(t)
+	mustExec(t, e, edgeFixture)
+	for _, c := range cases {
+		if got := strings.Join(literalRows(t, e, c.sql), " | "); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.sql, got, c.want)
+		}
 	}
 }
 
+func TestUnion(t *testing.T) {
+	compoundCases(t, []struct{ sql, want string }{
+		{`SELECT x FROM a UNION SELECT x FROM b`, `1 | 2 | NULL | 3`},
+		{`SELECT x FROM a UNION ALL SELECT x FROM b`, `1 | 2 | 2 | NULL | 2 | 3 | NULL`},
+		{`SELECT 1 UNION SELECT 1.0`, `1`},
+		{`SELECT 1.0 UNION SELECT 1`, `1.0`},
+		{`SELECT 9007199254740992 UNION SELECT 9007199254740993`, `9007199254740992 | 9007199254740993`},
+		{`SELECT 0.0 UNION SELECT -0.0`, `0.0`},
+		{`SELECT -0.0 UNION SELECT 0.0`, `-0.0`},
+		{`SELECT 'a' UNION SELECT x'61'`, `'a' | x'61'`},
+		{`SELECT NULL UNION SELECT NULL`, `NULL`},
+		{`SELECT 'a' UNION SELECT 'A'`, `'a' | 'A'`},
+		{`SELECT x FROM e UNION SELECT x FROM a`,
+			`1 | 9007199254740992 | 9007199254740993 | 0.0 | 'a' | x'61' | NULL | 'A' | 2`},
+	})
+}
+
 func TestIntersectAndExcept(t *testing.T) {
-	e := compoundFixture(t)
-	// INTERSECT: {2, NULL} (NULLs compare equal in set ops).
-	if n := rowCount(t, e, `SELECT x FROM a INTERSECT SELECT x FROM b`); n != 2 {
-		t.Errorf("INTERSECT: %d rows, want 2", n)
-	}
-	// EXCEPT: {1}.
-	res := mustExec(t, e, `SELECT x FROM a EXCEPT SELECT x FROM b`)
-	if len(res.Rows) != 1 || !res.Rows[0][0].Equal(sqlval.Int(1)) {
-		t.Errorf("EXCEPT: %v", res.Rows)
-	}
+	compoundCases(t, []struct{ sql, want string }{
+		// NULLs compare equal in set ops.
+		{`SELECT x FROM a INTERSECT SELECT x FROM b`, `2 | NULL`},
+		{`SELECT x FROM a EXCEPT SELECT x FROM b`, `1`},
+		{`SELECT 1 INTERSECT SELECT 1.0`, `1`},
+		{`SELECT 1.0 EXCEPT SELECT 1`, ``},
+		{`SELECT 9007199254740992 INTERSECT SELECT 9007199254740993`, ``},
+		{`SELECT 9007199254740993 EXCEPT SELECT 9007199254740992`, `9007199254740993`},
+		{`SELECT -0.0 INTERSECT SELECT 0.0`, `-0.0`},
+		{`SELECT 0.0 EXCEPT SELECT -0.0`, ``},
+		{`SELECT 'a' INTERSECT SELECT x'61'`, ``},
+		{`SELECT x'61' EXCEPT SELECT 'a'`, `x'61'`},
+		{`SELECT NULL INTERSECT SELECT NULL`, `NULL`},
+		{`SELECT 'a' INTERSECT SELECT 'A'`, ``},
+		{`SELECT x FROM e INTERSECT SELECT x FROM a`, `1 | NULL`},
+		{`SELECT x FROM e EXCEPT SELECT x FROM a`,
+			`9007199254740992 | 9007199254740993 | 0.0 | 'a' | x'61' | 'A'`},
+	})
 }
 
 func TestCompoundChain(t *testing.T) {

@@ -249,7 +249,7 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 	e.mem.releaseResults()
 	defer e.mem.shedResults()
 	e.seq++
-	e.cov.hit(stmtCoverageKey(st.Kind()))
+	e.cov.hit(coverageKey(stmtCoverageKeys, "stmt.", st.Kind()))
 	if tx, ok := st.(*sqlast.Txn); ok {
 		return e.execTxnLocked(c, tx)
 	}
@@ -509,29 +509,34 @@ type Coverage struct {
 
 func newCoverage() *Coverage { return &Coverage{hits: map[string]int{}} }
 
-// stmtCoverageKeys maps each statement kind (sqlast.Stmt.Kind) to its
-// coverage key, so counting a statement builds no string.
-var stmtCoverageKeys = func() map[string]string {
-	m := map[string]string{}
-	for _, k := range []string{
-		"SELECT", "EXPLAIN", "INSERT", "UPDATE", "DELETE", "OPTION",
-		"CREATE TABLE", "CREATE INDEX", "CREATE VIEW", "CREATE STATS", "ALTER TABLE",
-		"DROP TABLE", "DROP INDEX", "DROP VIEW",
-		"VACUUM", "REINDEX", "ANALYZE", "REPAIR/CHECK TABLE", "DISCARD", "MAINTENANCE",
-		"BEGIN", "COMMIT", "ROLLBACK",
-	} {
-		m[k] = "stmt." + k
+// coverageKeys builds the coverage keys prefix+name for a fixed set of
+// names, so counting a hit on one of them builds no string.
+func coverageKeys(prefix string, names ...string) map[string]string {
+	m := make(map[string]string, len(names))
+	for _, name := range names {
+		m[name] = prefix + name
 	}
 	return m
-}()
+}
 
-// stmtCoverageKey returns the coverage key of a statement kind.
-func stmtCoverageKey(kind string) string {
-	if k, ok := stmtCoverageKeys[kind]; ok {
+// coverageKey returns name's key from keys, built by coverageKeys with
+// prefix; a name outside the table gets a fresh prefix+name.
+func coverageKey(keys map[string]string, prefix, name string) string {
+	if k, ok := keys[name]; ok {
 		return k
 	}
-	return "stmt." + kind
+	return prefix + name
 }
+
+// stmtCoverageKeys holds each statement kind's (sqlast.Stmt.Kind)
+// coverage key.
+var stmtCoverageKeys = coverageKeys("stmt.",
+	"SELECT", "EXPLAIN", "INSERT", "UPDATE", "DELETE", "OPTION",
+	"CREATE TABLE", "CREATE INDEX", "CREATE VIEW", "CREATE STATS", "ALTER TABLE",
+	"DROP TABLE", "DROP INDEX", "DROP VIEW",
+	"VACUUM", "REINDEX", "ANALYZE", "REPAIR/CHECK TABLE", "DISCARD", "MAINTENANCE",
+	"BEGIN", "COMMIT", "ROLLBACK",
+)
 
 func (c *Coverage) hit(feature string) {
 	c.mu.Lock()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -542,16 +543,82 @@ func TestDMLWhereAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestKeyedOperatorAllocsFlat: on a warm engine, hash joins (both build
+// sides), DISTINCT, GROUP BY and the set operators keep their bucket
+// tables in the statement slabs, so a statement allocates as many
+// objects over 1,000 rows as over 10.
+func TestKeyedOperatorAllocsFlat(t *testing.T) {
+	open := func(rows int) *Engine {
+		e := Open(dialect.SQLite)
+		mustExec(t, e, `CREATE TABLE t0(c0 INT, c1 INT); CREATE TABLE t1(c0 INT)`)
+		for i := 0; i < rows; i++ {
+			mustExec(t, e, fmt.Sprintf(`INSERT INTO t0(c0, c1) VALUES (%d, %d)`, i, i%7))
+			mustExec(t, e, fmt.Sprintf(`INSERT INTO t1(c0) VALUES (%d), (%d)`, i, i))
+		}
+		return e
+	}
+	small, large := open(10), open(1000)
+	for _, stmt := range []string{
+		`SELECT t0.c1, t1.c0 FROM t0 JOIN t1 ON t0.c0 = t1.c0`, // builds on the outer side
+		`SELECT t0.c1, t1.c0 FROM t1 JOIN t0 ON t1.c0 = t0.c0`, // builds on the inner side
+		`SELECT DISTINCT c1 FROM t0`,
+		`SELECT c1, COUNT(*), SUM(c0) FROM t0 GROUP BY c1`,
+		`SELECT c1 FROM t0 UNION SELECT c0 FROM t1`,
+		`SELECT c0 FROM t1 INTERSECT SELECT c1 FROM t0`,
+		`SELECT c0 FROM t1 EXCEPT SELECT c1 FROM t0`,
+	} {
+		if strings.Contains(stmt, "JOIN") {
+			for _, e := range []*Engine{small, large} {
+				paths, err := e.PlanSQL(stmt)
+				if err != nil || len(paths) != 2 || paths[1].Join != "HASH" {
+					t.Fatalf("%s: plan %+v (%v), want a HASH join", stmt, paths, err)
+				}
+			}
+		}
+		allocs := func(e *Engine) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := e.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s: %.1f allocations over 10 rows, %.1f over 1,000", stmt, a, b)
+		}
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	e := Open(dialect.SQLite)
-	mustExec(t, e, `CREATE TABLE t0(c0); INSERT INTO t0(c0) VALUES (1), (1), (NULL), (NULL), ('a'), ('A')`)
-	if n := rowCount(t, e, `SELECT DISTINCT c0 FROM t0`); n != 4 {
-		t.Errorf("distinct: %d rows, want 4 (1, NULL, 'a', 'A')", n)
-	}
 	bad := Open(dialect.SQLite, WithFaults(faults.NewSet(faults.DistinctCollation)))
-	mustExec(t, bad, `CREATE TABLE t0(c0); INSERT INTO t0(c0) VALUES ('a'), ('A')`)
-	if n := rowCount(t, bad, `SELECT DISTINCT c0 FROM t0`); n != 1 {
-		t.Errorf("faulty distinct: %d rows, want 1", n)
+	naive := Open(dialect.SQLite, WithoutHashAgg())
+	for _, x := range []*Engine{e, bad, naive} {
+		mustExec(t, x, edgeFixture)
+	}
+	const clean = `1 | 9007199254740992 | 9007199254740993 | 0.0 | 'a' | x'61' | NULL | 'A'`
+	for _, c := range []struct {
+		e         *Engine
+		sql, want string
+	}{
+		{e, `SELECT DISTINCT x FROM e`, clean},
+		// 121 rows: every result size takes the same path.
+		{e, `SELECT DISTINCT e.x FROM e, e AS f`, clean},
+		{e, `SELECT DISTINCT x FROM e WHERE x = 'a' OR x = 'A'`, `'a' | 'A'`},
+		// generic.distinct-collation: 'A' folds into 'a'; x'61' stays.
+		{bad, `SELECT DISTINCT x FROM e`,
+			`1 | 9007199254740992 | 9007199254740993 | 0.0 | 'a' | x'61' | NULL`},
+		{bad, `SELECT DISTINCT e.x FROM e, e AS f`,
+			`1 | 9007199254740992 | 9007199254740993 | 0.0 | 'a' | x'61' | NULL`},
+		// GROUP BY groups the same values, in first-occurrence order, on
+		// the hash and the materialized path.
+		{e, `SELECT x, COUNT(*) FROM e GROUP BY x`,
+			`1,2 | 9007199254740992,1 | 9007199254740993,1 | 0.0,2 | 'a',1 | x'61',1 | NULL,2 | 'A',1`},
+		{naive, `SELECT x, COUNT(*) FROM e GROUP BY x`,
+			`1,2 | 9007199254740992,1 | 9007199254740993,1 | 0.0,2 | 'a',1 | x'61',1 | NULL,2 | 'A',1`},
+	} {
+		if got := strings.Join(literalRows(t, c.e, c.sql), " | "); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.sql, got, c.want)
+		}
 	}
 }
 

@@ -399,7 +399,7 @@ func relClassMask(rows []*rowVals, col int) uint8 {
 // bits, with negative zero folded onto zero and NaNs onto one bit
 // pattern (Compare calls those equal; their bits differ). Distinct huge
 // integers can collide on one float — collisions are verified away by
-// the ON residual (joins) or keysEqual (grouping).
+// the ON residual (joins) or rowsEqual (grouping, DISTINCT, set operators).
 func appendKeyFloat(buf []byte, f float64) []byte {
 	if f == 0 {
 		f = 0
@@ -641,35 +641,39 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 		out = append(out, cand)
 	}
 
-	var keyBuf []byte
+	// Both build sides key a keyTable with the exact appendJoinKey bytes,
+	// whose items are inner row positions pushed in scan order: a combo's
+	// candidates come back in inner scan order.
+	mem := &e.mem
+	keyBuf := mem.key
+	defer func() { mem.key = keyBuf }()
 	if len(right) <= len(combos) {
-		// Build on the inner relation, probe with outer combos. Bucket
-		// position lists accumulate in scan order, so probing emits each
-		// combo's matches in inner scan order.
-		table := make(map[string][]int32, len(right))
+		// Build on the inner relation, probe with outer combos.
+		tab := mem.keyTable(len(right), len(right))
 		for pos, row := range right {
 			var ok bool
 			keyBuf, ok, _ = e.rowJoinKey(keyBuf[:0], row, a.keys, nullFault)
-			if !ok {
-				continue
+			if ok {
+				tab.push(tab.find(keyBuf, true), int32(pos))
 			}
-			table[string(keyBuf)] = append(table[string(keyBuf)], int32(pos))
 		}
 		for _, combo := range combos {
 			var ok, probeNull bool
 			keyBuf, ok, probeNull = e.comboJoinKey(keyBuf[:0], combo, a.keys, nullFault)
-			matched := false
+			k := int32(-1)
 			if ok {
+				k = tab.find(keyBuf, false)
+			}
+			matched := false
+			for pos := tab.first(k); pos >= 0; pos = tab.after(pos) {
 				// Fault site (sqlite.hash-join-null-key), second half: a
 				// probe whose key had a NULL component skips residual
 				// verification — the spurious sentinel match survives.
-				for _, pos := range table[string(keyBuf)] {
-					m, err := emit(combo, right[pos], nullFault && probeNull)
-					if err != nil {
-						return nil, err
-					}
-					matched = matched || m
+				m, err := emit(combo, right[pos], nullFault && probeNull)
+				if err != nil {
+					return nil, err
 				}
+				matched = matched || m
 			}
 			if !matched && lv.j.kind == sqlast.JoinLeft {
 				extend(combo)
@@ -678,25 +682,26 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 		return out, nil
 	}
 
-	// Build on the outer combos, stream the inner relation. Matches per
-	// combo accumulate in inner scan order as the stream advances; a final
-	// pass over combos in order restores the outer-major emission order.
-	table := make(map[string][]int32, len(combos))
-	var comboNull []bool
+	// Build on the outer combos, stream the inner relation: each combo
+	// records its key (1 + key index, 0 = unkeyable), and each inner row
+	// joins the items of the key it finds. A final pass over combos in
+	// order restores the outer-major emission order.
+	tab := mem.keyTable(len(combos), len(right))
+	comboKey := mem.slots.alloc(len(combos))
+	var comboNull []int32
 	if nullFault {
-		comboNull = make([]bool, len(combos))
+		comboNull = mem.slots.alloc(len(combos))
 	}
-	cands := make([][]int32, len(combos))
 	for ci, combo := range combos {
 		var ok, hadNull bool
 		keyBuf, ok, hadNull = e.comboJoinKey(keyBuf[:0], combo, a.keys, nullFault)
 		if !ok {
 			continue
 		}
-		if nullFault {
-			comboNull[ci] = hadNull
+		comboKey[ci] = tab.find(keyBuf, true) + 1
+		if hadNull {
+			comboNull[ci] = 1
 		}
-		table[string(keyBuf)] = append(table[string(keyBuf)], int32(ci))
 	}
 	for pos, row := range right {
 		var ok bool
@@ -704,14 +709,14 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 		if !ok {
 			continue
 		}
-		for _, ci := range table[string(keyBuf)] {
-			cands[ci] = append(cands[ci], int32(pos))
+		if k := tab.find(keyBuf, false); k >= 0 {
+			tab.push(k, int32(pos))
 		}
 	}
 	for ci, combo := range combos {
 		matched := false
-		for _, pos := range cands[ci] {
-			m, err := emit(combo, right[pos], nullFault && comboNull[ci])
+		for pos := tab.first(comboKey[ci] - 1); pos >= 0; pos = tab.after(pos) {
+			m, err := emit(combo, right[pos], nullFault && comboNull[ci] != 0)
 			if err != nil {
 				return nil, err
 			}

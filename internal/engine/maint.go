@@ -279,8 +279,19 @@ var knownOptions = map[dialect.Dialect]map[string]bool{
 	},
 }
 
+// optionCoverageKeys holds the coverage key of every known option name.
+var optionCoverageKeys = func() map[string]string {
+	var names []string
+	for _, opts := range knownOptions {
+		for name := range opts {
+			names = append(names, name)
+		}
+	}
+	return coverageKeys("opt.", names...)
+}()
+
 func (e *Engine) setOption(n *sqlast.SetOption) (*Result, error) {
-	e.cov.hit("opt." + n.Name)
+	e.cov.hit(coverageKey(optionCoverageKeys, "opt.", n.Name))
 	if !knownOptions[e.d][n.Name] {
 		return nil, xerr.New(xerr.CodeOption, "unknown option: %s", n.Name)
 	}

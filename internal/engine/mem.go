@@ -7,14 +7,19 @@ import (
 )
 
 // Statement memory. A SELECT allocates its relation row headers, join
-// combos, grouping state and result rows from slabs the engine owns
-// (stmtMem), so a warmed engine runs campaign queries without feeding the
-// GC. Memory is released at one of two points:
+// combos, grouping state, hash tables and result rows from slabs the
+// engine owns (stmtMem), so a warmed engine runs campaign queries without
+// feeding the GC. Hash joins, GROUP BY, DISTINCT and the set operators
+// share one hash table type, keyTable (keytable.go): each use carves its
+// slots, keys, key bytes and item chains from the statement slabs, so a
+// table lives exactly as long as the statement that built it. Memory is
+// released at one of two points:
 //
-//   - statement slabs hold what only the running SELECT reads. execSelect
-//     marks them on entry and releases to the mark on exit — also when a
-//     simulated crash panics through it — so marks nest LIFO: a view's
-//     SELECT inside buildRelation releases before the outer SELECT joins.
+//   - statement slabs hold what only the running SELECT or compound reads.
+//     execSelect and execCompound mark them on entry and release to the
+//     mark on exit — also when a simulated crash panics through them — so
+//     marks nest LIFO: a view's SELECT inside buildRelation releases before
+//     the outer SELECT joins, a compound arm before its set operator runs.
 //   - result slabs hold Result rows. Conn.ExecStmt releases them on entry,
 //     so a result stays valid through the nested views and compound arms
 //     that read it, and until the next top-level statement on the engine,
@@ -131,45 +136,22 @@ type stmtMem struct {
 	groups    slab[hashAggGroup]   // hash-aggregation groups
 	cells     slab[aggCell]        // per-group aggregate accumulators
 	vals      slab[sqlval.Value]   // group keys, inheritance-projected rows
-	bytes     slab[byte]           // normalized group key bytes
-	slots     slab[int32]          // hash-aggregation slots, DISTINCT chains, top-K heaps
+	tableKeys slab[tableKey]       // keyTable keys
+	bytes     slab[byte]           // keyTable key bytes
+	slots     slab[int32]          // keyTable slots and item chains, join key indexes, top-K heaps
 
 	// Result slabs.
 	resVals slab[sqlval.Value]   // result row values
 	resRows slab[[]sqlval.Value] // result row lists
 
-	// key is the normalized-key scratch of one grouping or DISTINCT pass
-	// at a time, reused across statements.
+	// key is the normalized-key scratch of one keyTable pass at a time,
+	// reused across statements.
 	key []byte
-	// distinct is the hashed DISTINCT pass's bucket index (key hash → 1 +
-	// the bucket's first kept row), reused across statements.
-	distinct map[uint64]int32
-}
-
-// distinctRetain caps the buckets an idle DISTINCT index keeps: a Go map
-// never shrinks, so one huge DISTINCT would otherwise pin its buckets for
-// the engine's lifetime.
-const distinctRetain = 1 << 12
-
-// distinctBuckets returns the DISTINCT bucket index, empty.
-func (m *stmtMem) distinctBuckets() map[uint64]int32 {
-	if m.distinct == nil {
-		m.distinct = make(map[uint64]int32)
-	}
-	clear(m.distinct)
-	return m.distinct
-}
-
-// shedDistinct drops a DISTINCT bucket index grown past the idle cap.
-func (m *stmtMem) shedDistinct() {
-	if len(m.distinct) > distinctRetain {
-		m.distinct = nil
-	}
 }
 
 // stmtMark is a mark over every statement slab.
 type stmtMark struct {
-	relations, rows, ptrs, combos, exprs, cols, frames, groups, cells, vals, bytes, slots int
+	relations, rows, ptrs, combos, exprs, cols, frames, groups, cells, vals, tableKeys, bytes, slots int
 }
 
 // mark marks every statement slab.
@@ -178,7 +160,7 @@ func (m *stmtMem) mark() stmtMark {
 		relations: m.relations.mark(), rows: m.rows.mark(), ptrs: m.ptrs.mark(),
 		combos: m.combos.mark(), exprs: m.exprs.mark(), cols: m.cols.mark(), frames: m.frames.mark(),
 		groups: m.groups.mark(), cells: m.cells.mark(), vals: m.vals.mark(),
-		bytes: m.bytes.mark(), slots: m.slots.mark(),
+		tableKeys: m.tableKeys.mark(), bytes: m.bytes.mark(), slots: m.slots.mark(),
 	}
 }
 
@@ -194,6 +176,7 @@ func (m *stmtMem) release(mk stmtMark) {
 	m.groups.release(mk.groups)
 	m.cells.release(mk.cells)
 	m.vals.release(mk.vals)
+	m.tableKeys.release(mk.tableKeys)
 	m.bytes.release(mk.bytes)
 	m.slots.release(mk.slots)
 }

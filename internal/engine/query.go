@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -595,14 +594,15 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 	return e.mem.combos.fit(out), nil
 }
 
-// aggNames are the aggregate functions the executor handles.
-var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true, "TOTAL": true}
+// aggNames maps the aggregate functions the executor handles onto their
+// coverage keys.
+var aggNames = coverageKeys("dql.aggregate.", "COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL")
 
 // isAggregate reports whether a result column is an aggregate call. Scalar
 // MIN/MAX with ≥2 args stay scalar (SQLite semantics).
 func isAggregate(x sqlast.Expr) (*sqlast.FuncCall, bool) {
 	fc, ok := x.(*sqlast.FuncCall)
-	if !ok || !aggNames[strings.ToUpper(fc.Name)] {
+	if !ok || aggNames[strings.ToUpper(fc.Name)] == "" {
 		return nil, false
 	}
 	up := strings.ToUpper(fc.Name)
@@ -790,7 +790,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 }
 
 // projectGroupedNaive is the materialized grouped/aggregate projection:
-// groups resolve by a linear keysEqual scan, every group retains its
+// groups resolve by a linear rowsEqual scan, every group retains its
 // combos, and aggregates re-iterate them per column. It is the ablation
 // baseline (disable=hashagg) the streaming path must match byte-for-byte.
 func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string, [][]sqlval.Value, error) {
@@ -826,7 +826,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			}
 			var g *group
 			for _, cand := range groups {
-				if keysEqual(cand.key, key) {
+				if rowsEqual(cand.key, key, sqlval.CollBinary) {
 					g = cand
 					break
 				}
@@ -901,32 +901,12 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 	return pc.outNames, rows, nil
 }
 
-// keysEqual compares group keys: NULLs group together (SQL GROUP BY
-// semantics), unlike ordinary equality.
-func keysEqual(a, b []sqlval.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].IsNull() || b[i].IsNull() {
-			if a[i].IsNull() != b[i].IsNull() {
-				return false
-			}
-			continue
-		}
-		if sqlval.Compare(a[i], b[i], sqlval.CollBinary) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // aggregate computes one aggregate over a group. The argument expression
 // binds through the statement's exprEval into *argFn on first use, so one
 // program serves every group of the statement.
 func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlval.Value, error), combos [][]*rowVals) (sqlval.Value, error) {
-	e.cov.hit("dql.aggregate." + strings.ToUpper(fc.Name))
 	up := strings.ToUpper(fc.Name)
+	e.cov.hit(aggNames[up])
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
 	// input is empty materializes a phantom row — COUNT reports 1,
 	// SUM/MIN/MAX report 0 instead of NULL. PQS never aggregates; TLP's
@@ -1026,7 +1006,7 @@ func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlv
 	return sqlval.Null(), xerr.New(xerr.CodeUnsupported, "aggregate %s", fc.Name)
 }
 
-// distinct deduplicates output rows.
+// distinct deduplicates output rows, keeping each row's first occurrence.
 func (e *Engine) distinct(rows [][]sqlval.Value) [][]sqlval.Value {
 	e.cov.hit("dql.distinct")
 	// Fault site (generic.distinct-collation): DISTINCT compares text
@@ -1035,89 +1015,9 @@ func (e *Engine) distinct(rows [][]sqlval.Value) [][]sqlval.Value {
 	if e.d == dialect.SQLite && e.fs.Has(faults.DistinctCollation) {
 		coll = sqlval.CollNoCase
 	}
-	// Large result sets bucket rows by a conservative hash key first
-	// (Compare-equal rows always share a key; key collisions fall back to
-	// pairwise Compare), turning the O(n²) scan into near-linear work.
-	// The collated fault path keeps the plain scan: its equality is
-	// deliberately non-standard and rare.
-	if coll == sqlval.CollBinary && len(rows) > 16 {
-		return e.distinctHashed(rows)
-	}
-	out := e.mem.resRows.carve(len(rows))
-	for _, row := range rows {
-		dup := false
-		for _, prev := range out {
-			if rowsEqual(row, prev, coll) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, row)
-		}
-	}
-	return e.mem.resRows.fit(out)
+	out, _ := e.dedup(rows, coll)
+	return out
 }
-
-func rowsEqual(a, b []sqlval.Value, coll sqlval.Collation) bool {
-	for i := range a {
-		if a[i].IsNull() || b[i].IsNull() {
-			if a[i].IsNull() != b[i].IsNull() {
-				return false
-			}
-			continue
-		}
-		if sqlval.Compare(a[i], b[i], coll) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// distinctHashed is the binary-collation DISTINCT fast path. Rows bucket
-// by the maphash of their normalized group keys (appendAggKey):
-// Compare-equal rows always share a key and so a hash, so bucket equality
-// is a prefilter and rowsEqual the verdict — a hash collision only
-// lengthens a chain. A bucket is a chain through the kept rows: the
-// bucket index holds 1 + the index in out of its first row, next the
-// index of each row's successor. Output keeps input order, so the
-// per-process hash seed cannot change a result.
-func (e *Engine) distinctHashed(rows [][]sqlval.Value) [][]sqlval.Value {
-	buckets := e.mem.distinctBuckets()
-	defer e.mem.shedDistinct()
-	next := e.mem.slots.alloc(len(rows))
-	out := e.mem.resRows.carve(len(rows))
-	key := e.mem.key
-	for _, row := range rows {
-		key = key[:0]
-		for _, v := range row {
-			key = append(appendAggKey(key, v), 0)
-		}
-		h := maphash.Bytes(distinctSeed, key)
-		dup, last := false, int32(0)
-		for i := buckets[h]; i != 0; i = next[i-1] {
-			if rowsEqual(row, out[i-1], sqlval.CollBinary) {
-				dup = true
-				break
-			}
-			last = i
-		}
-		if dup {
-			continue
-		}
-		out = append(out, row)
-		if last == 0 {
-			buckets[h] = int32(len(out))
-		} else {
-			next[last-1] = int32(len(out))
-		}
-	}
-	e.mem.key = key
-	return e.mem.resRows.fit(out)
-}
-
-// distinctSeed seeds the DISTINCT bucket hash.
-var distinctSeed = maphash.MakeSeed()
 
 // resolveOrderKeys maps ORDER BY expressions onto output-column indexes: a
 // result column holding the key's own node, else by rendered SQL (or
