@@ -69,11 +69,6 @@ func Parse(s string) (Dialect, error) {
 	return SQLite, fmt.Errorf("dialect: unknown dialect %q", s)
 }
 
-// ImplicitBool reports whether the dialect converts arbitrary expressions
-// to booleans in boolean context (true for SQLite and MySQL, false for
-// Postgres, which requires the root of a condition to be boolean-typed).
-func (d Dialect) ImplicitBool() bool { return d != Postgres }
-
 // ConcatIsOr reports whether `||` is logical OR (MySQL default) rather than
 // string concatenation (SQLite, PostgreSQL).
 func (d Dialect) ConcatIsOr() bool { return d == MySQL }
@@ -82,13 +77,5 @@ func (d Dialect) ConcatIsOr() bool { return d == MySQL }
 // types (MySQL only).
 func (d Dialect) HasUnsigned() bool { return d == MySQL }
 
-// HasIsNotValue reports whether `x IS NOT y` is allowed between arbitrary
-// values (SQLite); MySQL and PostgreSQL restrict IS to TRUE/FALSE/NULL.
-func (d Dialect) HasIsNotValue() bool { return d == SQLite }
-
 // LikeCaseInsensitive reports whether LIKE ignores ASCII case by default.
 func (d Dialect) LikeCaseInsensitive() bool { return d != Postgres }
-
-// DivZeroError reports whether division by zero raises an error (Postgres)
-// instead of yielding NULL (SQLite, MySQL).
-func (d Dialect) DivZeroError() bool { return d == Postgres }

@@ -22,23 +22,14 @@ func TestParseAndString(t *testing.T) {
 }
 
 func TestFeatureFlags(t *testing.T) {
-	if !SQLite.ImplicitBool() || !MySQL.ImplicitBool() || Postgres.ImplicitBool() {
-		t.Error("ImplicitBool flags wrong")
-	}
 	if !MySQL.ConcatIsOr() || SQLite.ConcatIsOr() {
 		t.Error("ConcatIsOr flags wrong")
 	}
 	if !MySQL.HasUnsigned() || SQLite.HasUnsigned() {
 		t.Error("HasUnsigned flags wrong")
 	}
-	if !SQLite.HasIsNotValue() || MySQL.HasIsNotValue() {
-		t.Error("HasIsNotValue flags wrong")
-	}
 	if !SQLite.LikeCaseInsensitive() || Postgres.LikeCaseInsensitive() {
 		t.Error("LikeCaseInsensitive flags wrong")
-	}
-	if !Postgres.DivZeroError() || SQLite.DivZeroError() {
-		t.Error("DivZeroError flags wrong")
 	}
 	if len(All) != 3 {
 		t.Error("All should list three dialects")

@@ -365,6 +365,9 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				continue
 			}
 			if ai := aggAt[i]; ai >= 0 {
+				if len(rows) == 0 { // coverage: once per column per statement
+					e.cov.hit(aggNames[aggCols[ai].name])
+				}
 				v, err := e.finalizeAgg(&aggCols[ai], &g.cells[ai], g.n, x)
 				if err != nil {
 					return nil, nil, err
@@ -443,7 +446,6 @@ func (e *Engine) accumulate(ac *aggCol, cell *aggCell, v sqlval.Value, nullSkipF
 // fault, the arity error, and lazy argument binding for zero-row groups
 // (whose compile errors the materialized path still raises).
 func (e *Engine) finalizeAgg(ac *aggCol, cell *aggCell, groupRows int64, x *exprEval) (sqlval.Value, error) {
-	e.cov.hit(aggNames[ac.name])
 	// Fault site (sqlite.agg-empty-group) — mirrored from aggregate() so
 	// the fault matrix is path-independent.
 	if e.d == dialect.SQLite && e.fs.Has(faults.AggEmptyGroup) && groupRows == 0 {

@@ -880,6 +880,9 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 				continue
 			}
 			if fc, ok := isAggregate(c.x); ok {
+				if len(rows) == 0 { // coverage: once per column per statement
+					e.cov.hit(aggNames[strings.ToUpper(fc.Name)])
+				}
 				v, err := e.aggregate(fc, x, &argFns[i], g.combos)
 				if err != nil {
 					return nil, nil, err
@@ -906,7 +909,6 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 // program serves every group of the statement.
 func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlval.Value, error), combos [][]*rowVals) (sqlval.Value, error) {
 	up := strings.ToUpper(fc.Name)
-	e.cov.hit(aggNames[up])
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
 	// input is empty materializes a phantom row — COUNT reports 1,
 	// SUM/MIN/MAX report 0 instead of NULL. PQS never aggregates; TLP's

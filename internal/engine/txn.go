@@ -270,37 +270,34 @@ func (e *Engine) validateTxnLocked(t *connTxn) string {
 	return ""
 }
 
-// overlaps returns a member witnessing a non-empty intersection of two
-// write/read sets, honouring the allWrite wildcard on either side.
+// overlaps returns the smallest member of the intersection of two
+// write/read sets, honouring the allWrite wildcard on either side, so a
+// conflict names the same table whatever the map order.
 func overlaps(a, b map[string]struct{}) string {
 	if len(a) == 0 || len(b) == 0 {
 		return ""
 	}
 	if _, ok := a[allWrite]; ok {
-		return anyOf(b)
+		return least(b, b)
 	}
 	if _, ok := b[allWrite]; ok {
-		return anyOf(a)
+		return least(a, a)
 	}
-	small, large := a, b
-	if len(large) < len(small) {
-		small, large = large, small
+	if len(b) < len(a) {
+		a, b = b, a
 	}
-	for k := range small {
-		if _, ok := large[k]; ok {
-			return k
-		}
-	}
-	return ""
+	return least(a, b)
 }
 
-func anyOf(m map[string]struct{}) string {
-	names := make([]string, 0, len(m))
+// least returns the smallest member of m that is also in in, or "".
+func least(m, in map[string]struct{}) string {
+	w := ""
 	for k := range m {
-		names = append(names, k)
+		if _, ok := in[k]; ok && (w == "" || k < w) {
+			w = k
+		}
 	}
-	sort.Strings(names) // deterministic witness
-	return names[0]
+	return w
 }
 
 func displayWrite(w string) string {

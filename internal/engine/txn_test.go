@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -122,6 +124,40 @@ func TestTxnReadsInheritanceChildren(t *testing.T) {
 	}
 	if _, err := s0.Exec("COMMIT"); !xerr.Is(err, xerr.CodeConflict) {
 		t.Fatalf("COMMIT after a concurrent write to an inheriting child: got %v, want a conflict", err)
+	}
+}
+
+// TestConflictWitnessIsSmallestTable: when a concurrent commit wrote
+// several tables this transaction read, the conflict names the smallest,
+// whatever order the read and write sets iterate in. Each history runs on
+// a fresh engine, so a witness picked by map order differs between runs.
+func TestConflictWitnessIsSmallestTable(t *testing.T) {
+	const want = "concurrent commit wrote table t0 read by this transaction"
+	for run := 0; run < 50; run++ {
+		e := Open(dialect.SQLite)
+		a, b := e.NewConn(), e.NewConn()
+		exec := func(c *Conn, sql string) {
+			if _, err := c.Exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			exec(a, fmt.Sprintf("CREATE TABLE t%d (c0 INTEGER)", i))
+		}
+		exec(b, "BEGIN")
+		for i := 0; i < 4; i++ {
+			exec(b, fmt.Sprintf("SELECT * FROM t%d", i))
+		}
+		exec(a, "BEGIN")
+		for i := 0; i < 4; i++ {
+			exec(a, fmt.Sprintf("INSERT INTO t%d VALUES (1)", i))
+		}
+		exec(a, "COMMIT")
+		exec(b, "INSERT INTO t4 VALUES (1)")
+		_, err := b.Exec("COMMIT")
+		if !xerr.Is(err, xerr.CodeConflict) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: COMMIT = %v, want a conflict %q", run, err, want)
+		}
 	}
 }
 

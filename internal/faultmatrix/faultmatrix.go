@@ -1,8 +1,10 @@
 // Package faultmatrix is the fault-corpus test matrix: one table of tester
-// configurations crossed with the 56 registered faults, and the one check
-// each kind of cell must pass. The corpus sweeps of internal/runner,
-// internal/sut and internal/oracle are views of this table: each runs a
-// slice of its cells under the subtest names it has always reported.
+// configurations crossed with the 56 registered faults and with no fault
+// at all, and the one check each kind of cell must pass. TestFaultMatrix
+// runs the cells, each subtest named row/dialect/fault. The corpus sweeps
+// that predate it in internal/runner, internal/sut and internal/oracle keep
+// presenting their cells under the subtest names they have always
+// reported (see legacy); TestFaultMatrix runs every other cell.
 package faultmatrix
 
 import (
@@ -37,12 +39,16 @@ const (
 	// mayDetect: detection is possible but not guaranteed (metamorphic
 	// oracles catch some containment row drops); only attribution counts.
 	mayDetect
+	// clean: no fault injected; any detection is a false positive.
+	clean
 )
 
-// budgets are the per-kind database budgets. A miss cell burns its whole
-// budget, so it runs small; the sweep checks afterwards that it still
-// covers the routed row's detection offset of the same fault.
-var budgets = [...]int{routed: 1500, detect: 1500, miss: 300, mayDetect: 150}
+// budgets are the per-kind database budgets. A miss cell's is a floor:
+// it runs until past its fault's routed detection offset (see budget).
+var budgets = [...]int{routed: 1500, detect: 1500, miss: 300, mayDetect: 150, clean: 150}
+
+// allOracles are the oracles a campaign can rotate through.
+var allOracles = []string{"pqs", "tlp", "norec", "recovery", "serializability"}
 
 // matrixRow is one configuration crossed with the fault corpus.
 type matrixRow struct {
@@ -56,31 +62,81 @@ type matrixRow struct {
 	quiet []faults.Fault
 	// expect classifies every other fault; nil means detect.
 	expect func(info faults.Info, oracleName string) kind
+	// verdict overrides the registry verdict of a fault the row's
+	// configuration shows through another symptom.
+	verdict map[faults.Fault]faults.Oracle
+	// clean lists the oracles of the row's fault-free cells.
+	clean []string
 }
 
 // table crosses every configuration under test with the fault corpus.
 // Each fault runs in its home dialect; the routed row runs the recovery
 // and serializability faults, which live below the SQL surface, in every
 // dialect so their oracles are checked end to end. The cross-oracle rows
-// skip the fault's routed oracle: the routed row holds that cell.
+// skip the fault's routed oracle: the routed row holds that cell. Every
+// row whose configuration differs from routed's also runs fault-free
+// cells, in every dialect, under each oracle whose statements reach the
+// code its configuration changes.
 var table = []matrixRow{
-	{name: "routed", expect: func(faults.Info, string) kind { return routed }},
-	// Session rows: the render→reparse round trip and each switched-off
-	// engine feature must detect the whole corpus, except the faults
-	// living in the feature's own code (the ablation doubles as their
-	// bisection tool).
-	{name: "wire", cfg: session(sut.Session{WireFidelity: true})},
-	{name: "nocompile", cfg: session(sut.Session{NoCompile: true})},
-	{name: "nohashjoin", cfg: session(sut.Session{NoHashJoin: true}),
+	// The load-bearing validation behind every table and figure: each
+	// fault is detected under its registry oracle (PQS for containment,
+	// error and crash faults; TLP and NoREC for the metamorphic ones PQS
+	// is blind to) with the registry verdict, and reduces to a trace that
+	// replays on the faulty engine and stays silent on the clean one.
+	// Durability and isolation faults live in the pager and transaction
+	// layer, so running them in all three dialects checks the recovery and
+	// serializability oracles end to end. Fault-free: after-sync crashes
+	// recover the committed state, mid-commit crashes one of the two legal
+	// states, and first-committer-wins makes the commit order a
+	// serializability witness, so any detection is an oracle bug.
+	{name: "routed", expect: func(faults.Info, string) kind { return routed }, clean: allOracles},
+	// Session rows detect the whole corpus through sut.DB on databases
+	// opened with one switch, except the faults living in the switched-off
+	// code, which stay quiet (the ablation doubles as their bisection
+	// tool), and stay silent without a fault under every oracle.
+	// wire: the render→reparse string round trip, TLP's UNION ALL
+	// compounds included.
+	{name: "wire", cfg: session(sut.Session{WireFidelity: true}), clean: allOracles},
+	// nocompile: compiled programs and the tree walk detect identically;
+	// compilation changes how predicates evaluate, never what they
+	// evaluate to.
+	{name: "nocompile", cfg: session(sut.Session{NoCompile: true}), clean: allOracles},
+	// nohashjoin: join strategy changes how joins execute, never what they
+	// return; the three quiet faults live in the hash and index-lookup
+	// join code. Recovery and serializability run single-table statements
+	// only, so their fault-free cells would repeat the routed row's.
+	{name: "nohashjoin", cfg: session(sut.Session{NoHashJoin: true}), clean: []string{"pqs", "tlp", "norec"},
 		quiet: []faults.Fault{faults.HashJoinCollation, faults.HashJoinNullKey, faults.HashLeftJoinDrop}},
-	{name: "nohashagg", cfg: session(sut.Session{NoHashAgg: true}),
+	// nohashagg: aggregation strategy changes how groups accumulate, never
+	// what they contain; the three quiet faults live in the hash
+	// aggregation and top-K code. Recovery runs no query, so its
+	// fault-free cells would repeat the routed row's.
+	{name: "nohashagg", cfg: session(sut.Session{NoHashAgg: true}), clean: []string{"pqs", "tlp", "norec", "serializability"},
 		quiet: []faults.Fault{faults.HashAggCollation, faults.AggAccumulatorNullSkip, faults.TopKHeapBoundary}},
+	// noplanner: every source is a full scan; the quiet faults live in
+	// index scans and the planner's collation and skip-scan choices. The
+	// stale index entry an UPDATE leaves is no longer read by any query,
+	// so it shows only when it fails a later UNIQUE check.
+	{name: "noplanner", cfg: session(sut.Session{NoPlanner: true}), clean: allOracles,
+		quiet: []faults.Fault{faults.CollateIndexOrder, faults.NocaseUniqueIndex, faults.PartialIndexNotNull,
+			faults.PlannerCollationConfusion, faults.RangeScanBoundary, faults.RtrimCompare,
+			faults.SkipScanDistinct, faults.BoolIndexScan},
+		verdict: map[faults.Fault]faults.Oracle{faults.StaleIndexAfterUpdate: faults.OracleError}},
+	// Cross-oracle rows: every fault under PQS, TLP and NoREC. Error and
+	// crash faults fire while the database is built, so every oracle
+	// catches them; metamorphic faults only their own oracle (the
+	// load-bearing cells: PQS's structural blindness); durability and
+	// isolation faults stay dormant without a pager or concurrent
+	// sessions; containment faults are PQS's, with TLP and NoREC as
+	// opportunistic backstops.
 	{name: "pqs", oracle: "pqs", expect: crossOracle},
 	{name: "tlp", oracle: "tlp", expect: crossOracle},
 	{name: "norec", oracle: "norec", expect: crossOracle},
 	// Ablation 1: with the engine's evaluator as the oracle, an
 	// evaluator-level fault computes the same wrong answer on both sides.
-	{name: "shared-evaluator", cfg: core.Config{UseEngineAsOracle: true},
+	// The switch changes only PQS's pivot evaluation, so PQS is its one
+	// fault-free oracle.
+	{name: "shared-evaluator", cfg: core.Config{UseEngineAsOracle: true}, clean: []string{"pqs"},
 		quiet: []faults.Fault{faults.UnsignedCompare},
 		expect: func(info faults.Info, _ string) kind {
 			if info.ID == faults.AffinityCompare || info.ID == faults.TextDoubleBool {
@@ -90,20 +146,10 @@ var table = []matrixRow{
 		}},
 }
 
-// unsweptAblations are the sut.Ablations features without a session row,
-// each with the reason. Every other ablation must have one.
-var unsweptAblations = map[string]string{
-	"planner": "full-scan coverage is TestAblationDifferential/TestAblationFaultReach in internal/engine",
-}
-
 func session(s sut.Session) core.Config { return core.Config{Session: s} }
 
 // crossOracle encodes which faults an oracle other than the routed one
-// must catch: error/crash faults fire in the database-generation phase
-// every campaign shares, metamorphic faults are invisible to the other
-// oracles, recovery and isolation faults are dormant without a pager
-// session or concurrent transactions, and containment faults are PQS's
-// home turf with the metamorphic oracles as opportunistic backstops.
+// must catch (see the cross-oracle rows).
 func crossOracle(info faults.Info, oracleName string) kind {
 	if oracle.ForFault(info) == oracleName {
 		return skip
@@ -124,11 +170,8 @@ func belowSQL(info faults.Info) bool {
 	return info.Oracle == faults.OracleRecovery || info.Oracle == faults.OracleSerializability
 }
 
-func isMetamorphic(info faults.Info) bool {
-	return info.Oracle == faults.OracleTLP || info.Oracle == faults.OracleNoREC
-}
-
-// cell is one campaign of the matrix.
+// cell is one campaign of the matrix. A clean cell has no fault: its info
+// is the zero value.
 type cell struct {
 	row     *matrixRow
 	dialect dialect.Dialect
@@ -137,15 +180,26 @@ type cell struct {
 	kind    kind
 }
 
-// key names a cell (row, dialect, fault); no two cells share one.
-func key(row string, d dialect.Dialect, f faults.Fault) string {
-	return row + "/" + d.String() + "/" + string(f)
+// fault names the cell's fault, or "fault-free.<oracle>" for a clean cell.
+func (c cell) fault() string {
+	if c.kind == clean {
+		return "fault-free." + c.oracle
+	}
+	return string(c.info.ID)
 }
 
-func (c cell) key() string { return key(c.row.name, c.dialect, c.info.ID) }
+// key names a cell row/dialect/fault; no two cells share one.
+func (c cell) key() string { return c.row.name + "/" + c.dialect.String() + "/" + c.fault() }
 
-// cells expands the table, in row order.
-func cells() []cell {
+// home is the routed cell of the cell's fault in the cell's dialect. Every
+// fault has one in its home dialect, the only dialect other rows use.
+func (c cell) home() cell {
+	return cell{row: &table[0], dialect: c.dialect, info: c.info, oracle: oracle.ForFault(c.info), kind: routed}
+}
+
+// cells expands the table in row order, each row's fault cells before its
+// fault-free ones.
+var cells = sync.OnceValue(func() []cell {
 	var out []cell
 	for i := range table {
 		r := &table[i]
@@ -172,150 +226,62 @@ func cells() []cell {
 				out = append(out, cell{row: r, dialect: d, info: info, oracle: o, kind: k})
 			}
 		}
+		for _, o := range r.clean {
+			for _, d := range dialect.All {
+				out = append(out, cell{row: r, dialect: d, oracle: o, kind: clean})
+			}
+		}
 	}
 	return out
-}
-
-// A View is one corpus sweep's slice of the table: the cells it keeps,
-// each run as a subtest named by name, under a group subtest if one is
-// set.
-type View struct {
-	group string
-	keep  func(cell) bool
-	name  func(cell) string
-}
-
-func byFault(c cell) string        { return string(c.info.ID) }
-func byDialectFault(c cell) string { return c.dialect.String() + "/" + string(c.info.ID) }
-func byFaultOracle(c cell) string  { return string(c.info.ID) + "/" + c.oracle }
-
-// inRow keeps every cell of one row.
-func inRow(name string) func(cell) bool {
-	return func(c cell) bool { return c.row.name == name }
-}
-
-// routedView keeps the routed cells whose fault passes keep.
-func routedView(keep func(faults.Info) bool, by func(cell) string) View {
-	return View{keep: func(c cell) bool { return c.row.name == "routed" && keep(c.info) }, name: by}
-}
-
-func quietIn(rowName string) func(faults.Info) bool {
-	return func(info faults.Info) bool {
-		i := slices.IndexFunc(table, func(r matrixRow) bool { return r.name == rowName })
-		return slices.Contains(table[i].quiet, info.ID)
-	}
-}
-
-// The views, one per corpus sweep. A routed cell belongs to several: each
-// package that presents it runs its campaign once.
-var (
-	// FullCorpus: every fault detected, reduced and replayed under its
-	// registry oracle in its home dialect.
-	FullCorpus = View{keep: func(c cell) bool { return c.row.name == "routed" && c.dialect == c.info.Dialect }, name: byFault}
-	// Recovery and Serializability: the faults below the SQL surface, in
-	// every dialect.
-	Recovery        = routedView(func(i faults.Info) bool { return i.Oracle == faults.OracleRecovery }, byDialectFault)
-	Serializability = routedView(func(i faults.Info) bool { return i.Oracle == faults.OracleSerializability }, byDialectFault)
-	// CrossOracle: every fault under each of pqs, tlp and norec, its
-	// routed cell included when its routed oracle is one of them.
-	CrossOracle = View{name: byFaultOracle, keep: func(c cell) bool {
-		return slices.Contains([]string{"pqs", "tlp", "norec"}, c.oracle) &&
-			(c.row.name == "routed" || c.row.name == c.oracle)
-	}}
-	Wire     = View{keep: inRow("wire"), name: byFault}
-	Compiled = View{group: "compiled", keep: FullCorpus.keep, name: byFault}
-	// Interpreted is the nocompile row, beside Compiled.
-	Interpreted = View{group: "interpreted", keep: inRow("nocompile"), name: byFault}
-	NoHashJoin  = View{keep: inRow("nohashjoin"), name: byFault}
-	NoHashAgg   = View{keep: inRow("nohashagg"), name: byFault}
-	// HashJoinReduction and HashAggReduction: the routed cells of the
-	// faults a hash row keeps quiet.
-	HashJoinReduction = routedView(quietIn("nohashjoin"), byFault)
-	HashAggReduction  = routedView(quietIn("nohashagg"), byFault)
-	SharedEvaluator   = View{group: "shared-evaluator", keep: inRow("shared-evaluator"), name: byDialectFault}
-
-	views = []View{FullCorpus, Recovery, Serializability, CrossOracle, Wire, Compiled, Interpreted,
-		NoHashJoin, NoHashAgg, HashJoinReduction, HashAggReduction, SharedEvaluator}
-)
+})
 
 // entry is one cell's campaign, run at most once per test binary.
 type entry struct {
 	once sync.Once
 	res  runner.Result
-	done bool
+	runs int // campaigns started, for sweep's one-campaign check
 }
 
-var (
-	mu      sync.Mutex
-	entries = map[string]*entry{}
-)
+var entries sync.Map // cell key → *entry
+
+func entryOf(c cell) *entry {
+	e, _ := entries.LoadOrStore(c.key(), new(entry))
+	return e.(*entry)
+}
 
 // result runs the cell's campaign (Workers 2, BaseSeed 1), or waits for
-// the run another view of the same cell started.
+// the run another subtest of the same cell started.
 func result(c cell) runner.Result {
-	mu.Lock()
-	e := entries[c.key()]
-	if e == nil {
-		e = new(entry)
-		entries[c.key()] = e
-	}
-	mu.Unlock()
+	e := entryOf(c)
 	e.once.Do(func() {
-		res := runner.Run(runner.Campaign{
+		e.runs++
+		e.res = runner.Run(runner.Campaign{
 			Dialect:      c.dialect,
 			Fault:        c.info.ID,
-			MaxDatabases: budgets[c.kind],
+			MaxDatabases: budget(c),
 			Workers:      2,
 			BaseSeed:     1,
 			Oracles:      []string{c.oracle},
 			Tester:       c.row.cfg,
 			Reduce:       c.kind == routed,
 		})
-		mu.Lock()
-		e.res, e.done = res, true
-		mu.Unlock()
 	})
 	return e.res
 }
 
-// finished returns the result of a cell whose campaign has run.
-func finished(k string) (runner.Result, bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if e := entries[k]; e != nil && e.done {
-		return e.res, true
+// budget is the cell's database budget. A miss cell runs past the
+// database its fault's routed cell detects on (running that cell first if
+// this binary has not), so the miss shows the row, not a short budget,
+// keeps the fault quiet.
+func budget(c cell) int {
+	n := budgets[c.kind]
+	if c.kind != miss {
+		return n
 	}
-	return runner.Result{}, false
-}
-
-// Run runs the cells of the views as parallel subtests, each with the
-// check of its kind, then the checks that need more than one row.
-func Run(t *testing.T, vs ...View) {
-	if testing.Short() {
-		t.Skip("fault matrix sweep is not short")
+	if res := result(c.home()); res.Detected {
+		n = max(n, int(res.Seed-res.Campaign.BaseSeed)+1)
 	}
-	all := cells()
-	var ran []cell
-	for _, v := range vs {
-		sweep := func(t *testing.T) {
-			for _, c := range all {
-				if !v.keep(c) {
-					continue
-				}
-				ran = append(ran, c)
-				t.Run(v.name(c), func(t *testing.T) {
-					t.Parallel()
-					checkCell(t, c, result(c))
-				})
-			}
-		}
-		if v.group == "" {
-			sweep(t)
-		} else {
-			t.Run(v.group, sweep)
-		}
-	}
-	t.Cleanup(func() { checkAcrossRows(t, all, ran) })
+	return n
 }
 
 // checkCell applies the check of the cell's kind; every campaign must
@@ -326,11 +292,12 @@ func checkCell(t *testing.T, c cell, res runner.Result) {
 		t.Fatalf("%d of %d databases failed; first error: %v", res.Errors, res.Databases, res.Err)
 	}
 	switch c.kind {
-	case miss:
+	case clean, miss:
 		if res.Detected {
-			t.Fatalf("%s must miss %s but detected it via %s: %s\n  %s", c.oracle, c.info.ID,
-				res.Bug.DetectedBy, res.Bug.Message, strings.Join(res.Bug.Trace, ";\n  "))
+			t.Fatalf("%s must stay silent on %s but detected (seed %d): %s\n  %s", c.oracle, c.fault(),
+				res.Seed, res.Bug.Message, strings.Join(res.Bug.Trace, ";\n  "))
 		}
+		t.Logf("silent for %d databases", res.Databases)
 		return
 	case mayDetect:
 		if res.Detected && res.Bug.DetectedBy != c.oracle {
@@ -342,9 +309,13 @@ func checkCell(t *testing.T, c cell, res runner.Result) {
 		t.Fatalf("%s missed %s in %d databases (%d statements)",
 			c.oracle, c.info.ID, res.Databases, res.Stats.Statements)
 	}
-	if res.Bug.Oracle != c.info.Oracle || res.Bug.DetectedBy != c.oracle {
+	verdict, ok := c.row.verdict[c.info.ID]
+	if !ok {
+		verdict = c.info.Oracle
+	}
+	if res.Bug.Oracle != verdict || res.Bug.DetectedBy != c.oracle {
 		t.Fatalf("caught by %s with a %s verdict, want %s with %s (msg: %s)",
-			res.Bug.DetectedBy, res.Bug.Oracle, c.oracle, c.info.Oracle, res.Bug.Message)
+			res.Bug.DetectedBy, res.Bug.Oracle, c.oracle, verdict, res.Bug.Message)
 	}
 	if c.kind != routed {
 		return
@@ -364,87 +335,125 @@ func checkCell(t *testing.T, c cell, res runner.Result) {
 	t.Logf("seed %d, %d databases, trace %d → %d stmts", res.Seed, res.Databases, len(res.Bug.Trace), len(res.Reduced))
 }
 
-// CheckTable fails the test when the table itself is wrong: a repeated
-// cell, a cell no view runs, a quiet fault the registry does not know, an
-// ablation without a session row, or a registry that is not the 56-fault
-// corpus.
-func CheckTable(t *testing.T) {
-	all := cells()
-	seen := map[string]bool{}
-	for _, c := range all {
-		if seen[c.key()] {
-			t.Fatalf("cell %s appears twice", c.key())
-		}
-		seen[c.key()] = true
-		if !slices.ContainsFunc(views, func(v View) bool { return v.keep(c) }) {
-			t.Fatalf("cell %s is in no view, so no sweep runs it", c.key())
-		}
-	}
-	swept := map[string]bool{}
-	for _, r := range table {
-		for _, name := range r.cfg.Disabled() {
-			swept[name] = true
-		}
-		for _, f := range r.quiet {
-			if _, ok := faults.Lookup(f); !ok {
-				t.Fatalf("row %s keeps unregistered fault %s quiet", r.name, f)
-			}
-		}
-	}
-	for _, name := range sut.Ablations() {
-		if _, exempt := unsweptAblations[name]; !swept[name] && !exempt {
-			t.Fatalf("ablation %q has no session row in the fault matrix", name)
-		}
-	}
-	if n := len(faults.All()); n != 56 {
-		t.Errorf("fault registry has %d faults, matrix expects 56", n)
-	}
-	t.Logf("%d cells", len(all))
+// A view presents some of the table's cells as subtests named by name,
+// under a group subtest if one is set.
+type view struct {
+	group string
+	keep  func(cell) bool
+	name  func(cell) string
 }
 
-// checkAcrossRows runs the checks no single cell can make, over the cells
-// that have run in this test binary, for each pair with a cell in ran.
-func checkAcrossRows(t *testing.T, all, ran []cell) {
-	mine := map[string]bool{}
-	for _, c := range ran {
-		mine[c.key()] = true
+func byFault(c cell) string        { return c.fault() }
+func byDialectFault(c cell) string { return c.dialect.String() + "/" + c.fault() }
+func byFaultOracle(c cell) string  { return c.fault() + "/" + c.oracle }
+
+// faultsIn keeps the fault cells of one row.
+func faultsIn(row string) func(cell) bool {
+	return func(c cell) bool { return c.row.name == row && c.kind != clean }
+}
+
+// routedWhere keeps the routed cells whose fault passes keep, in every
+// dialect; routedHome only those in the fault's home dialect.
+func routedWhere(keep func(faults.Info) bool) func(cell) bool {
+	return func(c cell) bool { return c.kind == routed && keep(c.info) }
+}
+
+func routedHome(keep func(faults.Info) bool) func(cell) bool {
+	return func(c cell) bool { return c.kind == routed && c.dialect == c.info.Dialect && keep(c.info) }
+}
+
+func anyFault(faults.Info) bool { return true }
+
+func oracleIs(o faults.Oracle) func(faults.Info) bool {
+	return func(info faults.Info) bool { return info.Oracle == o }
+}
+
+// quietIn reports whether the named row keeps the fault quiet.
+func quietIn(row string) func(faults.Info) bool {
+	return func(info faults.Info) bool {
+		return slices.ContainsFunc(table, func(r matrixRow) bool { return r.name == row && slices.Contains(r.quiet, info.ID) })
 	}
-	// Every miss must cover the routed detection offset of its fault.
-	for _, c := range all {
-		routedKey := key("routed", c.dialect, c.info.ID)
-		if c.kind != miss || !mine[c.key()] && !mine[routedKey] {
-			continue
+}
+
+// cleanUnder keeps the fault-free cells of one oracle in the given rows.
+func cleanUnder(o string, rows ...string) func(cell) bool {
+	return func(c cell) bool { return c.kind == clean && c.oracle == o && slices.Contains(rows, c.row.name) }
+}
+
+// legacy maps each corpus sweep that predates TestFaultMatrix, by test
+// name, onto its slice of the table and the subtest names it has always
+// reported. A cell a legacy sweep presents runs there, in that test's
+// binary; TestFaultMatrix runs the rest. A routed cell belongs to several
+// sweeps, so it runs once in each binary that presents it.
+var legacy = map[string][]view{
+	// internal/runner (its TestFaultMatrix predates this package's).
+	"TestFaultMatrix":          {{group: "shared-evaluator", keep: faultsIn("shared-evaluator"), name: byDialectFault}},
+	"TestFullCorpusDetectable": {{keep: routedHome(anyFault), name: byFault}},
+	// internal/oracle
+	"TestCrossOracleFaultMatrix": {{name: byFaultOracle, keep: func(c cell) bool {
+		return c.kind != clean && slices.Contains([]string{"pqs", "tlp", "norec"}, c.oracle) &&
+			(c.row.name == "routed" || c.row.name == c.oracle)
+	}}},
+	"TestRecoveryFaultMatrix":        {{keep: routedWhere(oracleIs(faults.OracleRecovery)), name: byDialectFault}},
+	"TestSerializabilityFaultMatrix": {{keep: routedWhere(oracleIs(faults.OracleSerializability)), name: byDialectFault}},
+	"TestRecoveryNoFalsePositives":   {{keep: cleanUnder("recovery", "routed"), name: func(c cell) string { return c.dialect.String() }}},
+	"TestSerializabilityNoFalsePositives": {{keep: cleanUnder("serializability", "routed", "nocompile"), name: func(c cell) string {
+		if c.row.name == "nocompile" {
+			return c.dialect.String() + "/no-compile"
 		}
-		_, missRan := finished(c.key())
-		home, routedRan := finished(routedKey)
-		if !missRan || !routedRan || !home.Detected {
-			continue // a failed routed cell reports itself
-		}
-		if off := home.Seed - home.Campaign.BaseSeed; int64(budgets[miss]) < off {
-			t.Errorf("%s: budget %d is below the routed detection offset %d, so the miss proves nothing",
-				c.key(), budgets[miss], off)
-		}
+		return c.dialect.String()
+	}}},
+	// internal/sut
+	"TestFaultMatrixWireFidelity": {{keep: faultsIn("wire"), name: byFault}},
+	"TestFaultMatrixCompiledParity": {
+		{group: "compiled", keep: routedHome(anyFault), name: byFault},
+		{group: "interpreted", keep: faultsIn("nocompile"), name: byFault},
+	},
+	"TestFaultMatrixHashJoinParity": {{keep: faultsIn("nohashjoin"), name: byFault}},
+	"TestFaultMatrixHashAggParity":  {{keep: faultsIn("nohashagg"), name: byFault}},
+	"TestHashJoinFaultReduction":    {{keep: routedHome(quietIn("nohashjoin")), name: byFault}},
+	"TestHashAggFaultReduction":     {{keep: routedHome(quietIn("nohashagg")), name: byFault}},
+}
+
+// Run runs the cells the calling legacy sweep presents (legacy, keyed by
+// t.Name()) under their historical subtest names.
+func Run(t *testing.T) {
+	vs, ok := legacy[t.Name()]
+	if !ok {
+		t.Fatalf("%s is not a fault-matrix sweep", t.Name())
 	}
-	// At least 3 metamorphic faults are caught by their oracle and missed
-	// by pqs: the structural blindness the metamorphic oracles remove.
-	blind, complete, touched := 0, true, false
-	for _, c := range all {
-		if c.row.name != "pqs" || !isMetamorphic(c.info) {
-			continue
-		}
-		routedKey := key("routed", c.dialect, c.info.ID)
-		touched = touched || mine[c.key()] || mine[routedKey]
-		miss, ranMiss := finished(c.key())
-		home, ranHome := finished(routedKey)
-		if !ranMiss || !ranHome {
-			complete = false
-			continue
-		}
-		if home.Detected && !miss.Detected {
-			blind++
-		}
+	sweep(t, vs)
+}
+
+// sweep runs the views' cells as parallel subtests, each with the check
+// of its kind, after checking that the cell took exactly one campaign in
+// this binary. The sweep itself runs in parallel with its package's other
+// parallel tests, so no CPU idles while one sweep's last campaign runs.
+func sweep(t *testing.T, vs []view) {
+	if testing.Short() {
+		t.Skip("fault matrix sweep is not short")
 	}
-	if complete && touched && blind < 3 {
-		t.Errorf("only %d metamorphic faults proven caught by their oracle and missed by pqs, want >= 3", blind)
+	t.Parallel()
+	for _, v := range vs {
+		each := func(t *testing.T) {
+			for _, c := range cells() {
+				if !v.keep(c) {
+					continue
+				}
+				t.Run(v.name(c), func(t *testing.T) {
+					t.Parallel()
+					res := result(c)
+					if n := entryOf(c).runs; n != 1 {
+						t.Errorf("cell %s ran %d campaigns, want 1", c.key(), n)
+					}
+					checkCell(t, c, res)
+				})
+			}
+		}
+		if v.group == "" {
+			each(t)
+		} else {
+			t.Run(v.group, each)
+		}
 	}
 }

@@ -8,20 +8,10 @@ import (
 	"repro/internal/oracle"
 )
 
-// TestCrossOracleFaultMatrix runs every registered fault (all 3 dialects)
-// under each of PQS, TLP, and NoREC and asserts the expected detects and
-// misses per oracle: error/crash faults fire in the database-generation
-// phase every campaign shares, so every oracle catches them; metamorphic
-// faults are caught by their oracle and are invisible to the others;
-// durability and isolation faults stay dormant without a pager session or
-// concurrent transactions; containment faults are PQS's home turf, with
-// the metamorphic oracles as opportunistic backstops. The load-bearing
-// cells are the metamorphic faults: they must be caught by their oracle and
-// must NOT be caught by PQS — the structural blindness the metamorphic
-// oracles exist to remove.
-func TestCrossOracleFaultMatrix(t *testing.T) {
-	faultmatrix.Run(t, faultmatrix.CrossOracle)
-}
+// TestCrossOracleFaultMatrix runs the fault matrix's pqs, tlp and norec
+// rows, beside the routed cells whose oracle is one of the three; the
+// cross-oracle rows in internal/faultmatrix say what each cell proves.
+func TestCrossOracleFaultMatrix(t *testing.T) { faultmatrix.Run(t) }
 
 // TestOracleRouting checks ForFault's registry mapping.
 func TestOracleRouting(t *testing.T) {

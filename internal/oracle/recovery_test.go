@@ -9,42 +9,12 @@ import (
 	"repro/internal/runner"
 )
 
-// TestRecoveryFaultMatrix hunts every injected durability fault with the
-// recovery-equivalence oracle in all three dialects, and reduces each
-// detection to a replayable repro with its crash plan. The faults live in
-// the pager, below the SQL surface, so the dialect axis checks the oracle
-// end to end (dialect-specific DML generation, introspection, reporting)
-// rather than dialect-specific fault behaviour.
-func TestRecoveryFaultMatrix(t *testing.T) {
-	faultmatrix.Run(t, faultmatrix.Recovery)
-}
-
-// TestRecoveryNoFalsePositives soaks the sound pager: across all three
-// dialects, no crash schedule may produce a divergence — every after-sync
-// crash recovers the committed state exactly, and every mid-commit crash
-// recovers one of the two legal states.
-func TestRecoveryNoFalsePositives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("recovery soundness soak is not short")
-	}
-	for _, d := range dialect.All {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			t.Parallel()
-			res := runner.Run(runner.Campaign{
-				Dialect:      d,
-				Fault:        "", // sound pager
-				MaxDatabases: 150,
-				Workers:      4,
-				BaseSeed:     1,
-				Oracles:      []string{"recovery"},
-			})
-			if res.Detected {
-				t.Fatalf("false positive on the sound pager (seed %d): %s", res.Seed, res.Bug.Message)
-			}
-		})
-	}
-}
+// TestRecoveryFaultMatrix runs the fault matrix's routed durability
+// cells in all three dialects and TestRecoveryNoFalsePositives its
+// fault-free recovery cells; the routed row in internal/faultmatrix says
+// what they prove.
+func TestRecoveryFaultMatrix(t *testing.T)      { faultmatrix.Run(t) }
+func TestRecoveryNoFalsePositives(t *testing.T) { faultmatrix.Run(t) }
 
 // TestRecoveryDeterminism runs the same durability hunt with 1 and 8
 // workers: detection, seed, message, trace, and crash plan must be

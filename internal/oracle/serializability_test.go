@@ -3,59 +3,23 @@ package oracle_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dialect"
 	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
-	"repro/internal/sut"
 )
 
-// TestSerializabilityFaultMatrix hunts every injected isolation fault
-// with the serializability oracle in all three dialects, and reduces each
-// detection to a minimal multi-session repro. The faults live in the
-// transaction layer, below the SQL surface, so the dialect axis exercises
-// the oracle end to end (history generation, interleaved execution,
-// serial-order search, session-tagged reporting) rather than
-// dialect-specific fault behaviour.
-func TestSerializabilityFaultMatrix(t *testing.T) {
-	faultmatrix.Run(t, faultmatrix.Serializability)
-}
+// TestSerializabilityFaultMatrix runs the fault matrix's routed isolation
+// cells in all three dialects; the routed row in internal/faultmatrix says
+// what they prove.
+func TestSerializabilityFaultMatrix(t *testing.T) { faultmatrix.Run(t) }
 
-// TestSerializabilityNoFalsePositives soaks the sound engine: across all
-// three dialects, with and without compiled expression programs, every
-// fault-free interleaved history must match a serial order. The engine's
-// first-committer-wins validation makes the commit order a witness, so
-// any detection here is an oracle bug, not flakiness.
+// TestSerializabilityNoFalsePositives runs the fault matrix's fault-free
+// serializability cells of the routed and nocompile rows (every fault-free
+// interleaved history must match a serial order, with and without compiled
+// expression programs), then replays the known postgres seeds.
 func TestSerializabilityNoFalsePositives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serializability soundness soak is not short")
-	}
-	for _, d := range dialect.All {
-		for _, noCompile := range []bool{false, true} {
-			d, noCompile := d, noCompile
-			name := d.String()
-			if noCompile {
-				name += "/no-compile"
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				res := runner.Run(runner.Campaign{
-					Dialect:      d,
-					Fault:        "", // sound engine
-					MaxDatabases: 150,
-					Workers:      4,
-					BaseSeed:     1,
-					Oracles:      []string{"serializability"},
-					Tester:       core.Config{Session: sut.Session{NoCompile: noCompile}},
-				})
-				if res.Detected {
-					t.Fatalf("false positive on the sound engine (seed %d): %s\ntrace:\n%v",
-						res.Seed, res.Bug.Message, res.Bug.Trace)
-				}
-			})
-		}
-	}
+	faultmatrix.Run(t)
 	// Seeds whose postgres histories read a parent table while another
 	// session wrote a table inheriting from it; the engine once left the
 	// children out of the reader's read set and committed a
