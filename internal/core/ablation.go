@@ -33,14 +33,14 @@ type pivotLayout struct {
 func (pivotLayout) NumRels() int { return 1 }
 
 // Resolve implements eval.Layout.
-func (l pivotLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+func (l pivotLayout) Resolve(table, column string) (eval.Slot, eval.Meta, eval.Resolution) {
 	i, ci := l.ctx.Index(table, column)
 	if i < 0 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
+		return eval.Slot{}, eval.Meta{}, eval.Missing
 	}
 	return eval.Slot{Col: i}, eval.Meta{
 		Coll:     ci.Coll,
 		Affinity: ci.Affinity,
 		Unsigned: ci.Unsigned,
-	}, nil
+	}, eval.Found
 }

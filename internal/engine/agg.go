@@ -51,7 +51,7 @@ type aggCol struct {
 	direct   bool
 	rel, col int
 	bound    bool
-	argFn    func() (sqlval.Value, error)
+	argFn    exprFn
 	bindErr  error
 }
 
@@ -62,7 +62,7 @@ func (ac *aggCol) bind(x *exprEval) {
 		return
 	}
 	ac.bound = true
-	ac.argFn, ac.bindErr = x.valueFn(ac.fc.Args[0])
+	ac.argFn, ac.bindErr = x.bind(ac.fc.Args[0])
 }
 
 // aggOp is the accumulate dispatch enum (the per-row hot path; string
@@ -167,7 +167,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	type keyGetter struct {
 		direct   bool
 		rel, col int
-		fn       func() (sqlval.Value, error)
+		fn       exprFn
 	}
 	keyGets := make([]keyGetter, len(pc.groupKeys))
 	for i, gx := range pc.groupKeys {
@@ -175,7 +175,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 			keyGets[i] = keyGetter{direct: true, rel: ri, col: ci}
 			continue
 		}
-		fn, err := x.valueFn(gx)
+		fn, err := x.bind(gx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -271,7 +271,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 					}
 				} else {
 					var err error
-					v, err = kg.fn()
+					v, err = kg.fn.value()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -318,7 +318,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 					continue
 				}
 				var err error
-				v, err = ac.argFn()
+				v, err = ac.argFn.value()
 				if err != nil {
 					cell.err = err
 					continue
@@ -331,10 +331,10 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	// Output pass: groups in first-occurrence order, HAVING on the
 	// representative row, cells finalized in column order — the same
 	// (group, column) error order as the materialized path.
-	var havingTest func() (sqlval.TriBool, error)
+	var havingTest exprFn
 	if n.Having != nil {
 		var err error
-		havingTest, err = x.boolFn(n.Having)
+		havingTest, err = x.bind(n.Having)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -344,9 +344,9 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	rows := m.resRows.carve(len(groups))
 	for gi := range groups {
 		g := &groups[gi]
-		if havingTest != nil {
+		if havingTest.bound() {
 			x.setRow(g.rep)
-			tb, err := havingTest()
+			tb, err := havingTest.bool()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -355,7 +355,8 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 			}
 		}
 		row := m.resVals.alloc(len(pc.cols))
-		for i, c := range pc.cols {
+		for i := range pc.cols {
+			c := &pc.cols[i]
 			if c.x == nil {
 				if g.rep[c.rel] == nil || c.col >= len(g.rep[c.rel].vals) {
 					row[i] = sqlval.Null()
@@ -376,7 +377,7 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				continue
 			}
 			x.setRow(g.rep)
-			v, err := c.fn()
+			v, err := c.fn.value()
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,11 +1,12 @@
 // Expression wiring for the executor: relLayout, the one eval.Layout both
 // evaluation paths bind columns through; exprEval — the per-SELECT facade
-// that hands the query path closures which evaluate through compiled
-// programs by default and through the tree-walk interpreter when
+// that binds each clause into an exprFn value, which evaluates through a
+// compiled program by default and through the tree-walk interpreter when
 // compilation is disabled (WithoutCompiledEval, the -disable compile
 // escape hatch); and tableScope, the single-table layout DML, CHECK and
-// index-key expressions evaluate in. Programs are compiled per statement
-// and die with it.
+// index-key expressions evaluate in. Programs are compiled into the
+// statement memory's code buffer (stmtMem.code) and released with the
+// statement's other slabs.
 package engine
 
 import (
@@ -26,13 +27,13 @@ type relLayout struct {
 func (l relLayout) NumRels() int { return len(l.rels) }
 
 // Resolve implements eval.Layout.
-func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, eval.Resolution) {
 	ri, ci, ambiguous := findColumn(l.rels, table, column)
 	if ambiguous {
-		return eval.Slot{}, eval.Meta{}, eval.ErrAmbiguousColumn(column)
+		return eval.Slot{}, eval.Meta{}, eval.Ambiguous
 	}
 	if ri < 0 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
+		return eval.Slot{}, eval.Meta{}, eval.Missing
 	}
 	col := l.rels[ri].columns[ci]
 	return eval.Slot{Rel: ri, Col: ci}, eval.Meta{
@@ -41,14 +42,15 @@ func (l relLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
 		Unsigned:    col.Unsigned,
 		TypeName:    col.TypeName,
 		TableEngine: l.rels[ri].engine,
-	}, nil
+	}, eval.Found
 }
 
 // exprEval evaluates the expressions of one SELECT execution. It exists so
-// the query path asks for a closure once per clause and calls it once per
-// row combination over a reusable frame — with compilation on, the closure
-// runs a slot-bound program; with compilation off, it walks the tree,
-// resolving each column reference through the same layout as it goes.
+// the query path binds each clause once into an exprFn and evaluates that
+// once per row combination over a reusable frame — with compilation on,
+// the exprFn runs a slot-bound program from the statement's code buffer;
+// with compilation off, it walks the tree, resolving each column reference
+// through the same layout as it goes.
 type exprEval struct {
 	e        *Engine
 	compiled bool
@@ -64,8 +66,8 @@ func (e *Engine) newExprEval(rels []*relation) *exprEval {
 	return x
 }
 
-// setRow points the evaluation state at one row combination; the closures
-// returned by valueFn/boolFn evaluate against the most recent setRow.
+// setRow points the evaluation state at one row combination; the exprFns
+// returned by bind evaluate against the most recent setRow.
 // Callers bind the row once per combination, however many expressions
 // they then evaluate on it. A nil row (or a combo shorter than the
 // layout) is the NULL-extended side of an outer join.
@@ -80,42 +82,54 @@ func (x *exprEval) setRow(combo []*rowVals) {
 	}
 }
 
-// valueFn returns a closure computing expr against the current row (see
-// setRow). With compilation on, bind errors (missing or ambiguous
-// columns) surface here — once per statement — rather than per row. That
-// is the one intended behavioural difference from tree-walk mode: over an
-// empty row set the interpreter never evaluates the clause and a bad
-// reference passes silently, while the compiled path rejects the
-// statement up front (what a real DBMS's prepare step does).
-func (x *exprEval) valueFn(expr sqlast.Expr) (func() (sqlval.Value, error), error) {
-	if !x.compiled {
-		return func() (sqlval.Value, error) {
-			return x.e.ev.Eval(expr, &x.lay, &x.frame)
-		}, nil
-	}
-	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
-	if err != nil {
-		return nil, err
-	}
-	return func() (sqlval.Value, error) {
-		return prog.Eval(&x.frame)
-	}, nil
+// exprFn is one clause bound for per-row evaluation against its
+// exprEval's current row: a program compiled into the statement's code
+// buffer, or, with compilation off, the expression the tree walk
+// evaluates. It is a value, so binding a clause allocates nothing. The
+// zero exprFn is unbound.
+type exprFn struct {
+	x    *exprEval
+	prog eval.Program // compiled mode
+	tree sqlast.Expr  // tree-walk mode
 }
 
-// boolFn is valueFn for filter conditions.
-func (x *exprEval) boolFn(expr sqlast.Expr) (func() (sqlval.TriBool, error), error) {
+// bound reports whether f holds a clause.
+func (f *exprFn) bound() bool { return f.x != nil }
+
+// value computes the clause against the current row.
+func (f *exprFn) value() (sqlval.Value, error) {
+	if f.tree != nil {
+		return f.x.e.ev.Eval(f.tree, &f.x.lay, &f.x.frame)
+	}
+	return f.prog.Eval(&f.x.frame)
+}
+
+// bool computes the clause as a filter condition.
+func (f *exprFn) bool() (sqlval.TriBool, error) {
+	if f.tree != nil {
+		return f.x.e.ev.EvalBool(f.tree, &f.x.lay, &f.x.frame)
+	}
+	return f.prog.EvalBool(&f.x.frame)
+}
+
+// bind binds expr for evaluation against the current row (see setRow):
+// exprFn.value computes it, exprFn.bool computes it as a filter. With
+// compilation on, bind errors (missing or ambiguous columns) surface here
+// — once per statement — rather than per row. That is the one intended
+// behavioural difference from tree-walk mode: over an empty row set the
+// interpreter never evaluates the clause and a bad reference passes
+// silently, while the compiled path rejects the statement up front (what
+// a real DBMS's prepare step does). The program lives in the statement
+// memory's code buffer until the statement releases it.
+func (x *exprEval) bind(expr sqlast.Expr) (exprFn, error) {
 	if !x.compiled {
-		return func() (sqlval.TriBool, error) {
-			return x.e.ev.EvalBool(expr, &x.lay, &x.frame)
-		}, nil
+		return exprFn{x: x, tree: expr}, nil
 	}
-	prog, err := x.e.ev.Compile(expr, &x.lay) // a pointer: no boxing per clause
+	prog, err := x.e.ev.Compile(expr, &x.lay, &x.e.mem.code) // a pointer: no boxing per clause
 	if err != nil {
-		return nil, err
+		return exprFn{}, err
 	}
-	return func() (sqlval.TriBool, error) {
-		return prog.EvalBool(&x.frame)
-	}, nil
+	return exprFn{x: x, prog: prog}, nil
 }
 
 // tableScope is the single-relation layout and frame that DML row

@@ -118,6 +118,10 @@ type Engine struct {
 	commSnap  *Snapshot
 	commitSeq int64
 	commitLog []commitRecord
+	// freeSets recycles transaction and commit-log table sets;
+	// writeScratch and readScratch hold one statement's targets.
+	freeSets                  []tableSet
+	writeScratch, readScratch tableSet
 
 	cov *Coverage
 }
@@ -287,9 +291,9 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 
 	// Write/read sets only matter while transactions are open; the
 	// single-session fast path skips the bookkeeping entirely.
-	var wt map[string]struct{}
+	var wt tableSet
 	if c.txn != nil || len(e.txns) > 0 {
-		wt = writeTargets(st)
+		wt = e.writeTargetsLocked(st)
 	}
 	if c.txn != nil {
 		// First-writer-wins: a table in another open transaction's write
@@ -307,11 +311,11 @@ func (c *Conn) ExecStmt(st sqlast.Stmt) (res *Result, err error) {
 		}
 		// Record before executing: a failed statement may leave partial
 		// effects, and a simulated crash unwinds past the post-exec path.
-		for w := range wt {
-			c.txn.writes[w] = struct{}{}
+		for _, w := range wt {
+			c.txn.writes.add(w)
 		}
-		for r := range e.readTargetsLocked(st) {
-			c.txn.reads[r] = struct{}{}
+		for _, r := range e.readTargetsLocked(st) {
+			c.txn.reads.add(r)
 		}
 	}
 

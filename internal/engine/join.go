@@ -526,7 +526,7 @@ type joinLevel struct {
 	level  int
 	j      joinInfo
 	onEval *exprEval
-	onTest func() (sqlval.TriBool, error)
+	onTest exprFn
 	ptrs   *slab[*rowVals] // kept combos are carved here
 	// scratch is the reused ON-evaluation combo (shared across levels).
 	scratch *[]*rowVals
@@ -540,12 +540,12 @@ func (e *Engine) nestedJoinLevel(lv *joinLevel, combos, out [][]*rowVals) ([][]*
 	for _, combo := range combos {
 		matched := false
 		for _, row := range right {
-			if lv.onTest != nil {
+			if lv.onTest.bound() {
 				// Evaluate the ON condition against a reused scratch
 				// combo; a fresh slice is materialized only for kept rows.
 				*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
 				lv.onEval.setRow(*lv.scratch)
-				tb, err := lv.onTest()
+				tb, err := lv.onTest.bool()
 				if err != nil {
 					return nil, err
 				}
@@ -602,10 +602,10 @@ func (e *Engine) hashJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]*
 	// matchedness (a pair can match yet be suppressed by the
 	// left-join-drop fault, exactly like the nested loop).
 	emit := func(combo []*rowVals, row *rowVals, skipTest bool) (matchedPair bool, err error) {
-		if lv.onTest != nil && !skipTest {
+		if lv.onTest.bound() && !skipTest {
 			*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
 			lv.onEval.setRow(*lv.scratch)
-			tb, err := lv.onTest()
+			tb, err := lv.onTest.bool()
 			if err != nil {
 				return false, err
 			}
@@ -765,7 +765,7 @@ func (e *Engine) indexJoinLevel(lv *joinLevel, a *joinAnalysis, combos, out [][]
 			row := right[p]
 			*lv.scratch = append(append((*lv.scratch)[:0], combo...), row)
 			lv.onEval.setRow(*lv.scratch)
-			tb, err := lv.onTest()
+			tb, err := lv.onTest.bool()
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"unsafe"
 
+	"repro/internal/eval"
 	"repro/internal/sqlval"
 )
 
@@ -139,6 +140,7 @@ type stmtMem struct {
 	tableKeys slab[tableKey]       // keyTable keys
 	bytes     slab[byte]           // keyTable key bytes
 	slots     slab[int32]          // keyTable slots and item chains, join key indexes, top-K heaps
+	code      eval.Code            // compiled expression programs
 
 	// Result slabs.
 	resVals slab[sqlval.Value]   // result row values
@@ -152,6 +154,7 @@ type stmtMem struct {
 // stmtMark is a mark over every statement slab.
 type stmtMark struct {
 	relations, rows, ptrs, combos, exprs, cols, frames, groups, cells, vals, tableKeys, bytes, slots int
+	code                                                                                             eval.CodeMark
 }
 
 // mark marks every statement slab.
@@ -161,6 +164,7 @@ func (m *stmtMem) mark() stmtMark {
 		combos: m.combos.mark(), exprs: m.exprs.mark(), cols: m.cols.mark(), frames: m.frames.mark(),
 		groups: m.groups.mark(), cells: m.cells.mark(), vals: m.vals.mark(),
 		tableKeys: m.tableKeys.mark(), bytes: m.bytes.mark(), slots: m.slots.mark(),
+		code: m.code.Mark(),
 	}
 }
 
@@ -179,6 +183,7 @@ func (m *stmtMem) release(mk stmtMark) {
 	m.tableKeys.release(mk.tableKeys)
 	m.bytes.release(mk.bytes)
 	m.slots.release(mk.slots)
+	m.code.Release(mk.code)
 }
 
 // relation places r in the statement slabs.

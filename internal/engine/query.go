@@ -483,15 +483,15 @@ func (e *Engine) joinRows(n *sqlast.Select, rels []*relation, joins []joinInfo) 
 		// The ON condition is bound once per join level — against the
 		// layout prefix visible at this level, so unqualified-name
 		// resolution (and its ambiguity rules) match the tree-walk env —
-		// and the resulting closure runs per row pair. Binding happens
+		// and the bound clause runs per row pair. Binding happens
 		// before strategy dispatch so compile-time errors (missing or
 		// ambiguous columns) are identical on every join path.
 		var onEval *exprEval
-		var onTest func() (sqlval.TriBool, error)
+		var onTest exprFn
 		if j.on != nil {
 			onEval = e.newExprEval(rels[:i+1])
 			var err error
-			onTest, err = onEval.boolFn(j.on)
+			onTest, err = onEval.bind(j.on)
 			if err != nil {
 				return nil, err
 			}
@@ -571,14 +571,14 @@ func (e *Engine) filterCombos(n *sqlast.Select, rels []*relation, combos [][]*ro
 	// The WHERE clause compiles once per statement; the per-combo cost is
 	// a slot-bound program run, not a tree walk with name resolution.
 	x := e.newExprEval(rels)
-	test, err := x.boolFn(n.Where)
+	test, err := x.bind(n.Where)
 	if err != nil {
 		return nil, err
 	}
 	out := e.mem.combos.carve(len(combos))
 	for _, combo := range combos {
 		x.setRow(combo)
-		tb, err := test()
+		tb, err := test.bool()
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +620,7 @@ type outCol struct {
 	col  int         // star source column
 	// fn evaluates a scalar x against the current row (nil for star
 	// entries and aggregates, which are computed per group).
-	fn func() (sqlval.Value, error)
+	fn exprFn
 }
 
 // projCtx bundles the projection state shared between the grouped
@@ -718,7 +718,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 		if _, ok := isAggregate(c.x); ok {
 			continue
 		}
-		fn, err := x.valueFn(c.x)
+		fn, err := x.bind(c.x)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -728,7 +728,8 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 	evalRowInto := func(row []sqlval.Value, combo []*rowVals) error {
 		combo = hijack(combo)
 		x.setRow(combo)
-		for i, c := range cols {
+		for i := range cols {
+			c := &cols[i]
 			if c.x == nil {
 				if combo[c.rel] == nil || c.col >= len(combo[c.rel].vals) {
 					row[i] = sqlval.Null()
@@ -737,7 +738,7 @@ func (e *Engine) project(n *sqlast.Select, rels []*relation, combos [][]*rowVals
 				}
 				continue
 			}
-			v, err := c.fn()
+			v, err := c.fn.value()
 			if err != nil {
 				return err
 			}
@@ -806,9 +807,9 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 		// Implicit single group over all rows (pure-aggregate query).
 		groups = []*group{{combos: combos}}
 	} else {
-		keyFns := make([]func() (sqlval.Value, error), len(groupKeys))
+		keyFns := make([]exprFn, len(groupKeys))
 		for i, gx := range groupKeys {
-			fn, err := x.valueFn(gx)
+			fn, err := x.bind(gx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -818,7 +819,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			x.setRow(combo)
 			key := make([]sqlval.Value, len(groupKeys))
 			for i := range keyFns {
-				v, err := keyFns[i]()
+				v, err := keyFns[i].value()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -839,10 +840,10 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 		}
 	}
 
-	var havingTest func() (sqlval.TriBool, error)
+	var havingTest exprFn
 	if n.Having != nil {
 		var err error
-		havingTest, err = x.boolFn(n.Having)
+		havingTest, err = x.bind(n.Having)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -850,7 +851,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 	// Aggregate arguments bind lazily, on the first group that needs
 	// them, and the program serves every later group (zero-group queries
 	// never bind, as in the hash path's aggCol.bind).
-	argFns := make([]func() (sqlval.Value, error), len(cols))
+	argFns := make([]exprFn, len(cols))
 	var rows [][]sqlval.Value
 	for _, g := range groups {
 		rep := make([]*rowVals, len(rels)) // all-NULL row for empty groups
@@ -859,9 +860,9 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 		} else if len(groupKeys) > 0 {
 			continue // only the implicit aggregate group may be empty
 		}
-		if havingTest != nil {
+		if havingTest.bound() {
 			x.setRow(rep)
-			tb, err := havingTest()
+			tb, err := havingTest.bool()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -870,7 +871,8 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			}
 		}
 		row := make([]sqlval.Value, len(cols))
-		for i, c := range cols {
+		for i := range cols {
+			c := &cols[i]
 			if c.x == nil {
 				if rep[c.rel] == nil || c.col >= len(rep[c.rel].vals) {
 					row[i] = sqlval.Null()
@@ -893,7 +895,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 			// setRow per column: the aggregate above iterates the group's
 			// combos and leaves the evaluation state on the last one.
 			x.setRow(rep)
-			v, err := c.fn()
+			v, err := c.fn.value()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -907,7 +909,7 @@ func (e *Engine) projectGroupedNaive(pc *projCtx, combos [][]*rowVals) ([]string
 // aggregate computes one aggregate over a group. The argument expression
 // binds through the statement's exprEval into *argFn on first use, so one
 // program serves every group of the statement.
-func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlval.Value, error), combos [][]*rowVals) (sqlval.Value, error) {
+func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *exprFn, combos [][]*rowVals) (sqlval.Value, error) {
 	up := strings.ToUpper(fc.Name)
 	// Fault site (sqlite.agg-empty-group): an aggregate whose filtered
 	// input is empty materializes a phantom row — COUNT reports 1,
@@ -928,8 +930,8 @@ func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlv
 	if len(fc.Args) != 1 {
 		return sqlval.Null(), xerr.New(xerr.CodeType, "aggregate %s expects one argument", fc.Name)
 	}
-	if *argFn == nil {
-		fn, err := x.valueFn(fc.Args[0])
+	if !argFn.bound() {
+		fn, err := x.bind(fc.Args[0])
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -938,7 +940,7 @@ func (e *Engine) aggregate(fc *sqlast.FuncCall, x *exprEval, argFn *func() (sqlv
 	var vals []sqlval.Value
 	for _, combo := range combos {
 		x.setRow(combo)
-		v, err := (*argFn)()
+		v, err := argFn.value()
 		if err != nil {
 			return sqlval.Null(), err
 		}

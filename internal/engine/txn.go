@@ -43,7 +43,7 @@ package engine
 // open transactions, which only the serializability oracle generates.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dialect"
 	"repro/internal/faults"
@@ -67,24 +67,89 @@ const (
 type Conn struct {
 	e   *Engine
 	txn *connTxn // nil outside a transaction (guarded by e.mu)
+	// open is the state txn points at: every transaction of the session
+	// reuses it.
+	open connTxn
 }
 
-// connTxn is the state of one open transaction.
+// connTxn is the state of one open transaction. Its sets come from the
+// engine's free list at BEGIN and go back to it when the transaction ends
+// (a committed write set that the commit log keeps goes back when the log
+// is truncated).
 type connTxn struct {
 	beginSeq int64 // commitSeq at BEGIN: validation horizon
 	epoch    int64 // ddlEpoch at BEGIN: schema-stability guard
 	// work parks the transaction's working state while another session's
 	// is installed; nil while this transaction's state is installed.
 	work   *Snapshot
-	reads  map[string]struct{} // lower-cased tables read
-	writes map[string]struct{} // lower-cased tables written
+	reads  tableSet // lower-cased tables read
+	writes tableSet // lower-cased tables written
 }
 
 // commitRecord is one entry of the commit log used for backward
 // validation; the log is retained only while transactions are open.
 type commitRecord struct {
 	seq    int64
-	writes map[string]struct{}
+	writes tableSet
+}
+
+// tableSet is a sorted set of lower-cased table names. The pseudo markers
+// optionsWrite and allWrite sort before every real name.
+type tableSet []string
+
+// add inserts name.
+func (s *tableSet) add(name string) {
+	if i, found := slices.BinarySearch(*s, name); !found {
+		*s = slices.Insert(*s, i, name)
+	}
+}
+
+// has reports whether name is a member.
+func (s tableSet) has(name string) bool {
+	_, found := slices.BinarySearch(s, name)
+	return found
+}
+
+// takeSetLocked returns an empty set from the engine's free list.
+func (e *Engine) takeSetLocked() tableSet {
+	n := len(e.freeSets)
+	if n == 0 {
+		return nil
+	}
+	s := e.freeSets[n-1]
+	e.freeSets = e.freeSets[:n-1]
+	return s
+}
+
+// putSetLocked returns s to the engine's free list.
+func (e *Engine) putSetLocked(s tableSet) {
+	if cap(s) > 0 {
+		clear(s)
+		e.freeSets = append(e.freeSets, s[:0])
+	}
+}
+
+// endTxnLocked closes c's transaction: its sets go back to the free list
+// and, once no transaction is open, the commit log is truncated.
+func (e *Engine) endTxnLocked(c *Conn) {
+	e.putSetLocked(c.txn.reads)
+	e.putSetLocked(c.txn.writes)
+	c.open = connTxn{}
+	c.txn = nil
+	delete(e.txns, c)
+	if len(e.txns) == 0 {
+		e.truncateLogLocked()
+	}
+}
+
+// truncateLogLocked empties the commit log, returning its sets to the
+// free list.
+func (e *Engine) truncateLogLocked() {
+	for _, rec := range e.commitLog {
+		e.putSetLocked(rec.writes)
+	}
+	clear(e.commitLog)
+	e.commitLog = e.commitLog[:0]
 }
 
 // NewConn opens an additional session on the engine. Sessions share the
@@ -137,12 +202,13 @@ func (e *Engine) execTxnLocked(c *Conn, tx *sqlast.Txn) (*Result, error) {
 			return nil, xerr.New(xerr.CodeTxnState, "cannot start a transaction within a transaction")
 		}
 		e.installLocked(nil) // park any other session's working state
-		c.txn = &connTxn{
+		c.open = connTxn{
 			beginSeq: e.commitSeq,
 			epoch:    e.ddlEpoch,
-			reads:    map[string]struct{}{},
-			writes:   map[string]struct{}{},
+			reads:    e.takeSetLocked(),
+			writes:   e.takeSetLocked(),
 		}
+		c.txn = &c.open
 		e.txns[c] = struct{}{}
 		// The installed committed state doubles as the transaction's
 		// working state from here; park a committed snapshot for everyone
@@ -229,16 +295,15 @@ func (e *Engine) commitTxnLocked(c *Conn) error {
 	// reads.
 	e.installLocked(nil)
 	work := t.work
-	c.txn = nil
-	delete(e.txns, c)
 	e.mergeWorkLocked(t, work)
 	e.recycleLocked(work)
 	e.commitSeq++
-	if len(e.txns) > 0 {
+	if len(e.txns) > 1 {
+		// The log keeps the write set for the transactions still open.
 		e.commitLog = append(e.commitLog, commitRecord{seq: e.commitSeq, writes: t.writes})
-	} else {
-		e.commitLog = e.commitLog[:0]
+		t.writes = nil
 	}
+	e.endTxnLocked(c)
 	if e.pg != nil {
 		return e.persistLocked()
 	}
@@ -271,33 +336,30 @@ func (e *Engine) validateTxnLocked(t *connTxn) string {
 }
 
 // overlaps returns the smallest member of the intersection of two
-// write/read sets, honouring the allWrite wildcard on either side, so a
-// conflict names the same table whatever the map order.
-func overlaps(a, b map[string]struct{}) string {
+// write/read sets, honouring the allWrite wildcard on either side (which
+// overlaps the other set's smallest member), so a conflict always names
+// the same table.
+func overlaps(a, b tableSet) string {
 	if len(a) == 0 || len(b) == 0 {
 		return ""
 	}
-	if _, ok := a[allWrite]; ok {
-		return least(b, b)
+	if a.has(allWrite) {
+		return b[0]
 	}
-	if _, ok := b[allWrite]; ok {
-		return least(a, a)
+	if b.has(allWrite) {
+		return a[0]
 	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	return least(a, b)
-}
-
-// least returns the smallest member of m that is also in in, or "".
-func least(m, in map[string]struct{}) string {
-	w := ""
-	for k := range m {
-		if _, ok := in[k]; ok && (w == "" || k < w) {
-			w = k
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			return a[i]
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
 		}
 	}
-	return w
+	return ""
 }
 
 func displayWrite(w string) string {
@@ -315,7 +377,7 @@ func displayWrite(w string) string {
 // currently-installed committed state. Unwritten tables keep their
 // committed content, so commits to disjoint tables compose.
 func (e *Engine) mergeWorkLocked(t *connTxn, work *Snapshot) {
-	if _, all := t.writes[allWrite]; all {
+	if t.writes.has(allWrite) {
 		seq := e.seq
 		if err := e.restoreLocked(work); err != nil {
 			e.corrupt = "transaction commit failed: " + err.Error()
@@ -323,7 +385,7 @@ func (e *Engine) mergeWorkLocked(t *connTxn, work *Snapshot) {
 		e.seq = seq
 		return
 	}
-	for w := range t.writes {
+	for _, w := range t.writes {
 		if w == optionsWrite {
 			clear(e.globals)
 			for _, g := range work.globals {
@@ -401,27 +463,18 @@ func (e *Engine) abortTxnLocked(c *Conn, explicitRollback bool) {
 		}
 	}
 	e.recycleLocked(t.work)
-	c.txn = nil
-	delete(e.txns, c)
-	if len(e.txns) == 0 {
-		e.commitLog = e.commitLog[:0]
-	}
+	e.endTxnLocked(c)
 }
 
 // firstRealWrite picks the lexicographically-first real table (not a
 // pseudo write marker) from a write set.
-func firstRealWrite(writes map[string]struct{}) string {
-	names := make([]string, 0, len(writes))
-	for w := range writes {
+func firstRealWrite(writes tableSet) string {
+	for _, w := range writes {
 		if w != optionsWrite && w != allWrite {
-			names = append(names, w)
+			return w
 		}
 	}
-	if len(names) == 0 {
-		return ""
-	}
-	sort.Strings(names)
-	return names[0]
+	return ""
 }
 
 // abortAllTxnsLocked discards every open transaction and reinstates the
@@ -443,60 +496,59 @@ func (e *Engine) abortAllTxnsLocked() {
 	}
 	for c := range e.txns {
 		e.recycleLocked(c.txn.work)
-		c.txn = nil
+		e.endTxnLocked(c)
 	}
-	clear(e.txns)
-	e.commitLog = e.commitLog[:0]
+	e.truncateLogLocked()
 }
 
 // noteAutoCommitLocked records an auto-committed mutating statement in the
 // commit log so open transactions validate against it. With no open
 // transactions the log stays empty.
-func (e *Engine) noteAutoCommitLocked(writes map[string]struct{}) {
+func (e *Engine) noteAutoCommitLocked(writes tableSet) {
 	e.commitSeq++
 	if len(e.txns) == 0 {
-		if len(e.commitLog) > 0 {
-			e.commitLog = e.commitLog[:0]
-		}
+		e.truncateLogLocked()
 		return
 	}
 	if len(writes) > 0 {
-		e.commitLog = append(e.commitLog, commitRecord{seq: e.commitSeq, writes: writes})
+		e.commitLog = append(e.commitLog, commitRecord{seq: e.commitSeq, writes: append(e.takeSetLocked(), writes...)})
 	}
 }
 
-// writeTargets returns the lower-cased tables a statement writes (nil for
-// read-only statements). Maintenance without a table target and
+// writeTargetsLocked returns the lower-cased tables a statement writes
+// (empty for read-only statements), in the engine's scratch set, valid
+// until the next call. Maintenance without a table target and
 // session-option changes use pseudo markers.
-func writeTargets(st sqlast.Stmt) map[string]struct{} {
-	one := func(name string) map[string]struct{} {
-		return map[string]struct{}{lower(name): {}}
-	}
+func (e *Engine) writeTargetsLocked(st sqlast.Stmt) tableSet {
+	s := e.writeScratch[:0]
 	switch n := st.(type) {
 	case *sqlast.Insert:
-		return one(n.Table)
+		s = append(s, lower(n.Table))
 	case *sqlast.Update:
-		return one(n.Table)
+		s = append(s, lower(n.Table))
 	case *sqlast.Delete:
-		return one(n.Table)
+		s = append(s, lower(n.Table))
 	case *sqlast.Maintenance:
 		if n.Table != "" {
-			return one(n.Table)
+			s = append(s, lower(n.Table))
+		} else {
+			s = append(s, allWrite)
 		}
-		return map[string]struct{}{allWrite: {}}
 	case *sqlast.SetOption:
-		return map[string]struct{}{optionsWrite: {}}
+		s = append(s, optionsWrite)
 	}
-	return nil
+	e.writeScratch = s
+	return s
 }
 
-// readTargetsLocked returns the lower-cased tables a statement reads.
-// UPDATE/DELETE read the table they filter; a view in FROM conservatively
-// reads every table (view definitions can reference anything). A postgres
-// scan of a parent table without ONLY also reads every table inheriting
-// from it, as the scan does.
-func (e *Engine) readTargetsLocked(st sqlast.Stmt) map[string]struct{} {
-	var out map[string]struct{}
+// readTargetsLocked returns the lower-cased tables a statement reads, in
+// the engine's scratch set, valid until the next call. UPDATE/DELETE read
+// the table they filter; a view in FROM conservatively reads every table
+// (view definitions can reference anything). A postgres scan of a parent
+// table without ONLY also reads every table inheriting from it, as the
+// scan does.
+func (e *Engine) readTargetsLocked(st sqlast.Stmt) tableSet {
+	out := e.readScratch[:0]
 	viaView := false
 	add := func(name string) {
 		k := lower(name)
@@ -504,10 +556,7 @@ func (e *Engine) readTargetsLocked(st sqlast.Stmt) map[string]struct{} {
 			viaView = true
 			return
 		}
-		if out == nil {
-			out = map[string]struct{}{}
-		}
-		out[k] = struct{}{}
+		out.add(k)
 	}
 	addRef := func(tr sqlast.TableRef) {
 		add(tr.Name)
@@ -543,12 +592,10 @@ func (e *Engine) readTargetsLocked(st sqlast.Stmt) map[string]struct{} {
 	}
 	if viaView {
 		// Conservative: a view read depends on its whole definition.
-		if out == nil {
-			out = map[string]struct{}{}
-		}
 		for _, name := range e.cat.TableNames() {
-			out[lower(name)] = struct{}{}
+			out.add(lower(name))
 		}
 	}
+	e.readScratch = out
 	return out
 }

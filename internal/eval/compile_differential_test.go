@@ -65,15 +65,15 @@ func (w *diffWorld) resolve(table, column string) (ri, ci int, ambiguous bool) {
 func (w *diffWorld) NumRels() int { return len(w.rels) }
 
 // Resolve implements eval.Layout.
-func (w *diffWorld) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+func (w *diffWorld) Resolve(table, column string) (eval.Slot, eval.Meta, eval.Resolution) {
 	ri, ci, ambiguous := w.resolve(table, column)
 	if ambiguous {
-		return eval.Slot{}, eval.Meta{}, eval.ErrAmbiguousColumn(column)
+		return eval.Slot{}, eval.Meta{}, eval.Ambiguous
 	}
 	if ri < 0 {
-		return eval.Slot{}, eval.Meta{}, eval.ErrNoSuchColumn(table, column)
+		return eval.Slot{}, eval.Meta{}, eval.Missing
 	}
-	return eval.Slot{Rel: ri, Col: ci}, w.rels[ri].cols[ci].meta, nil
+	return eval.Slot{Rel: ri, Col: ci}, w.rels[ri].cols[ci].meta, eval.Found
 }
 
 // diffWorldFor builds the dialect's test schema: mixed affinities,
@@ -191,7 +191,7 @@ func TestCompiledTreeWalkEquivalence(t *testing.T) {
 					stripSomeQualifiers(expr, w, rnd)
 
 					wantV, wantErr := ev.Eval(expr, w, frame)
-					prog, cerr := ev.Compile(expr, w)
+					prog, cerr := ev.Compile(expr, w, new(eval.Code))
 					if cerr != nil {
 						t.Fatalf("expr %d: Compile failed on a fully-resolvable expression: %v\nexpr: %s",
 							i, cerr, sqlast.ExprSQL(expr, d))

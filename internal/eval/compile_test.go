@@ -7,6 +7,7 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/eval"
 	"repro/internal/sqlast"
+	"repro/internal/sqlparse"
 	"repro/internal/sqlval"
 )
 
@@ -26,7 +27,7 @@ func TestCompileSlotBinding(t *testing.T) {
 		Op: sqlast.OpAdd,
 		L:  sqlast.Col("t0", "c0"),
 		R:  sqlast.Col("t1", "dup"),
-	}, w)
+	}, w, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +48,14 @@ func TestCompileBindErrors(t *testing.T) {
 	ev := eval.New(dialect.SQLite)
 
 	// Missing column: surfaced at compile time, once.
-	if _, err := ev.Compile(sqlast.Col("t0", "nope"), w); err == nil ||
+	if _, err := ev.Compile(sqlast.Col("t0", "nope"), w, new(eval.Code)); err == nil ||
 		!strings.Contains(err.Error(), "no such column: t0.nope") {
 		t.Fatalf("missing column: err = %v", err)
 	}
 
 	// Ambiguous unqualified column: the distinct diagnostic, not the
 	// missing-column one.
-	_, err := ev.Compile(&sqlast.ColumnRef{Column: "dup"}, w)
+	_, err := ev.Compile(&sqlast.ColumnRef{Column: "dup"}, w, new(eval.Code))
 	if !eval.IsAmbiguousColumn(err) {
 		t.Fatalf("ambiguous column: err = %v, want ambiguous diagnostic", err)
 	}
@@ -80,7 +81,7 @@ func TestCompileMaybeStringDemotion(t *testing.T) {
 
 	// An unresolvable double-quoted token demotes to a string constant in
 	// the SQLite dialect — same value the interpreter produces.
-	prog, err := ev.Compile(&sqlast.ColumnRef{Column: "ghost", MaybeString: true}, w)
+	prog, err := ev.Compile(&sqlast.ColumnRef{Column: "ghost", MaybeString: true}, w, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCompileMaybeStringDemotion(t *testing.T) {
 
 	// An ambiguous double-quoted token is an identifier error, not a
 	// string, in both paths.
-	if _, err := ev.Compile(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w); !eval.IsAmbiguousColumn(err) {
+	if _, err := ev.Compile(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w, new(eval.Code)); !eval.IsAmbiguousColumn(err) {
 		t.Fatalf("compiled ambiguous MaybeString: err = %v", err)
 	}
 	if _, err := ev.Eval(&sqlast.ColumnRef{Column: "dup", MaybeString: true}, w, &eval.Frame{Rows: w.rows}); !eval.IsAmbiguousColumn(err) {
@@ -99,7 +100,7 @@ func TestCompileMaybeStringDemotion(t *testing.T) {
 	}
 
 	// Outside SQLite the unresolvable token stays a missing column.
-	if _, err := eval.New(dialect.Postgres).Compile(&sqlast.ColumnRef{Column: "ghost", MaybeString: true}, w); err == nil {
+	if _, err := eval.New(dialect.Postgres).Compile(&sqlast.ColumnRef{Column: "ghost", MaybeString: true}, w, new(eval.Code)); err == nil {
 		t.Fatal("postgres MaybeString should not demote to string")
 	}
 }
@@ -111,7 +112,7 @@ type countingLayout struct {
 	calls int
 }
 
-func (c *countingLayout) Resolve(table, column string) (eval.Slot, eval.Meta, error) {
+func (c *countingLayout) Resolve(table, column string) (eval.Slot, eval.Meta, eval.Resolution) {
 	c.calls++
 	return c.Layout.Resolve(table, column)
 }
@@ -127,7 +128,7 @@ func TestCompileConstantFolding(t *testing.T) {
 		Op: sqlast.OpMul,
 		L:  &sqlast.Binary{Op: sqlast.OpAdd, L: sqlast.Lit(sqlval.Int(1)), R: sqlast.Lit(sqlval.Int(2))},
 		R:  sqlast.Lit(sqlval.Int(3)),
-	}, cl)
+	}, cl, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestCompileConstantFolding(t *testing.T) {
 		Whens: []sqlast.WhenClause{{When: sqlast.Lit(sqlval.Bool(true)), Then: sqlast.Lit(sqlval.Int(5))}},
 		Else:  divZero,
 	}
-	prog, err = pg.Compile(caseExpr, w)
+	prog, err = pg.Compile(caseExpr, w, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCompileConstantFolding(t *testing.T) {
 		t.Fatalf("lazy error arm: got %v, %v; want 5", v, err)
 	}
 	// And when the arm is taken, the error fires like the interpreter's.
-	prog, err = pg.Compile(divZero, w)
+	prog, err = pg.Compile(divZero, w, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestCompileCaseSensitiveLikeIsRuntime(t *testing.T) {
 	w := sqliteWorld()
 	ev := eval.New(dialect.SQLite)
 	like := &sqlast.Binary{Op: sqlast.OpLike, L: sqlast.Lit(sqlval.Text("ABC")), R: sqlast.Lit(sqlval.Text("abc"))}
-	prog, err := ev.Compile(like, w)
+	prog, err := ev.Compile(like, w, new(eval.Code))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,29 +187,45 @@ func TestCompileCaseSensitiveLikeIsRuntime(t *testing.T) {
 }
 
 // TestCompileAllocs pins the cost of compiling the shapes every campaign
-// query is made of. Programs live for one statement, so compile runs once
-// per clause and its allocations are paid per query: a bare column costs
-// its slot thunk and the Program, and a comparison adds its literal and
-// its own thunk (column metadata is read through the layout itself, with
-// no adapter boxed per Compile and no memo map).
+// query is made of: one row per instruction kind. Programs live for one
+// statement, and the engine compiles each clause into its statement
+// memory's code buffer and releases the buffer with the statement, so a
+// compile into a warmed buffer allocates nothing — no Program, no
+// per-node closure, no constant wrapper, no function-argument scratch,
+// and no error for a reference that demotes to a string.
 func TestCompileAllocs(t *testing.T) {
 	w := sqliteWorld()
 	ev := eval.New(dialect.SQLite)
-	for _, tc := range []struct {
-		name string
-		expr sqlast.Expr
-		max  float64
-	}{
-		{"t0.c0", sqlast.Col("t0", "c0"), 2},
-		{"t0.c0 = 1", &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("t0", "c0"), R: sqlast.Lit(sqlval.Int(1))}, 4},
+	var code eval.Code
+	for _, tc := range []struct{ kind, src string }{
+		{"column", "t0.c0"},
+		{"comparison", "t0.c0 = 1"},
+		{"and/or", "t0.c0 > 1 AND t1.c3 < 2 OR t0.c2 IS NULL"},
+		{"between", "t0.c0 BETWEEN 1 AND t1.c3"},
+		{"in list", "t0.c0 IN (1, 2, t1.c3)"},
+		{"case operand", "CASE t0.c0 WHEN 1 THEN 'a' WHEN t1.c3 THEN 'b' ELSE 'c' END"},
+		{"case searched", "CASE WHEN t0.c0 > 1 THEN t1.c3 END"},
+		{"cast", "CAST(t0.c1 AS INTEGER)"},
+		{"function", "ABS(t0.c0) + COALESCE(t1.c3, 0)"},
+		{"like", "t0.c1 LIKE 'a%'"},
+		{"collate", "t0.c1 COLLATE NOCASE = 'A'"},
+		{"folded constant", "(1 + 2) * 3 = t0.c0"},
+		{"demoted MaybeString", `"ghost" = t0.c1`},
 	} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ev.Compile(tc.expr, w); err != nil {
-				t.Fatal(err)
+		expr, err := sqlparse.ParseExpr(tc.src, dialect.SQLite)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		compile := func() {
+			mk := code.Mark()
+			if _, err := ev.Compile(expr, w, &code); err != nil {
+				t.Fatalf("%s: %v", tc.kind, err)
 			}
-		})
-		if allocs > tc.max {
-			t.Errorf("Compile(%s) allocates %.1f times per run (want <=%.0f)", tc.name, allocs, tc.max)
+			code.Release(mk)
+		}
+		compile() // warm the buffer
+		if allocs := testing.AllocsPerRun(100, compile); allocs != 0 {
+			t.Errorf("Compile(%s) [%s] allocates %.1f times per run into a reused buffer, want 0", tc.src, tc.kind, allocs)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (ev *Evaluator) Eval(e sqlast.Expr, lay Layout, f *Frame) (sqlval.Value, er
 	case *sqlast.Literal:
 		return n.Val, nil
 	case *sqlast.ColumnRef:
-		slot, demoted, err := ev.bindColumn(n, lay)
+		slot, _, demoted, err := ev.bindColumn(n, lay)
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -83,8 +83,14 @@ func (ev *Evaluator) Eval(e sqlast.Expr, lay Layout, f *Frame) (sqlval.Value, er
 	case *sqlast.FuncCall:
 		return ev.evalFunc(n, lay, f)
 	default:
-		return sqlval.Null(), xerr.New(xerr.CodeUnsupported, "unsupported expression %T", e)
+		return sqlval.Null(), errUnsupported(e)
 	}
+}
+
+// errUnsupported is the error for an expression node the evaluator does
+// not know.
+func errUnsupported(e sqlast.Expr) error {
+	return xerr.New(xerr.CodeUnsupported, "unsupported expression %T", e)
 }
 
 // EvalBool computes e as a filter condition (see Eval).
@@ -233,7 +239,13 @@ func (ev *Evaluator) evalUnary(n *sqlast.Unary, lay Layout, f *Frame) (sqlval.Va
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	switch n.Op {
+	return ev.unary(n.Op, x)
+}
+
+// unary applies a unary operator to its evaluated operand — the one
+// definition both evaluation paths use.
+func (ev *Evaluator) unary(op sqlast.UnaryOp, x sqlval.Value) (sqlval.Value, error) {
+	switch op {
 	case sqlast.OpNot:
 		t, err := ev.Truthy(x)
 		if err != nil {
@@ -332,18 +344,41 @@ func (ev *Evaluator) evalBinary(n *sqlast.Binary, lay Layout, f *Frame) (sqlval.
 		return sqlval.Null(), err
 	}
 
+	var coll sqlval.Collation
+	if collates(n.Op) {
+		coll = ev.comparisonCollation(n.L, n.R, lay)
+	}
+	return ev.binary(n, l, r, coll, lay)
+}
+
+// collates reports whether a binary operator compares its operands under
+// a collation.
+func collates(op sqlast.BinOp) bool {
+	switch op {
+	case sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe,
+		sqlast.OpIs, sqlast.OpIsNot, sqlast.OpNullSafeEq:
+		return true
+	}
+	return false
+}
+
+// binary applies a binary operator other than AND/OR to its evaluated
+// operands — the one definition both evaluation paths use. coll is the
+// comparison collation (read only when collates(n.Op)); the comparison
+// fault sites read column metadata through lay.
+func (ev *Evaluator) binary(n *sqlast.Binary, l, r sqlval.Value, coll sqlval.Collation, lay Layout) (sqlval.Value, error) {
 	switch n.Op {
 	case sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
 		if v, handled, err := ev.comparisonFaults(n, l, r, lay); handled || err != nil {
 			return v, err
 		}
-		t, err := ev.compareOp(l, r, n.Op, ev.comparisonCollation(n.L, n.R, lay))
+		t, err := ev.compareOp(l, r, n.Op, coll)
 		if err != nil {
 			return sqlval.Null(), err
 		}
 		return ev.boolVal(t), nil
 	case sqlast.OpIs, sqlast.OpIsNot:
-		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, lay))
+		eq, err := ev.nullSafeEq(l, r, coll)
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -364,7 +399,7 @@ func (ev *Evaluator) evalBinary(n *sqlast.Binary, lay Layout, f *Frame) (sqlval.
 				return ev.boolVal(sqlval.TriOf(r.IsNull())), nil
 			}
 		}
-		eq, err := ev.nullSafeEq(l, r, ev.comparisonCollation(n.L, n.R, lay))
+		eq, err := ev.nullSafeEq(l, r, coll)
 		if err != nil {
 			return sqlval.Null(), err
 		}
@@ -539,10 +574,8 @@ func cmpToTri(c int, op sqlast.BinOp) sqlval.TriBool {
 // COLLATE first, then the left column's declared collation, then the
 // right's, then the dialect default.
 func (ev *Evaluator) comparisonCollation(l, r sqlast.Expr, lay Layout) sqlval.Collation {
-	for _, e := range []sqlast.Expr{l, r} {
-		if c, ok := e.(*sqlast.Collate); ok {
-			return c.Coll
-		}
+	if coll, ok := explicitCollation(l, r); ok {
+		return coll
 	}
 	for _, e := range []sqlast.Expr{l, r} {
 		if c, ok := e.(*sqlast.ColumnRef); ok {
@@ -551,6 +584,24 @@ func (ev *Evaluator) comparisonCollation(l, r sqlast.Expr, lay Layout) sqlval.Co
 			}
 		}
 	}
+	return ev.defaultCollation()
+}
+
+// explicitCollation is a COLLATE on either side of a comparison, left
+// first.
+func explicitCollation(l, r sqlast.Expr) (sqlval.Collation, bool) {
+	if c, ok := l.(*sqlast.Collate); ok {
+		return c.Coll, true
+	}
+	if c, ok := r.(*sqlast.Collate); ok {
+		return c.Coll, true
+	}
+	return 0, false
+}
+
+// defaultCollation is the collation of a comparison with neither an
+// explicit COLLATE nor a bare column.
+func (ev *Evaluator) defaultCollation() sqlval.Collation {
 	if ev.D == dialect.MySQL {
 		return sqlval.CollNoCase
 	}
@@ -882,7 +933,12 @@ func (ev *Evaluator) evalBetween(n *sqlast.Between, lay Layout, f *Frame) (sqlva
 	if err != nil {
 		return sqlval.Null(), err
 	}
-	coll := ev.comparisonCollation(n.X, n.Lo, lay)
+	return ev.between(x, lo, hi, ev.comparisonCollation(n.X, n.Lo, lay), n.Not)
+}
+
+// between applies [NOT] BETWEEN to evaluated operands — the one
+// definition both evaluation paths use.
+func (ev *Evaluator) between(x, lo, hi sqlval.Value, coll sqlval.Collation, not bool) (sqlval.Value, error) {
 	ge, err := ev.compareOp(x, lo, sqlast.OpGe, coll)
 	if err != nil {
 		return sqlval.Null(), err
@@ -892,7 +948,7 @@ func (ev *Evaluator) evalBetween(n *sqlast.Between, lay Layout, f *Frame) (sqlva
 		return sqlval.Null(), err
 	}
 	res := ge.And(le)
-	if n.Not {
+	if not {
 		res = res.Not()
 	}
 	return ev.boolVal(res), nil

@@ -26,7 +26,7 @@ type testRow []testCol
 
 func (r testRow) NumRels() int { return 1 }
 
-func (r testRow) Resolve(table, column string) (Slot, Meta, error) {
+func (r testRow) Resolve(table, column string) (Slot, Meta, Resolution) {
 	found, n := -1, 0
 	for i, c := range r {
 		if c.column != column || (table != "" && c.table != table) {
@@ -37,11 +37,11 @@ func (r testRow) Resolve(table, column string) (Slot, Meta, error) {
 	}
 	switch {
 	case n == 1:
-		return Slot{Col: found}, r[found].meta, nil
+		return Slot{Col: found}, r[found].meta, Found
 	case n > 1:
-		return Slot{}, Meta{}, ErrAmbiguousColumn(column)
+		return Slot{}, Meta{}, Ambiguous
 	}
-	return Slot{}, Meta{}, ErrNoSuchColumn(table, column)
+	return Slot{}, Meta{}, Missing
 }
 
 func (r testRow) frame() *Frame {

@@ -44,6 +44,27 @@ func FuzzEval(f *testing.F) {
 		"c0 + 1",
 		"CASE WHEN 0 THEN c0 ELSE 2 END",
 		"\"ghost\" = 'ghost'",
+		// One seed per compiled instruction kind, so the differential
+		// starts on each: constant, unary, AND, OR, comparison, BETWEEN,
+		// IN list, CASE with and without an operand, CAST, function
+		// call, LIKE, COLLATE, the double-negation and is-not-null
+		// fault gates, and a demoted MaybeString.
+		"42",
+		"-(3) + ~5",
+		"1 AND NULL",
+		"0 OR NULL",
+		"'b' >= 'B'",
+		"'b' NOT BETWEEN 'a' AND 'c'",
+		"2 IN (1, NULL, 2.0)",
+		"CASE 1 WHEN 1.0 THEN 'one' WHEN 2 THEN 'two' END",
+		"CASE WHEN NULL THEN 1 WHEN 1 THEN 2 ELSE 3 END",
+		"CAST(3.7 AS SIGNED)",
+		"UPPER('a') || LOWER('B')",
+		"'abc' NOT LIKE 'A%'",
+		"'a' = 'A' COLLATE NOCASE",
+		"NOT NOT 2",
+		"NOT (\"ghost\" IS NULL)",
+		"\"ghost\"",
 	}
 	for _, s := range seeds {
 		for d := range dialect.All {
@@ -60,7 +81,7 @@ func FuzzEval(f *testing.F) {
 		// Errors are fine (type errors, division by zero, overflow) as long
 		// as both paths agree; a panic fails the target by itself.
 		want := outcome(ev.Eval(expr, nil, nil))
-		prog, err := ev.Compile(expr, nil)
+		prog, err := ev.Compile(expr, nil, new(Code))
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "no such column: ") {
 				t.Fatalf("%s [%s]: Compile failed with a non-binding error: %v", src, d, err)
