@@ -39,18 +39,16 @@ func (t *Tester) Reseed(seed int64) {
 	t.rnd.Reseed(seed)
 }
 
-// SetOracle switches the testing oracle for subsequent databases,
-// re-resolving through the registry only when the name changes (campaign
-// oracle rotation across one pooled lifecycle).
+// SetOracle switches the testing oracle for subsequent databases
+// (campaign oracle rotation across one pooled lifecycle). Each name is
+// resolved through the registry once per tester, so a rotated oracle keeps
+// its reused check memory.
 func (t *Tester) SetOracle(name string) {
 	if name == t.cfg.Oracle {
 		return
 	}
 	t.cfg.Oracle = name
-	t.meta, t.metaErr = nil, nil
-	if name != "" && name != "pqs" {
-		t.meta, t.metaErr = newMetaOracle(name, t.cfg)
-	}
+	t.resolveOracle()
 }
 
 // TakeStats returns the counters accumulated since the last take and

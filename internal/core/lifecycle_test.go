@@ -161,21 +161,68 @@ func TestLifecycleOracleRotation(t *testing.T) {
 // database took 2,747 allocations on sqlite and 2,104 on postgres before
 // the reuse, and 1,799 and 1,414 with it. Compiling each clause into the
 // engine's statement memory as a flat program, instead of a tree of
-// closures, took them from 1,588 and 1,268 to 876 and 708.
+// closures, took them from 1,588 and 1,268 to 876 and 708. One generator
+// reset per iteration instead of a new one, one sut.Result header per
+// database and partial-index keys rendered into a reused buffer took them
+// to 785 and 589.
 func TestPivotLoopAllocs(t *testing.T) {
 	const seeds = 40
 	for _, tc := range []struct {
 		d     dialect.Dialect
 		bound float64
 	}{
-		{dialect.SQLite, 1000},
-		{dialect.Postgres, 800},
+		{dialect.SQLite, 900},
+		{dialect.Postgres, 680},
 	} {
 		t.Run(tc.d.String(), func(t *testing.T) {
 			lc := NewLifecycle(Config{Session: sut.Session{Dialect: tc.d}})
 			defer lc.Close()
 			perDB := testing.AllocsPerRun(2, func() {
 				for seed := int64(1); seed <= seeds; seed++ {
+					if bug, err := lc.RunSeed(seed); bug != nil || err != nil {
+						t.Fatalf("seed %d: bug %v, err %v", seed, bug, err)
+					}
+				}
+			}) / seeds
+			t.Logf("%.0f allocations per database", perDB)
+			if perDB > tc.bound {
+				t.Errorf("%.0f allocations per database, want at most %.0f", perDB, tc.bound)
+			}
+		})
+	}
+}
+
+// TestMetamorphicAllocs bounds the heap allocations of a pooled database
+// lifecycle under the metamorphic oracles, averaged over fixed seeds, one
+// row per workload group of the campaign benchmark plus the rotation.
+// TLP and NoREC reuse their query scaffolds, generator, row copy and
+// multiset buffers across checks, and read one per-database target
+// snapshot; the tester keeps one oracle per name, so rotating oracles
+// (the "rotated" row, as a campaign's oracle list does) keeps each one's
+// memory. A site that goes back to allocating per check adds tens of
+// allocations per check, 30 checks per database, and crosses the bound.
+// On these seeds a database took 3,023 (sqlite tlp), 1,035 (sqlite
+// norec), 1,000 (postgres norec) and 2,023 (rotated) allocations before
+// the reuse, and 1,157, 584, 562 and 867 with it.
+func TestMetamorphicAllocs(t *testing.T) {
+	const seeds = 40
+	for _, tc := range []struct {
+		name    string
+		d       dialect.Dialect
+		oracles []string
+		bound   float64
+	}{
+		{"sqlite-tlp", dialect.SQLite, []string{"tlp"}, 1300},
+		{"sqlite-norec", dialect.SQLite, []string{"norec"}, 680},
+		{"postgres-norec", dialect.Postgres, []string{"norec"}, 660},
+		{"rotated", dialect.SQLite, []string{"tlp", "norec"}, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lc := NewLifecycle(Config{Session: sut.Session{Dialect: tc.d}, Oracle: tc.oracles[0]})
+			defer lc.Close()
+			perDB := testing.AllocsPerRun(2, func() {
+				for seed := int64(1); seed <= seeds; seed++ {
+					lc.SetOracle(tc.oracles[int(seed)%len(tc.oracles)])
 					if bug, err := lc.RunSeed(seed); bug != nil || err != nil {
 						t.Fatalf("seed %d: bug %v, err %v", seed, bug, err)
 					}
@@ -198,9 +245,10 @@ func TestPivotLoopAllocs(t *testing.T) {
 // the bound. On these seeds a database took 11,531 allocations with
 // rendered comparisons and 5,806 without. Flat compiled programs and
 // transaction read/write sets kept in pooled sorted slices instead of
-// per-statement maps took it from 5,755 to 5,063.
+// per-statement maps took it from 5,755 to 5,063; one sut.Result header
+// per session and none per BEGIN/COMMIT/ROLLBACK took it to 4,508.
 func TestSerializabilityAllocs(t *testing.T) {
-	const seeds, bound = 40, 5600
+	const seeds, bound = 40, 5100
 	lc := NewLifecycle(Config{Oracle: "serializability", Session: sut.Session{Dialect: dialect.SQLite}})
 	defer lc.Close()
 	perDB := testing.AllocsPerRun(2, func() {
@@ -255,5 +303,49 @@ func TestDetectionOutlivesLaterIterations(t *testing.T) {
 	got := Bug{Message: bug.Message, Trace: bug.Trace, Expected: bug.Expected, PivotTables: bug.PivotTables}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("detection changed after later databases:\nbefore: %+v\nafter:  %+v", want, got)
+	}
+}
+
+// TestMetamorphicReportOutlivesLaterChecks holds the metamorphic oracles'
+// lifetime rule: TLP and NoREC reuse their query scaffolds, row copy and
+// target snapshot across checks, so a Report must own what it says. A
+// detection from one pooled Lifecycle has to read the same after the
+// lifecycle runs more databases on the same oracle's memory.
+func TestMetamorphicReportOutlivesLaterChecks(t *testing.T) {
+	for _, tc := range []struct {
+		oracle string
+		fault  faults.Fault
+	}{
+		{"tlp", faults.UnionAllDedup},
+		{"norec", faults.NorecCountMismatch},
+	} {
+		t.Run(tc.oracle, func(t *testing.T) {
+			lc := NewLifecycle(Config{Oracle: tc.oracle, Session: sut.Session{
+				Dialect: dialect.SQLite,
+				Faults:  faults.NewSet(tc.fault),
+			}})
+			defer lc.Close()
+			var bug *Bug
+			seed := int64(1)
+			for ; bug == nil && seed <= 300; seed++ {
+				var err error
+				if bug, err = lc.RunSeed(seed); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			if bug == nil || bug.DetectedBy != tc.oracle {
+				t.Fatalf("no %s detection within 300 databases: %+v", tc.oracle, bug)
+			}
+			want := *bug
+			want.Trace = slices.Clone(bug.Trace)
+			for end := seed + 30; seed < end; seed++ {
+				if _, err := lc.RunSeed(seed); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			if !reflect.DeepEqual(*bug, want) {
+				t.Fatalf("detection changed after later databases:\nbefore: %+v\nafter:  %+v", want, *bug)
+			}
+		})
 	}
 }

@@ -146,9 +146,17 @@ type Tester struct {
 
 	// meta is the resolved registry oracle when cfg.Oracle names a
 	// metamorphic oracle; nil for the native PQS loop. metaErr records a
-	// resolution failure and surfaces on the first RunDatabase.
+	// resolution failure and surfaces on the first RunDatabase. metas
+	// keeps every oracle resolved so far by name, so rotating oracles
+	// across databases (SetOracle) keeps each one's reused check memory.
 	meta    oracle.Oracle
 	metaErr error
+	metas   map[string]oracle.Oracle
+	// env is the registry oracles' Env, and targets its per-database
+	// check-target snapshot; tr is the lifecycle's statement trace.
+	env     oracle.Env
+	targets oracle.Targets
+	tr      trace
 
 	// Pivot-iteration scratch (see the lifetime rule above). A Tester is
 	// single-threaded, so one set serves every iteration.
@@ -157,6 +165,7 @@ type Tester struct {
 	ctx       interp.Context
 	colsBuf   []gen.ColumnPick
 	hintsBuf  []sqlval.Value
+	eg        gen.ExprGen
 	sel       sqlast.Select
 	expected  []sqlval.Value
 	plainCols []bool
@@ -171,16 +180,42 @@ func NewTester(cfg Config) *Tester {
 		cfg:   cfg,
 		rnd:   gen.NewRand(cfg.Dialect, cfg.Seed),
 		stats: newStats(),
+		tr:    trace{d: cfg.Dialect},
 	}
-	if name := cfg.Oracle; name != "" && name != "pqs" {
-		t.meta, t.metaErr = newMetaOracle(name, cfg)
+	t.env = oracle.Env{
+		Dialect:      cfg.Dialect,
+		Rnd:          t.rnd,
+		MaxExprDepth: cfg.MaxExprDepth,
+		Setup:        t.tr.render,
+		RecordStmt: func() {
+			t.stats.Statements++
+			t.stats.Queries++
+		},
+		Targets: &t.targets,
 	}
+	t.resolveOracle()
 	return t
 }
 
-// newMetaOracle resolves a metamorphic oracle from the registry.
-func newMetaOracle(name string, cfg Config) (oracle.Oracle, error) {
-	return oracle.New(name, oracle.Options{MaxExprDepth: cfg.MaxExprDepth, Sessions: cfg.Sessions})
+// resolveOracle sets meta to the registry oracle cfg.Oracle names (nil
+// for the native PQS loop), resolving each name once per tester.
+func (t *Tester) resolveOracle() {
+	t.meta, t.metaErr = nil, nil
+	name := t.cfg.Oracle
+	if name == "" || name == "pqs" {
+		return
+	}
+	if o, ok := t.metas[name]; ok {
+		t.meta = o
+		return
+	}
+	t.meta, t.metaErr = oracle.New(name, oracle.Options{MaxExprDepth: t.cfg.MaxExprDepth, Sessions: t.cfg.Sessions})
+	if t.metaErr == nil {
+		if t.metas == nil {
+			t.metas = map[string]oracle.Oracle{}
+		}
+		t.metas[name] = t.meta
+	}
 }
 
 // oracleName reports the testing oracle this tester runs.
@@ -245,7 +280,8 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 		return nil, t.metaErr
 	}
 	t.stats.Databases++
-	tr := &trace{d: t.cfg.Dialect}
+	tr := &t.tr
+	tr.stmts = tr.stmts[:0]
 
 	apply := func(st sqlast.Stmt) error {
 		tr.add(st)
@@ -284,17 +320,9 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 	// Metamorphic oracles take over the query phase: the database and the
 	// build-time error oracle above are shared, only the check differs.
 	if t.meta != nil {
-		env := &oracle.Env{
-			Dialect:      t.cfg.Dialect,
-			Rnd:          t.rnd,
-			Hints:        sg.Hints,
-			MaxExprDepth: t.cfg.MaxExprDepth,
-			Setup:        tr.render,
-			RecordStmt: func() {
-				t.stats.Statements++
-				t.stats.Queries++
-			},
-		}
+		env := &t.env
+		env.Hints = sg.Hints
+		t.targets.Reset()
 		for q := 0; q < t.cfg.QueriesPerDB; q++ {
 			rep, err := t.meta.Check(db, env)
 			if err != nil {
@@ -410,8 +438,11 @@ func (t *Tester) pivotIteration(db sut.DB, snap []pivotSource, sg *gen.StateGen,
 
 	ctx, cols, hints := t.bindPivot(db.Introspect(), pivots, sg)
 	// One generator serves every condition and result expression of the
-	// iteration, so its per-category column grouping is built once.
-	eg := &gen.ExprGen{Rnd: t.rnd, Cols: cols, Hints: hints, ColValues: pivotColValues(cols, hints), MaxDepth: t.cfg.MaxExprDepth}
+	// iteration, so its per-category column grouping is built once; the
+	// tester's generator is reset for it, keeping the grouping's memory.
+	eg := &t.eg
+	eg.Reset(t.rnd, cols, hints, t.cfg.MaxExprDepth)
+	eg.ColValues = pivotColValues(cols, hints)
 
 	// §7 extension: occasionally check the dual property — a FALSE
 	// condition must NOT fetch the pivot row.

@@ -92,6 +92,9 @@ type Engine struct {
 	// mem backs everything a SELECT allocates (mem.go): statement slabs
 	// are empty between statements, result slabs hold the last result.
 	mem stmtMem
+	// predKeys holds the WHERE conjuncts' partial-index keys while the
+	// planner matches them (impliedPartialIndex).
+	predKeys []byte
 	// scope is the single-table layout DML and index-key expressions
 	// evaluate in (compiled.go), rebound per row.
 	scope tableScope

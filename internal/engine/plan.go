@@ -659,13 +659,18 @@ func (e *Engine) impliedPartialIndex(where sqlast.Expr, table string) *schema.In
 		return nil
 	}
 	var buf [8]sqlast.Expr
+	var endBuf [8]int
 	conjs := appendConjuncts(buf[:0], where)
-	keys := make([]string, len(conjs))
-	for i, conj := range conjs {
-		keys[i] = e.cat.PredicateKey(conj)
+	// The conjuncts' keys, rendered back to back into the engine's key
+	// buffer: conjunct i's key ends at ends[i].
+	keys, ends := e.predKeys[:0], endBuf[:0]
+	for _, conj := range conjs {
+		keys = sqlast.AppendPredicateKey(keys, conj, e.d)
+		ends = append(ends, len(keys))
 	}
+	e.predKeys = keys
 	for _, p := range partial {
-		if e.predicateImplies(conjs, keys, p) {
+		if e.predicateImplies(conjs, keys, ends, p) {
 			return p.Index
 		}
 	}

@@ -382,15 +382,17 @@ func (e *Engine) buildPlannedRelation(n *sqlast.Select, tr sqlast.TableRef) (*re
 }
 
 // predicateImplies reports whether a WHERE clause, split into its AND
-// conjuncts with their keys (schema.Catalog.PredicateKey), implies the
-// partial index's predicate. The correct engine is deliberately
-// conservative: structural equality of the predicate with one of the
-// conjuncts.
-func (e *Engine) predicateImplies(conjs []sqlast.Expr, keys []string, p schema.PartialIndex) bool {
+// conjuncts with their keys (schema.Catalog.PredicateKey, rendered back to
+// back into keys; conjunct i's ends at ends[i]), implies the partial
+// index's predicate. The correct engine is deliberately conservative:
+// structural equality of the predicate with one of the conjuncts.
+func (e *Engine) predicateImplies(conjs []sqlast.Expr, keys []byte, ends []int, p schema.PartialIndex) bool {
+	start := 0
 	for i, conj := range conjs {
-		if keys[i] == p.Key {
+		if string(keys[start:ends[i]]) == p.Key {
 			return true
 		}
+		start = ends[i]
 		// Fault site (sqlite.partial-index-not-null, Listing 1): the
 		// planner assumes `col IS NOT <literal>` implies `col NOT NULL`.
 		if e.d == dialect.SQLite && e.fs.Has(faults.PartialIndexNotNull) {

@@ -70,6 +70,10 @@ type Conn struct {
 	// open is the state txn points at: every transaction of the session
 	// reuses it.
 	open connTxn
+	// txnRes is the empty result BEGIN, COMMIT and ROLLBACK return,
+	// zeroed for each; like any Result it is valid until the next
+	// statement.
+	txnRes Result
 }
 
 // connTxn is the state of one open transaction. Its sets come from the
@@ -215,7 +219,7 @@ func (e *Engine) execTxnLocked(c *Conn, tx *sqlast.Txn) (*Result, error) {
 		// else.
 		e.commSnap = e.snapshotLocked()
 		e.curOwn = c
-		return &Result{}, nil
+		return c.emptyResult(), nil
 	case sqlast.TxnCommit:
 		if c.txn == nil {
 			return nil, xerr.New(xerr.CodeTxnState, "cannot commit - no transaction is active")
@@ -227,14 +231,20 @@ func (e *Engine) execTxnLocked(c *Conn, tx *sqlast.Txn) (*Result, error) {
 		if err := e.commitTxnLocked(c); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return c.emptyResult(), nil
 	default: // TxnRollback
 		if c.txn == nil {
 			return nil, xerr.New(xerr.CodeTxnState, "cannot rollback - no transaction is active")
 		}
 		e.abortTxnLocked(c, true)
-		return &Result{}, nil
+		return c.emptyResult(), nil
 	}
+}
+
+// emptyResult returns the session's zeroed transaction-statement result.
+func (c *Conn) emptyResult() *Result {
+	c.txnRes = Result{}
+	return &c.txnRes
 }
 
 // installLocked makes `want`'s working state (nil: the committed state)

@@ -31,6 +31,10 @@ type Fuzzer struct {
 	cfg   Config
 	rnd   *gen.Rand
 	stats core.Stats
+	// eg and cols are randomQuery's generator and column pool, reset for
+	// each query (generated statements never reference either).
+	eg   gen.ExprGen
+	cols []gen.ColumnPick
 }
 
 // New creates a fuzzer.
@@ -125,11 +129,13 @@ func (f *Fuzzer) randomQuery(intro sut.Introspection, sg *gen.StateGen) sqlast.S
 	if err != nil || len(info.Columns) == 0 {
 		return nil
 	}
-	var cols []gen.ColumnPick
+	cols := f.cols[:0]
 	for _, c := range info.Columns {
 		cols = append(cols, gen.ColumnPick{Table: table, Column: c})
 	}
-	eg := &gen.ExprGen{Rnd: f.rnd, Cols: cols, Hints: sg.Hints, MaxDepth: 3}
+	f.cols = cols
+	eg := &f.eg
+	eg.Reset(f.rnd, cols, sg.Hints, 3)
 	// Occasionally issue a compound SELECT: fuzzing covers UNION [ALL]
 	// execution the same way the TLP oracle's recombination does.
 	if f.rnd.Bool(0.15) {

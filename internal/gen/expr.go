@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"slices"
+
 	"repro/internal/dialect"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
@@ -42,9 +44,26 @@ type ExprGen struct {
 	MaxDepth  int
 
 	// byCat holds Cols stably sorted by category, one subslice per
-	// category; built on first use, as Cols is fixed for a generator.
+	// category of sorted; built on first use, as Cols is fixed until the
+	// next Reset. cats is the grouping's per-column scratch.
 	byCat   [CatBool + 1][]ColumnPick
 	grouped bool
+	sorted  []ColumnPick
+	cats    []Category
+}
+
+// Reset readies the generator for a new column pool, keeping the memory of
+// its per-category grouping; ColValues is cleared. A generator reused this
+// way draws exactly what a new one built from the same fields would.
+func (eg *ExprGen) Reset(rnd *Rand, cols []ColumnPick, hints []sqlval.Value, maxDepth int) {
+	*eg = ExprGen{
+		Rnd:      rnd,
+		Cols:     cols,
+		Hints:    hints,
+		MaxDepth: maxDepth,
+		sorted:   eg.sorted[:0],
+		cats:     eg.cats[:0],
+	}
 }
 
 // Generate produces an expression suitable for a filter condition.
@@ -379,11 +398,13 @@ func (eg *ExprGen) funcCall(depth int) sqlast.Expr {
 func (eg *ExprGen) colsOfCategory(cat Category) []ColumnPick {
 	if !eg.grouped {
 		eg.grouped = true
-		cats := make([]Category, len(eg.Cols))
-		for i, c := range eg.Cols {
-			cats[i] = CategoryOfType(c.Column.TypeName)
+		cats := eg.cats[:0]
+		for _, c := range eg.Cols {
+			cats = append(cats, CategoryOfType(c.Column.TypeName))
 		}
-		sorted := make([]ColumnPick, 0, len(eg.Cols))
+		// Grown once up front, so every category subslice shares one array.
+		sorted := slices.Grow(eg.sorted[:0], len(eg.Cols))
+		eg.cats = cats
 		for k := range eg.byCat {
 			start := len(sorted)
 			for i, c := range eg.Cols {
@@ -393,6 +414,7 @@ func (eg *ExprGen) colsOfCategory(cat Category) []ColumnPick {
 			}
 			eg.byCat[k] = sorted[start:len(sorted):len(sorted)]
 		}
+		eg.sorted = sorted
 	}
 	return eg.byCat[cat]
 }

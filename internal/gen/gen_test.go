@@ -36,6 +36,36 @@ func TestExprGenDeterministic(t *testing.T) {
 	}
 }
 
+// TestExprGenResetMatchesFresh holds Reset to its promise: one generator
+// reset for each of several column pools, of different sizes and type
+// mixes, draws exactly the expressions a new generator per pool draws.
+func TestExprGenResetMatchesFresh(t *testing.T) {
+	pools := [][]ColumnPick{
+		testCols(),
+		{{Table: "t1", Column: schema.ColumnInfo{Name: "c0", TypeName: "TEXT"}}},
+		append(testCols(), ColumnPick{Table: "t2", Column: schema.ColumnInfo{Name: "c9", TypeName: "REAL"}},
+			ColumnPick{Table: "t2", Column: schema.ColumnInfo{Name: "c8", TypeName: "BOOLEAN"}}),
+		{{Table: "t3", Column: schema.ColumnInfo{Name: "c0", TypeName: "BOOLEAN"}}},
+	}
+	hints := []sqlval.Value{sqlval.Int(3), sqlval.Text("x")}
+	for _, d := range dialect.All {
+		freshRnd, reusedRnd := NewRand(d, 17), NewRand(d, 17)
+		var reused ExprGen
+		for round := 0; round < 3; round++ {
+			for pi, cols := range pools {
+				fresh := &ExprGen{Rnd: freshRnd, Cols: cols, Hints: hints, MaxDepth: 3}
+				reused.Reset(reusedRnd, cols, hints, 3)
+				for i := 0; i < 40; i++ {
+					want := sqlast.ExprSQL(fresh.Generate(), d)
+					if got := sqlast.ExprSQL(reused.Generate(), d); got != want {
+						t.Fatalf("[%s] pool %d, expression %d: reset generator drew %q, fresh %q", d, pi, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExprGenDepthBound(t *testing.T) {
 	for _, d := range dialect.All {
 		eg := &ExprGen{Rnd: NewRand(d, 3), Cols: testCols(), MaxDepth: 3}

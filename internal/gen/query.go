@@ -12,15 +12,25 @@ import (
 // the compound generator and the TLP oracle sample with it.
 func ColumnSubset(rnd *Rand, info schema.TableInfo) []string {
 	var out []string
-	for _, c := range info.Columns {
-		if rnd.Bool(0.6) {
-			out = append(out, c.Name)
-		}
-	}
-	if len(out) == 0 {
-		out = []string{info.Columns[rnd.Intn(len(info.Columns))].Name}
+	for _, ci := range AppendColumnSubset(nil, rnd, len(info.Columns)) {
+		out = append(out, info.Columns[ci].Name)
 	}
 	return out
+}
+
+// AppendColumnSubset is ColumnSubset over n columns by position: it
+// appends the drawn column indexes to dst, with the same draws.
+func AppendColumnSubset(dst []int, rnd *Rand, n int) []int {
+	start := len(dst)
+	for ci := 0; ci < n; ci++ {
+		if rnd.Bool(0.6) {
+			dst = append(dst, ci)
+		}
+	}
+	if len(dst) == start {
+		dst = append(dst, rnd.Intn(n))
+	}
+	return dst
 }
 
 // OrderLimit decorates a single-table SELECT with ORDER BY and, usually,

@@ -194,6 +194,67 @@ func TestOneShotChecks(t *testing.T) {
 	})
 }
 
+// TestOneShotSeesStatementsBetweenChecks holds the one-shot path of the
+// metamorphic oracles to the live database: one oracle instance serves
+// every check (and keeps its reused memory), but without a campaign's
+// per-database snapshot each check captures the database afresh. A table
+// created and filled between two checks, and rows inserted into a table
+// that was empty, are targets of the later checks: detections of a fault
+// that needs rows name them.
+func TestOneShotSeesStatementsBetweenChecks(t *testing.T) {
+	for _, tc := range []struct {
+		oracle string
+		fault  faults.Fault
+	}{
+		{"norec", faults.NorecCountMismatch},
+		{"tlp", faults.UnionAllDedup},
+	} {
+		t.Run(tc.oracle, func(t *testing.T) {
+			db := openDB(t, faults.NewSet(tc.fault), "CREATE TABLE t0(c0 INT)")
+			o, err := oracle.New(tc.oracle, oracle.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &oracle.Env{Dialect: dialect.SQLite, Rnd: gen.NewRand(dialect.SQLite, 7)}
+			// detectOn runs up to 200 checks and returns the first
+			// detection whose message names table, failing on any
+			// detection before want is true.
+			detectOn := func(table string, want bool) {
+				t.Helper()
+				for i := 0; i < 200; i++ {
+					rep, err := o.Check(db, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep == nil {
+						continue
+					}
+					if !want {
+						t.Fatalf("check %d flagged an empty database: %s", i, rep.Message)
+					}
+					if strings.Contains(rep.Message, "on "+table) {
+						return
+					}
+				}
+				if want {
+					t.Fatalf("no detection on %s within 200 checks", table)
+				}
+			}
+			detectOn("t0", false) // empty: no fault can show
+			for _, sql := range []string{"CREATE TABLE t1(c0 INT, c1 TEXT)", "INSERT INTO t1 VALUES (1, 'a'), (1, 'a'), (1, 'a')"} {
+				if _, err := db.Exec(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			detectOn("t1", true)
+			if _, err := db.Exec("INSERT INTO t0 VALUES (2), (2), (2)"); err != nil {
+				t.Fatal(err)
+			}
+			detectOn("t0", true)
+		})
+	}
+}
+
 // TestMetamorphicReduction proves reduced repro scripts of metamorphic
 // detections still reproduce: the reducer replays both sides of the
 // comparison (the bug's Compare partner) rather than a pivot tuple.

@@ -34,40 +34,45 @@ func init() {
 // conversion is under test too. Unlike PQS, which tracks a single pivot
 // row, NoREC validates the whole result cardinality, catching optimizer
 // bugs that drop or duplicate rows PQS never selected as pivots.
+//
+// A noREC reuses its check memory like tlp: the query pair's scaffolds and
+// the generator are overwritten by the next check, so the pair lives until
+// the next Check and a Report renders its SQL at once.
 type noREC struct {
-	opts Options
+	opts  Options
+	own   Targets
+	eg    gen.ExprGen
+	from  [1]sqlast.TableRef
+	val   [1]sqlast.ResultCol
+	opt   sqlast.Select
+	unopt sqlast.Select
 }
+
+// starCols is the optimized query's projection (shared, never mutated).
+var starCols = []sqlast.ResultCol{{Star: true}}
 
 // Name implements Oracle.
 func (*noREC) Name() string { return "norec" }
 
 // Check implements Oracle: one random predicate, one query pair.
 func (n *noREC) Check(db sut.DB, env *Env) (*Report, error) {
-	table, info, ok := pickTable(db, env.Rnd)
+	t, ok := env.targets(db, &n.own).pick(env.Rnd)
 	if !ok {
 		return nil, nil
 	}
-	eg := &gen.ExprGen{
-		Rnd:      env.Rnd,
-		Cols:     columnPicks(table, info),
-		Hints:    env.Hints,
-		MaxDepth: depthOf(n.opts, env),
-	}
-	pred := eg.Generate()
-	optimized := &sqlast.Select{
-		Cols:  []sqlast.ResultCol{{Star: true}},
-		From:  []sqlast.TableRef{{Name: table}},
-		Where: pred,
-	}
-	unoptimized := &sqlast.Select{
-		Cols: []sqlast.ResultCol{{X: pred, Alias: "v"}},
-		From: []sqlast.TableRef{{Name: table}},
-	}
-	optRes, rep, err := execCheck(db, env, optimized, "norec")
+	n.eg.Reset(env.Rnd, t.picks, env.Hints, depthOf(n.opts, env))
+	pred := n.eg.Generate()
+	n.from[0] = sqlast.TableRef{Name: t.name}
+	n.opt = sqlast.Select{Cols: starCols, From: n.from[:], Where: pred}
+	n.val[0] = sqlast.ResultCol{X: pred, Alias: "v"}
+	n.unopt = sqlast.Select{Cols: n.val[:], From: n.from[:]}
+	optRes, rep, err := execCheck(db, env, &n.opt, "norec")
 	if rep != nil || err != nil || optRes == nil {
 		return rep, err
 	}
-	unoptRes, rep, err := execCheck(db, env, unoptimized, "norec")
+	// Read before the next statement, which may overwrite the result.
+	got := len(optRes.Rows)
+	unoptRes, rep, err := execCheck(db, env, &n.unopt, "norec")
 	if rep != nil || err != nil || unoptRes == nil {
 		return rep, err
 	}
@@ -75,15 +80,15 @@ func (n *noREC) Check(db sut.DB, env *Env) (*Report, error) {
 	if !ok {
 		return nil, nil // unconvertible value (dialect edge): discard
 	}
-	if len(optRes.Rows) != want {
+	if got != want {
 		return &Report{
 			Oracle:     faults.OracleNoREC,
 			DetectedBy: "norec",
 			Message: fmt.Sprintf(
 				"NoREC mismatch on %s: optimized WHERE returned %d rows, predicate is TRUE on %d",
-				table, len(optRes.Rows), want),
-			Trace:   append(env.SetupTrace(), sqlast.SQL(optimized, env.Dialect)),
-			Compare: sqlast.SQL(unoptimized, env.Dialect),
+				t.name, got, want),
+			Trace:   append(env.SetupTrace(), sqlast.SQL(&n.opt, env.Dialect)),
+			Compare: sqlast.SQL(&n.unopt, env.Dialect),
 		}, nil
 	}
 	return nil, nil

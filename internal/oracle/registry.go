@@ -7,7 +7,6 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/faults"
 	"repro/internal/gen"
-	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 	"repro/internal/sut"
@@ -46,6 +45,13 @@ type Env struct {
 	// RecordStmt is called once per statement a check executes, so the
 	// campaign's throughput counters stay truthful. May be nil.
 	RecordStmt func()
+	// Targets is the database's check-target snapshot for oracles whose
+	// query phase runs only SELECTs; a campaign Resets it once per
+	// database. nil makes such an oracle capture the database at every
+	// check (one-shot checks against a live shell, where any statement may
+	// run between checks). Oracles that write (serializability, recovery)
+	// never read it.
+	Targets *Targets
 }
 
 // Depth returns the effective expression depth bound.
@@ -146,42 +152,6 @@ func ForFault(info faults.Info) string {
 	default:
 		return "pqs"
 	}
-}
-
-// pickTable selects a random check target, preferring tables that hold
-// rows (empty tables make every check trivially pass).
-func pickTable(db sut.DB, rnd *gen.Rand) (string, schema.TableInfo, bool) {
-	intro := db.Introspect()
-	tables := intro.Tables()
-	var nonEmpty []string
-	for _, t := range tables {
-		if intro.RowCount(t) > 0 {
-			nonEmpty = append(nonEmpty, t)
-		}
-	}
-	pool := nonEmpty
-	if len(pool) == 0 {
-		pool = tables
-	}
-	if len(pool) == 0 {
-		return "", schema.TableInfo{}, false
-	}
-	name := pool[rnd.Intn(len(pool))]
-	info, err := intro.Describe(name)
-	if err != nil || len(info.Columns) == 0 {
-		return "", schema.TableInfo{}, false
-	}
-	return name, info, true
-}
-
-// columnPicks adapts a table's columns into the expression generator's
-// pool, qualified by the table name.
-func columnPicks(table string, info schema.TableInfo) []gen.ColumnPick {
-	out := make([]gen.ColumnPick, 0, len(info.Columns))
-	for _, c := range info.Columns {
-		out = append(out, gen.ColumnPick{Table: table, Column: c})
-	}
-	return out
 }
 
 // execCheck runs one check statement through the SUT boundary and applies

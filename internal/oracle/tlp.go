@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/faults"
@@ -32,8 +34,42 @@ func init() {
 //
 // Both validate whole result sets, so row drops, duplicate elimination,
 // and aggregate bugs that never touch PQS's pivot row are visible.
+//
+// A tlp reuses its check memory: the four queries of a check (the
+// unpartitioned one and its three partitions) share one set of clause
+// slices and differ only in WHERE, and the partition wrappers, the
+// generator, the copy of the unpartitioned rows and the multiset buffers
+// are overwritten by the next check. So a check's ASTs live until the next
+// Check; a Report renders its SQL at once.
 type tlp struct {
 	opts Options
+	own  Targets
+	eg   gen.ExprGen
+
+	// The join variant's two-table column pool and join-key candidates;
+	// the WHERE variant's column subset.
+	joinPicks []gen.ColumnPick
+	keyPairs  [][2]int
+	subset    []int
+
+	// Query scaffold: the clause slices every query of a check shares,
+	// the four queries, the compound of the partitions, and the nodes the
+	// variants add (partition wrappers, join condition, aggregate call).
+	cols   []sqlast.ResultCol
+	from   [1]sqlast.TableRef
+	joins  [1]sqlast.JoinClause
+	orig   sqlast.Select
+	parts  [3]sqlast.Select
+	psels  [3]*sqlast.Select
+	comp   sqlast.Compound
+	not    sqlast.Unary
+	isNull sqlast.Unary
+	on     sqlast.Binary
+	agg    sqlast.FuncCall
+	aggArg [1]sqlast.Expr
+
+	origRows sut.RowsCopy
+	bag      multiset
 }
 
 // Name implements Oracle.
@@ -41,7 +77,8 @@ func (*tlp) Name() string { return "tlp" }
 
 // Check implements Oracle.
 func (o *tlp) Check(db sut.DB, env *Env) (*Report, error) {
-	table, info, ok := pickTable(db, env.Rnd)
+	ts := env.targets(db, &o.own)
+	t, ok := ts.pick(env.Rnd)
 	if !ok {
 		return nil, nil
 	}
@@ -50,120 +87,71 @@ func (o *tlp) Check(db sut.DB, env *Env) (*Report, error) {
 	// shape exercises the engine's join-strategy selection (hash joins in
 	// particular) under a WHERE clause, which single-table TLP never does.
 	if env.Rnd.Bool(0.4) {
-		if rep, err, built := o.checkJoin(db, env, table, info); built {
+		if rep, err, built := o.checkJoin(db, env, ts, t); built {
 			return rep, err
 		}
 	}
-	eg := &gen.ExprGen{
-		Rnd:      env.Rnd,
-		Cols:     columnPicks(table, info),
-		Hints:    env.Hints,
-		MaxDepth: depthOf(o.opts, env),
-	}
-	pred := eg.Generate()
+	o.eg.Reset(env.Rnd, t.picks, env.Hints, depthOf(o.opts, env))
+	pred := o.eg.Generate()
 	if env.Rnd.Bool(0.5) {
-		return o.checkAgg(db, env, table, info, pred)
+		return o.checkAgg(db, env, t, pred)
 	}
-	return PartitionCheck(db, env, table, gen.ColumnSubset(env.Rnd, info), pred)
+	o.subset = gen.AppendColumnSubset(o.subset[:0], env.Rnd, len(t.picks))
+	o.cols = o.cols[:0]
+	for _, ci := range o.subset {
+		o.cols = append(o.cols, sqlast.ResultCol{X: t.picks[ci].Ref})
+	}
+	return o.comparePartitions(db, env, t.name, nil, pred, partitionDiff{shape: t.name})
 }
 
 // checkJoin runs the WHERE variant over `t1 [LEFT] JOIN t2 ON a = b`. The
 // third return is false when no join shape could be built (single-table
 // database) and the caller should fall back to the single-table variants.
-func (o *tlp) checkJoin(db sut.DB, env *Env, t1 string, info1 schema.TableInfo) (*Report, error, bool) {
-	t2, info2, ok := pickJoinPartner(db, env.Rnd, t1)
+func (o *tlp) checkJoin(db sut.DB, env *Env, ts *Targets, t1 *target) (*Report, error, bool) {
+	t2, ok := ts.partner(env.Rnd, t1)
 	if !ok {
 		return nil, nil, false
 	}
-	c1, c2, ok := pickJoinKeys(env.Rnd, info1, info2)
-	if !ok {
-		return nil, nil, false
-	}
+	c1, c2 := o.pickJoinKeys(env.Rnd, t1, t2)
 	kind := sqlast.JoinInner
 	if env.Rnd.Bool(0.45) {
 		kind = sqlast.JoinLeft
 	}
-	on := &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col(t1, c1), R: sqlast.Col(t2, c2)}
-	picks := append(columnPicks(t1, info1), columnPicks(t2, info2)...)
-	eg := &gen.ExprGen{
-		Rnd:      env.Rnd,
-		Cols:     picks,
-		Hints:    env.Hints,
-		MaxDepth: depthOf(o.opts, env),
+	o.on = sqlast.Binary{Op: sqlast.OpEq, L: t1.picks[c1].Ref, R: t2.picks[c2].Ref}
+	o.joinPicks = append(append(o.joinPicks[:0], t1.picks...), t2.picks...)
+	o.eg.Reset(env.Rnd, o.joinPicks, env.Hints, depthOf(o.opts, env))
+	pred := o.eg.Generate()
+	o.cols = o.cols[:0]
+	for _, p := range o.joinPicks {
+		o.cols = append(o.cols, sqlast.ResultCol{X: p.Ref})
 	}
-	pred := eg.Generate()
-	mk := func(where sqlast.Expr) *sqlast.Select {
-		sel := &sqlast.Select{
-			From:  []sqlast.TableRef{{Name: t1}},
-			Joins: []sqlast.JoinClause{{Kind: kind, Table: sqlast.TableRef{Name: t2}, On: on}},
-			Where: where,
-		}
-		for _, c := range info1.Columns {
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: sqlast.Col(t1, c.Name)})
-		}
-		for _, c := range info2.Columns {
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: sqlast.Col(t2, c.Name)})
-		}
-		return sel
-	}
-	rep, err := comparePartitions(db, env, mk, pred, multisetDiff(t1+" JOIN "+t2))
+	o.joins[0] = sqlast.JoinClause{Kind: kind, Table: sqlast.TableRef{Name: t2.name}, On: &o.on}
+	rep, err := o.comparePartitions(db, env, t1.name, o.joins[:], pred, partitionDiff{shape: t1.name, joined: t2.name})
 	return rep, err, true
 }
 
-// pickJoinPartner picks a second, distinct, preferably non-empty table.
-func pickJoinPartner(db sut.DB, rnd *gen.Rand, exclude string) (string, schema.TableInfo, bool) {
-	intro := db.Introspect()
-	var pool []string
-	for _, t := range intro.Tables() {
-		if t != exclude && intro.RowCount(t) > 0 {
-			pool = append(pool, t)
-		}
-	}
-	if len(pool) == 0 {
-		return "", schema.TableInfo{}, false
-	}
-	name := pool[rnd.Intn(len(pool))]
-	info, err := intro.Describe(name)
-	if err != nil || len(info.Columns) == 0 {
-		return "", schema.TableInfo{}, false
-	}
-	return name, info, true
-}
-
-// pickJoinKeys picks one column per table for the equi-join key, preferring
-// pairs of matching type category: strictly-typed dialects reject (and the
-// hash path's class prescan declines) cross-class equality, so matched
-// pairs are the ones that actually exercise the join operators.
-func pickJoinKeys(rnd *gen.Rand, info1, info2 schema.TableInfo) (string, string, bool) {
-	if len(info1.Columns) == 0 || len(info2.Columns) == 0 {
-		return "", "", false
-	}
-	type pair struct{ a, b string }
-	var matched []pair
-	for _, a := range info1.Columns {
-		ca := gen.CategoryOfType(a.TypeName)
-		for _, b := range info2.Columns {
-			if ca != gen.CatAny && ca == gen.CategoryOfType(b.TypeName) {
-				matched = append(matched, pair{a.Name, b.Name})
+// pickJoinKeys picks one column per table for the equi-join key, as
+// column indexes, preferring pairs of matching type category:
+// strictly-typed dialects reject (and the hash path's class prescan
+// declines) cross-class equality, so matched pairs are the ones that
+// actually exercise the join operators.
+func (o *tlp) pickJoinKeys(rnd *gen.Rand, t1, t2 *target) (int, int) {
+	matched := o.keyPairs[:0]
+	for a, ca := range t1.info.Columns {
+		cat := gen.CategoryOfType(ca.TypeName)
+		for b, cb := range t2.info.Columns {
+			if cat != gen.CatAny && cat == gen.CategoryOfType(cb.TypeName) {
+				matched = append(matched, [2]int{a, b})
 			}
 		}
 	}
+	o.keyPairs = matched
 	if len(matched) > 0 && rnd.Bool(0.9) {
 		p := matched[rnd.Intn(len(matched))]
-		return p.a, p.b, true
+		return p[0], p[1]
 	}
-	a := info1.Columns[rnd.Intn(len(info1.Columns))].Name
-	b := info2.Columns[rnd.Intn(len(info2.Columns))].Name
-	return a, b, true
-}
-
-// partitions returns the three exhaustive WHERE conditions of p.
-func partitions(pred sqlast.Expr) [3]sqlast.Expr {
-	return [3]sqlast.Expr{
-		pred,
-		sqlast.Not(pred),
-		sqlast.IsNullExpr(pred),
-	}
+	a := rnd.Intn(len(t1.info.Columns))
+	return a, rnd.Intn(len(t2.info.Columns))
 }
 
 // PartitionCheck runs TLP's WHERE variant for a specific predicate and
@@ -171,93 +159,100 @@ func partitions(pred sqlast.Expr) [3]sqlast.Expr {
 // of its three partitions. Exported for the FuzzTLPPartition harness; the
 // oracle's Check wraps it with random generation.
 func PartitionCheck(db sut.DB, env *Env, table string, cols []string, pred sqlast.Expr) (*Report, error) {
-	mk := func(where sqlast.Expr) *sqlast.Select {
-		sel := &sqlast.Select{
-			From:  []sqlast.TableRef{{Name: table}},
-			Where: where,
-		}
-		for _, c := range cols {
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: sqlast.Col(table, c)})
-		}
-		return sel
+	o := &tlp{}
+	for _, c := range cols {
+		o.cols = append(o.cols, sqlast.ResultCol{X: sqlast.Col(table, c)})
 	}
-	return comparePartitions(db, env, mk, pred, multisetDiff(table))
+	return o.comparePartitions(db, env, table, nil, pred, partitionDiff{shape: table})
 }
 
-// partitionDiff compares an unpartitioned query's rows with the rows of
-// the UNION ALL of its partitions. On a mismatch it returns a Report
-// holding its Message (and Agg for the aggregate variant), which
-// comparePartitions completes; nil means the rows agree.
-type partitionDiff func(orig, comp [][]sqlval.Value) *Report
+// partitionDiff says how a check compares the unpartitioned query's rows
+// with the rows of the UNION ALL of its partitions: as multisets of rows
+// (the WHERE variant, over table shape, joined with joined when set), or
+// as one aggregate fn over column col recombined from the partitions.
+type partitionDiff struct {
+	shape, joined string
+	fn, col       string
+}
 
-// comparePartitions executes mk(nil) against the UNION ALL of mk over the
-// three partitions of pred and reports what diff finds between them.
-func comparePartitions(db sut.DB, env *Env, mk func(sqlast.Expr) *sqlast.Select, pred sqlast.Expr, diff partitionDiff) (*Report, error) {
-	orig := mk(nil)
-	parts := partitions(pred)
-	comp := &sqlast.Compound{
-		Selects: []*sqlast.Select{mk(parts[0]), mk(parts[1]), mk(parts[2])},
-		Ops:     []sqlast.CompoundOp{sqlast.OpUnionAll, sqlast.OpUnionAll},
+// comparePartitions executes the query over table (joined per joins)
+// with o.cols as result columns against the UNION ALL of the same query
+// over the three partitions of pred, and reports what diff finds between
+// them.
+func (o *tlp) comparePartitions(db sut.DB, env *Env, table string, joins []sqlast.JoinClause, pred sqlast.Expr, diff partitionDiff) (*Report, error) {
+	o.from[0] = sqlast.TableRef{Name: table}
+	base := sqlast.Select{Cols: o.cols, From: o.from[:], Joins: joins}
+	o.orig = base
+	o.not = sqlast.Unary{Op: sqlast.OpNot, X: pred}
+	o.isNull = sqlast.Unary{Op: sqlast.OpIsNull, X: pred}
+	for i, where := range [3]sqlast.Expr{pred, &o.not, &o.isNull} {
+		o.parts[i] = base
+		o.parts[i].Where = where
+		o.psels[i] = &o.parts[i]
 	}
-	origRes, rep, err := execCheck(db, env, orig, "tlp")
+	o.comp = sqlast.Compound{Selects: o.psels[:], Ops: unionAllOps}
+	origRes, rep, err := execCheck(db, env, &o.orig, "tlp")
 	if rep != nil || err != nil || origRes == nil {
 		return rep, err
 	}
-	origRows := sut.CloneRows(origRes.Rows) // kept across comp
-	compRes, rep, err := execCheck(db, env, comp, "tlp")
+	origRows := o.origRows.Clone(origRes.Rows) // kept across comp
+	compRes, rep, err := execCheck(db, env, &o.comp, "tlp")
 	if rep != nil || err != nil || compRes == nil {
 		return rep, err
 	}
-	rep = diff(origRows, compRes.Rows)
+	rep = o.diff(diff, origRows, compRes.Rows)
 	if rep == nil {
 		return nil, nil
 	}
 	rep.Oracle = faults.OracleTLP
 	rep.DetectedBy = "tlp"
-	rep.Trace = append(env.SetupTrace(), sqlast.SQL(comp, env.Dialect))
-	rep.Compare = sqlast.SQL(orig, env.Dialect)
+	rep.Trace = append(env.SetupTrace(), sqlast.SQL(&o.comp, env.Dialect))
+	rep.Compare = sqlast.SQL(&o.orig, env.Dialect)
 	return rep, nil
 }
 
-// multisetDiff is the WHERE variant's comparison: the two sides must be
-// equal as multisets of rows. shape names the query source for the
-// report message.
-func multisetDiff(shape string) partitionDiff {
-	return func(orig, comp [][]sqlval.Value) *Report {
-		if MultisetEqual(orig, comp) {
+// unionAllOps joins the three partitions (shared, never mutated).
+var unionAllOps = []sqlast.CompoundOp{sqlast.OpUnionAll, sqlast.OpUnionAll}
+
+// diff compares the unpartitioned rows with the partitions' rows. On a
+// mismatch it returns a Report holding its Message (and Agg for the
+// aggregate variant), which comparePartitions completes; nil means the
+// rows agree.
+func (o *tlp) diff(d partitionDiff, orig, comp [][]sqlval.Value) *Report {
+	if d.fn != "" {
+		if AggValuesEqual(d.fn, orig, comp) {
 			return nil
 		}
-		return &Report{Message: fmt.Sprintf(
-			"TLP partition mismatch on %s: unpartitioned query returned %d rows, UNION ALL of partitions %d",
-			shape, len(orig), len(comp))}
+		return &Report{Agg: d.fn, Message: fmt.Sprintf(
+			"TLP aggregate mismatch on %s: %s(%s) is %s unpartitioned but %s recombined from partitions",
+			d.shape, d.fn, d.col, aggDisplay(orig), CombineAgg(d.fn, comp).String())}
 	}
+	if o.bag.equal(orig, comp) {
+		return nil
+	}
+	shape := d.shape
+	if d.joined != "" {
+		shape += " JOIN " + d.joined
+	}
+	return &Report{Message: fmt.Sprintf(
+		"TLP partition mismatch on %s: unpartitioned query returned %d rows, UNION ALL of partitions %d",
+		shape, len(orig), len(comp))}
 }
 
 // checkAgg runs the aggregate variant: COUNT always works; SUM only over
 // columns whose stored values are all integral (float addition is not
 // associative, so partition-order sums would false-positive); MAX over any
 // column (max-of-max is order-independent under a total order).
-func (o *tlp) checkAgg(db sut.DB, env *Env, table string, info schema.TableInfo, pred sqlast.Expr) (*Report, error) {
-	col := info.Columns[env.Rnd.Intn(len(info.Columns))].Name
+func (o *tlp) checkAgg(db sut.DB, env *Env, t *target, pred sqlast.Expr) (*Report, error) {
+	ci := env.Rnd.Intn(len(t.picks))
 	fn := [...]string{"COUNT", "SUM", "MAX"}[env.Rnd.Intn(3)]
-	if fn == "SUM" && !allIntegral(db, table, col) {
+	if fn == "SUM" && !t.allIntegral(db, ci) {
 		fn = "COUNT"
 	}
-	mk := func(where sqlast.Expr) *sqlast.Select {
-		return &sqlast.Select{
-			Cols:  []sqlast.ResultCol{{X: &sqlast.FuncCall{Name: fn, Args: []sqlast.Expr{sqlast.Col(table, col)}}, Alias: "a"}},
-			From:  []sqlast.TableRef{{Name: table}},
-			Where: where,
-		}
-	}
-	return comparePartitions(db, env, mk, pred, func(orig, comp [][]sqlval.Value) *Report {
-		if AggValuesEqual(fn, orig, comp) {
-			return nil
-		}
-		return &Report{Agg: fn, Message: fmt.Sprintf(
-			"TLP aggregate mismatch on %s: %s(%s) is %s unpartitioned but %s recombined from partitions",
-			table, fn, col, aggDisplay(orig), CombineAgg(fn, comp).String())}
-	})
+	o.aggArg[0] = t.picks[ci].Ref
+	o.agg = sqlast.FuncCall{Name: fn, Args: o.aggArg[:]}
+	o.cols = append(o.cols[:0], sqlast.ResultCol{X: &o.agg, Alias: "a"})
+	return o.comparePartitions(db, env, t.name, nil, pred, partitionDiff{shape: t.name, fn: fn, col: t.info.Columns[ci].Name})
 }
 
 func aggDisplay(rows [][]sqlval.Value) string {
@@ -326,74 +321,91 @@ func inheritsFrom(intro sut.Introspection, info schema.TableInfo, table string) 
 // with exact (kind-tagged) value identity — both sides project the same
 // stored values, so representation differences cannot legitimately occur.
 func MultisetEqual(a, b [][]sqlval.Value) bool {
+	var m multiset
+	return m.equal(a, b)
+}
+
+// multiset is MultisetEqual's memory, reused from one comparison to the
+// next: both sides' row keys back to back in one buffer, and one span per
+// row.
+type multiset struct {
+	keys  []byte
+	spans []keySpan
+}
+
+type keySpan struct{ start, end int }
+
+// equal reports whether a and b are equal as multisets of row keys: the
+// two sides' keys, each sorted, agree one by one.
+func (m *multiset) equal(a, b [][]sqlval.Value) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	counts := make(map[string]int, len(a))
-	for _, row := range a {
-		counts[rowKey(row)]++
+	m.keys, m.spans = m.keys[:0], m.spans[:0]
+	for _, rows := range [2][][]sqlval.Value{a, b} {
+		for _, row := range rows {
+			start := len(m.keys)
+			m.keys = appendRowKey(m.keys, row)
+			m.spans = append(m.spans, keySpan{start, len(m.keys)})
+		}
 	}
-	for _, row := range b {
-		k := rowKey(row)
-		counts[k]--
-		if counts[k] < 0 {
+	key := func(s keySpan) []byte { return m.keys[s.start:s.end] }
+	byKey := func(x, y keySpan) int { return bytes.Compare(key(x), key(y)) }
+	sa, sb := m.spans[:len(a)], m.spans[len(a):]
+	slices.SortFunc(sa, byKey)
+	slices.SortFunc(sb, byKey)
+	for i := range sa {
+		if !bytes.Equal(key(sa[i]), key(sb[i])) {
 			return false
 		}
 	}
 	return true
 }
 
-func rowKey(row []sqlval.Value) string {
-	var b strings.Builder
+// appendRowKey appends a row's identity key to dst: per value a 0 byte,
+// then "n" for NULL or the kind's digit and the value's Display text.
+func appendRowKey(dst []byte, row []sqlval.Value) []byte {
 	for _, v := range row {
-		b.WriteByte(0)
+		dst = append(dst, 0)
 		if v.IsNull() {
-			b.WriteString("n")
+			dst = append(dst, 'n')
 			continue
 		}
-		b.WriteByte('0' + byte(v.Kind()))
-		b.WriteString(v.Display())
+		dst = append(dst, '0'+byte(v.Kind()))
+		dst = v.AppendDisplay(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // CombineAgg recombines per-partition aggregate rows into the whole-query
 // value: sum for COUNT/SUM, max for MAX, skipping NULL partitions (an
 // empty partition aggregates to NULL for SUM/MAX).
 func CombineAgg(fn string, rows [][]sqlval.Value) sqlval.Value {
-	var vals []sqlval.Value
+	count := strings.EqualFold(fn, "COUNT")
+	sum := count || strings.EqualFold(fn, "SUM") // else MAX
+	var best sqlval.Value
+	var n int64
+	seen := false
 	for _, row := range rows {
-		if len(row) > 0 && !row[0].IsNull() {
-			vals = append(vals, row[0])
+		if len(row) == 0 || row[0].IsNull() {
+			continue
 		}
+		v := row[0]
+		switch {
+		case sum:
+			n += v.Int64()
+		case !seen || sqlval.Compare(v, best, sqlval.CollBinary) > 0:
+			best = v
+		}
+		seen = true
 	}
-	switch strings.ToUpper(fn) {
-	case "COUNT":
-		var n int64
-		for _, v := range vals {
-			n += v.Int64()
-		}
+	switch {
+	case !sum:
+		return best // NULL when every partition is
+	case seen || count:
 		return sqlval.Int(n)
-	case "SUM":
-		if len(vals) == 0 {
-			return sqlval.Null()
-		}
-		var n int64
-		for _, v := range vals {
-			n += v.Int64()
-		}
-		return sqlval.Int(n)
-	default: // MAX
-		if len(vals) == 0 {
-			return sqlval.Null()
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			if sqlval.Compare(v, best, sqlval.CollBinary) > 0 {
-				best = v
-			}
-		}
-		return best
+	default: // SUM over no values
+		return sqlval.Null()
 	}
 }
 

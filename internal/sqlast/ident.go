@@ -64,7 +64,7 @@ func identNeedsQuote(name string) bool {
 
 // writeIdent renders an identifier, backtick-quoting when needed
 // (embedded backticks double, the lexer's escape).
-func writeIdent(b *strings.Builder, name string) {
+func writeIdent(b *sqlBuf, name string) {
 	if !identNeedsQuote(name) {
 		b.WriteString(name)
 		return
@@ -75,7 +75,7 @@ func writeIdent(b *strings.Builder, name string) {
 }
 
 // writeIdentList renders a comma-separated identifier list.
-func writeIdentList(b *strings.Builder, names []string) {
+func writeIdentList(b *sqlBuf, names []string) {
 	for i, n := range names {
 		if i > 0 {
 			b.WriteString(", ")

@@ -1,7 +1,6 @@
 package sqlast
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/dialect"
@@ -10,7 +9,7 @@ import (
 
 func TestIdentNeedsQuote(t *testing.T) {
 	quoteIdent := func(name string) string {
-		var b strings.Builder
+		var b sqlBuf
 		writeIdent(&b, name)
 		return b.String()
 	}

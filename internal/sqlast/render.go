@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
 	"repro/internal/dialect"
 	"repro/internal/sqlval"
@@ -14,19 +15,47 @@ import (
 // submits the text to the engine, which re-parses it — mirroring SQLancer
 // speaking SQL to a DBMS over a connection.
 func SQL(s Stmt, d dialect.Dialect) string {
-	var b strings.Builder
+	var b sqlBuf
 	renderStmt(&b, s, d)
 	return b.String()
 }
 
 // ExprSQL renders an expression as dialect-appropriate SQL text.
 func ExprSQL(e Expr, d dialect.Dialect) string {
-	var b strings.Builder
+	var b sqlBuf
 	renderExpr(&b, e, d)
 	return b.String()
 }
 
-func renderStmt(b *strings.Builder, s Stmt, d dialect.Dialect) {
+// AppendPredicateKey appends e's rendering with every column reference's
+// table qualifier dropped — the bytes of ExprSQL(StripQualifiers(e), d),
+// without cloning e — to dst. It is the form partial-index predicates are
+// matched by (schema.Catalog.PredicateKey).
+func AppendPredicateKey(dst []byte, e Expr, d dialect.Dialect) []byte {
+	b := sqlBuf{buf: dst, noQual: true}
+	renderExpr(&b, e, d)
+	return b.buf
+}
+
+// sqlBuf is the renderer's output: an append buffer, with noQual set when
+// column references render without their table qualifier.
+type sqlBuf struct {
+	buf    []byte
+	noQual bool
+}
+
+func (b *sqlBuf) WriteString(s string) { b.buf = append(b.buf, s...) }
+
+func (b *sqlBuf) WriteByte(c byte) error {
+	b.buf = append(b.buf, c)
+	return nil
+}
+
+// String returns the rendered text without copying it, as strings.Builder
+// does: a renderer's buffer is never written after String.
+func (b *sqlBuf) String() string { return unsafe.String(unsafe.SliceData(b.buf), len(b.buf)) }
+
+func renderStmt(b *sqlBuf, s Stmt, d dialect.Dialect) {
 	switch n := s.(type) {
 	case *CreateTable:
 		renderCreateTable(b, n, d)
@@ -98,7 +127,7 @@ func renderStmt(b *strings.Builder, s Stmt, d dialect.Dialect) {
 	}
 }
 
-func renderCreateTable(b *strings.Builder, n *CreateTable, d dialect.Dialect) {
+func renderCreateTable(b *sqlBuf, n *CreateTable, d dialect.Dialect) {
 	b.WriteString("CREATE TABLE ")
 	if n.IfNotExists {
 		b.WriteString("IF NOT EXISTS ")
@@ -131,7 +160,7 @@ func renderCreateTable(b *strings.Builder, n *CreateTable, d dialect.Dialect) {
 	}
 }
 
-func renderColumnDef(b *strings.Builder, c *ColumnDef, d dialect.Dialect) {
+func renderColumnDef(b *sqlBuf, c *ColumnDef, d dialect.Dialect) {
 	writeIdent(b, c.Name)
 	if c.TypeName != "" {
 		b.WriteString(" ")
@@ -165,7 +194,7 @@ func renderColumnDef(b *strings.Builder, c *ColumnDef, d dialect.Dialect) {
 	}
 }
 
-func renderCreateIndex(b *strings.Builder, n *CreateIndex, d dialect.Dialect) {
+func renderCreateIndex(b *sqlBuf, n *CreateIndex, d dialect.Dialect) {
 	b.WriteString("CREATE ")
 	if n.Unique {
 		b.WriteString("UNIQUE ")
@@ -212,7 +241,7 @@ func renderCreateIndex(b *strings.Builder, n *CreateIndex, d dialect.Dialect) {
 	}
 }
 
-func renderInsert(b *strings.Builder, n *Insert, d dialect.Dialect) {
+func renderInsert(b *sqlBuf, n *Insert, d dialect.Dialect) {
 	b.WriteString("INSERT ")
 	switch n.Conflict {
 	case ConflictIgnore:
@@ -247,7 +276,7 @@ func renderInsert(b *strings.Builder, n *Insert, d dialect.Dialect) {
 	}
 }
 
-func renderUpdate(b *strings.Builder, n *Update, d dialect.Dialect) {
+func renderUpdate(b *sqlBuf, n *Update, d dialect.Dialect) {
 	b.WriteString("UPDATE ")
 	if n.Conflict == ConflictReplace {
 		b.WriteString("OR REPLACE ")
@@ -268,7 +297,7 @@ func renderUpdate(b *strings.Builder, n *Update, d dialect.Dialect) {
 	}
 }
 
-func renderAlter(b *strings.Builder, n *AlterTable, d dialect.Dialect) {
+func renderAlter(b *sqlBuf, n *AlterTable, d dialect.Dialect) {
 	b.WriteString("ALTER TABLE ")
 	writeIdent(b, n.Table)
 	switch n.Action {
@@ -286,7 +315,7 @@ func renderAlter(b *strings.Builder, n *AlterTable, d dialect.Dialect) {
 	}
 }
 
-func renderSelect(b *strings.Builder, n *Select, d dialect.Dialect) {
+func renderSelect(b *sqlBuf, n *Select, d dialect.Dialect) {
 	b.WriteString("SELECT ")
 	if n.Distinct {
 		b.WriteString("DISTINCT ")
@@ -368,7 +397,7 @@ func renderSelect(b *strings.Builder, n *Select, d dialect.Dialect) {
 	}
 }
 
-func renderTableRef(b *strings.Builder, t *TableRef) {
+func renderTableRef(b *sqlBuf, t *TableRef) {
 	if t.Only {
 		b.WriteString("ONLY ")
 	}
@@ -379,7 +408,7 @@ func renderTableRef(b *strings.Builder, t *TableRef) {
 	}
 }
 
-func renderMaintenance(b *strings.Builder, n *Maintenance, d dialect.Dialect) {
+func renderMaintenance(b *sqlBuf, n *Maintenance, d dialect.Dialect) {
 	switch n.Op {
 	case MaintVacuum:
 		b.WriteString("VACUUM")
@@ -412,7 +441,7 @@ func renderMaintenance(b *strings.Builder, n *Maintenance, d dialect.Dialect) {
 	}
 }
 
-func renderSetOption(b *strings.Builder, n *SetOption, d dialect.Dialect) {
+func renderSetOption(b *sqlBuf, n *SetOption, d dialect.Dialect) {
 	if d == dialect.SQLite {
 		b.WriteString("PRAGMA ")
 	} else {
@@ -505,10 +534,10 @@ func binOpToken(op BinOp, d dialect.Dialect) string {
 	}
 }
 
-func renderExpr(b *strings.Builder, e Expr, d dialect.Dialect) {
+func renderExpr(b *sqlBuf, e Expr, d dialect.Dialect) {
 	switch n := e.(type) {
 	case *Literal:
-		b.WriteString(n.Val.Literal())
+		b.buf = n.Val.AppendLiteral(b.buf)
 	case *ColumnRef:
 		if n.MaybeString {
 			b.WriteString("\"")
@@ -516,7 +545,7 @@ func renderExpr(b *strings.Builder, e Expr, d dialect.Dialect) {
 			b.WriteString("\"")
 			return
 		}
-		if n.Table != "" {
+		if n.Table != "" && !b.noQual {
 			writeIdent(b, n.Table)
 			b.WriteString(".")
 		}
@@ -535,7 +564,7 @@ func renderExpr(b *strings.Builder, e Expr, d dialect.Dialect) {
 			// hooked by no fault, so the fold is semantics-preserving.
 			if lit, ok := n.X.(*Literal); ok {
 				if v, ok := negatedLiteral(lit.Val); ok {
-					b.WriteString(v.Literal())
+					b.buf = v.AppendLiteral(b.buf)
 					return
 				}
 			}

@@ -10,6 +10,7 @@
 package sqlval
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -222,6 +223,45 @@ func (v Value) Literal() string {
 	}
 }
 
+// AppendLiteral appends the value's Literal rendering to dst.
+func (v Value) AppendLiteral(dst []byte) []byte {
+	switch v.kind {
+	case KInt:
+		return strconv.AppendInt(dst, int64(v.n), 10)
+	case KUint:
+		return strconv.AppendUint(dst, v.n, 10)
+	case KReal:
+		f := math.Float64frombits(v.n)
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return append(dst, FormatReal(f)...)
+		}
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...)
+		}
+		return dst
+	case KText:
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.s[i])
+		}
+		return append(dst, '\'')
+	case KBlob:
+		const digits = "0123456789abcdef"
+		dst = append(dst, "x'"...)
+		for i := 0; i < len(v.s); i++ {
+			dst = append(dst, digits[v.s[i]>>4], digits[v.s[i]&0xf])
+		}
+		return append(dst, '\'')
+	default:
+		return append(dst, v.Literal()...)
+	}
+}
+
 // FormatReal renders a float the way the engine echoes it: always with an
 // exponent or decimal point so it re-parses as a real, never an integer.
 func FormatReal(f float64) string {
@@ -273,5 +313,17 @@ func (v Value) Display() string {
 		return v.s
 	default:
 		return v.Literal()
+	}
+}
+
+// AppendDisplay appends the value's Display rendering to dst.
+func (v Value) AppendDisplay(dst []byte) []byte {
+	switch v.kind {
+	case KNull:
+		return dst
+	case KText:
+		return append(dst, v.s...)
+	default:
+		return v.AppendLiteral(dst)
 	}
 }

@@ -74,6 +74,9 @@ func Open(s sut.Session) (*DB, error) {
 type DB struct {
 	e    *engine.Engine
 	sess sut.Session
+	// res is the result every statement on the default session returns
+	// (see sut.Result: valid until the next statement).
+	res sut.Result
 	// ownDir is the temp directory holding a durable database's files;
 	// Close removes it so campaigns leave no artifacts behind.
 	ownDir string
@@ -97,12 +100,12 @@ func (d *DB) Underlying() *engine.Engine { return d.e }
 
 // Exec implements sut.DB.
 func (d *DB) Exec(sql string) (*sut.Result, error) {
-	return convert(d.e.Exec(sql))
+	return d.result(d.e.Exec(sql))
 }
 
 // Query implements sut.DB.
 func (d *DB) Query(sql string) (*sut.Result, error) {
-	return convert(d.e.Query(sql))
+	return d.result(d.e.Query(sql))
 }
 
 // ExecAST implements sut.DB: the campaign fast path. Under wire fidelity
@@ -110,9 +113,9 @@ func (d *DB) Query(sql string) (*sut.Result, error) {
 // string-protocol client would execute.
 func (d *DB) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
 	if d.sess.WireFidelity {
-		return convert(d.e.Exec(sqlast.SQL(st, d.sess.Dialect)))
+		return d.result(d.e.Exec(sqlast.SQL(st, d.sess.Dialect)))
 	}
-	return convert(d.e.ExecStmt(st))
+	return d.result(d.e.ExecStmt(st))
 }
 
 // NewConn implements sut.MultiSession: an additional engine session
@@ -126,20 +129,22 @@ func (d *DB) NewConn() (sut.Conn, error) {
 type conn struct {
 	c  *engine.Conn
 	db *DB
+	// res is the result every statement on this session returns.
+	res sut.Result
 }
 
 // Exec implements sut.Conn.
 func (c *conn) Exec(sql string) (*sut.Result, error) {
-	return convert(c.c.Exec(sql))
+	return c.result(c.c.Exec(sql))
 }
 
 // ExecAST implements sut.Conn, honouring the session's wire fidelity like
 // DB.ExecAST.
 func (c *conn) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
 	if c.db.sess.WireFidelity {
-		return convert(c.c.Exec(sqlast.SQL(st, c.db.sess.Dialect)))
+		return c.result(c.c.Exec(sqlast.SQL(st, c.db.sess.Dialect)))
 	}
-	return convert(c.c.ExecStmt(st))
+	return c.result(c.c.ExecStmt(st))
 }
 
 // Close implements sut.Conn: rolls back the session's open transaction.
@@ -218,16 +223,23 @@ func (d *DB) CrashRecover(plan pager.CrashPlan) error { return d.e.CrashRecover(
 // command); ok is false for in-memory databases.
 func (d *DB) PagerStats() (pager.Stats, bool) { return d.e.PagerStats() }
 
-func convert(res *engine.Result, err error) (*sut.Result, error) {
+// fill overwrites a session's result header out with an engine outcome:
+// one sut.Result serves every statement of a DB or Conn.
+func fill(out *sut.Result, res *engine.Result, err error) (*sut.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res == nil {
-		return &sut.Result{}, nil
+	*out = sut.Result{}
+	if res != nil {
+		*out = sut.Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}
 	}
-	return &sut.Result{
-		Columns:      res.Columns,
-		Rows:         res.Rows,
-		RowsAffected: res.RowsAffected,
-	}, nil
+	return out, nil
+}
+
+func (d *DB) result(res *engine.Result, err error) (*sut.Result, error) {
+	return fill(&d.res, res, err)
+}
+
+func (c *conn) result(res *engine.Result, err error) (*sut.Result, error) {
+	return fill(&c.res, res, err)
 }

@@ -20,6 +20,7 @@
 package sut
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,7 +40,10 @@ import (
 // until the next statement on the same DB, from any of its sessions. A
 // caller that keeps rows while it runs another statement copies them
 // first (CloneRows); consuming a result before the next statement needs
-// no copy.
+// no copy. The same holds for the Result itself: a backend may return one
+// header per DB or Conn and overwrite it with every statement there, so a
+// caller that needs RowsAffected, Columns or len(Rows) after another
+// statement reads them first.
 type Result struct {
 	Columns      []string
 	Rows         [][]sqlval.Value
@@ -52,17 +56,33 @@ func CloneRows(rows [][]sqlval.Value) [][]sqlval.Value {
 	if rows == nil {
 		return nil
 	}
+	var c RowsCopy
+	return c.Clone(rows)
+}
+
+// RowsCopy is CloneRows with memory reused from one copy to the next: a
+// caller that keeps one result across a statement per check keeps one
+// RowsCopy.
+type RowsCopy struct {
+	vals []sqlval.Value
+	rows [][]sqlval.Value
+}
+
+// Clone copies rows into c, overwriting (and invalidating) its previous
+// copy, and returns the copy.
+func (c *RowsCopy) Clone(rows [][]sqlval.Value) [][]sqlval.Value {
 	n := 0
 	for _, row := range rows {
 		n += len(row)
 	}
-	vals := make([]sqlval.Value, 0, n)
-	out := make([][]sqlval.Value, len(rows))
-	for i, row := range rows {
+	vals := slices.Grow(c.vals[:0], n)
+	out := slices.Grow(c.rows[:0], len(rows))
+	for _, row := range rows {
 		start := len(vals)
 		vals = append(vals, row...)
-		out[i] = vals[start:len(vals):len(vals)]
+		out = append(out, vals[start:len(vals):len(vals)])
 	}
+	c.vals, c.rows = vals, out
 	return out
 }
 
