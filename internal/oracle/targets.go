@@ -26,7 +26,6 @@ type Targets struct {
 	nonEmpty int
 	picks    []gen.ColumnPick
 	refs     []sqlast.ColumnRef
-	integral []int8
 }
 
 // target is one table of a snapshot.
@@ -38,9 +37,6 @@ type target struct {
 	// columns: drawing it discards the check.
 	ok    bool
 	picks []gen.ColumnPick
-	// integral caches allIntegral per column: 0 not yet known, 1 every
-	// stored value is integral, -1 not.
-	integral []int8
 }
 
 // Reset marks the snapshot stale: the next check captures the database
@@ -63,12 +59,10 @@ func (ts *Targets) snapshot(intro sut.Introspection) {
 		}
 		tables = append(tables, t)
 	}
-	// One array each for every table's picks, references and integral
-	// marks, sized up front so the tables' subslices share it.
+	// One array each for every table's picks and references, sized up
+	// front so the tables' subslices share it.
 	picks := slices.Grow(ts.picks[:0], ncols)
 	refs := slices.Grow(ts.refs[:0], ncols)[:ncols]
-	integral := slices.Grow(ts.integral[:0], ncols)[:ncols]
-	clear(integral)
 	for i := range tables {
 		t := &tables[i]
 		start := len(picks)
@@ -78,9 +72,8 @@ func (ts *Targets) snapshot(intro sut.Introspection) {
 			picks = append(picks, gen.ColumnPick{Table: t.name, Column: col, Ref: ref})
 		}
 		t.picks = picks[start:len(picks):len(picks)]
-		t.integral = integral[start:len(picks):len(picks)]
 	}
-	ts.tables, ts.picks, ts.refs, ts.integral = tables, picks, refs, integral
+	ts.tables, ts.picks, ts.refs = tables, picks, refs
 	ts.valid = true
 }
 
@@ -125,18 +118,6 @@ func (ts *Targets) nthNonEmpty(k int, exclude *target) *target {
 		k--
 	}
 	panic("oracle: target index out of range")
-}
-
-// allIntegral is allIntegral for column ci of t, computed once per
-// snapshot.
-func (t *target) allIntegral(db sut.DB, ci int) bool {
-	if t.integral[ci] == 0 {
-		t.integral[ci] = -1
-		if allIntegral(db, t.name, t.info.Columns[ci].Name) {
-			t.integral[ci] = 1
-		}
-	}
-	return t.integral[ci] > 0
 }
 
 // targets returns the check targets of db: env's per-database snapshot

@@ -246,7 +246,7 @@ func (o *tlp) diff(d partitionDiff, orig, comp [][]sqlval.Value) *Report {
 func (o *tlp) checkAgg(db sut.DB, env *Env, t *target, pred sqlast.Expr) (*Report, error) {
 	ci := env.Rnd.Intn(len(t.picks))
 	fn := [...]string{"COUNT", "SUM", "MAX"}[env.Rnd.Intn(3)]
-	if fn == "SUM" && !t.allIntegral(db, ci) {
+	if fn == "SUM" && !allIntegral(db, t.name, t.info.Columns[ci].Name) {
 		fn = "COUNT"
 	}
 	o.aggArg[0] = t.picks[ci].Ref
@@ -363,7 +363,7 @@ func (m *multiset) equal(a, b [][]sqlval.Value) bool {
 }
 
 // appendRowKey appends a row's identity key to dst: per value a 0 byte,
-// then "n" for NULL or the kind's digit and the value's Display text.
+// then "n" for NULL or the kind's digit and the value's literal.
 func appendRowKey(dst []byte, row []sqlval.Value) []byte {
 	for _, v := range row {
 		dst = append(dst, 0)
@@ -372,7 +372,7 @@ func appendRowKey(dst []byte, row []sqlval.Value) []byte {
 			continue
 		}
 		dst = append(dst, '0'+byte(v.Kind()))
-		dst = v.AppendDisplay(dst)
+		dst = v.AppendLiteral(dst)
 	}
 	return dst
 }

@@ -369,7 +369,7 @@ func (c *Catalog) Describe(name string) (TableInfo, bool) {
 // predicates with equal keys are the same predicate. A WHERE conjunct whose
 // key equals a partial index's Key implies that index's predicate.
 func (c *Catalog) PredicateKey(x sqlast.Expr) string {
-	return sqlast.ExprSQL(sqlast.StripQualifiers(x), c.d)
+	return string(sqlast.AppendPredicateKey(nil, x, c.d))
 }
 
 // factsOf returns a table's derived facts, building them on first use

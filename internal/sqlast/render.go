@@ -28,9 +28,8 @@ func ExprSQL(e Expr, d dialect.Dialect) string {
 }
 
 // AppendPredicateKey appends e's rendering with every column reference's
-// table qualifier dropped — the bytes of ExprSQL(StripQualifiers(e), d),
-// without cloning e — to dst. It is the form partial-index predicates are
-// matched by (schema.Catalog.PredicateKey).
+// table qualifier dropped to dst. It is the form partial-index predicates
+// are matched by (schema.Catalog.PredicateKey).
 func AppendPredicateKey(dst []byte, e Expr, d dialect.Dialect) []byte {
 	b := sqlBuf{buf: dst, noQual: true}
 	renderExpr(&b, e, d)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Kind is the runtime storage class of a Value.
@@ -198,7 +197,7 @@ func numericEqual(a, b Value) bool {
 }
 
 // Literal renders the value as a SQL literal parseable by the engine's
-// parser in every dialect.
+// parser in every dialect: the string form of AppendLiteral.
 func (v Value) Literal() string {
 	switch v.kind {
 	case KNull:
@@ -207,23 +206,19 @@ func (v Value) Literal() string {
 		return strconv.FormatInt(int64(v.n), 10)
 	case KUint:
 		return strconv.FormatUint(v.n, 10)
-	case KReal:
-		return FormatReal(math.Float64frombits(v.n))
-	case KText:
-		return QuoteText(v.s)
-	case KBlob:
-		return "x'" + hexEncode([]byte(v.s)) + "'"
 	case KBool:
 		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
-	default:
-		panic("sqlval: unreachable Literal")
 	}
+	var buf [32]byte
+	return string(v.AppendLiteral(buf[:0]))
 }
 
-// AppendLiteral appends the value's Literal rendering to dst.
+// AppendLiteral appends the value's SQL literal to dst. A REAL always
+// carries an exponent or decimal point so it re-parses as a real, never an
+// integer; infinities render as out-of-range reals and NaN as NULL.
 func (v Value) AppendLiteral(dst []byte) []byte {
 	switch v.kind {
 	case KInt:
@@ -232,8 +227,13 @@ func (v Value) AppendLiteral(dst []byte) []byte {
 		return strconv.AppendUint(dst, v.n, 10)
 	case KReal:
 		f := math.Float64frombits(v.n)
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return append(dst, FormatReal(f)...)
+		switch {
+		case math.IsInf(f, 1):
+			return append(dst, "9e999"...)
+		case math.IsInf(f, -1):
+			return append(dst, "-9e999"...)
+		case math.IsNaN(f):
+			return append(dst, "NULL"...)
 		}
 		start := len(dst)
 		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
@@ -257,51 +257,20 @@ func (v Value) AppendLiteral(dst []byte) []byte {
 			dst = append(dst, digits[v.s[i]>>4], digits[v.s[i]&0xf])
 		}
 		return append(dst, '\'')
+	case KNull:
+		return append(dst, "NULL"...)
+	case KBool:
+		if v.n != 0 {
+			return append(dst, "TRUE"...)
+		}
+		return append(dst, "FALSE"...)
 	default:
-		return append(dst, v.Literal()...)
+		panic("sqlval: unreachable Literal")
 	}
 }
 
-// FormatReal renders a float the way the engine echoes it: always with an
-// exponent or decimal point so it re-parses as a real, never an integer.
-func FormatReal(f float64) string {
-	if math.IsInf(f, 1) {
-		return "9e999"
-	}
-	if math.IsInf(f, -1) {
-		return "-9e999"
-	}
-	if math.IsNaN(f) {
-		return "NULL"
-	}
-	s := strconv.FormatFloat(f, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
-}
-
-// QuoteText renders s as a single-quoted SQL string literal.
-func QuoteText(s string) string {
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-}
-
-func hexEncode(b []byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 0, len(b)*2)
-	for _, c := range b {
-		out = append(out, digits[c>>4], digits[c&0xf])
-	}
-	return string(out)
-}
-
-// String implements fmt.Stringer with a debugging-friendly rendering.
-func (v Value) String() string {
-	if v.kind == KBlob {
-		return fmt.Sprintf("x'%s'", hexEncode([]byte(v.s)))
-	}
-	return v.Literal()
-}
+// String implements fmt.Stringer: the value's Literal.
+func (v Value) String() string { return v.Literal() }
 
 // Display renders the value the way a result-set row prints it (bare text,
 // no quotes), matching the `c0|c1` style of the paper's listings.
@@ -313,17 +282,5 @@ func (v Value) Display() string {
 		return v.s
 	default:
 		return v.Literal()
-	}
-}
-
-// AppendDisplay appends the value's Display rendering to dst.
-func (v Value) AppendDisplay(dst []byte) []byte {
-	switch v.kind {
-	case KNull:
-		return dst
-	case KText:
-		return append(dst, v.s...)
-	default:
-		return v.AppendLiteral(dst)
 	}
 }
