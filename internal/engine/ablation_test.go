@@ -274,6 +274,16 @@ func ablationRows() []ablationRow {
 		{name: "aggregation", dialects: all, setup: aggSetup, queries: aggQueries,
 			gen: randomQueries(10, 150, randomAggQuery), cover: []string{"dql.group-by-hash", "dql.order-topk"}},
 		{name: "compiled", dialects: all, setup: compiledSetup, queries: compiledQueries},
+		// A view column keeps the collation of the column or COLLATE item
+		// it selects, so 'A' finds 'a' through w and wn as on t0.
+		{name: "view-collation", dialects: all,
+			setup:   append(slices.Clone(compiledSetup), "CREATE VIEW wn AS SELECT v COLLATE NOCASE AS v FROM t1"),
+			queries: []string{"SELECT c1 FROM w WHERE c1 = 'A'", "SELECT v FROM wn WHERE v = 'X'"},
+			check: func(t *testing.T, _ *Engine, sql, res string) {
+				if strings.Count(res, "\n") != 2 {
+					t.Errorf("%s = %q, want one row", sql, res)
+				}
+			}},
 		{name: "index-maintenance", dialects: all, setup: indexSetup, queries: indexQueries,
 			cover: []string{"plan.index-eq-lookup", "plan.index-range-scan"}},
 		{name: "planner", dialects: all, seeds: seeds, gen: plannerProbes,

@@ -186,8 +186,9 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	// Aggregate columns, in projection order. Arity errors are recorded, not
 	// raised: the materialized path raises them per surviving group during
 	// the output pass, after HAVING filtering.
-	var aggCols []aggCol
-	aggAt := make([]int, len(pc.cols)) // cols index -> aggCols index (-1: scalar)
+	m := &e.mem
+	aggCols := m.aggs.carve(len(pc.cols))
+	aggAt := m.slots.alloc(len(pc.cols)) // cols index -> aggCols index (-1: scalar)
 	for i := range aggAt {
 		aggAt[i] = -1
 	}
@@ -213,9 +214,10 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 				needEval = true
 			}
 		}
-		aggAt[i] = len(aggCols)
+		aggAt[i] = int32(len(aggCols))
 		aggCols = append(aggCols, ac)
 	}
+	aggCols = m.aggs.fit(aggCols)
 
 	// Fault site (sqlite.agg-accumulator-null-skip): the streaming SUM/AVG
 	// accumulator seeds itself from a leading NULL as if it were 0 instead
@@ -228,7 +230,6 @@ func (e *Engine) projectGroupedHash(pc *projCtx, combos [][]*rowVals) ([]string,
 	// Groups and their keys and accumulators live in the statement slabs.
 	// There are at most as many groups as combos (one for the implicit
 	// group of a pure aggregate, which exists even over no rows).
-	m := &e.mem
 	newGroup := func(key []sqlval.Value, rep []*rowVals) hashAggGroup {
 		return hashAggGroup{key: key, rep: rep, cells: m.cells.alloc(len(aggCols))}
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/dialect"
@@ -339,18 +341,65 @@ func (e *Engine) createView(n *sqlast.CreateView) (*Result, error) {
 		return nil, err
 	}
 	t := &schema.Table{Name: n.Name, IsView: true, ViewDef: n.Select}
+	colls := e.viewCollations(n.Select)
 	for i, name := range res.Columns {
 		cn := name
 		if cn == "" || cn == "*" {
 			cn = "c" + itoa(i)
 		}
-		t.Columns = append(t.Columns, schema.Column{Name: cn, Affinity: sqlval.AffBlob})
+		col := schema.Column{Name: cn, Affinity: sqlval.AffBlob}
+		if i < len(colls) {
+			col.Collate = colls[i]
+		}
+		t.Columns = append(t.Columns, col)
 	}
 	if err := e.cat.AddTable(t); err != nil {
 		return nil, xerr.New(xerr.CodeDuplicateObject, "%v", err)
 	}
 	e.cov.hit("ddl.create-view")
 	return &Result{}, nil
+}
+
+// viewCollations is the collation of each column a view's SELECT
+// produces, the way the same comparison on the source sees it: a COLLATE
+// item's own, a column reference's source column's, every source column's
+// under a star, and the default for any other expression.
+func (e *Engine) viewCollations(sel *sqlast.Select) []sqlval.Collation {
+	refs := slices.Clone(sel.From)
+	for _, j := range sel.Joins {
+		refs = append(refs, j.Table)
+	}
+	var out []sqlval.Collation
+	for _, rc := range sel.Cols {
+		if rc.Star {
+			for _, tr := range refs {
+				if t, ok := e.cat.Table(tr.Name); ok {
+					for _, c := range t.Columns {
+						out = append(out, c.Collate)
+					}
+				}
+			}
+			continue
+		}
+		var coll sqlval.Collation
+		switch x := rc.X.(type) {
+		case *sqlast.Collate:
+			coll = x.Coll
+		case *sqlast.ColumnRef:
+			for _, tr := range refs {
+				t, ok := e.cat.Table(tr.Name)
+				if !ok || x.Table != "" && !strings.EqualFold(x.Table, cmp.Or(tr.Alias, tr.Name)) {
+					continue
+				}
+				if ci := t.ColumnIndex(x.Column); ci >= 0 {
+					coll = t.Columns[ci].Collate
+					break
+				}
+			}
+		}
+		out = append(out, coll)
+	}
+	return out
 }
 
 func itoa(i int) string {

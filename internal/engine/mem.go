@@ -134,6 +134,7 @@ type stmtMem struct {
 	exprs     slab[exprEval]       // per-clause evaluation state
 	cols      slab[outCol]         // expanded result columns
 	frames    slab[[]sqlval.Value] // compiled-program frames
+	aggs      slab[aggCol]         // hash-aggregation aggregate columns
 	groups    slab[hashAggGroup]   // hash-aggregation groups
 	cells     slab[aggCell]        // per-group aggregate accumulators
 	vals      slab[sqlval.Value]   // group keys, inheritance-projected rows
@@ -153,8 +154,8 @@ type stmtMem struct {
 
 // stmtMark is a mark over every statement slab.
 type stmtMark struct {
-	relations, rows, ptrs, combos, exprs, cols, frames, groups, cells, vals, tableKeys, bytes, slots int
-	code                                                                                             eval.CodeMark
+	relations, rows, ptrs, combos, exprs, cols, frames, aggs, groups, cells, vals, tableKeys, bytes, slots int
+	code                                                                                                   eval.CodeMark
 }
 
 // mark marks every statement slab.
@@ -162,7 +163,7 @@ func (m *stmtMem) mark() stmtMark {
 	return stmtMark{
 		relations: m.relations.mark(), rows: m.rows.mark(), ptrs: m.ptrs.mark(),
 		combos: m.combos.mark(), exprs: m.exprs.mark(), cols: m.cols.mark(), frames: m.frames.mark(),
-		groups: m.groups.mark(), cells: m.cells.mark(), vals: m.vals.mark(),
+		aggs: m.aggs.mark(), groups: m.groups.mark(), cells: m.cells.mark(), vals: m.vals.mark(),
 		tableKeys: m.tableKeys.mark(), bytes: m.bytes.mark(), slots: m.slots.mark(),
 		code: m.code.Mark(),
 	}
@@ -177,6 +178,7 @@ func (m *stmtMem) release(mk stmtMark) {
 	m.exprs.release(mk.exprs)
 	m.cols.release(mk.cols)
 	m.frames.release(mk.frames)
+	m.aggs.release(mk.aggs)
 	m.groups.release(mk.groups)
 	m.cells.release(mk.cells)
 	m.vals.release(mk.vals)

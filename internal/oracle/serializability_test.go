@@ -4,42 +4,30 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
-	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
 
-// TestSerializabilityFaultMatrix runs the fault matrix's routed isolation
-// cells in all three dialects; the routed row in internal/faultmatrix says
-// what they prove.
-func TestSerializabilityFaultMatrix(t *testing.T) { faultmatrix.Run(t) }
-
-// TestSerializabilityNoFalsePositives runs the fault matrix's fault-free
-// serializability cells of the routed and nocompile rows (every fault-free
-// interleaved history must match a serial order, with and without compiled
-// expression programs), then replays the known postgres seeds.
-func TestSerializabilityNoFalsePositives(t *testing.T) {
-	faultmatrix.Run(t)
-	// Seeds whose postgres histories read a parent table while another
-	// session wrote a table inheriting from it; the engine once left the
-	// children out of the reader's read set and committed a
-	// non-serializable history.
-	t.Run("postgres/known-seeds", func(t *testing.T) {
-		t.Parallel()
-		for _, seed := range []int64{761, 20652, 20927, 21362, 21670, 40596, 40912,
-			41225, 41559, 60082, 60297, 61105, 81608, 81859} {
-			res := runner.Run(runner.Campaign{
-				Dialect:      dialect.Postgres,
-				MaxDatabases: 1,
-				Workers:      1,
-				BaseSeed:     seed,
-				Oracles:      []string{"serializability"},
-			})
-			if res.Detected {
-				t.Errorf("false positive on the sound engine (seed %d): %s", res.Seed, res.Bug.Message)
-			}
+// TestSerializabilityInheritanceSeeds replays postgres seeds whose
+// histories read a parent table while another session wrote a table
+// inheriting from it: the engine once left the children out of the
+// reader's read set and committed a non-serializable history, so the sound
+// engine must stay silent on each one-database campaign.
+func TestSerializabilityInheritanceSeeds(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []int64{761, 20652, 20927, 21362, 21670, 40596, 40912,
+		41225, 41559, 60082, 60297, 61105, 81608, 81859} {
+		res := runner.Run(runner.Campaign{
+			Dialect:      dialect.Postgres,
+			MaxDatabases: 1,
+			Workers:      1,
+			BaseSeed:     seed,
+			Oracles:      []string{"serializability"},
+		})
+		if res.Detected {
+			t.Errorf("false positive on the sound engine (seed %d): %s", res.Seed, res.Bug.Message)
 		}
-	})
+	}
 }
 
 // TestInterleavingDeterminism runs the same isolation hunt with 1 and 8
