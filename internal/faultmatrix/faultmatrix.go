@@ -1,7 +1,10 @@
 // Package faultmatrix is the fault-corpus test matrix: one table of tester
 // configurations crossed with the 56 registered faults and with no fault
 // at all, and the one check each kind of cell must pass. TestFaultMatrix
-// runs every cell once, as the subtest row/dialect/fault.
+// runs the cells, each subtest named row/dialect/fault. The corpus sweeps
+// that predate it in internal/runner, internal/sut and internal/oracle keep
+// presenting their cells under the subtest names they have always
+// reported (see legacy); TestFaultMatrix runs every other cell.
 package faultmatrix
 
 import (
@@ -236,16 +239,22 @@ var cells = sync.OnceValue(func() []cell {
 type entry struct {
 	once sync.Once
 	res  runner.Result
+	runs int // campaigns started, for sweep's one-campaign check
 }
 
 var entries sync.Map // cell key → *entry
 
+func entryOf(c cell) *entry {
+	e, _ := entries.LoadOrStore(c.key(), new(entry))
+	return e.(*entry)
+}
+
 // result runs the cell's campaign (Workers 2, BaseSeed 1), or waits for
-// the run the cell's own subtest or a miss cell's budget started.
+// the run another subtest of the same cell started.
 func result(c cell) runner.Result {
-	v, _ := entries.LoadOrStore(c.key(), new(entry))
-	e := v.(*entry)
+	e := entryOf(c)
 	e.once.Do(func() {
+		e.runs++
 		e.res = runner.Run(runner.Campaign{
 			Dialect:      c.dialect,
 			Fault:        c.info.ID,
@@ -262,7 +271,7 @@ func result(c cell) runner.Result {
 
 // budget is the cell's database budget. A miss cell runs past the
 // database its fault's routed cell detects on (running that cell first if
-// its own subtest has not), so the miss shows the row, not a short budget,
+// this binary has not), so the miss shows the row, not a short budget,
 // keeps the fault quiet.
 func budget(c cell) int {
 	n := budgets[c.kind]
@@ -326,16 +335,125 @@ func checkCell(t *testing.T, c cell, res runner.Result) {
 	t.Logf("seed %d, %d databases, trace %d → %d stmts", res.Seed, res.Databases, len(res.Bug.Trace), len(res.Reduced))
 }
 
-// sweep runs every cell as the parallel subtest row/dialect/fault, each
-// with the check of its kind.
-func sweep(t *testing.T) {
+// A view presents some of the table's cells as subtests named by name,
+// under a group subtest if one is set.
+type view struct {
+	group string
+	keep  func(cell) bool
+	name  func(cell) string
+}
+
+func byFault(c cell) string        { return c.fault() }
+func byDialectFault(c cell) string { return c.dialect.String() + "/" + c.fault() }
+func byFaultOracle(c cell) string  { return c.fault() + "/" + c.oracle }
+
+// faultsIn keeps the fault cells of one row.
+func faultsIn(row string) func(cell) bool {
+	return func(c cell) bool { return c.row.name == row && c.kind != clean }
+}
+
+// routedWhere keeps the routed cells whose fault passes keep, in every
+// dialect; routedHome only those in the fault's home dialect.
+func routedWhere(keep func(faults.Info) bool) func(cell) bool {
+	return func(c cell) bool { return c.kind == routed && keep(c.info) }
+}
+
+func routedHome(keep func(faults.Info) bool) func(cell) bool {
+	return func(c cell) bool { return c.kind == routed && c.dialect == c.info.Dialect && keep(c.info) }
+}
+
+func anyFault(faults.Info) bool { return true }
+
+func oracleIs(o faults.Oracle) func(faults.Info) bool {
+	return func(info faults.Info) bool { return info.Oracle == o }
+}
+
+// quietIn reports whether the named row keeps the fault quiet.
+func quietIn(row string) func(faults.Info) bool {
+	return func(info faults.Info) bool {
+		return slices.ContainsFunc(table, func(r matrixRow) bool { return r.name == row && slices.Contains(r.quiet, info.ID) })
+	}
+}
+
+// cleanUnder keeps the fault-free cells of one oracle in the given rows.
+func cleanUnder(o string, rows ...string) func(cell) bool {
+	return func(c cell) bool { return c.kind == clean && c.oracle == o && slices.Contains(rows, c.row.name) }
+}
+
+// legacy maps each corpus sweep that predates TestFaultMatrix, by test
+// name, onto its slice of the table and the subtest names it has always
+// reported. A cell a legacy sweep presents runs there, in that test's
+// binary; TestFaultMatrix runs the rest. A routed cell belongs to several
+// sweeps, so it runs once in each binary that presents it.
+var legacy = map[string][]view{
+	// internal/runner (its TestFaultMatrix predates this package's).
+	"TestFaultMatrix":          {{group: "shared-evaluator", keep: faultsIn("shared-evaluator"), name: byDialectFault}},
+	"TestFullCorpusDetectable": {{keep: routedHome(anyFault), name: byFault}},
+	// internal/oracle
+	"TestCrossOracleFaultMatrix": {{name: byFaultOracle, keep: func(c cell) bool {
+		return c.kind != clean && slices.Contains([]string{"pqs", "tlp", "norec"}, c.oracle) &&
+			(c.row.name == "routed" || c.row.name == c.oracle)
+	}}},
+	"TestRecoveryFaultMatrix":        {{keep: routedWhere(oracleIs(faults.OracleRecovery)), name: byDialectFault}},
+	"TestSerializabilityFaultMatrix": {{keep: routedWhere(oracleIs(faults.OracleSerializability)), name: byDialectFault}},
+	"TestRecoveryNoFalsePositives":   {{keep: cleanUnder("recovery", "routed"), name: func(c cell) string { return c.dialect.String() }}},
+	"TestSerializabilityNoFalsePositives": {{keep: cleanUnder("serializability", "routed", "nocompile"), name: func(c cell) string {
+		if c.row.name == "nocompile" {
+			return c.dialect.String() + "/no-compile"
+		}
+		return c.dialect.String()
+	}}},
+	// internal/sut
+	"TestFaultMatrixWireFidelity": {{keep: faultsIn("wire"), name: byFault}},
+	"TestFaultMatrixCompiledParity": {
+		{group: "compiled", keep: routedHome(anyFault), name: byFault},
+		{group: "interpreted", keep: faultsIn("nocompile"), name: byFault},
+	},
+	"TestFaultMatrixHashJoinParity": {{keep: faultsIn("nohashjoin"), name: byFault}},
+	"TestFaultMatrixHashAggParity":  {{keep: faultsIn("nohashagg"), name: byFault}},
+	"TestHashJoinFaultReduction":    {{keep: routedHome(quietIn("nohashjoin")), name: byFault}},
+	"TestHashAggFaultReduction":     {{keep: routedHome(quietIn("nohashagg")), name: byFault}},
+}
+
+// Run runs the cells the calling legacy sweep presents (legacy, keyed by
+// t.Name()) under their historical subtest names.
+func Run(t *testing.T) {
+	vs, ok := legacy[t.Name()]
+	if !ok {
+		t.Fatalf("%s is not a fault-matrix sweep", t.Name())
+	}
+	sweep(t, vs)
+}
+
+// sweep runs the views' cells as parallel subtests, each with the check
+// of its kind, after checking that the cell took exactly one campaign in
+// this binary. The sweep itself runs in parallel with its package's other
+// parallel tests, so no CPU idles while one sweep's last campaign runs.
+func sweep(t *testing.T, vs []view) {
 	if testing.Short() {
 		t.Skip("fault matrix sweep is not short")
 	}
-	for _, c := range cells() {
-		t.Run(c.key(), func(t *testing.T) {
-			t.Parallel()
-			checkCell(t, c, result(c))
-		})
+	t.Parallel()
+	for _, v := range vs {
+		each := func(t *testing.T) {
+			for _, c := range cells() {
+				if !v.keep(c) {
+					continue
+				}
+				t.Run(v.name(c), func(t *testing.T) {
+					t.Parallel()
+					res := result(c)
+					if n := entryOf(c).runs; n != 1 {
+						t.Errorf("cell %s ran %d campaigns, want 1", c.key(), n)
+					}
+					checkCell(t, c, res)
+				})
+			}
+		}
+		if v.group == "" {
+			each(t)
+		} else {
+			t.Run(v.group, each)
+		}
 	}
 }

@@ -3,9 +3,15 @@ package oracle_test
 import (
 	"testing"
 
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/oracle"
 )
+
+// TestCrossOracleFaultMatrix runs the fault matrix's pqs, tlp and norec
+// rows, beside the routed cells whose oracle is one of the three; the
+// cross-oracle rows in internal/faultmatrix say what each cell proves.
+func TestCrossOracleFaultMatrix(t *testing.T) { faultmatrix.Run(t) }
 
 // TestOracleRouting checks ForFault's registry mapping.
 func TestOracleRouting(t *testing.T) {

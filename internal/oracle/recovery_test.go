@@ -4,9 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
+
+// TestRecoveryFaultMatrix runs the fault matrix's routed durability
+// cells in all three dialects and TestRecoveryNoFalsePositives its
+// fault-free recovery cells; the routed row in internal/faultmatrix says
+// what they prove.
+func TestRecoveryFaultMatrix(t *testing.T)      { faultmatrix.Run(t) }
+func TestRecoveryNoFalsePositives(t *testing.T) { faultmatrix.Run(t) }
 
 // TestRecoveryDeterminism runs the same durability hunt with 1 and 8
 // workers: detection, seed, message, trace, and crash plan must be

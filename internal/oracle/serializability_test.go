@@ -4,9 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 )
+
+// TestSerializabilityFaultMatrix runs the fault matrix's routed isolation
+// cells in all three dialects; the routed row in internal/faultmatrix says
+// what they prove.
+func TestSerializabilityFaultMatrix(t *testing.T) { faultmatrix.Run(t) }
+
+// TestSerializabilityNoFalsePositives runs the fault matrix's fault-free
+// serializability cells of the routed and nocompile rows: every fault-free
+// interleaved history must match a serial order, with and without compiled
+// expression programs.
+func TestSerializabilityNoFalsePositives(t *testing.T) { faultmatrix.Run(t) }
 
 // TestSerializabilityInheritanceSeeds replays postgres seeds whose
 // histories read a parent table while another session wrote a table

@@ -6,10 +6,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/faultmatrix"
 	"repro/internal/faults"
 	"repro/internal/runner"
 	"repro/internal/sut"
 )
+
+// The session rows of the fault matrix (wire, nocompile beside the routed
+// cells, nohashjoin, nohashagg) and the routed cells of the faults the
+// hash rows keep quiet, under their original subtest names; the rows in
+// internal/faultmatrix say what each cell proves.
+func TestFaultMatrixWireFidelity(t *testing.T)   { faultmatrix.Run(t) }
+func TestFaultMatrixCompiledParity(t *testing.T) { faultmatrix.Run(t) }
+func TestFaultMatrixHashJoinParity(t *testing.T) { faultmatrix.Run(t) }
+func TestFaultMatrixHashAggParity(t *testing.T)  { faultmatrix.Run(t) }
+func TestHashJoinFaultReduction(t *testing.T)    { faultmatrix.Run(t) }
+func TestHashAggFaultReduction(t *testing.T)     { faultmatrix.Run(t) }
 
 // TestCompiledSoundness is the false-positive guard for the compiled
 // path: with no faults injected, the engine (running compiled programs)
