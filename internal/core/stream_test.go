@@ -15,6 +15,7 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/sqlast"
 	"repro/internal/sut"
+	"repro/internal/sut/memengine"
 	"repro/internal/xerr"
 )
 
@@ -37,14 +38,17 @@ func (streamDriver) Open(s sut.Session) (sut.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &streamDB{db}, nil
+	return &streamDB{db.(*memengine.DB)}, nil
 }
 
 // streamDB hashes each statement's SQL and its outcome: the error code,
-// or the rows affected and every row's values as literals.
-type streamDB struct{ sut.DB }
+// or the rows affected and every row's values as literals. It embeds the
+// concrete memengine database, so the capabilities the writing oracles
+// assert structurally (extra sessions, snapshots, crashes) stay visible,
+// and it wraps extra sessions so their statements feed the sink too.
+type streamDB struct{ *memengine.DB }
 
-func (d *streamDB) record(sql string, res *sut.Result, err error) (*sut.Result, error) {
+func record(sql string, res *sut.Result, err error) (*sut.Result, error) {
 	fmt.Fprintf(streamSink, "%s\x00", sql)
 	if err != nil {
 		if c, ok := xerr.CodeOf(err); ok {
@@ -66,26 +70,47 @@ func (d *streamDB) record(sql string, res *sut.Result, err error) (*sut.Result, 
 
 func (d *streamDB) Exec(sql string) (*sut.Result, error) {
 	res, err := d.DB.Exec(sql)
-	return d.record(sql, res, err)
+	return record(sql, res, err)
 }
 
 func (d *streamDB) Query(sql string) (*sut.Result, error) {
 	res, err := d.DB.Query(sql)
-	return d.record(sql, res, err)
+	return record(sql, res, err)
 }
 
 func (d *streamDB) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
 	res, err := d.DB.ExecAST(st)
-	return d.record(sqlast.SQL(st, d.Session().Dialect), res, err)
+	return record(sqlast.SQL(st, d.Session().Dialect), res, err)
 }
 
-// Reset keeps pooled reuse, as campaigns run it.
-func (d *streamDB) Reset() error { return d.DB.(sut.Resetter).Reset() }
+func (d *streamDB) NewConn() (sut.Conn, error) {
+	c, err := d.DB.NewConn()
+	if err != nil {
+		return nil, err
+	}
+	return &streamConn{Conn: c, d: d.Session().Dialect}, nil
+}
+
+// streamConn feeds an extra session's statements to the sink.
+type streamConn struct {
+	sut.Conn
+	d dialect.Dialect
+}
+
+func (c *streamConn) Exec(sql string) (*sut.Result, error) {
+	res, err := c.Conn.Exec(sql)
+	return record(sql, res, err)
+}
+
+func (c *streamConn) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
+	res, err := c.Conn.ExecAST(st)
+	return record(sqlast.SQL(st, c.d), res, err)
+}
 
 // TestCampaignStreamDigest pins what campaigns execute and what the
 // engine answers: for each configuration it hashes every statement of
 // Lifecycle.RunSeed over seeds 1–200 (SQL text plus result rows or
-// error code) and compares the per-seed digests with
+// error code, on every session) and compares the per-seed digests with
 // testdata/stream_digests.txt. A change that keeps the engine's and the
 // tester's behaviour keeps every digest; `go test ./internal/core -run
 // TestCampaignStreamDigest -update` rewrites the file after an intended
@@ -93,15 +118,18 @@ func (d *streamDB) Reset() error { return d.DB.(sut.Resetter).Reset() }
 func TestCampaignStreamDigest(t *testing.T) {
 	registerStream.Do(func() { sut.Register(streamBackend, streamDriver{}) })
 	configs := []struct {
-		oracle string
-		d      dialect.Dialect
+		oracle  string
+		d       dialect.Dialect
+		storage string
 	}{
-		{"pqs", dialect.SQLite}, {"pqs", dialect.Postgres}, {"pqs", dialect.MySQL},
-		{"tlp", dialect.SQLite}, {"norec", dialect.SQLite},
+		{"pqs", dialect.SQLite, ""}, {"pqs", dialect.Postgres, ""}, {"pqs", dialect.MySQL, ""},
+		{"tlp", dialect.SQLite, ""}, {"norec", dialect.SQLite, ""},
+		{"serializability", dialect.SQLite, ""}, {"serializability", dialect.Postgres, ""},
+		{"recovery", dialect.SQLite, "pager"},
 	}
 	var got []string
 	for _, c := range configs {
-		lc := NewLifecycle(Config{Session: sut.Session{Dialect: c.d}, Backend: streamBackend, Oracle: c.oracle})
+		lc := NewLifecycle(Config{Session: sut.Session{Dialect: c.d, Storage: c.storage}, Backend: streamBackend, Oracle: c.oracle})
 		for seed := int64(1); seed <= 200; seed++ {
 			streamSink.Reset()
 			bug, err := lc.RunSeed(seed)
