@@ -165,15 +165,18 @@ func TestLifecycleOracleRotation(t *testing.T) {
 // reset per iteration instead of a new one, one sut.Result header per
 // database and partial-index keys rendered into a reused buffer took them
 // to 785 and 589; taking hash aggregation's aggregate columns from
-// statement memory took them from 761 and 589 to 755 and 582.
+// statement memory took them from 761 and 589 to 755 and 582. Building
+// generated statements in the generators' reused node arenas (one state
+// generator per tester, reset per database; the expression generator's
+// arena rewound per iteration) took them to 497 and 393.
 func TestPivotLoopAllocs(t *testing.T) {
 	const seeds = 40
 	for _, tc := range []struct {
 		d     dialect.Dialect
 		bound float64
 	}{
-		{dialect.SQLite, 900},
-		{dialect.Postgres, 680},
+		{dialect.SQLite, 600},
+		{dialect.Postgres, 480},
 	} {
 		t.Run(tc.d.String(), func(t *testing.T) {
 			lc := NewLifecycle(Config{Session: sut.Session{Dialect: tc.d}})
@@ -206,7 +209,9 @@ func TestPivotLoopAllocs(t *testing.T) {
 // norec), 1,000 (postgres norec) and 2,023 (rotated) allocations before
 // the reuse, and 1,157, 584, 562 and 867 with it. Taking hash
 // aggregation's aggregate columns from statement memory took sqlite tlp
-// from 1,161 to 1,067 and rotated from 868 to 821.
+// from 1,161 to 1,067 and rotated from 868 to 821. Building generated
+// statements in the generators' reused node arenas took the four rows
+// from 1,067, 581, 562 and 821 to 896, 411, 406 and 652.
 func TestMetamorphicAllocs(t *testing.T) {
 	const seeds = 40
 	for _, tc := range []struct {
@@ -215,10 +220,10 @@ func TestMetamorphicAllocs(t *testing.T) {
 		oracles []string
 		bound   float64
 	}{
-		{"sqlite-tlp", dialect.SQLite, []string{"tlp"}, 1300},
-		{"sqlite-norec", dialect.SQLite, []string{"norec"}, 680},
-		{"postgres-norec", dialect.Postgres, []string{"norec"}, 660},
-		{"rotated", dialect.SQLite, []string{"tlp", "norec"}, 1000},
+		{"sqlite-tlp", dialect.SQLite, []string{"tlp"}, 1050},
+		{"sqlite-norec", dialect.SQLite, []string{"norec"}, 500},
+		{"postgres-norec", dialect.Postgres, []string{"norec"}, 500},
+		{"rotated", dialect.SQLite, []string{"tlp", "norec"}, 800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lc := NewLifecycle(Config{Session: sut.Session{Dialect: tc.d}, Oracle: tc.oracles[0]})
@@ -249,9 +254,14 @@ func TestMetamorphicAllocs(t *testing.T) {
 // rendered comparisons and 5,806 without. Flat compiled programs and
 // transaction read/write sets kept in pooled sorted slices instead of
 // per-statement maps took it from 5,755 to 5,063; one sut.Result header
-// per session and none per BEGIN/COMMIT/ROLLBACK took it to 4,508.
+// per session and none per BEGIN/COMMIT/ROLLBACK took it to 4,508, and
+// later engine work to 4,397. Building the setup statements and session
+// scripts in the generators' reused node arenas, with shared BEGIN/COMMIT/
+// ROLLBACK nodes, a reused schedule and recycled sessions, took it to
+// 2,526; going back to a new generator, schedule or session per check
+// crosses the bound.
 func TestSerializabilityAllocs(t *testing.T) {
-	const seeds, bound = 40, 5100
+	const seeds, bound = 40, 3100
 	lc := NewLifecycle(Config{Oracle: "serializability", Session: sut.Session{Dialect: dialect.SQLite}})
 	defer lc.Close()
 	perDB := testing.AllocsPerRun(2, func() {
@@ -265,6 +275,61 @@ func TestSerializabilityAllocs(t *testing.T) {
 	if perDB > bound {
 		t.Errorf("%.0f allocations per database, want at most %d", perDB, bound)
 	}
+}
+
+// TestSetupTraceSurvivesChecks holds the generators' lifetime rule: the
+// statements that built a database live in the tester's generator until
+// the next database, and the writing oracles build their histories and
+// DML in generators of their own, reset per check. So the setup trace a
+// detection would carry must render the same after a database's 30
+// checks as right after BuildDatabase; an oracle generating into the
+// tester's arena or hint buffer rewrites it.
+func TestSetupTraceSurvivesChecks(t *testing.T) {
+	for _, tc := range []struct {
+		oracle, storage string
+		seeds           int64 // recovery syncs real files, so it runs fewer
+	}{
+		{"serializability", "", 20},
+		{"recovery", "pager", 5},
+	} {
+		t.Run(tc.oracle, func(t *testing.T) {
+			lc := NewLifecycle(Config{Oracle: tc.oracle, Session: sut.Session{Dialect: dialect.SQLite, Storage: tc.storage}})
+			defer lc.Close()
+			probe := &setupProbe{Oracle: lc.meta}
+			lc.meta = probe
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				probe.checks = 0
+				if bug, err := lc.RunSeed(seed); bug != nil || err != nil {
+					t.Fatalf("seed %d: bug %v, err %v", seed, bug, err)
+				}
+				if probe.checks != lc.cfg.QueriesPerDB {
+					t.Fatalf("seed %d: %d checks, want %d", seed, probe.checks, lc.cfg.QueriesPerDB)
+				}
+				if !slices.Equal(probe.first, probe.last) {
+					t.Fatalf("seed %d: setup trace changed over the checks:\nafter build:  %q\nafter checks: %q",
+						seed, probe.first, probe.last)
+				}
+			}
+		})
+	}
+}
+
+// setupProbe renders the setup trace before a database's first check and
+// after every check.
+type setupProbe struct {
+	oracle.Oracle
+	checks      int
+	first, last []string
+}
+
+func (p *setupProbe) Check(db sut.DB, env *oracle.Env) (*oracle.Report, error) {
+	if p.checks == 0 {
+		p.first = env.SetupTrace()
+	}
+	rep, err := p.Oracle.Check(db, env)
+	p.checks++
+	p.last = env.SetupTrace()
+	return rep, err
 }
 
 // TestDetectionOutlivesLaterIterations holds the tester's lifetime rule:

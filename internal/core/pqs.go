@@ -132,13 +132,15 @@ func (s *Stats) Add(o *Stats) {
 // Tester runs PQS against fresh engine instances.
 //
 // A Tester reuses its pivot-iteration memory: the interpreter context, the
-// pivot list, the generator's column and hint pools, the pivot query's
-// Select scaffold (its clause slices), the expected tuple and the
-// plain-column marks are all overwritten by the next pivot iteration. So a
-// pivot query's AST and scaffold live until the next iteration; a
-// detection renders its trace at once and copies Expected, so nothing a
-// Bug keeps aliases tester memory. Column references are built once per
-// database (snapshotPivotSources) and shared by every query on it.
+// pivot list, the generator's column and hint pools and node arena, the
+// pivot query's Select scaffold (its clause slices), the expected tuple
+// and the plain-column marks are all overwritten by the next pivot
+// iteration. So a pivot query's AST and scaffold live until the next
+// iteration; a detection renders its trace at once and copies Expected,
+// so nothing a Bug keeps aliases tester memory. Column references are
+// built once per database (snapshotPivotSources) and shared by every
+// query on it. The state generator is reset per database, so the
+// statements that built a database live until the next one.
 type Tester struct {
 	cfg   Config
 	rnd   *gen.Rand
@@ -157,6 +159,7 @@ type Tester struct {
 	env     oracle.Env
 	targets oracle.Targets
 	tr      trace
+	sg      gen.StateGen
 
 	// Pivot-iteration scratch (see the lifetime rule above). A Tester is
 	// single-threaded, so one set serves every iteration.
@@ -170,7 +173,6 @@ type Tester struct {
 	expected  []sqlval.Value
 	plainCols []bool
 	joinCands []joinCand
-	joinNodes joinScratch
 }
 
 // NewTester creates a tester.
@@ -181,6 +183,11 @@ func NewTester(cfg Config) *Tester {
 		rnd:   gen.NewRand(cfg.Dialect, cfg.Seed),
 		stats: newStats(),
 		tr:    trace{d: cfg.Dialect},
+		sg: gen.StateGen{
+			MinRows:   cfg.MinRows,
+			MaxRows:   cfg.MaxRows,
+			MaxTables: cfg.MaxTables,
+		},
 	}
 	t.env = oracle.Env{
 		Dialect:      cfg.Dialect,
@@ -303,13 +310,8 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 		return nil
 	}
 
-	sg := &gen.StateGen{
-		Rnd:       t.rnd,
-		E:         db.Introspect(),
-		MinRows:   t.cfg.MinRows,
-		MaxRows:   t.cfg.MaxRows,
-		MaxTables: t.cfg.MaxTables,
-	}
+	sg := &t.sg
+	sg.Reset(t.rnd, db.Introspect(), nil)
 	if err := sg.BuildDatabase(apply); err != nil {
 		if sig, ok := err.(*bugSignal); ok {
 			return sig.bug, nil
@@ -622,7 +624,7 @@ func (t *Tester) falsifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlas
 			t.stats.Discarded++
 			continue
 		}
-		falsified := RectifyFalse(expr, tb)
+		falsified := RectifyFalse(eg.Nodes(), expr, tb)
 		if check, err := t.evalBool(falsified, ctx); err != nil || check != sqlval.TriFalse {
 			t.stats.Discarded++
 			continue
@@ -634,15 +636,15 @@ func (t *Tester) falsifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlas
 
 // RectifyFalse modifies an expression to yield FALSE: TRUE gets NOT, FALSE
 // stays, NULL gets IS NOT NULL (which is FALSE for a NULL-valued
-// expression).
-func RectifyFalse(expr sqlast.Expr, tb sqlval.TriBool) sqlast.Expr {
+// expression). The wrapper comes from nodes.
+func RectifyFalse(nodes *sqlast.Arena, expr sqlast.Expr, tb sqlval.TriBool) sqlast.Expr {
 	switch tb {
 	case sqlval.TriTrue:
-		return sqlast.Not(expr)
+		return nodes.Unary(sqlast.OpNot, expr)
 	case sqlval.TriFalse:
 		return expr
 	default:
-		return &sqlast.Unary{Op: sqlast.OpNotNull, X: expr}
+		return nodes.Unary(sqlast.OpNotNull, expr)
 	}
 }
 
@@ -723,7 +725,7 @@ func (t *Tester) rectifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlas
 			continue
 		}
 		t.stats.Rectified[tb]++
-		rectified := Rectify(expr, tb)
+		rectified := Rectify(eg.Nodes(), expr, tb)
 		// Sanity: the rectified condition must evaluate TRUE.
 		if check, err := t.evalBool(rectified, ctx); err != nil || check != sqlval.TriTrue {
 			t.stats.Discarded++
@@ -745,15 +747,16 @@ func (t *Tester) evalValue(expr sqlast.Expr, ctx *interp.Context) (sqlval.Value,
 }
 
 // Rectify is Algorithm 3 verbatim: TRUE stays, FALSE gets NOT, NULL gets
-// IS NULL.
-func Rectify(expr sqlast.Expr, tb sqlval.TriBool) sqlast.Expr {
+// IS NULL. The wrapper comes from nodes, the generator's arena in the
+// pivot loop, so it lives as long as the expression it wraps.
+func Rectify(nodes *sqlast.Arena, expr sqlast.Expr, tb sqlval.TriBool) sqlast.Expr {
 	switch tb {
 	case sqlval.TriTrue:
 		return expr
 	case sqlval.TriFalse:
-		return sqlast.Not(expr)
+		return nodes.Unary(sqlast.OpNot, expr)
 	default:
-		return sqlast.IsNullExpr(expr)
+		return nodes.Unary(sqlast.OpIsNull, expr)
 	}
 }
 
@@ -820,7 +823,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 				on, ok = t.rectifiedCondition(ctx, eg)
 			}
 			if !ok {
-				on = sqlast.Lit(trueLiteral(t.cfg.Dialect))
+				on = eg.Nodes().Lit(trueLiteral(t.cfg.Dialect))
 			}
 			kind := sqlast.JoinInner
 			// LEFT JOIN is containment-safe: the pivot pair satisfies
@@ -849,7 +852,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 	// sees; Postgres keeps the always-containing LIMIT shape below.)
 	if t.cfg.Dialect != dialect.Postgres &&
 		len(pivots) == 1 && len(sel.Joins) == 0 && t.rnd.Bool(0.2) &&
-		t.exactPositionOrder(sel, pivots[0], plainCols, ctx) {
+		t.exactPositionOrder(sel, pivots[0], plainCols, ctx, eg.Nodes()) {
 		return sel, expected
 	}
 	switch {
@@ -897,8 +900,8 @@ var limitAll = sqlast.Lit(sqlval.Int(1_000_000))
 // row tying the kept boundary row's key, hence the bias toward sort keys
 // with ties after the pivot. Reports false when no plain-column key is
 // available or a row evaluation errors (the caller falls through to the
-// other keyword shapes).
-func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []bool, ctx *interp.Context) bool {
+// other keyword shapes). LIMIT and OFFSET come from nodes.
+func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []bool, ctx *interp.Context, nodes *sqlast.Arena) bool {
 	// keep collects the scan-order indexes of WHERE-surviving rows;
 	// pivotPos is the pivot's rank among them.
 	keep := make([]int, 0, len(p.rows))
@@ -969,9 +972,9 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 	if pos > 1 && t.rnd.Bool(0.4) {
 		off = t.rnd.Intn(pos)
 	}
-	sel.Limit = sqlast.Lit(sqlval.Int(int64(pos - off)))
+	sel.Limit = nodes.Lit(sqlval.Int(int64(pos - off)))
 	if off > 0 {
-		sel.Offset = sqlast.Lit(sqlval.Int(int64(off)))
+		sel.Offset = nodes.Lit(sqlval.Int(int64(off)))
 	}
 	return true
 }
@@ -995,8 +998,8 @@ func bindRowValues(ctx *interp.Context, p pivotRow, row []sqlval.Value) {
 // equal only under NOCASE or RTRIM and pins that collation explicitly —
 // exactly the keys a collation-blind hash-join key builder mishandles.
 // Returns false when no pivot-true equality exists between the placed
-// tables and the one being joined. Candidates are evaluated on the
-// tester's scratch nodes; only the chosen one is built.
+// tables and the one being joined. Each candidate's condition is built in
+// the generator's arena, where the chosen one stays for the query.
 func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined int) (sqlast.Expr, bool) {
 	cols, hints := eg.Cols, eg.Hints
 	if len(hints) < len(cols) {
@@ -1016,8 +1019,8 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined
 					c.coll, c.variant = sqlval.CollRTrim, true
 				}
 			}
-			x := c.build(cols, &t.joinNodes)
-			if tb, err := t.evalBool(x, ctx); err != nil || tb != sqlval.TriTrue {
+			c.on = c.build(cols, eg.Nodes())
+			if tb, err := t.evalBool(c.on, ctx); err != nil || tb != sqlval.TriTrue {
 				continue
 			}
 			cands = append(cands, c)
@@ -1032,13 +1035,13 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined
 	}
 	// Collation-variant keys are the interesting ones; take one when found.
 	if variants == 0 {
-		return cands[t.rnd.Intn(len(cands))].build(cols, nil), true
+		return cands[t.rnd.Intn(len(cands))].on, true
 	}
 	k := t.rnd.Intn(variants)
 	for _, c := range cands {
 		if c.variant {
 			if k == 0 {
-				return c.build(cols, nil), true
+				return c.on, true
 			}
 			k--
 		}
@@ -1048,32 +1051,21 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined
 
 // joinCand is one candidate equality of equiJoinOn: eg.Cols[l] = eg.Cols[r],
 // the right side under an explicit collation when variant (equal only
-// under a non-binary collation).
+// under a non-binary collation), built as on.
 type joinCand struct {
 	l, r    int
 	coll    sqlval.Collation
 	variant bool
+	on      sqlast.Expr
 }
 
-// joinScratch holds the nodes equiJoinOn evaluates candidates on.
-type joinScratch struct {
-	eq   sqlast.Binary
-	coll sqlast.Collate
-}
-
-// build returns the candidate's ON condition: in the scratch nodes when
-// given, else in new nodes.
-func (c joinCand) build(cols []gen.ColumnPick, s *joinScratch) sqlast.Expr {
-	if s == nil {
-		s = &joinScratch{}
-	}
+// build returns the candidate's ON condition in new nodes from the arena.
+func (c joinCand) build(cols []gen.ColumnPick, nodes *sqlast.Arena) sqlast.Expr {
 	var r sqlast.Expr = cols[c.r].Ref
 	if c.variant {
-		s.coll = sqlast.Collate{X: r, Coll: c.coll}
-		r = &s.coll
+		r = nodes.Collate(r, c.coll)
 	}
-	s.eq = sqlast.Binary{Op: sqlast.OpEq, L: cols[c.l].Ref, R: r}
-	return &s.eq
+	return nodes.Binary(sqlast.OpEq, cols[c.l].Ref, r)
 }
 
 func trueLiteral(d dialect.Dialect) sqlval.Value {

@@ -120,7 +120,7 @@ func TestRectifyFalse(t *testing.T) {
 
 // checkRectifier rectifies a TRUE, a FALSE and a NULL expression over a bound
 // pivot row and checks that each result evaluates to want.
-func checkRectifier(t *testing.T, rectify func(sqlast.Expr, sqlval.TriBool) sqlast.Expr, want sqlval.TriBool) {
+func checkRectifier(t *testing.T, rectify func(*sqlast.Arena, sqlast.Expr, sqlval.TriBool) sqlast.Expr, want sqlval.TriBool) {
 	t.Helper()
 	ctx := interp.NewContext(dialect.SQLite)
 	ctx.Bind("t0", "c0", interp.ColInfo{Val: sqlval.Int(3)})
@@ -141,7 +141,7 @@ func checkRectifier(t *testing.T, rectify func(sqlast.Expr, sqlval.TriBool) sqla
 			if tb, err := interp.EvalBool(e, ctx); err != nil || tb != tc.tb {
 				t.Fatalf("%s evaluates to %v (err %v), want %v", tc.expr, tb, err, tc.tb)
 			}
-			got := rectify(e, tc.tb)
+			got := rectify(&sqlast.Arena{}, e, tc.tb)
 			if tb, err := interp.EvalBool(got, ctx); err != nil || tb != want {
 				t.Errorf("rectified %s = %s evaluates to %v (err %v), want %v",
 					tc.expr, sqlast.ExprSQL(got, dialect.SQLite), tb, err, want)

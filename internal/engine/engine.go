@@ -113,9 +113,11 @@ type Engine struct {
 	// Transaction machinery (txn.go): the default session, the sessions
 	// with open transactions, which session's working state currently
 	// occupies e.data (nil: the committed state), the parked committed
-	// snapshot while a transaction's state is installed, and the commit
-	// counter + log for backward validation.
+	// snapshot while a transaction's state is installed, the commit
+	// counter + log for backward validation, and the closed sessions
+	// NewConn hands out again.
 	defConn   *Conn
+	freeConns []*Conn
 	txns      map[*Conn]struct{}
 	curOwn    *Conn
 	commSnap  *Snapshot

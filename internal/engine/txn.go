@@ -158,8 +158,19 @@ func (e *Engine) truncateLogLocked() {
 
 // NewConn opens an additional session on the engine. Sessions share the
 // committed state and the statement lock; each can hold one open
-// transaction.
-func (e *Engine) NewConn() *Conn { return &Conn{e: e} }
+// transaction. A session closed earlier is handed out again.
+func (e *Engine) NewConn() *Conn {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := len(e.freeConns)
+	if n == 0 {
+		return &Conn{e: e}
+	}
+	c := e.freeConns[n-1]
+	e.freeConns = e.freeConns[:n-1]
+	c.e = e
+	return c
+}
 
 // Exec parses and executes src on this session, like Engine.Exec.
 func (c *Conn) Exec(src string) (*Result, error) {
@@ -187,14 +198,22 @@ func (c *Conn) InTxn() bool {
 	return c.txn != nil
 }
 
-// Close rolls back the session's open transaction, if any. The session
-// must not be used afterwards.
+// Close rolls back the session's open transaction, if any, and puts the
+// session, zeroed, on the engine's free list, from which NewConn hands it
+// out again: a closed Conn must not be used again, not even closed again
+// once a later NewConn may have reopened it.
 func (c *Conn) Close() error {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	if c.txn != nil {
-		c.e.abortTxnLocked(c, false)
+	e := c.e
+	if e == nil {
+		return nil // already closed
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c.txn != nil {
+		e.abortTxnLocked(c, false)
+	}
+	*c = Conn{}
+	e.freeConns = append(e.freeConns, c)
 	return nil
 }
 

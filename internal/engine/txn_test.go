@@ -205,3 +205,40 @@ func TestSessionSwitchAllocs(t *testing.T) {
 		t.Errorf("two session switches allocate %.1f times (want 0)", perTwo)
 	}
 }
+
+// TestClosedConnReopensClean holds session recycling: Close rolls back the
+// open transaction and parks the session, and the next NewConn hands the
+// same session out again with no transaction, no staged rows and no
+// allocation.
+func TestClosedConnReopensClean(t *testing.T) {
+	e := Open(dialect.SQLite)
+	c := e.NewConn()
+	for _, sql := range []string{"CREATE TABLE t0(c0 INT)", "BEGIN", "INSERT INTO t0 VALUES (1)"} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	again := e.NewConn()
+	if again != c {
+		t.Fatal("NewConn did not reuse the closed session")
+	}
+	if again.InTxn() {
+		t.Fatal("reused session is still in a transaction")
+	}
+	res, err := again.Exec("SELECT * FROM t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("closed session's staged row survived: %d rows", len(res.Rows))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.NewConn().Close() }); allocs > 0 {
+		t.Errorf("open and close allocate %.1f times (want 0)", allocs)
+	}
+}

@@ -294,7 +294,7 @@ func randomExpr(rng *rand.Rand, d dialect.Dialect, depth int) sqlast.Expr {
 		// comparisons over numeric literals / columns.
 		switch rng.Intn(4) {
 		case 0:
-			return sqlast.Not(randomExpr(rng, d, depth-1))
+			return &sqlast.Unary{Op: sqlast.OpNot, X: randomExpr(rng, d, depth-1)}
 		case 1:
 			op := []sqlast.BinOp{sqlast.OpAnd, sqlast.OpOr}[rng.Intn(2)]
 			return &sqlast.Binary{Op: op, L: randomExpr(rng, d, depth-1), R: randomExpr(rng, d, depth-1)}
@@ -308,7 +308,7 @@ func randomExpr(rng *rand.Rand, d dialect.Dialect, depth int) sqlast.Expr {
 	}
 	switch rng.Intn(10) {
 	case 0:
-		return sqlast.Not(randomExpr(rng, d, depth-1))
+		return &sqlast.Unary{Op: sqlast.OpNot, X: randomExpr(rng, d, depth-1)}
 	case 1:
 		return &sqlast.Unary{Op: sqlast.OpNeg, X: randomExpr(rng, d, depth-1)}
 	case 2:

@@ -31,8 +31,11 @@ type Fuzzer struct {
 	cfg   Config
 	rnd   *gen.Rand
 	stats core.Stats
-	// eg and cols are randomQuery's generator and column pool, reset for
-	// each query (generated statements never reference either).
+	// sg is the state generator, reset per database; eg and cols are
+	// randomQuery's generator and column pool, reset for each query. A
+	// generated statement lives until its generator's next reset, and a
+	// detection renders its trace at once.
+	sg   gen.StateGen
 	eg   gen.ExprGen
 	cols []gen.ColumnPick
 }
@@ -86,7 +89,8 @@ func (f *Fuzzer) RunDatabase() (*core.Bug, error) {
 		return nil
 	}
 
-	sg := &gen.StateGen{Rnd: f.rnd, E: db.Introspect()}
+	sg := &f.sg
+	sg.Reset(f.rnd, db.Introspect(), nil)
 	if err := sg.BuildDatabase(apply); err != nil {
 		if sig, ok := err.(*fuzzSignal); ok {
 			return sig.bug, nil

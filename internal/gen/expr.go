@@ -20,18 +20,23 @@ type ColumnPick struct {
 	Ref *sqlast.ColumnRef
 }
 
-// ref returns the column's reference node: the shared Ref, or a new one.
-func (c ColumnPick) ref() *sqlast.ColumnRef {
+// ref returns the column's reference node: the shared Ref, or a new one
+// from the generator's arena.
+func (eg *ExprGen) ref(c ColumnPick) *sqlast.ColumnRef {
 	if c.Ref != nil {
 		return c.Ref
 	}
-	return sqlast.Col(c.Table, c.Column.Name)
+	return eg.nodes.Col(c.Table, c.Column.Name)
 }
 
 // ExprGen generates random expression ASTs over a schema (Algorithm 1 of
 // the paper). Hints are values drawn from the pivot row and table data so
 // generated constants often collide with stored values — without this bias
 // equality predicates would almost never be satisfiable.
+//
+// Generated nodes come from the generator's arena (Nodes) and live until
+// the next Reset, which rewinds it: a caller that keeps an expression
+// across Resets renders it first.
 type ExprGen struct {
 	Rnd   *Rand
 	Cols  []ColumnPick
@@ -50,11 +55,14 @@ type ExprGen struct {
 	grouped bool
 	sorted  []ColumnPick
 	cats    []Category
+
+	nodes sqlast.Arena
 }
 
 // Reset readies the generator for a new column pool, keeping the memory of
-// its per-category grouping; ColValues is cleared. A generator reused this
-// way draws exactly what a new one built from the same fields would.
+// its per-category grouping and rewinding its node arena; ColValues is
+// cleared. A generator reused this way draws exactly what a new one built
+// from the same fields would.
 func (eg *ExprGen) Reset(rnd *Rand, cols []ColumnPick, hints []sqlval.Value, maxDepth int) {
 	*eg = ExprGen{
 		Rnd:      rnd,
@@ -63,8 +71,15 @@ func (eg *ExprGen) Reset(rnd *Rand, cols []ColumnPick, hints []sqlval.Value, max
 		MaxDepth: maxDepth,
 		sorted:   eg.sorted[:0],
 		cats:     eg.cats[:0],
+		nodes:    eg.nodes,
 	}
+	eg.nodes.Reset()
 }
+
+// Nodes is the arena the generator builds from: callers wrapping or
+// combining generated expressions (rectification) take their nodes from it
+// too, so they share the generated nodes' lifetime.
+func (eg *ExprGen) Nodes() *sqlast.Arena { return &eg.nodes }
 
 // Generate produces an expression suitable for a filter condition.
 // For the strictly-typed Postgres profile the root is boolean-typed; the
@@ -118,14 +133,14 @@ func (eg *ExprGen) simpleComparison() sqlast.Expr {
 			}
 		}
 	}
-	col := c.ref()
+	col := eg.ref(c)
 	lit := eg.pivotLiteral(c)
 	switch eg.Rnd.D {
 	case dialect.SQLite:
 		// Inclusive range bounds on stored values sit exactly on index
 		// range-scan boundaries (the range-scan-boundary trigger).
 		if eg.Rnd.Bool(0.12) {
-			return &sqlast.Between{X: col, Lo: eg.pivotLiteral(c), Hi: eg.pivotLiteral(c)}
+			return eg.nodes.Between(false, col, eg.pivotLiteral(c), eg.pivotLiteral(c))
 		}
 		var l sqlast.Expr = col
 		// Collation-qualified comparisons steer the planner's
@@ -133,14 +148,14 @@ func (eg *ExprGen) simpleComparison() sqlast.Expr {
 		// trigger: a NOCASE comparison served by a BINARY-ordered index).
 		if eg.Rnd.Bool(0.15) {
 			colls := []sqlval.Collation{sqlval.CollNoCase, sqlval.CollRTrim}
-			l = &sqlast.Collate{X: col, Coll: colls[eg.Rnd.Intn(len(colls))]}
+			l = eg.nodes.Collate(col, colls[eg.Rnd.Intn(len(colls))])
 		}
 		ops := []sqlast.BinOp{sqlast.OpEq, sqlast.OpEq, sqlast.OpIs, sqlast.OpIsNot,
 			sqlast.OpGt, sqlast.OpGe, sqlast.OpLt, sqlast.OpLe}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(len(ops))], L: l, R: lit}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], l, lit)
 	case dialect.MySQL:
 		ops := []sqlast.BinOp{sqlast.OpEq, sqlast.OpNullSafeEq, sqlast.OpNullSafeEq, sqlast.OpGt, sqlast.OpNe}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(len(ops))], L: col, R: lit}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], col, lit)
 	default:
 		cat := CategoryOfType(c.Column.TypeName)
 		if cat == CatBool {
@@ -148,11 +163,10 @@ func (eg *ExprGen) simpleComparison() sqlast.Expr {
 			if eg.Rnd.Bool(0.5) {
 				return col
 			}
-			return &sqlast.Binary{Op: sqlast.OpIs, L: col, R: sqlast.Lit(sqlval.Bool(eg.Rnd.Bool(0.5)))}
+			return eg.nodes.Binary(sqlast.OpIs, col, eg.nodes.Lit(sqlval.Bool(eg.Rnd.Bool(0.5))))
 		}
 		ops := []sqlast.BinOp{sqlast.OpEq, sqlast.OpLt, sqlast.OpGt, sqlast.OpNe}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(len(ops))], L: col,
-			R: sqlast.Lit(eg.Rnd.ValueOfCategory(cat))}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], col, eg.nodes.Lit(eg.Rnd.ValueOfCategory(cat)))
 	}
 }
 
@@ -174,12 +188,12 @@ func (eg *ExprGen) pivotLiteral(c ColumnPick) sqlast.Expr {
 			if v.Kind() == sqlval.KText && eg.Rnd.Bool(0.5) {
 				switch eg.Rnd.Intn(2) {
 				case 0:
-					return sqlast.Lit(sqlval.Text(ToggleCase(v.Str())))
+					return eg.nodes.Lit(sqlval.Text(ToggleCase(v.Str())))
 				default:
-					return sqlast.Lit(sqlval.Text(v.Str() + "  "))
+					return eg.nodes.Lit(sqlval.Text(v.Str() + "  "))
 				}
 			}
-			return sqlast.Lit(v)
+			return eg.nodes.Lit(v)
 		}
 	}
 	return eg.mutatedHint(c)
@@ -203,11 +217,11 @@ func (eg *ExprGen) mutatedHint(c ColumnPick) sqlast.Expr {
 					s = s[:len(s)-1]
 				}
 			}
-			return sqlast.Lit(sqlval.Text(s))
+			return eg.nodes.Lit(sqlval.Text(s))
 		}
-		return sqlast.Lit(h)
+		return eg.nodes.Lit(h)
 	}
-	return sqlast.Lit(eg.Rnd.Value())
+	return eg.nodes.Lit(eg.Rnd.Value())
 }
 
 // ToggleCase flips the ASCII case of every letter — the generator's
@@ -233,25 +247,21 @@ func (eg *ExprGen) GenerateValueExpr() sqlast.Expr {
 		if len(eg.Cols) > 0 && eg.Rnd.Bool(0.7) {
 			return eg.column()
 		}
-		return sqlast.Lit(eg.Rnd.Value())
+		return eg.nodes.Lit(eg.Rnd.Value())
 	}
 	return eg.genAny(eg.MaxDepth - 1) // shallow
 }
 
 func (eg *ExprGen) column() sqlast.Expr {
-	return eg.Cols[eg.Rnd.Intn(len(eg.Cols))].ref()
-}
-
-func (eg *ExprGen) pick(c ColumnPick) sqlast.Expr {
-	return c.ref()
+	return eg.ref(eg.Cols[eg.Rnd.Intn(len(eg.Cols))])
 }
 
 // literal draws a constant, biased toward hint values.
 func (eg *ExprGen) literal() sqlast.Expr {
 	if len(eg.Hints) > 0 && eg.Rnd.Bool(0.5) {
-		return sqlast.Lit(eg.Hints[eg.Rnd.Intn(len(eg.Hints))])
+		return eg.nodes.Lit(eg.Hints[eg.Rnd.Intn(len(eg.Hints))])
 	}
-	return sqlast.Lit(eg.Rnd.Value())
+	return eg.nodes.Lit(eg.Rnd.Value())
 }
 
 // genAny implements Algorithm 1 for the implicitly-converting dialects.
@@ -260,11 +270,11 @@ func (eg *ExprGen) genAny(depth int) sqlast.Expr {
 	if leafOnly || eg.Rnd.Bool(0.28) {
 		if len(eg.Cols) > 0 && eg.Rnd.Bool(0.55) {
 			col := eg.Cols[eg.Rnd.Intn(len(eg.Cols))]
-			x := eg.pick(col)
+			x := eg.ref(col)
 			// Occasionally attach a COLLATE (SQLite).
 			if eg.Rnd.D == dialect.SQLite && eg.Rnd.Bool(0.08) {
 				colls := []sqlval.Collation{sqlval.CollNoCase, sqlval.CollRTrim, sqlval.CollBinary}
-				return &sqlast.Collate{X: x, Coll: colls[eg.Rnd.Intn(len(colls))]}
+				return eg.nodes.Collate(x, colls[eg.Rnd.Intn(len(colls))])
 			}
 			return x
 		}
@@ -272,22 +282,22 @@ func (eg *ExprGen) genAny(depth int) sqlast.Expr {
 	}
 	switch eg.Rnd.Intn(14) {
 	case 0:
-		return sqlast.Not(eg.genAny(depth + 1))
+		return eg.nodes.Unary(sqlast.OpNot, eg.genAny(depth+1))
 	case 1:
 		ops := []sqlast.UnaryOp{sqlast.OpNeg, sqlast.OpPos, sqlast.OpBitNot}
-		return &sqlast.Unary{Op: ops[eg.Rnd.Intn(len(ops))], X: eg.genAny(depth + 1)}
+		return eg.nodes.Unary(ops[eg.Rnd.Intn(len(ops))], eg.genAny(depth+1))
 	case 2:
 		op := sqlast.OpIsNull
 		if eg.Rnd.Bool(0.5) {
 			op = sqlast.OpNotNull
 		}
-		return &sqlast.Unary{Op: op, X: eg.genAny(depth + 1)}
+		return eg.nodes.Unary(op, eg.genAny(depth+1))
 	case 3, 4:
 		ops := []sqlast.BinOp{sqlast.OpAnd, sqlast.OpOr}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(2)], L: eg.genAny(depth + 1), R: eg.genAny(depth + 1)}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(2)], eg.genAny(depth+1), eg.genAny(depth+1))
 	case 5, 6:
 		ops := []sqlast.BinOp{sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(len(ops))], L: eg.genAny(depth + 1), R: eg.genAny(depth + 1)}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], eg.genAny(depth+1), eg.genAny(depth+1))
 	case 7:
 		// Dialect-specific null-safe comparisons: SQLite IS / IS NOT,
 		// MySQL <=> (Listings 1 and 12).
@@ -296,30 +306,26 @@ func (eg *ExprGen) genAny(depth int) sqlast.Expr {
 			if eg.Rnd.Bool(0.5) {
 				op = sqlast.OpIsNot
 			}
-			return &sqlast.Binary{Op: op, L: eg.genAny(depth + 1), R: eg.genAny(depth + 1)}
+			return eg.nodes.Binary(op, eg.genAny(depth+1), eg.genAny(depth+1))
 		}
-		return &sqlast.Binary{Op: sqlast.OpNullSafeEq, L: eg.genAny(depth + 1), R: eg.genAny(depth + 1)}
+		return eg.nodes.Binary(sqlast.OpNullSafeEq, eg.genAny(depth+1), eg.genAny(depth+1))
 	case 8:
 		ops := []sqlast.BinOp{sqlast.OpAdd, sqlast.OpSub, sqlast.OpMul, sqlast.OpDiv, sqlast.OpMod}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(len(ops))], L: eg.genAny(depth + 1), R: eg.genAny(depth + 1)}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], eg.genAny(depth+1), eg.genAny(depth+1))
 	case 9:
 		op := sqlast.OpLike
 		if eg.Rnd.Bool(0.3) {
 			op = sqlast.OpNotLike
 		}
-		return &sqlast.Binary{Op: op, L: eg.genAny(depth + 1), R: eg.likePattern()}
+		return eg.nodes.Binary(op, eg.genAny(depth+1), eg.likePattern())
 	case 10:
-		return &sqlast.Between{
-			Not: eg.Rnd.Bool(0.3),
-			X:   eg.genAny(depth + 1),
-			Lo:  eg.literal(),
-			Hi:  eg.literal(),
-		}
+		return eg.nodes.Between(eg.Rnd.Bool(0.3), eg.genAny(depth+1), eg.literal(), eg.literal())
 	case 11:
 		n := 1 + eg.Rnd.Intn(3)
-		in := &sqlast.InList{Not: eg.Rnd.Bool(0.3), X: eg.genAny(depth + 1)}
-		for i := 0; i < n; i++ {
-			in.List = append(in.List, eg.literal())
+		not := eg.Rnd.Bool(0.3)
+		in := eg.nodes.InList(not, eg.genAny(depth+1), eg.nodes.Exprs(n))
+		for i := range in.List {
+			in.List[i] = eg.literal()
 		}
 		return in
 	case 12:
@@ -344,13 +350,13 @@ func (eg *ExprGen) likePattern() sqlast.Expr {
 	}
 	switch eg.Rnd.Intn(4) {
 	case 0:
-		return sqlast.Lit(sqlval.Text(base)) // exact match (no wildcards)
+		return eg.nodes.Lit(sqlval.Text(base)) // exact match (no wildcards)
 	case 1:
-		return sqlast.Lit(sqlval.Text(base + "%"))
+		return eg.nodes.Lit(sqlval.Text(base + "%"))
 	case 2:
-		return sqlast.Lit(sqlval.Text("%" + base))
+		return eg.nodes.Lit(sqlval.Text("%" + base))
 	default:
-		return sqlast.Lit(sqlval.Text("%" + base + "%"))
+		return eg.nodes.Lit(sqlval.Text("%" + base + "%"))
 	}
 }
 
@@ -364,30 +370,30 @@ func (eg *ExprGen) cast(x sqlast.Expr) sqlast.Expr {
 	default:
 		types = []string{"INTEGER", "TEXT", "REAL", "BLOB", "NUMERIC"}
 	}
-	return &sqlast.Cast{X: x, TypeName: types[eg.Rnd.Intn(len(types))]}
+	return eg.nodes.Cast(x, types[eg.Rnd.Intn(len(types))])
 }
 
 func (eg *ExprGen) funcCall(depth int) sqlast.Expr {
 	switch eg.Rnd.Intn(6) {
 	case 0:
-		return &sqlast.FuncCall{Name: "ABS", Args: []sqlast.Expr{eg.genAny(depth + 1)}}
+		return eg.nodes.Func("ABS", eg.genAny(depth+1))
 	case 1:
-		return &sqlast.FuncCall{Name: "LENGTH", Args: []sqlast.Expr{eg.genAny(depth + 1)}}
+		return eg.nodes.Func("LENGTH", eg.genAny(depth+1))
 	case 2:
 		if eg.Rnd.D == dialect.MySQL {
-			return &sqlast.FuncCall{Name: "IFNULL", Args: []sqlast.Expr{eg.genAny(depth + 1), eg.genAny(depth + 1)}}
+			return eg.nodes.Func("IFNULL", eg.genAny(depth+1), eg.genAny(depth+1))
 		}
-		return &sqlast.FuncCall{Name: "IFNULL", Args: []sqlast.Expr{eg.genAny(depth + 1), eg.literal()}}
+		return eg.nodes.Func("IFNULL", eg.genAny(depth+1), eg.literal())
 	case 3:
-		return &sqlast.FuncCall{Name: "COALESCE", Args: []sqlast.Expr{eg.genAny(depth + 1), eg.literal()}}
+		return eg.nodes.Func("COALESCE", eg.genAny(depth+1), eg.literal())
 	case 4:
 		name := "LOWER"
 		if eg.Rnd.Bool(0.5) {
 			name = "UPPER"
 		}
-		return &sqlast.FuncCall{Name: name, Args: []sqlast.Expr{eg.genAny(depth + 1)}}
+		return eg.nodes.Func(name, eg.genAny(depth+1))
 	default:
-		return &sqlast.FuncCall{Name: "NULLIF", Args: []sqlast.Expr{eg.genAny(depth + 1), eg.literal()}}
+		return eg.nodes.Func("NULLIF", eg.genAny(depth+1), eg.literal())
 	}
 }
 
@@ -424,45 +430,37 @@ func (eg *ExprGen) genBool(depth int) sqlast.Expr {
 	leafOnly := depth >= eg.MaxDepth
 	if leafOnly || eg.Rnd.Bool(0.2) {
 		if bools := eg.colsOfCategory(CatBool); len(bools) > 0 && eg.Rnd.Bool(0.5) {
-			return eg.pick(bools[eg.Rnd.Intn(len(bools))])
+			return eg.ref(bools[eg.Rnd.Intn(len(bools))])
 		}
-		return sqlast.Lit(sqlval.Bool(eg.Rnd.Bool(0.5)))
+		return eg.nodes.Lit(sqlval.Bool(eg.Rnd.Bool(0.5)))
 	}
 	switch eg.Rnd.Intn(9) {
 	case 0:
-		return sqlast.Not(eg.genBool(depth + 1))
+		return eg.nodes.Unary(sqlast.OpNot, eg.genBool(depth+1))
 	case 1, 2:
 		ops := []sqlast.BinOp{sqlast.OpAnd, sqlast.OpOr}
-		return &sqlast.Binary{Op: ops[eg.Rnd.Intn(2)], L: eg.genBool(depth + 1), R: eg.genBool(depth + 1)}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(2)], eg.genBool(depth+1), eg.genBool(depth+1))
 	case 3, 4, 5:
 		cat := eg.someCategory()
 		ops := []sqlast.BinOp{sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe}
-		return &sqlast.Binary{
-			Op: ops[eg.Rnd.Intn(len(ops))],
-			L:  eg.genTyped(cat, depth+1),
-			R:  eg.genTyped(cat, depth+1),
-		}
+		return eg.nodes.Binary(ops[eg.Rnd.Intn(len(ops))], eg.genTyped(cat, depth+1), eg.genTyped(cat, depth+1))
 	case 6:
 		op := sqlast.OpIsNull
 		if eg.Rnd.Bool(0.5) {
 			op = sqlast.OpNotNull
 		}
-		return &sqlast.Unary{Op: op, X: eg.genTyped(eg.someCategory(), depth+1)}
+		return eg.nodes.Unary(op, eg.genTyped(eg.someCategory(), depth+1))
 	case 7:
 		// x IS TRUE / IS NOT FALSE — boolean identity tests.
 		op := sqlast.OpIs
 		if eg.Rnd.Bool(0.5) {
 			op = sqlast.OpIsNot
 		}
-		return &sqlast.Binary{Op: op, L: eg.genBool(depth + 1), R: sqlast.Lit(sqlval.Bool(eg.Rnd.Bool(0.5)))}
+		return eg.nodes.Binary(op, eg.genBool(depth+1), eg.nodes.Lit(sqlval.Bool(eg.Rnd.Bool(0.5))))
 	default:
 		cat := eg.someCategory()
-		return &sqlast.Between{
-			Not: eg.Rnd.Bool(0.3),
-			X:   eg.genTyped(cat, depth+1),
-			Lo:  sqlast.Lit(eg.Rnd.ValueOfCategory(cat)),
-			Hi:  sqlast.Lit(eg.Rnd.ValueOfCategory(cat)),
-		}
+		return eg.nodes.Between(eg.Rnd.Bool(0.3), eg.genTyped(cat, depth+1),
+			eg.nodes.Lit(eg.Rnd.ValueOfCategory(cat)), eg.nodes.Lit(eg.Rnd.ValueOfCategory(cat)))
 	}
 }
 
@@ -488,15 +486,15 @@ func (eg *ExprGen) genTyped(cat Category, depth int) sqlast.Expr {
 	}
 	cols := eg.colsOfCategory(cat)
 	if len(cols) > 0 && eg.Rnd.Bool(0.55) {
-		return eg.pick(cols[eg.Rnd.Intn(len(cols))])
+		return eg.ref(cols[eg.Rnd.Intn(len(cols))])
 	}
 	if len(eg.Hints) > 0 && eg.Rnd.Bool(0.4) {
 		h := eg.Hints[eg.Rnd.Intn(len(eg.Hints))]
 		if matchesCategory(h, cat) {
-			return sqlast.Lit(h)
+			return eg.nodes.Lit(h)
 		}
 	}
-	return sqlast.Lit(eg.Rnd.ValueOfCategory(cat))
+	return eg.nodes.Lit(eg.Rnd.ValueOfCategory(cat))
 }
 
 func matchesCategory(v sqlval.Value, cat Category) bool {

@@ -161,6 +161,66 @@ func TestStateGenPopulates(t *testing.T) {
 	}
 }
 
+// TestStateGenResetMatchesFresh holds StateGen.Reset to its promise: one
+// generator reset per database draws exactly the statements a new
+// generator per database draws. Each database's statements are rendered
+// only after its session scripts and extra DML are drawn, so a statement
+// whose arena memory a later one overwrote shows too.
+func TestStateGenResetMatchesFresh(t *testing.T) {
+	hints := []sqlval.Value{sqlval.Text("aBc"), sqlval.Int(7)}
+	for _, d := range dialect.All {
+		var reused StateGen
+		for seed := int64(1); seed <= 12; seed++ {
+			fresh := &StateGen{Hints: append([]sqlval.Value(nil), hints...)}
+			want := stateStream(t, fresh, d, seed, func(rnd *Rand, e *engine.Engine) {
+				fresh.Rnd, fresh.E = rnd, e
+			})
+			got := stateStream(t, &reused, d, seed, func(rnd *Rand, e *engine.Engine) {
+				reused.Reset(rnd, e, hints)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("[%s] seed %d: reset generator drew %d statements, fresh %d", d, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("[%s] seed %d, statement %d: reset generator drew %q, fresh %q", d, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// stateStream readies sg (through ready) on a new engine, builds a
+// database, then draws three session scripts and three extra DML
+// statements, and renders everything it drew.
+func stateStream(t *testing.T, sg *StateGen, d dialect.Dialect, seed int64, ready func(*Rand, *engine.Engine)) []string {
+	t.Helper()
+	e := engine.Open(d)
+	ready(NewRand(d, seed), e)
+	var stmts []sqlast.Stmt
+	apply := func(st sqlast.Stmt) error {
+		stmts = append(stmts, st)
+		_, _ = e.ExecStmt(st)
+		return nil
+	}
+	if err := sg.BuildDatabase(apply); err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range sg.SessionScripts(3) {
+		stmts = append(stmts, script...)
+	}
+	for i := 0; i < 3; i++ {
+		if err := sg.RandomDML(apply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]string, len(stmts))
+	for i, st := range stmts {
+		out[i] = sqlast.SQL(st, d)
+	}
+	return out
+}
+
 func TestMutatedHintVariants(t *testing.T) {
 	eg := &ExprGen{
 		Rnd:   NewRand(dialect.SQLite, 8),

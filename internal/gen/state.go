@@ -24,6 +24,12 @@ type Introspector interface {
 // are handed to an apply callback one at a time; the caller executes them
 // and runs the error oracle. The generator re-introspects the database
 // after DDL rather than tracking state itself (§3.4 of the paper).
+//
+// A StateGen is reused through Reset, which keeps its memory: the DML and
+// session-read nodes it generates come from its arena, and, like the
+// session scripts, live until the next Reset. DDL nodes (CREATE TABLE,
+// CREATE INDEX, CREATE VIEW, options) stay on the heap, since the
+// engine's catalog keeps them for the life of the database.
 type StateGen struct {
 	Rnd *Rand
 	E   Introspector
@@ -39,6 +45,27 @@ type StateGen struct {
 	indexSeq int
 	viewSeq  int
 	statSeq  int
+
+	nodes sqlast.Arena
+	// Reused scratch: insertInto's column subset, its WITHOUT ROWID
+	// primary-key values per column, caseVariantOf's value pool, and the
+	// session scripts.
+	cols    []schema.ColumnInfo
+	batch   map[string][]sqlval.Value
+	pool    []sqlval.Value
+	scripts [][]sqlast.Stmt
+}
+
+// Reset readies the generator for a new database (or a new check on one)
+// introspected through intro, starting from a copy of hints, and keeps
+// its memory and row/table bounds. Every statement it generated before
+// becomes invalid. A generator reset this way draws exactly what a new
+// one with the same fields would.
+func (sg *StateGen) Reset(rnd *Rand, intro Introspector, hints []sqlval.Value) {
+	sg.Rnd, sg.E = rnd, intro
+	sg.Hints = append(sg.Hints[:0], hints...)
+	sg.tableSeq, sg.indexSeq, sg.viewSeq, sg.statSeq = 0, 0, 0, 0
+	sg.nodes.Reset()
 }
 
 // Apply executes one generated statement. It returns a non-nil error only
@@ -111,6 +138,7 @@ func (sg *StateGen) genCreateTable(name string) *sqlast.CreateTable {
 	ct := &sqlast.CreateTable{Name: name}
 	d := sg.Rnd.D
 	nCols := 1 + sg.Rnd.Intn(4)
+	ct.Columns = make([]sqlast.ColumnDef, 0, nCols)
 	pkUsed := false
 	for i := 0; i < nCols; i++ {
 		cd := sqlast.ColumnDef{Name: fmt.Sprintf("c%d", i)}
@@ -172,30 +200,39 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 	if err != nil || info.IsView {
 		return nil
 	}
-	ins := &sqlast.Insert{Table: table}
+	ins := sg.nodes.Insert()
+	ins.Table = table
 	// Usually name a random subset of columns (paper listings often
 	// insert into a subset).
-	var cols []schema.ColumnInfo
+	cols := sg.cols[:0]
 	if sg.Rnd.Bool(0.75) {
 		for _, c := range info.Columns {
 			if sg.Rnd.Bool(0.75) {
 				cols = append(cols, c)
-				ins.Columns = append(ins.Columns, c.Name)
 			}
 		}
 	}
-	if len(cols) == 0 {
+	sg.cols = cols
+	if len(cols) > 0 {
+		ins.Columns = sg.nodes.Strings(len(cols))
+		for i, c := range cols {
+			ins.Columns[i] = c.Name
+		}
+	} else {
 		cols = info.Columns
-		ins.Columns = nil
 	}
 	// batch holds this statement's values of each WITHOUT ROWID PK column,
-	// the only ones caseVariantOf draws from; made on first use.
-	var batch map[string][]sqlval.Value
+	// the only ones caseVariantOf draws from; emptied per statement.
 	keepBatch := sg.Rnd.D == dialect.SQLite && info.WithoutRowid
-	ins.Rows = make([][]sqlast.Expr, 0, rows)
-	for r := 0; r < rows; r++ {
-		row := make([]sqlast.Expr, 0, len(cols))
-		for _, c := range cols {
+	if keepBatch {
+		for k, v := range sg.batch {
+			sg.batch[k] = v[:0]
+		}
+	}
+	ins.Rows = sg.nodes.Rows(rows)
+	for r := range ins.Rows {
+		row := sg.nodes.Exprs(len(cols))
+		for i, c := range cols {
 			var v sqlval.Value
 			switch {
 			case sg.Rnd.D == dialect.Postgres:
@@ -204,7 +241,7 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 				// Listing 4's data shape: a case-toggled variant of an
 				// existing PK value — BINARY-distinct (so the PK admits it)
 				// but NOCASE-equal (so a collated PK index dedups it).
-				v = sg.caseVariantOf(table, info, c.Name, batch[c.Name])
+				v = sg.caseVariantOf(table, info, c.Name, sg.batch[c.Name])
 			case sg.Rnd.D == dialect.SQLite && len(sg.Hints) > 0 && sg.Rnd.Bool(0.2):
 				// Re-insert a case-toggled variant of stored text:
 				// NOCASE-equal but BINARY-distinct pairs are the data shape
@@ -220,14 +257,14 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 			}
 			sg.Hints = append(sg.Hints, v)
 			if keepBatch && c.PK {
-				if batch == nil {
-					batch = map[string][]sqlval.Value{}
+				if sg.batch == nil {
+					sg.batch = map[string][]sqlval.Value{}
 				}
-				batch[c.Name] = append(batch[c.Name], v)
+				sg.batch[c.Name] = append(sg.batch[c.Name], v)
 			}
-			row = append(row, sqlast.Lit(v))
+			row[i] = sg.nodes.Lit(v)
 		}
-		ins.Rows = append(ins.Rows, row)
+		ins.Rows[r] = row
 	}
 	switch {
 	case sg.Rnd.Bool(0.2):
@@ -242,7 +279,7 @@ func (sg *StateGen) insertInto(apply Apply, table string, rows int) error {
 // the named column — stored rows or earlier rows of the same INSERT batch —
 // falling back to interesting text (letters toggle; digits do not).
 func (sg *StateGen) caseVariantOf(table string, info schema.TableInfo, column string, batch []sqlval.Value) sqlval.Value {
-	var pool []sqlval.Value
+	pool := sg.pool[:0]
 	ci := -1
 	for i := range info.Columns {
 		if info.Columns[i].Name == column {
@@ -258,6 +295,7 @@ func (sg *StateGen) caseVariantOf(table string, info schema.TableInfo, column st
 		}
 	}
 	pool = append(pool, batch...)
+	sg.pool = pool
 	for tries := 0; tries < 4 && len(pool) > 0; tries++ {
 		v := pool[sg.Rnd.Intn(len(pool))]
 		if v.Kind() == sqlval.KText {
@@ -471,7 +509,8 @@ func (sg *StateGen) genUpdate(apply Apply, table string) error {
 	if err != nil || len(info.Columns) == 0 {
 		return nil
 	}
-	up := &sqlast.Update{Table: table}
+	up := sg.nodes.Update()
+	up.Table = table
 	col := info.Columns[sg.Rnd.Intn(len(info.Columns))]
 	var v sqlval.Value
 	if sg.Rnd.D == dialect.Postgres {
@@ -480,13 +519,14 @@ func (sg *StateGen) genUpdate(apply Apply, table string) error {
 		v = sg.Rnd.Value()
 	}
 	sg.Hints = append(sg.Hints, v)
-	up.Sets = []sqlast.Assignment{{Column: col.Name, Value: sqlast.Lit(v)}}
+	up.Sets = sg.nodes.Assignments(1)
+	up.Sets[0] = sqlast.Assignment{Column: col.Name, Value: sg.nodes.Lit(v)}
 	if sg.Rnd.Bool(0.4) {
 		wcol := info.Columns[sg.Rnd.Intn(len(info.Columns))]
 		if sg.Rnd.D == dialect.Postgres {
-			up.Where = &sqlast.Unary{Op: sqlast.OpNotNull, X: sqlast.Col("", wcol.Name)}
+			up.Where = sg.nodes.Unary(sqlast.OpNotNull, sg.nodes.Col("", wcol.Name))
 		} else {
-			up.Where = &sqlast.Binary{Op: sqlast.OpEq, L: sqlast.Col("", wcol.Name), R: sqlast.Lit(sg.Rnd.Value())}
+			up.Where = sg.nodes.Binary(sqlast.OpEq, sg.nodes.Col("", wcol.Name), sg.nodes.Lit(sg.Rnd.Value()))
 		}
 	}
 	if sg.Rnd.D == dialect.SQLite && sg.Rnd.Bool(0.25) {
@@ -501,10 +541,9 @@ func (sg *StateGen) genDelete(apply Apply, table string) error {
 		return nil
 	}
 	col := info.Columns[sg.Rnd.Intn(len(info.Columns))]
-	del := &sqlast.Delete{
-		Table: table,
-		Where: &sqlast.Unary{Op: sqlast.OpIsNull, X: sqlast.Col("", col.Name)},
-	}
+	del := sg.nodes.Delete()
+	del.Table = table
+	del.Where = sg.nodes.Unary(sqlast.OpIsNull, sg.nodes.Col("", col.Name))
 	return apply(del)
 }
 

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"slices"
+
 	"repro/internal/sqlast"
 )
 
@@ -18,22 +20,31 @@ type Step struct {
 	Index   int // statement index within that script
 }
 
+// The transaction-control statements every session script shares: the
+// engine never mutates a statement, so one node serves every use.
+var (
+	txnBegin    = &sqlast.Txn{Op: sqlast.TxnBegin}
+	txnCommit   = &sqlast.Txn{Op: sqlast.TxnCommit}
+	txnRollback = &sqlast.Txn{Op: sqlast.TxnRollback}
+)
+
 // SessionScripts generates n per-session statement scripts over the
 // database's existing tables. Each script wraps one to three DML or read
 // statements in BEGIN … COMMIT (sometimes ROLLBACK), optionally with
 // auto-committed statements before or after the transaction — the shapes
 // that make snapshot staging, commit validation, and rollback restoration
-// observable when sessions overlap.
+// observable when sessions overlap. The scripts live in the generator's
+// memory until its next Reset.
 func (sg *StateGen) SessionScripts(n int) [][]sqlast.Stmt {
-	out := make([][]sqlast.Stmt, n)
-	for i := range out {
-		out[i] = sg.sessionScript()
+	sg.scripts = slices.Grow(sg.scripts[:0], n)[:n]
+	for i := range sg.scripts {
+		sg.scripts[i] = sg.sessionScript(sg.scripts[i][:0])
 	}
-	return out
+	return sg.scripts
 }
 
-func (sg *StateGen) sessionScript() []sqlast.Stmt {
-	var stmts []sqlast.Stmt
+// sessionScript appends one session's script to stmts.
+func (sg *StateGen) sessionScript(stmts []sqlast.Stmt) []sqlast.Stmt {
 	capture := func(st sqlast.Stmt) error {
 		stmts = append(stmts, st)
 		return nil
@@ -43,15 +54,15 @@ func (sg *StateGen) sessionScript() []sqlast.Stmt {
 	if sg.Rnd.Bool(0.3) {
 		_ = sg.sessionStmt(capture)
 	}
-	stmts = append(stmts, &sqlast.Txn{Op: sqlast.TxnBegin})
+	stmts = append(stmts, txnBegin)
 	for j, n := 0, 1+sg.Rnd.Intn(3); j < n; j++ {
 		_ = sg.sessionStmt(capture)
 	}
-	op := sqlast.TxnCommit
+	end := txnCommit
 	if sg.Rnd.Bool(0.25) {
-		op = sqlast.TxnRollback
+		end = txnRollback
 	}
-	stmts = append(stmts, &sqlast.Txn{Op: op})
+	stmts = append(stmts, end)
 	if sg.Rnd.Bool(0.2) {
 		_ = sg.sessionStmt(capture)
 	}
@@ -80,10 +91,15 @@ func (sg *StateGen) sessionStmt(apply Apply) error {
 	}
 }
 
+// starCol is a session read's full-row projection (shared, never mutated).
+var starCol = []sqlast.ResultCol{{Star: true}}
+
 // genSessionRead builds a deterministic observation of one table: its full
 // row set, or an aggregate over one column.
 func (sg *StateGen) genSessionRead(table string) *sqlast.Select {
-	sel := &sqlast.Select{From: []sqlast.TableRef{{Name: table}}}
+	sel := sg.nodes.Select()
+	sel.From = sg.nodes.TableRefs(1)
+	sel.From[0].Name = table
 	info, err := sg.E.Describe(table)
 	if err == nil && len(info.Columns) > 0 && sg.Rnd.Bool(0.5) {
 		col := info.Columns[sg.Rnd.Intn(len(info.Columns))].Name
@@ -91,30 +107,38 @@ func (sg *StateGen) genSessionRead(table string) *sqlast.Select {
 		if sg.Rnd.Bool(0.3) {
 			fn = "MAX"
 		}
-		sel.Cols = []sqlast.ResultCol{{
-			X:     &sqlast.FuncCall{Name: fn, Args: []sqlast.Expr{sqlast.Col(table, col)}},
-			Alias: "a",
-		}}
+		sel.Cols = sg.nodes.ResultCols(1)
+		sel.Cols[0] = sqlast.ResultCol{X: sg.nodes.Func(fn, sg.nodes.Col(table, col)), Alias: "a"}
 		return sel
 	}
-	sel.Cols = []sqlast.ResultCol{{Star: true}}
+	sel.Cols = starCol
 	return sel
 }
 
-// Interleave draws a deterministic schedule over the session scripts: at
-// each step one session with statements remaining is picked from the
-// seeded stream and its next statement is appended. Statement order
-// within a session is preserved. Replaying the same seed reproduces the
-// identical schedule — the oracle executes it single-threaded, so the
-// history is byte-identical at any campaign worker count.
-func Interleave(rnd *Rand, scripts [][]sqlast.Stmt) []Step {
+// Schedule is the memory Interleave draws schedules in: the steps and the
+// per-session cursors. Reusing one Schedule across histories reuses all of
+// it.
+type Schedule struct {
+	steps      []Step
+	next, live []int
+}
+
+// Interleave draws a deterministic schedule over the session scripts,
+// valid until the next call: at each step one session with
+// statements remaining is picked from the seeded stream and its next
+// statement is appended. Statement order within a session is preserved.
+// Replaying the same seed reproduces the identical schedule — the oracle
+// executes it single-threaded, so the history is byte-identical at any
+// campaign worker count.
+func (s *Schedule) Interleave(rnd *Rand, scripts [][]sqlast.Stmt) []Step {
 	total := 0
-	next := make([]int, len(scripts))
-	for _, s := range scripts {
-		total += len(s)
+	for _, sc := range scripts {
+		total += len(sc)
 	}
-	steps := make([]Step, 0, total)
-	live := make([]int, 0, len(scripts))
+	next := slices.Grow(s.next[:0], len(scripts))[:len(scripts)]
+	clear(next)
+	steps := slices.Grow(s.steps[:0], total)
+	live := s.live[:0]
 	for len(steps) < total {
 		live = live[:0]
 		for i := range scripts {
@@ -122,9 +146,10 @@ func Interleave(rnd *Rand, scripts [][]sqlast.Stmt) []Step {
 				live = append(live, i)
 			}
 		}
-		s := live[rnd.Intn(len(live))]
-		steps = append(steps, Step{Session: s, Index: next[s]})
-		next[s]++
+		at := live[rnd.Intn(len(live))]
+		steps = append(steps, Step{Session: at, Index: next[at]})
+		next[at]++
 	}
+	s.steps, s.next, s.live = steps, next, live
 	return steps
 }

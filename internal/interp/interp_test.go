@@ -294,7 +294,7 @@ func TestFigure1Rectification(t *testing.T) {
 	if err != nil || tb != sqlval.TriFalse {
 		t.Fatalf("inner expr = %v, %v; want FALSE", tb, err)
 	}
-	tb, err = EvalBool(sqlast.Not(e), ctx)
+	tb, err = EvalBool(&sqlast.Unary{Op: sqlast.OpNot, X: e}, ctx)
 	if err != nil || tb != sqlval.TriTrue {
 		t.Errorf("rectified expr = %v, %v; want TRUE", tb, err)
 	}

@@ -43,8 +43,12 @@ type crashableDB interface {
 // before the crash, never the (possibly buggy) recovery path. A recovered
 // table never shares a storage snapshot with it (recovery rebuilds every
 // heap), so the comparison always reads its rows.
+//
+// An instance owns its generator, reset per check, so it serves one check
+// at a time; the check renders every statement it executes at once.
 type recovery struct {
 	opts Options
+	sg   gen.StateGen
 }
 
 // Name implements Oracle.
@@ -105,7 +109,8 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 			"recovery oracle requires the durable pager backend (session Storage=\"pager\", CLI -storage=pager)")
 	}
 
-	sg := &gen.StateGen{Rnd: env.Rnd, E: db.Introspect(), Hints: env.Hints}
+	sg := &r.sg
+	sg.Reset(env.Rnd, db.Introspect(), env.Hints)
 	var extra []string // DML executed since the setup prefix
 	apply := func(st sqlast.Stmt) error {
 		env.Record()

@@ -42,11 +42,15 @@ type multiDB interface {
 // commit order itself a witness serial order, so a sound engine passes on
 // the first candidate — any history with no witness at all is a bug.
 //
-// An instance reuses its check memory (see history), so it serves one
-// check at a time.
+// An instance reuses its check memory (see history), its generator and
+// its schedule, so it serves one check at a time. The generator is its
+// own, reset per check: the scripts it builds never share memory with the
+// statements that built the database.
 type serializability struct {
-	opts Options
-	h    history
+	opts  Options
+	h     history
+	sg    gen.StateGen
+	sched gen.Schedule
 }
 
 // Name implements Oracle.
@@ -147,16 +151,18 @@ type unit struct {
 }
 
 // history is one check's memory: the executed steps and their observed
-// outcomes, the committed units, the open-transaction table, the arenas
-// the observed result rows are copied into, the replay's row buffer and
-// the serial-order search's permutation. The next check overwrites all of
-// it, so nothing outlives the check that filled it: a detection renders
-// its message and trace before the check returns, and no Report aliases
-// this memory. An oracle instance owns one history (its checks run one at
-// a time, 30 per database); SerializabilityReplay builds its own.
+// outcomes, the sessions' connections, the committed units, the
+// open-transaction table, the arenas the observed result rows are copied
+// into, the replay's row buffer and the serial-order search's
+// permutation. The next check overwrites all of it, so nothing outlives
+// the check that filled it: a detection renders its message and trace
+// before the check returns, and no Report aliases this memory. An oracle
+// instance owns one history (its checks run one at a time, 30 per
+// database); SerializabilityReplay builds its own.
 type history struct {
 	db    multiDB
 	steps []histStep
+	conns []sut.Conn
 	units []unit
 	open  []int // session → index into units of its open transaction, or -1
 
@@ -345,7 +351,9 @@ func (h *history) searchSerial(base, final *engine.Snapshot) (bool, string) {
 // multi-session phase).
 func (h *history) runHistory(env *Env, nSessions int) (*Report, error) {
 	db := h.db
-	conns := make([]sut.Conn, nSessions)
+	conns := slices.Grow(h.conns[:0], nSessions)[:nSessions]
+	clear(conns)
+	h.conns = conns
 	defer func() {
 		for _, c := range conns {
 			if c != nil {
@@ -429,13 +437,14 @@ func (o *serializability) Check(db sut.DB, env *Env) (*Report, error) {
 		return nil, xerr.New(xerr.CodeUnsupported,
 			"serializability oracle requires a multi-session backend with snapshot support (sut/memengine)")
 	}
-	sg := &gen.StateGen{Rnd: env.Rnd, E: db.Introspect(), Hints: env.Hints}
+	sg := &o.sg
+	sg.Reset(env.Rnd, db.Introspect(), env.Hints)
 	nSessions := o.opts.Sessions
 	if nSessions <= 0 {
 		nSessions = 2 + env.Rnd.Intn(2)
 	}
 	scripts := sg.SessionScripts(nSessions)
-	schedule := gen.Interleave(env.Rnd, scripts)
+	schedule := o.sched.Interleave(env.Rnd, scripts)
 	if len(schedule) == 0 {
 		return nil, nil
 	}

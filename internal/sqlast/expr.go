@@ -148,12 +148,6 @@ func Lit(v sqlval.Value) *Literal { return &Literal{Val: v} }
 // Col is shorthand for a qualified column reference.
 func Col(table, column string) *ColumnRef { return &ColumnRef{Table: table, Column: column} }
 
-// Not wraps e in logical negation (used by rectification, Algorithm 3).
-func Not(e Expr) Expr { return &Unary{Op: OpNot, X: e} }
-
-// IsNullExpr wraps e in an IS NULL test (used by rectification).
-func IsNullExpr(e Expr) Expr { return &Unary{Op: OpIsNull, X: e} }
-
 // WalkExprs calls fn on e and every descendant expression, pre-order.
 // fn returning false prunes the subtree.
 func WalkExprs(e Expr, fn func(Expr) bool) {

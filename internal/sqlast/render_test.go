@@ -105,8 +105,8 @@ func TestRenderExprForms(t *testing.T) {
 		d    dialect.Dialect
 		want string
 	}{
-		{Not(Col("t0", "c1")), dialect.SQLite, "(NOT t0.c1)"},
-		{IsNullExpr(Col("", "c0")), dialect.SQLite, "(c0 IS NULL)"},
+		{&Unary{Op: OpNot, X: Col("t0", "c1")}, dialect.SQLite, "(NOT t0.c1)"},
+		{&Unary{Op: OpIsNull, X: Col("", "c0")}, dialect.SQLite, "(c0 IS NULL)"},
 		{&Binary{Op: OpNullSafeEq, L: Col("t0", "c0"), R: Lit(sqlval.Int(2035382037))}, dialect.MySQL, "(t0.c0 <=> 2035382037)"},
 		{&Between{X: Col("", "c0"), Lo: Lit(sqlval.Int(1)), Hi: Lit(sqlval.Int(5))}, dialect.SQLite, "(c0 BETWEEN 1 AND 5)"},
 		{&InList{X: Col("", "c0"), Not: true, List: []Expr{Lit(sqlval.Int(1)), Lit(sqlval.Null())}}, dialect.SQLite, "(c0 NOT IN (1, NULL))"},
@@ -190,7 +190,7 @@ func TestStatementKinds(t *testing.T) {
 func TestWalkAndColumnsUsed(t *testing.T) {
 	e := &Binary{
 		Op: OpOr,
-		L:  Not(Col("t0", "c1")),
+		L:  &Unary{Op: OpNot, X: Col("t0", "c1")},
 		R:  &Binary{Op: OpGt, L: Col("t1", "c0"), R: &Binary{Op: OpAdd, L: Col("t0", "c1"), R: Lit(sqlval.Int(3))}},
 	}
 	cols := ColumnsUsed(e)
@@ -211,7 +211,7 @@ func TestDepth(t *testing.T) {
 	if d := Depth(Lit(sqlval.Int(1))); d != 1 {
 		t.Errorf("depth of literal = %d", d)
 	}
-	e := Not(&Binary{Op: OpOr, L: Col("t0", "c1"), R: &Binary{Op: OpGt, L: Col("t1", "c0"), R: Lit(sqlval.Int(3))}})
+	e := &Unary{Op: OpNot, X: &Binary{Op: OpOr, L: Col("t0", "c1"), R: &Binary{Op: OpGt, L: Col("t1", "c0"), R: Lit(sqlval.Int(3))}}}
 	if d := Depth(e); d != 4 {
 		t.Errorf("depth = %d, want 4", d)
 	}

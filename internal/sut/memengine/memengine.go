@@ -80,6 +80,8 @@ type DB struct {
 	// ownDir is the temp directory holding a durable database's files;
 	// Close removes it so campaigns leave no artifacts behind.
 	ownDir string
+	// freeConns holds closed sessions for NewConn to hand out again.
+	freeConns []*conn
 }
 
 // Wrap adapts a caller-constructed engine (white-box tests, coverage
@@ -121,8 +123,18 @@ func (d *DB) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
 // NewConn implements sut.MultiSession: an additional engine session
 // sharing the committed state, with its own transaction scope. The
 // serializability oracle interleaves statements across several of these.
+// A session closed earlier is handed out again, so a closed session must
+// not be used again.
 func (d *DB) NewConn() (sut.Conn, error) {
-	return &conn{c: d.e.NewConn(), db: d}, nil
+	var c *conn
+	if n := len(d.freeConns); n > 0 {
+		c = d.freeConns[n-1]
+		d.freeConns = d.freeConns[:n-1]
+	} else {
+		c = &conn{}
+	}
+	c.c, c.db = d.e.NewConn(), d
+	return c, nil
 }
 
 // conn adapts one engine.Conn to sut.Conn.
@@ -147,8 +159,18 @@ func (c *conn) ExecAST(st sqlast.Stmt) (*sut.Result, error) {
 	return c.result(c.c.ExecStmt(st))
 }
 
-// Close implements sut.Conn: rolls back the session's open transaction.
-func (c *conn) Close() error { return c.c.Close() }
+// Close implements sut.Conn: rolls back the session's open transaction
+// and puts the session, zeroed, on its DB's free list.
+func (c *conn) Close() error {
+	db := c.db
+	if db == nil {
+		return nil // already closed
+	}
+	err := c.c.Close()
+	*c = conn{}
+	db.freeConns = append(db.freeConns, c)
+	return err
+}
 
 // Reset implements sut.Resetter: the engine rewinds to the pristine state
 // of a fresh Open without reallocating its long-lived structures, so

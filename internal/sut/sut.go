@@ -168,7 +168,8 @@ type Conn interface {
 	// honouring the DB's wire-fidelity setting.
 	ExecAST(st sqlast.Stmt) (*Result, error)
 	// Close rolls back the session's open transaction, if any, and
-	// releases the session.
+	// releases the session. A backend may hand a closed session out
+	// again, so a closed Conn must not be used again.
 	Close() error
 }
 
