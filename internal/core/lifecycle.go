@@ -41,23 +41,18 @@ func (t *Tester) Reseed(seed int64) {
 
 // SetOracle switches the testing oracle for subsequent databases
 // (campaign oracle rotation across one pooled lifecycle). Each name is
-// resolved through the registry once per tester, so a rotated oracle keeps
-// its reused check memory.
-func (t *Tester) SetOracle(name string) {
-	if name == t.cfg.Oracle {
-		return
-	}
-	t.cfg.Oracle = name
-	t.resolveOracle()
-}
+// resolved once per tester, so a rotated oracle keeps its reused check
+// memory.
+func (t *Tester) SetOracle(name string) { t.cfg.Oracle = name }
 
 // TakeStats returns the counters accumulated since the last take and
 // resets them, so schedulers can fold per-database deltas into
-// per-campaign aggregates without double counting.
+// per-campaign aggregates without double counting. The tester keeps its
+// Stats, which its PQS oracle counts into.
 func (t *Tester) TakeStats() *Stats {
-	s := t.stats
-	t.stats = newStats()
-	return s
+	s := *t.stats
+	*t.stats = *newStats()
+	return &s
 }
 
 // RunSeed runs one full database lifecycle for the seed: re-seed the RNG,

@@ -295,8 +295,12 @@ func TestSetupTraceSurvivesChecks(t *testing.T) {
 		t.Run(tc.oracle, func(t *testing.T) {
 			lc := NewLifecycle(Config{Oracle: tc.oracle, Session: sut.Session{Dialect: dialect.SQLite, Storage: tc.storage}})
 			defer lc.Close()
-			probe := &setupProbe{Oracle: lc.meta}
-			lc.meta = probe
+			o, err := lc.queryOracle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &setupProbe{Oracle: o}
+			lc.oracles[tc.oracle] = probe
 			for seed := int64(1); seed <= tc.seeds; seed++ {
 				probe.checks = 0
 				if bug, err := lc.RunSeed(seed); bug != nil || err != nil {

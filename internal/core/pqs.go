@@ -17,7 +17,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/interp"
 	"repro/internal/oracle"
-	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/sqlval"
 	"repro/internal/sut"
@@ -27,7 +26,6 @@ import (
 	// in-tree DBMS. A build targeting solely external backends would
 	// move this registration to its main package.
 	_ "repro/internal/sut/memengine"
-	"repro/internal/xerr"
 )
 
 // Config parameterizes a Tester. The embedded Session is what every
@@ -42,11 +40,13 @@ type Config struct {
 	// Backend names the sut driver databases are opened on ("" selects
 	// sut.DefaultBackend, the in-process engine).
 	Backend string
-	// Oracle selects the testing oracle for the query phase of each
-	// database lifecycle: "" or "pqs" runs the native pivot loop (Figure
-	// 1); any other name resolves through the internal/oracle registry
-	// ("tlp", "norec"). The database-generation phase and its error/crash
-	// oracle are shared by every choice.
+	// Oracle names the registry oracle of the query phase of each
+	// database lifecycle ("" means "pqs", the pivot loop of Figure 1;
+	// "tlp", "norec", "serializability", "recovery"). The tester builds
+	// its pqs oracle itself, from this Config and its Stats; the others
+	// resolve through the internal/oracle registry. The
+	// database-generation phase and its error/crash oracle are shared by
+	// every choice.
 	Oracle string
 
 	// MaxExprDepth bounds generated expression trees (Algorithm 1's
@@ -57,8 +57,9 @@ type Config struct {
 	MinRows, MaxRows int
 	// MaxTables bounds tables per database. Default 3.
 	MaxTables int
-	// QueriesPerDB is how many pivot iterations run against one database
-	// before regenerating (the "continue with 1 or 2" choice in Figure 1).
+	// QueriesPerDB is how many oracle checks (pivot iterations, for PQS)
+	// run against one database before regenerating (the "continue with 1
+	// or 2" choice in Figure 1).
 	QueriesPerDB int
 	// DisableRectification switches Algorithm 3 off and uses rejection
 	// sampling instead (ablation 2 in DESIGN.md).
@@ -129,50 +130,27 @@ func (s *Stats) Add(o *Stats) {
 	}
 }
 
-// Tester runs PQS against fresh engine instances.
-//
-// A Tester reuses its pivot-iteration memory: the interpreter context, the
-// pivot list, the generator's column and hint pools and node arena, the
-// pivot query's Select scaffold (its clause slices), the expected tuple
-// and the plain-column marks are all overwritten by the next pivot
-// iteration. So a pivot query's AST and scaffold live until the next
-// iteration; a detection renders its trace at once and copies Expected,
-// so nothing a Bug keeps aliases tester memory. Column references are
-// built once per database (snapshotPivotSources) and shared by every
-// query on it. The state generator is reset per database, so the
-// statements that built a database live until the next one.
+// Tester runs database lifecycles against fresh engine instances: it
+// builds each database (step 1 of Figure 1, under the error and crash
+// oracles) and hands it to its query-phase oracle for QueriesPerDB checks.
+// The state generator is reset per database, so the statements that built
+// a database live until the next one.
 type Tester struct {
 	cfg   Config
 	rnd   *gen.Rand
 	stats *Stats
 
-	// meta is the resolved registry oracle when cfg.Oracle names a
-	// metamorphic oracle; nil for the native PQS loop. metaErr records a
-	// resolution failure and surfaces on the first RunDatabase. metas
-	// keeps every oracle resolved so far by name, so rotating oracles
-	// across databases (SetOracle) keeps each one's reused check memory.
-	meta    oracle.Oracle
-	metaErr error
-	metas   map[string]oracle.Oracle
-	// env is the registry oracles' Env, and targets its per-database
-	// check-target snapshot; tr is the lifecycle's statement trace.
+	// oracles keeps every query-phase oracle resolved so far by name (pqs
+	// built here from the tester's Config and Stats, the others through
+	// the registry), so rotating oracles across databases (SetOracle)
+	// keeps each one's reused check memory.
+	oracles map[string]oracle.Oracle
+	// env is the oracles' Env, and targets its per-database check-target
+	// snapshot; tr is the lifecycle's statement trace.
 	env     oracle.Env
 	targets oracle.Targets
 	tr      trace
 	sg      gen.StateGen
-
-	// Pivot-iteration scratch (see the lifetime rule above). A Tester is
-	// single-threaded, so one set serves every iteration.
-	snapBuf   []pivotSource
-	pivots    []pivotRow
-	ctx       interp.Context
-	colsBuf   []gen.ColumnPick
-	hintsBuf  []sqlval.Value
-	eg        gen.ExprGen
-	sel       sqlast.Select
-	expected  []sqlval.Value
-	plainCols []bool
-	joinCands []joinCand
 }
 
 // NewTester creates a tester.
@@ -200,29 +178,30 @@ func NewTester(cfg Config) *Tester {
 		},
 		Targets: &t.targets,
 	}
-	t.resolveOracle()
 	return t
 }
 
-// resolveOracle sets meta to the registry oracle cfg.Oracle names (nil
-// for the native PQS loop), resolving each name once per tester.
-func (t *Tester) resolveOracle() {
-	t.meta, t.metaErr = nil, nil
-	name := t.cfg.Oracle
-	if name == "" || name == "pqs" {
-		return
+// queryOracle returns the oracle cfg.Oracle names, resolving each name
+// once per tester.
+func (t *Tester) queryOracle() (oracle.Oracle, error) {
+	name := t.oracleName()
+	if o, ok := t.oracles[name]; ok {
+		return o, nil
 	}
-	if o, ok := t.metas[name]; ok {
-		t.meta = o
-		return
-	}
-	t.meta, t.metaErr = oracle.New(name, oracle.Options{MaxExprDepth: t.cfg.MaxExprDepth, Sessions: t.cfg.Sessions})
-	if t.metaErr == nil {
-		if t.metas == nil {
-			t.metas = map[string]oracle.Oracle{}
+	var o oracle.Oracle
+	if name == "pqs" {
+		o = newPQS(t.cfg, t.stats)
+	} else {
+		var err error
+		if o, err = oracle.New(name, oracle.Options{MaxExprDepth: t.cfg.MaxExprDepth, Sessions: t.cfg.Sessions}); err != nil {
+			return nil, err
 		}
-		t.metas[name] = t.meta
 	}
+	if t.oracles == nil {
+		t.oracles = map[string]oracle.Oracle{}
+	}
+	t.oracles[name] = o
+	return o, nil
 }
 
 // oracleName reports the testing oracle this tester runs.
@@ -242,8 +221,8 @@ type bugSignal struct{ bug *Bug }
 // Error implements the error interface.
 func (b *bugSignal) Error() string { return "oracle detection: " + b.bug.Message }
 
-// trace accumulates the statement sequence of one database lifecycle as
-// ASTs and renders SQL only when a detection needs a reproduction trace —
+// trace accumulates the statements that built a database as ASTs and
+// renders SQL only when a detection needs a reproduction trace —
 // rendering every statement in the hot loop costs about as much as
 // executing it (the engine never mutates statements it executes, so the
 // ASTs stay faithful).
@@ -251,10 +230,6 @@ type trace struct {
 	d     dialect.Dialect
 	stmts []sqlast.Stmt
 }
-
-func (tr *trace) add(st sqlast.Stmt) { tr.stmts = append(tr.stmts, st) }
-
-func (tr *trace) pop() { tr.stmts = tr.stmts[:len(tr.stmts)-1] }
 
 // render materializes the trace as SQL text.
 func (tr *trace) render() []string { return RenderStmts(tr.stmts, tr.d) }
@@ -283,28 +258,24 @@ func (t *Tester) RunDatabase() (*Bug, error) {
 
 // runOn runs one lifecycle against a specific database under test.
 func (t *Tester) runOn(db sut.DB) (*Bug, error) {
-	if t.metaErr != nil {
-		return nil, t.metaErr
+	o, err := t.queryOracle()
+	if err != nil {
+		return nil, err
 	}
 	t.stats.Databases++
 	tr := &t.tr
 	tr.stmts = tr.stmts[:0]
 
 	apply := func(st sqlast.Stmt) error {
-		tr.add(st)
+		tr.stmts = append(tr.stmts, st)
 		t.stats.Statements++
 		_, err := db.ExecAST(st)
-		switch v := oracle.Classify(st, err, t.cfg.Dialect); v {
-		case oracle.VerdictBug, oracle.VerdictCrash:
-			code, _ := xerr.CodeOf(err)
-			return &bugSignal{bug: &Bug{
-				Oracle:     oracle.OracleFor(v),
-				DetectedBy: t.oracleName(),
-				Message:    err.Error(),
-				Code:       code,
-				Trace:      tr.render(),
-			}}
-		case oracle.VerdictArtifact:
+		rep, v := oracle.ErrorReport(st, err, t.cfg.Dialect, t.oracleName())
+		if rep != nil {
+			rep.Trace = tr.render()
+			return &bugSignal{bug: rep}
+		}
+		if v == oracle.VerdictArtifact {
 			t.stats.Artifacts++
 		}
 		return nil
@@ -319,94 +290,21 @@ func (t *Tester) runOn(db sut.DB) (*Bug, error) {
 		return nil, err
 	}
 
-	// Metamorphic oracles take over the query phase: the database and the
-	// build-time error oracle above are shared, only the check differs.
-	if t.meta != nil {
-		env := &t.env
-		env.Hints = sg.Hints
-		t.targets.Reset()
-		for q := 0; q < t.cfg.QueriesPerDB; q++ {
-			rep, err := t.meta.Check(db, env)
-			if err != nil {
-				return nil, err
-			}
-			if rep != nil {
-				return rep, nil
-			}
-		}
-		return nil, nil
-	}
-
-	// Snapshot the pivot sources once per lifecycle: the pivot loop below
-	// executes only SELECTs, so schema and stored rows are constant and
-	// re-introspecting (copying every row) on each of the QueriesPerDB
-	// iterations would be pure overhead.
-	snap := t.snapshotPivotSources(db.Introspect())
-
+	// The query phase: every oracle checks the database built above, so
+	// only the check differs between them.
+	env := &t.env
+	env.Hints = sg.Hints
+	t.targets.Reset()
 	for q := 0; q < t.cfg.QueriesPerDB; q++ {
-		bug, err := t.pivotIteration(db, snap, sg, tr)
+		rep, err := o.Check(db, env)
 		if err != nil {
 			return nil, err
 		}
-		if bug != nil {
-			return bug, nil
+		if rep != nil {
+			return rep, nil
 		}
 	}
 	return nil, nil
-}
-
-// CheckPivot runs one PQS pivot iteration (steps 2–7 of Figure 1) against
-// an already-built database, without generating state first — the
-// one-shot form behind the registered "pqs" oracle and dbshell's .oracle
-// meta command.
-func (t *Tester) CheckPivot(db sut.DB) (*Bug, error) {
-	snap := t.snapshotPivotSources(db.Introspect())
-	if len(snap) == 0 {
-		return nil, nil
-	}
-	sg := &gen.StateGen{Rnd: t.rnd, E: db.Introspect()}
-	tr := &trace{d: t.cfg.Dialect}
-	return t.pivotIteration(db, snap, sg, tr)
-}
-
-// pivotSource is one table's cached introspection for a database
-// lifecycle: name, schema, ground-truth rows, and per column the
-// interpreter metadata (collation, affinity, signedness; Val left NULL)
-// and one reference node that every query on the database shares.
-type pivotSource struct {
-	table string
-	info  schema.TableInfo
-	rows  [][]sqlval.Value
-	meta  []interp.ColInfo
-	refs  []*sqlast.ColumnRef
-}
-
-// snapshotPivotSources captures every non-empty table's pivot material
-// into the tester's snapshot buffer.
-func (t *Tester) snapshotPivotSources(intro sut.Introspection) []pivotSource {
-	out := t.snapBuf[:0]
-	for _, tn := range intro.Tables() {
-		rows := intro.RawRows(tn)
-		if len(rows) == 0 {
-			continue
-		}
-		info, err := intro.Describe(tn)
-		if err != nil {
-			continue
-		}
-		meta := make([]interp.ColInfo, len(info.Columns))
-		nodes := make([]sqlast.ColumnRef, len(info.Columns))
-		refs := make([]*sqlast.ColumnRef, len(info.Columns))
-		for i, col := range info.Columns {
-			coll, _ := sqlval.ParseCollation(col.Collate)
-			meta[i] = interp.ColInfo{Coll: coll, Affinity: sqlval.AffinityOf(col.TypeName), Unsigned: col.Unsigned}
-			nodes[i] = sqlast.ColumnRef{Table: tn, Column: col.Name}
-			refs[i] = &nodes[i]
-		}
-		out = append(out, pivotSource{table: tn, info: info, rows: rows, meta: meta, refs: refs})
-	}
-	t.snapBuf = out
-	return out
 }
 
 // pivotRow is one table's pivot selection: its source (whose rows keep
@@ -414,118 +312,124 @@ func (t *Tester) snapshotPivotSources(intro sut.Introspection) []pivotSource {
 // the snapshot, so buildQuery can compute the pivot's exact ORDER BY rank
 // for position-tight LIMITs.
 type pivotRow struct {
-	*pivotSource
+	*oracle.RowSource
 	vals   []sqlval.Value
 	rowIdx int
 }
 
-// pivotIteration runs steps 2–7 once.
-func (t *Tester) pivotIteration(db sut.DB, snap []pivotSource, sg *gen.StateGen, tr *trace) (*Bug, error) {
+// Check implements oracle.Oracle: one pivot iteration (steps 2–7) against
+// db's current state, in env's dialect.
+func (o *pqsOracle) Check(db sut.DB, env *oracle.Env) (*Bug, error) {
+	// The check runs in env's dialect, which a registry-built oracle
+	// learns here.
+	o.rnd, o.cfg.Dialect = env.Rnd, env.Dialect
+	srcs := env.Snapshot(db, &o.own).RowSources(db.Introspect())
 	// Step 2: select a pivot row from each table.
-	pivots := t.pivots[:0]
-	for i := range snap {
-		src := &snap[i]
-		ri := t.rnd.Intn(len(src.rows))
-		pivots = append(pivots, pivotRow{pivotSource: src, vals: src.rows[ri], rowIdx: ri})
+	pivots := o.pivots[:0]
+	for i := range srcs {
+		src := &srcs[i]
+		ri := o.rnd.Intn(len(src.Rows))
+		pivots = append(pivots, pivotRow{RowSource: src, vals: src.Rows[ri], rowIdx: ri})
 	}
-	t.pivots = pivots
+	o.pivots = pivots
 	if len(pivots) == 0 {
 		return nil, nil
 	}
 	// Use a random non-empty subset of tables (1..all), keeping join
 	// fan-out bounded (§3.4: row-count pressure).
-	for len(pivots) > 1 && t.rnd.Bool(0.4) {
+	for len(pivots) > 1 && o.rnd.Bool(0.4) {
 		pivots = pivots[:len(pivots)-1]
 	}
 
-	ctx, cols, hints := t.bindPivot(db.Introspect(), pivots, sg)
+	ctx, cols, hints := o.bindPivot(db.Introspect(), pivots, env.Hints)
 	// One generator serves every condition and result expression of the
 	// iteration, so its per-category column grouping is built once; the
-	// tester's generator is reset for it, keeping the grouping's memory.
-	eg := &t.eg
-	eg.Reset(t.rnd, cols, hints, t.cfg.MaxExprDepth)
+	// oracle's generator is reset for it, keeping the grouping's memory.
+	depth := o.cfg.MaxExprDepth
+	if depth <= 0 {
+		depth = env.Depth()
+	}
+	eg := &o.eg
+	eg.Reset(o.rnd, cols, hints, depth)
 	eg.ColValues = pivotColValues(cols, hints)
 
 	// §7 extension: occasionally check the dual property — a FALSE
 	// condition must NOT fetch the pivot row.
-	if t.cfg.NegativeChecks && t.rnd.Bool(0.3) {
-		return t.negativeIteration(db, pivots, ctx, eg, tr)
+	if o.cfg.NegativeChecks && o.rnd.Bool(0.3) {
+		return o.negativeIteration(db, env, pivots, ctx, eg)
 	}
 
 	// Steps 3–4: generate and rectify conditions.
-	where, ok := t.rectifiedCondition(ctx, eg)
+	where, ok := o.rectifiedCondition(ctx, eg)
 	if !ok {
 		return nil, nil
 	}
 
 	// Step 5: synthesize the query.
-	sel, expected := t.buildQuery(ctx, pivots, eg, where)
+	sel, expected := o.buildQuery(ctx, pivots, eg, where)
 
 	// Step 6+7 combined (§3.2): either run the query and search the
 	// result client-side, or wrap it in the paper's INTERSECT form where
 	// a non-empty result proves containment.
 	var query sqlast.Stmt = sel
-	if t.cfg.ContainmentViaQuery {
+	if o.cfg.ContainmentViaQuery {
 		query = intersectForm(sel, expected)
 	}
-	tr.add(query)
-	t.stats.Statements++
-	t.stats.Queries++
-
-	res, execErr := db.ExecAST(query)
-	if execErr != nil {
-		switch v := oracle.Classify(query, execErr, t.cfg.Dialect); v {
-		case oracle.VerdictBug, oracle.VerdictCrash:
-			code, _ := xerr.CodeOf(execErr)
-			return &Bug{
-				Oracle:     oracle.OracleFor(v),
-				DetectedBy: "pqs",
-				Message:    execErr.Error(),
-				Code:       code,
-				Trace:      tr.render(),
-			}, nil
-		default:
-			// Expected runtime error (strict typing): drop this query
-			// from the trace and move on.
-			tr.pop()
-			t.stats.Discarded++
-			return nil, nil
-		}
+	res, rep := o.exec(db, env, query)
+	if res == nil {
+		return rep, nil
 	}
-
 	contained := oracle.Containment(res.Rows, expected)
-	if t.cfg.ContainmentViaQuery {
+	if o.cfg.ContainmentViaQuery {
 		contained = len(res.Rows) > 0
 	}
 	if !contained {
-		return &Bug{
-			Oracle:      faults.OracleContainment,
-			DetectedBy:  "pqs",
-			Message:     fmt.Sprintf("pivot row %s not contained in result set (%d rows)", tupleString(expected), len(res.Rows)),
-			Trace:       tr.render(),
-			Expected:    slices.Clone(expected),
-			PivotTables: pivotTables(pivots),
-		}, nil
+		return containmentReport(env, query, expected, pivots, false,
+			fmt.Sprintf("pivot row %s not contained in result set (%d rows)", tupleString(expected), len(res.Rows))), nil
 	}
-	// Keep the trace bounded: successful pivot queries don't help
-	// reproduce later bugs.
-	tr.pop()
 	return nil, nil
+}
+
+// exec runs a pivot query through the registry's check path. A nil
+// Result means the query failed: the Bug is the error or crash detection,
+// or nil for an expected runtime error (strict typing), counted as
+// discarded.
+func (o *pqsOracle) exec(db sut.DB, env *oracle.Env, query sqlast.Stmt) (*sut.Result, *Bug) {
+	res, rep := oracle.ExecCheck(db, env, query, "pqs")
+	if res == nil && rep == nil {
+		o.stats.Discarded++
+	}
+	return res, rep
+}
+
+// containmentReport is a containment detection of query: the pivot tuple
+// expected was missing (or, negative, present despite a FALSE condition).
+// It copies expected, which the next check overwrites.
+func containmentReport(env *oracle.Env, query sqlast.Stmt, expected []sqlval.Value, pivots []pivotRow, negative bool, msg string) *Bug {
+	return &Bug{
+		Oracle:      faults.OracleContainment,
+		DetectedBy:  "pqs",
+		Message:     msg,
+		Trace:       append(env.SetupTrace(), sqlast.SQL(query, env.Dialect)),
+		Expected:    slices.Clone(expected),
+		PivotTables: pivotTables(pivots),
+		Negative:    negative,
+	}
 }
 
 // pivotTables maps each pivot table to its pivot row, for a detection.
 func pivotTables(pivots []pivotRow) map[string][]sqlval.Value {
 	pt := make(map[string][]sqlval.Value, len(pivots))
 	for _, p := range pivots {
-		pt[p.table] = p.vals
+		pt[p.Table] = p.vals
 	}
 	return pt
 }
 
-// resetSelect empties the tester's Select scaffold for a new pivot query,
+// resetSelect empties the oracle's Select scaffold for a new pivot query,
 // keeping its clause slices' memory.
-func (t *Tester) resetSelect(where sqlast.Expr) *sqlast.Select {
-	sel := &t.sel
+func (o *pqsOracle) resetSelect(where sqlast.Expr) *sqlast.Select {
+	sel := &o.sel
 	*sel = sqlast.Select{
 		Cols:    sel.Cols[:0],
 		From:    sel.From[:0],
@@ -554,8 +458,8 @@ func intersectForm(sel *sqlast.Select, expected []sqlval.Value) *sqlast.Compound
 // negativeIteration generates a FALSE-rectified condition and verifies the
 // pivot row is absent from the result (§7: "we could also generate
 // conditions and check that the pivot row is not contained").
-func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Context, eg *gen.ExprGen, tr *trace) (*Bug, error) {
-	where, ok := t.falsifiedCondition(ctx, eg)
+func (o *pqsOracle) negativeIteration(db sut.DB, env *oracle.Env, pivots []pivotRow, ctx *interp.Context, eg *gen.ExprGen) (*Bug, error) {
+	where, ok := o.falsifiedCondition(ctx, eg)
 	if !ok {
 		return nil, nil
 	}
@@ -563,70 +467,45 @@ func (t *Tester) negativeIteration(db sut.DB, pivots []pivotRow, ctx *interp.Con
 	// with the condition referencing only these tables' columns, any
 	// combo whose tuple equals the pivot tuple evaluates the condition
 	// identically, so presence of the tuple is exactly the violation.
-	sel := t.resetSelect(where)
-	expected := t.expected[:0]
+	sel := o.resetSelect(where)
+	expected := o.expected[:0]
 	for _, p := range pivots {
-		for ci := range p.info.Columns {
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.refs[ci]})
+		for ci := range p.Info.Columns {
+			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.Picks[ci].Ref})
 			var v sqlval.Value
 			if ci < len(p.vals) {
 				v = p.vals[ci]
 			}
 			expected = append(expected, v)
 		}
-		sel.From = append(sel.From, sqlast.TableRef{Name: p.table})
+		sel.From = append(sel.From, sqlast.TableRef{Name: p.Table})
 	}
-	t.expected = expected
+	o.expected = expected
 
-	tr.add(sel)
-	t.stats.Statements++
-	t.stats.Queries++
-	res, execErr := db.ExecAST(sel)
-	if execErr != nil {
-		switch v := oracle.Classify(sel, execErr, t.cfg.Dialect); v {
-		case oracle.VerdictBug, oracle.VerdictCrash:
-			code, _ := xerr.CodeOf(execErr)
-			return &Bug{
-				Oracle:     oracle.OracleFor(v),
-				DetectedBy: "pqs",
-				Message:    execErr.Error(),
-				Code:       code,
-				Trace:      tr.render(),
-			}, nil
-		default:
-			tr.pop()
-			t.stats.Discarded++
-			return nil, nil
-		}
+	res, rep := o.exec(db, env, sel)
+	if res == nil {
+		return rep, nil
 	}
 	if oracle.Containment(res.Rows, expected) {
-		return &Bug{
-			Oracle:      faults.OracleContainment,
-			DetectedBy:  "pqs",
-			Message:     fmt.Sprintf("pivot row %s contained despite FALSE condition (%d rows)", tupleString(expected), len(res.Rows)),
-			Trace:       tr.render(),
-			Expected:    slices.Clone(expected),
-			PivotTables: pivotTables(pivots),
-			Negative:    true,
-		}, nil
+		return containmentReport(env, sel, expected, pivots, true,
+			fmt.Sprintf("pivot row %s contained despite FALSE condition (%d rows)", tupleString(expected), len(res.Rows))), nil
 	}
-	tr.pop()
 	return nil, nil
 }
 
 // falsifiedCondition is the dual of rectifiedCondition: the generated
 // expression is modified to evaluate FALSE on the pivot row.
-func (t *Tester) falsifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
+func (o *pqsOracle) falsifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := t.evalBool(expr, ctx)
+		tb, err := o.evalBool(expr, ctx)
 		if err != nil {
-			t.stats.Discarded++
+			o.stats.Discarded++
 			continue
 		}
 		falsified := RectifyFalse(eg.Nodes(), expr, tb)
-		if check, err := t.evalBool(falsified, ctx); err != nil || check != sqlval.TriFalse {
-			t.stats.Discarded++
+		if check, err := o.evalBool(falsified, ctx); err != nil || check != sqlval.TriFalse {
+			o.stats.Discarded++
 			continue
 		}
 		return falsified, true
@@ -666,29 +545,28 @@ func tupleString(vals []sqlval.Value) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// bindPivot binds the pivot row into the tester's interpreter context and
-// fills the generator's column/hint pools.
-func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.StateGen) (*interp.Context, []gen.ColumnPick, []sqlval.Value) {
-	ctx := &t.ctx
-	ctx.Reset(t.cfg.Dialect)
+// bindPivot binds the pivot row into the oracle's interpreter context and
+// fills the generator's column/hint pools: the pivot tables' column picks,
+// and per column its pivot value ahead of the database's hints.
+func (o *pqsOracle) bindPivot(intro sut.Introspection, pivots []pivotRow, dbHints []sqlval.Value) (*interp.Context, []gen.ColumnPick, []sqlval.Value) {
+	ctx := &o.ctx
+	ctx.Reset(o.cfg.Dialect)
 	ctx.CaseSensitiveLike = intro.CaseSensitiveLike()
-	cols := t.colsBuf[:0]
-	hints := t.hintsBuf[:0]
+	cols := o.colsBuf[:0]
+	hints := o.hintsBuf[:0]
 	for _, p := range pivots {
 		bindRowValues(ctx, p, p.vals)
-		for ci, col := range p.info.Columns {
+		cols = append(cols, p.Picks...)
+		for ci := range p.Picks {
 			var v sqlval.Value
 			if ci < len(p.vals) {
 				v = p.vals[ci]
 			}
-			cols = append(cols, gen.ColumnPick{Table: p.table, Column: col, Ref: p.refs[ci]})
 			hints = append(hints, v)
 		}
 	}
-	if len(sg.Hints) > 0 {
-		hints = append(hints, sg.Hints...)
-	}
-	t.colsBuf, t.hintsBuf = cols, hints
+	hints = append(hints, dbHints...)
+	o.colsBuf, o.hintsBuf = cols, hints
 	return ctx, cols, hints
 }
 
@@ -697,38 +575,38 @@ func (t *Tester) bindPivot(intro sut.Introspection, pivots []pivotRow, sg *gen.S
 // evaluation machinery with the engine, which is what keeps evaluator bugs
 // observable) or, under the UseEngineAsOracle ablation, the engine's own
 // evaluator over the same bound pivot row.
-func (t *Tester) evalBool(expr sqlast.Expr, ctx *interp.Context) (sqlval.TriBool, error) {
-	if !t.cfg.UseEngineAsOracle {
+func (o *pqsOracle) evalBool(expr sqlast.Expr, ctx *interp.Context) (sqlval.TriBool, error) {
+	if !o.cfg.UseEngineAsOracle {
 		return interp.EvalBool(expr, ctx)
 	}
-	ev, lay, f := engineEvaluatorFor(t.cfg, ctx)
+	ev, lay, f := engineEvaluatorFor(o.cfg, ctx)
 	return ev.EvalBool(expr, lay, f)
 }
 
 // rectifiedCondition implements steps 3–4: generate a random expression,
 // evaluate it on the pivot row, and modify it to yield TRUE (Algorithm 3).
-func (t *Tester) rectifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
+func (o *pqsOracle) rectifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlast.Expr, bool) {
 	for tries := 0; tries < 20; tries++ {
 		expr := eg.Generate()
-		tb, err := t.evalBool(expr, ctx)
+		tb, err := o.evalBool(expr, ctx)
 		if err != nil {
-			t.stats.Discarded++
+			o.stats.Discarded++
 			continue
 		}
-		if t.cfg.DisableRectification {
+		if o.cfg.DisableRectification {
 			// Ablation: rejection sampling — only keep TRUE expressions.
 			if tb == sqlval.TriTrue {
-				t.stats.Rectified[tb]++
+				o.stats.Rectified[tb]++
 				return expr, true
 			}
-			t.stats.Discarded++
+			o.stats.Discarded++
 			continue
 		}
-		t.stats.Rectified[tb]++
+		o.stats.Rectified[tb]++
 		rectified := Rectify(eg.Nodes(), expr, tb)
 		// Sanity: the rectified condition must evaluate TRUE.
-		if check, err := t.evalBool(rectified, ctx); err != nil || check != sqlval.TriTrue {
-			t.stats.Discarded++
+		if check, err := o.evalBool(rectified, ctx); err != nil || check != sqlval.TriTrue {
+			o.stats.Discarded++
 			continue
 		}
 		return rectified, true
@@ -738,11 +616,11 @@ func (t *Tester) rectifiedCondition(ctx *interp.Context, eg *gen.ExprGen) (sqlas
 
 // evalValue computes a result-column expression's expected value through
 // the configured oracle (see evalBool).
-func (t *Tester) evalValue(expr sqlast.Expr, ctx *interp.Context) (sqlval.Value, error) {
-	if !t.cfg.UseEngineAsOracle {
+func (o *pqsOracle) evalValue(expr sqlast.Expr, ctx *interp.Context) (sqlval.Value, error) {
+	if !o.cfg.UseEngineAsOracle {
 		return interp.Eval(expr, ctx)
 	}
-	ev, lay, f := engineEvaluatorFor(t.cfg, ctx)
+	ev, lay, f := engineEvaluatorFor(o.cfg, ctx)
 	return ev.Eval(expr, lay, f)
 }
 
@@ -763,34 +641,34 @@ func Rectify(nodes *sqlast.Arena, expr sqlast.Expr, tb sqlval.TriBool) sqlast.Ex
 // buildQuery implements step 5: a SELECT over the pivot tables whose WHERE
 // (and JOIN) conditions are rectified-TRUE expressions, with random
 // keywords (DISTINCT, ORDER BY, LIMIT, GROUP BY). The query and its
-// expected tuple live in the tester's scaffold until the next iteration.
-func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.ExprGen, where sqlast.Expr) (*sqlast.Select, []sqlval.Value) {
-	sel := t.resetSelect(where)
-	expected := t.expected[:0]
+// expected tuple live in the oracle's scaffold until the next check.
+func (o *pqsOracle) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.ExprGen, where sqlast.Expr) (*sqlast.Select, []sqlval.Value) {
+	sel := o.resetSelect(where)
+	expected := o.expected[:0]
 
 	// Result columns: every pivot table column, occasionally replaced by
 	// a random expression on columns (§3.4 extension).
 	// plainCols marks the first pivot table's columns emitted as plain
 	// references — the only legal sort keys for the position-tight ORDER
 	// BY shape below (ORDER BY must match a result column).
-	plainCols := t.plainCols[:0]
-	for range pivots[0].info.Columns {
+	plainCols := o.plainCols[:0]
+	for range pivots[0].Info.Columns {
 		plainCols = append(plainCols, false)
 	}
-	t.plainCols = plainCols
+	o.plainCols = plainCols
 	for pi, p := range pivots {
-		for ci := range p.info.Columns {
-			if t.rnd.Bool(0.15) {
+		for ci := range p.Info.Columns {
+			if o.rnd.Bool(0.15) {
 				expr := eg.GenerateValueExpr()
-				v, err := t.evalValue(expr, ctx)
+				v, err := o.evalValue(expr, ctx)
 				if err == nil {
 					sel.Cols = append(sel.Cols, sqlast.ResultCol{X: expr})
 					expected = append(expected, v)
 					continue
 				}
-				t.stats.Discarded++
+				o.stats.Discarded++
 			}
-			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.refs[ci]})
+			sel.Cols = append(sel.Cols, sqlast.ResultCol{X: p.Picks[ci].Ref})
 			if pi == 0 {
 				plainCols[ci] = true
 			}
@@ -801,7 +679,7 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 			expected = append(expected, v)
 		}
 	}
-	t.expected = expected
+	o.expected = expected
 
 	// FROM and JOIN clauses. With multiple tables, sometimes express one
 	// as JOIN ... ON <rectified-TRUE condition>, preferring plain
@@ -809,35 +687,35 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 	// shape the planner turns into hash or index-lookup joins. The tables
 	// placed before a join are exactly the earlier pivots, whose columns
 	// lead eg.Cols.
-	sel.From = append(sel.From, sqlast.TableRef{Name: pivots[0].table})
-	placed := len(pivots[0].info.Columns)
+	sel.From = append(sel.From, sqlast.TableRef{Name: pivots[0].Table})
+	placed := len(pivots[0].Info.Columns)
 	for _, p := range pivots[1:] {
-		joined := placed + len(p.info.Columns)
-		if t.rnd.Bool(0.3) {
+		joined := placed + len(p.Info.Columns)
+		if o.rnd.Bool(0.3) {
 			var on sqlast.Expr
 			ok := false
-			if t.rnd.Bool(0.6) {
-				on, ok = t.equiJoinOn(ctx, eg, placed, joined)
+			if o.rnd.Bool(0.6) {
+				on, ok = o.equiJoinOn(ctx, eg, placed, joined)
 			}
 			if !ok {
-				on, ok = t.rectifiedCondition(ctx, eg)
+				on, ok = o.rectifiedCondition(ctx, eg)
 			}
 			if !ok {
-				on = eg.Nodes().Lit(trueLiteral(t.cfg.Dialect))
+				on = eg.Nodes().Lit(trueLiteral(o.cfg.Dialect))
 			}
 			kind := sqlast.JoinInner
 			// LEFT JOIN is containment-safe: the pivot pair satisfies
 			// the rectified ON condition, so it is always matched.
-			if t.rnd.Bool(0.35) {
+			if o.rnd.Bool(0.35) {
 				kind = sqlast.JoinLeft
 			}
 			sel.Joins = append(sel.Joins, sqlast.JoinClause{
 				Kind:  kind,
-				Table: sqlast.TableRef{Name: p.table},
+				Table: sqlast.TableRef{Name: p.Table},
 				On:    on,
 			})
 		} else {
-			sel.From = append(sel.From, sqlast.TableRef{Name: p.table})
+			sel.From = append(sel.From, sqlast.TableRef{Name: p.Table})
 		}
 		placed = joined
 	}
@@ -850,13 +728,13 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 	// (Not on Postgres: a FROM scan there also returns inherited child
 	// rows, which the raw-heap snapshot the position math runs on never
 	// sees; Postgres keeps the always-containing LIMIT shape below.)
-	if t.cfg.Dialect != dialect.Postgres &&
-		len(pivots) == 1 && len(sel.Joins) == 0 && t.rnd.Bool(0.2) &&
-		t.exactPositionOrder(sel, pivots[0], plainCols, ctx, eg.Nodes()) {
+	if o.cfg.Dialect != dialect.Postgres &&
+		len(pivots) == 1 && len(sel.Joins) == 0 && o.rnd.Bool(0.2) &&
+		o.exactPositionOrder(sel, pivots[0], plainCols, ctx, eg.Nodes()) {
 		return sel, expected
 	}
 	switch {
-	case (t.cfg.Dialect == dialect.Postgres || t.cfg.Dialect == dialect.SQLite) && t.rnd.Bool(0.25):
+	case (o.cfg.Dialect == dialect.Postgres || o.cfg.Dialect == dialect.SQLite) && o.rnd.Bool(0.25):
 		// GROUP BY over every result column is containment-preserving —
 		// each output tuple is (a representative of) its own group, and
 		// rowsEqual-equal tuples are Value.Equal-equal, so the pivot tuple
@@ -866,13 +744,13 @@ func (t *Tester) buildQuery(ctx *interp.Context, pivots []pivotRow, eg *gen.Expr
 		for _, rc := range sel.Cols {
 			sel.GroupBy = append(sel.GroupBy, rc.X)
 		}
-	case t.rnd.Bool(0.3):
+	case o.rnd.Bool(0.3):
 		sel.Distinct = true
 	}
-	if t.rnd.Bool(0.25) {
-		rc := sel.Cols[t.rnd.Intn(len(sel.Cols))]
-		sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: rc.X, Desc: t.rnd.Bool(0.5)})
-		if t.rnd.Bool(0.5) {
+	if o.rnd.Bool(0.25) {
+		rc := sel.Cols[o.rnd.Intn(len(sel.Cols))]
+		sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: rc.X, Desc: o.rnd.Bool(0.5)})
+		if o.rnd.Bool(0.5) {
 			// A LIMIT at least as large as any possible result set never
 			// excludes the pivot row.
 			sel.Limit = limitAll
@@ -901,19 +779,19 @@ var limitAll = sqlast.Lit(sqlval.Int(1_000_000))
 // with ties after the pivot. Reports false when no plain-column key is
 // available or a row evaluation errors (the caller falls through to the
 // other keyword shapes). LIMIT and OFFSET come from nodes.
-func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []bool, ctx *interp.Context, nodes *sqlast.Arena) bool {
+func (o *pqsOracle) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []bool, ctx *interp.Context, nodes *sqlast.Arena) bool {
 	// keep collects the scan-order indexes of WHERE-surviving rows;
 	// pivotPos is the pivot's rank among them.
-	keep := make([]int, 0, len(p.rows))
+	keep := make([]int, 0, len(p.Rows))
 	pivotPos := -1
 	if sel.Where == nil {
-		for i := range p.rows {
+		for i := range p.Rows {
 			keep = append(keep, i)
 		}
 		pivotPos = p.rowIdx
 	} else {
 		defer bindRowValues(ctx, p, p.vals) // restore the pivot bindings
-		for i, row := range p.rows {
+		for i, row := range p.Rows {
 			if i == p.rowIdx {
 				// Rectified TRUE on the pivot by construction.
 				pivotPos = len(keep)
@@ -932,34 +810,34 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 	}
 
 	var cands, tieCands []int
-	for ci := range p.info.Columns {
+	for ci := range p.Info.Columns {
 		if ci >= len(plainCols) || !plainCols[ci] || ci >= len(p.vals) {
 			continue
 		}
 		cands = append(cands, ci)
 		for _, i := range keep[pivotPos+1:] {
-			if sqlval.Compare(p.rows[i][ci], p.vals[ci], sqlval.CollBinary) == 0 {
+			if sqlval.Compare(p.Rows[i][ci], p.vals[ci], sqlval.CollBinary) == 0 {
 				tieCands = append(tieCands, ci)
 				break
 			}
 		}
 	}
 	pick := cands
-	if len(tieCands) > 0 && t.rnd.Bool(0.8) {
+	if len(tieCands) > 0 && o.rnd.Bool(0.8) {
 		pick = tieCands
 	}
 	if len(pick) == 0 {
 		return false
 	}
-	ci := pick[t.rnd.Intn(len(pick))]
-	desc := t.rnd.Bool(0.5)
+	ci := pick[o.rnd.Intn(len(pick))]
+	desc := o.rnd.Bool(0.5)
 	// pos is the pivot's 1-based position under the engine's stable sort
 	// of the surviving rows: strictly smaller keys, plus key ties at or
 	// before the pivot's scan index (sqlval.Compare on CollBinary is
 	// exactly the engine's ORDER BY comparator).
 	pos := 0
 	for ki, i := range keep {
-		c := sqlval.Compare(p.rows[i][ci], p.vals[ci], sqlval.CollBinary)
+		c := sqlval.Compare(p.Rows[i][ci], p.vals[ci], sqlval.CollBinary)
 		if desc {
 			c = -c
 		}
@@ -967,10 +845,10 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 			pos++
 		}
 	}
-	sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: p.refs[ci], Desc: desc})
+	sel.OrderBy = append(sel.OrderBy, sqlast.OrderItem{X: p.Picks[ci].Ref, Desc: desc})
 	off := 0
-	if pos > 1 && t.rnd.Bool(0.4) {
-		off = t.rnd.Intn(pos)
+	if pos > 1 && o.rnd.Bool(0.4) {
+		off = o.rnd.Intn(pos)
 	}
 	sel.Limit = nodes.Lit(sqlval.Int(int64(pos - off)))
 	if off > 0 {
@@ -982,12 +860,12 @@ func (t *Tester) exactPositionOrder(sel *sqlast.Select, p pivotRow, plainCols []
 // bindRowValues binds one table's columns in the interpreter context to
 // a snapshot row, with the source's column metadata.
 func bindRowValues(ctx *interp.Context, p pivotRow, row []sqlval.Value) {
-	for ci, col := range p.info.Columns {
-		info := p.meta[ci]
+	for ci, col := range p.Info.Columns {
+		info := p.Meta[ci]
 		if ci < len(row) {
 			info.Val = row[ci]
 		}
-		ctx.Bind(p.table, col.Name, info)
+		ctx.Bind(p.Table, col.Name, info)
 	}
 }
 
@@ -1000,17 +878,17 @@ func bindRowValues(ctx *interp.Context, p pivotRow, row []sqlval.Value) {
 // Returns false when no pivot-true equality exists between the placed
 // tables and the one being joined. Each candidate's condition is built in
 // the generator's arena, where the chosen one stays for the query.
-func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined int) (sqlast.Expr, bool) {
+func (o *pqsOracle) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined int) (sqlast.Expr, bool) {
 	cols, hints := eg.Cols, eg.Hints
 	if len(hints) < len(cols) {
 		return nil, false
 	}
-	cands, variants := t.joinCands[:0], 0
+	cands, variants := o.joinCands[:0], 0
 	for i := range cols[:placed] {
 		for j := placed; j < joined; j++ {
 			c := joinCand{l: i, r: j}
 			va, vb := hints[i], hints[j]
-			if t.cfg.Dialect == dialect.SQLite &&
+			if o.cfg.Dialect == dialect.SQLite &&
 				va.Kind() == sqlval.KText && vb.Kind() == sqlval.KText && va.Str() != vb.Str() {
 				switch a, b := va.Str(), vb.Str(); {
 				case strings.EqualFold(a, b):
@@ -1020,7 +898,7 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined
 				}
 			}
 			c.on = c.build(cols, eg.Nodes())
-			if tb, err := t.evalBool(c.on, ctx); err != nil || tb != sqlval.TriTrue {
+			if tb, err := o.evalBool(c.on, ctx); err != nil || tb != sqlval.TriTrue {
 				continue
 			}
 			cands = append(cands, c)
@@ -1029,15 +907,15 @@ func (t *Tester) equiJoinOn(ctx *interp.Context, eg *gen.ExprGen, placed, joined
 			}
 		}
 	}
-	t.joinCands = cands
+	o.joinCands = cands
 	if len(cands) == 0 {
 		return nil, false
 	}
 	// Collation-variant keys are the interesting ones; take one when found.
 	if variants == 0 {
-		return cands[t.rnd.Intn(len(cands))].on, true
+		return cands[o.rnd.Intn(len(cands))].on, true
 	}
-	k := t.rnd.Intn(variants)
+	k := o.rnd.Intn(variants)
 	for _, c := range cands {
 		if c.variant {
 			if k == 0 {

@@ -174,8 +174,9 @@ func TestRectifiedAlwaysTrue(t *testing.T) {
 			})
 		}
 		eg := &gen.ExprGen{Rnd: tester.rnd, Cols: cols, Hints: pivotVals, ColValues: pivotVals, MaxDepth: tester.cfg.MaxExprDepth}
+		pqs := newPQS(tester.cfg, tester.stats)
 		for i := 0; i < 500; i++ {
-			expr, ok := tester.rectifiedCondition(ctx, eg)
+			expr, ok := pqs.rectifiedCondition(ctx, eg)
 			if !ok {
 				continue
 			}

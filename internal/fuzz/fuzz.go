@@ -11,7 +11,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/sqlast"
 	"repro/internal/sut"
-	"repro/internal/xerr"
 )
 
 // Config parameterizes a fuzzing session. The embedded Session is what
@@ -73,17 +72,12 @@ func (f *Fuzzer) RunDatabase() (*core.Bug, error) {
 		trace = append(trace, st)
 		f.stats.Statements++
 		_, err := db.ExecAST(st)
-		switch v := oracle.Classify(st, err, f.cfg.Dialect); v {
-		case oracle.VerdictBug, oracle.VerdictCrash:
-			code, _ := xerr.CodeOf(err)
-			return &fuzzSignal{bug: &core.Bug{
-				Oracle:     oracle.OracleFor(v),
-				DetectedBy: "fuzz",
-				Message:    err.Error(),
-				Code:       code,
-				Trace:      renderTrace(),
-			}}
-		case oracle.VerdictArtifact:
+		bug, v := oracle.ErrorReport(st, err, f.cfg.Dialect, "fuzz")
+		if bug != nil {
+			bug.Trace = renderTrace()
+			return &fuzzSignal{bug: bug}
+		}
+		if v == oracle.VerdictArtifact {
 			f.stats.Artifacts++
 		}
 		return nil

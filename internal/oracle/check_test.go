@@ -192,15 +192,34 @@ func TestOneShotChecks(t *testing.T) {
 			t.Errorf("report attribution: DetectedBy=%q Oracle=%q", rep.DetectedBy, rep.Oracle)
 		}
 	})
+	// One-shot PQS takes a fresh target snapshot, rows included, at every
+	// check. A DISTINCT that folds case drops 'a' or 'A' from the result,
+	// so a pivot on the dropped one is missing (detected within 22 checks
+	// on each of seeds 1-10, 9 on this test's seed).
+	t.Run("pqs-fault", func(t *testing.T) {
+		db := openDB(t, faults.NewSet(faults.DistinctCollation),
+			"CREATE TABLE t0(c0 TEXT)", "INSERT INTO t0 VALUES ('a'), ('A'), ('b')")
+		rep := oneShot(t, db, "pqs", 50)
+		if rep == nil {
+			t.Fatal("pqs one-shot missed generic.distinct-collation in 50 checks")
+		}
+		if rep.DetectedBy != "pqs" || rep.Oracle != faults.OracleContainment {
+			t.Errorf("report attribution: DetectedBy=%q Oracle=%q", rep.DetectedBy, rep.Oracle)
+		}
+		if _, ok := rep.PivotTables["t0"]; !ok || len(rep.Expected) == 0 || len(rep.Trace) == 0 {
+			t.Errorf("report missing replay material: pivots=%v expected=%v trace=%d", rep.PivotTables, rep.Expected, len(rep.Trace))
+		}
+	})
 }
 
 // TestOneShotSeesStatementsBetweenChecks holds the one-shot path of the
-// metamorphic oracles to the live database: one oracle instance serves
-// every check (and keeps its reused memory), but without a campaign's
-// per-database snapshot each check captures the database afresh. A table
-// created and filled between two checks, and rows inserted into a table
-// that was empty, are targets of the later checks: detections of a fault
-// that needs rows name them.
+// oracles that read a target snapshot to the live database: one oracle
+// instance serves every check (and keeps its reused memory), but without
+// a campaign's per-database snapshot each check captures the database
+// afresh. A table created and filled between two checks, and rows
+// inserted into a table that was empty, are targets of the later checks:
+// detections of a fault that needs rows name them (TLP and NoREC in their
+// message, PQS among its pivot tables).
 func TestOneShotSeesStatementsBetweenChecks(t *testing.T) {
 	for _, tc := range []struct {
 		oracle string
@@ -208,6 +227,7 @@ func TestOneShotSeesStatementsBetweenChecks(t *testing.T) {
 	}{
 		{"norec", faults.NorecCountMismatch},
 		{"tlp", faults.UnionAllDedup},
+		{"pqs", faults.AffinityCompare},
 	} {
 		t.Run(tc.oracle, func(t *testing.T) {
 			db := openDB(t, faults.NewSet(tc.fault), "CREATE TABLE t0(c0 INT)")
@@ -232,7 +252,7 @@ func TestOneShotSeesStatementsBetweenChecks(t *testing.T) {
 					if !want {
 						t.Fatalf("check %d flagged an empty database: %s", i, rep.Message)
 					}
-					if strings.Contains(rep.Message, "on "+table) {
+					if _, pivot := rep.PivotTables[table]; pivot || strings.Contains(rep.Message, "on "+table) {
 						return
 					}
 				}

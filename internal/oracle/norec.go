@@ -56,7 +56,7 @@ func (*noREC) Name() string { return "norec" }
 
 // Check implements Oracle: one random predicate, one query pair.
 func (n *noREC) Check(db sut.DB, env *Env) (*Report, error) {
-	t, ok := env.targets(db, &n.own).pick(env.Rnd)
+	t, ok := env.Snapshot(db, &n.own).pick(env.Rnd)
 	if !ok {
 		return nil, nil
 	}
@@ -66,15 +66,15 @@ func (n *noREC) Check(db sut.DB, env *Env) (*Report, error) {
 	n.opt = sqlast.Select{Cols: starCols, From: n.from[:], Where: pred}
 	n.val[0] = sqlast.ResultCol{X: pred, Alias: "v"}
 	n.unopt = sqlast.Select{Cols: n.val[:], From: n.from[:]}
-	optRes, rep, err := execCheck(db, env, &n.opt, "norec")
-	if rep != nil || err != nil || optRes == nil {
-		return rep, err
+	optRes, rep := ExecCheck(db, env, &n.opt, "norec")
+	if optRes == nil {
+		return rep, nil
 	}
 	// Read before the next statement, which may overwrite the result.
 	got := len(optRes.Rows)
-	unoptRes, rep, err := execCheck(db, env, &n.unopt, "norec")
-	if rep != nil || err != nil || unoptRes == nil {
-		return rep, err
+	unoptRes, rep := ExecCheck(db, env, &n.unopt, "norec")
+	if unoptRes == nil {
+		return rep, nil
 	}
 	want, ok := TruthyCount(unoptRes.Rows, env.Dialect)
 	if !ok {

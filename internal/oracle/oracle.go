@@ -165,3 +165,22 @@ func OracleFor(v Verdict) faults.Oracle {
 		return faults.OracleError
 	}
 }
+
+// ErrorReport applies the error and crash oracles to one statement
+// outcome: an error that is never expected, or a crash, becomes a Report
+// attributed to by, without a trace (each caller renders its own). An
+// expected error, a generator artifact or success gives nil. The verdict
+// is returned for callers that count artifacts.
+func ErrorReport(st sqlast.Stmt, err error, d dialect.Dialect, by string) (*Report, Verdict) {
+	v := Classify(st, err, d)
+	if v != VerdictBug && v != VerdictCrash {
+		return nil, v
+	}
+	code, _ := xerr.CodeOf(err)
+	return &Report{
+		Oracle:     OracleFor(v),
+		DetectedBy: by,
+		Message:    err.Error(),
+		Code:       code,
+	}, v
+}

@@ -45,10 +45,13 @@ type crashableDB interface {
 // heap), so the comparison always reads its rows.
 //
 // An instance owns its generator, reset per check, so it serves one check
-// at a time; the check renders every statement it executes at once.
+// at a time. It keeps the statements a check executes as the generator's
+// nodes, which live until its next Reset, and renders them only for a
+// report.
 type recovery struct {
-	opts Options
-	sg   gen.StateGen
+	opts  Options
+	sg    gen.StateGen
+	stmts []sqlast.Stmt // DML executed since the setup prefix
 }
 
 // Name implements Oracle.
@@ -111,10 +114,10 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 
 	sg := &r.sg
 	sg.Reset(env.Rnd, db.Introspect(), env.Hints)
-	var extra []string // DML executed since the setup prefix
+	r.stmts = r.stmts[:0]
 	apply := func(st sqlast.Stmt) error {
 		env.Record()
-		extra = append(extra, sqlast.SQL(st, env.Dialect))
+		r.stmts = append(r.stmts, st)
 		_, err := db.ExecAST(st)
 		// Failed statements persisted whatever partial effect they had;
 		// only a dead pager (CodeIO) must abort the round, and the armed
@@ -148,7 +151,7 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 			}
 			err := sg.RandomDML(func(st sqlast.Stmt) error {
 				env.Record()
-				extra = append(extra, sqlast.SQL(st, env.Dialect))
+				r.stmts = append(r.stmts, st)
 				_, err := db.ExecAST(st)
 				return err
 			})
@@ -180,7 +183,7 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 			DetectedBy: "recovery",
 			Code:       code,
 			Message:    fmt.Sprintf("recovery failed after simulated crash (%s): %v", plan, err),
-			Trace:      append(env.SetupTrace(), extra...),
+			Trace:      r.trace(env),
 			CrashPlan:  plan.String(),
 		}, nil
 	}
@@ -199,7 +202,16 @@ func (r *recovery) Check(db sut.DB, env *Env) (*Report, error) {
 		DetectedBy: "recovery",
 		Message: fmt.Sprintf("recovery divergence after simulated crash (%s): %s",
 			plan, stateDiff(cdb, expected)),
-		Trace:     append(env.SetupTrace(), extra...),
+		Trace:     r.trace(env),
 		CrashPlan: plan.String(),
 	}, nil
+}
+
+// trace renders a report's trace: the setup prefix, then the check's DML.
+func (r *recovery) trace(env *Env) []string {
+	out := env.SetupTrace()
+	for _, st := range r.stmts {
+		out = append(out, sqlast.SQL(st, env.Dialect))
+	}
+	return out
 }

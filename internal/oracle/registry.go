@@ -45,12 +45,12 @@ type Env struct {
 	// RecordStmt is called once per statement a check executes, so the
 	// campaign's throughput counters stay truthful. May be nil.
 	RecordStmt func()
-	// Targets is the database's check-target snapshot for oracles whose
-	// query phase runs only SELECTs; a campaign Resets it once per
-	// database. nil makes such an oracle capture the database at every
-	// check (one-shot checks against a live shell, where any statement may
-	// run between checks). Oracles that write (serializability, recovery)
-	// never read it.
+	// Targets is the database's check-target snapshot for the oracles
+	// whose query phase runs only SELECTs (PQS, TLP, NoREC), which share
+	// it; a campaign Resets it once per database. nil makes such an
+	// oracle capture the database at every check (one-shot checks against
+	// a live shell, where any statement may run between checks). Oracles
+	// that write (serializability, recovery) never read it.
 	Targets *Targets
 }
 
@@ -154,27 +154,21 @@ func ForFault(info faults.Info) string {
 	}
 }
 
-// execCheck runs one check statement through the SUT boundary and applies
-// the shared error/crash oracle to its outcome. A nil Result with a nil
-// Report means the statement failed with an expected or artifact error and
-// the check should be discarded.
-func execCheck(db sut.DB, env *Env, st sqlast.Stmt, by string) (*sut.Result, *Report, error) {
+// ExecCheck runs one check statement through the SUT boundary, counting
+// it with env.Record, and applies the shared error/crash oracle to its
+// outcome. A nil Result means the statement failed: the Report is the
+// detection, traced as the setup prefix plus the statement, or nil when
+// the error was expected or an artifact and the check should be
+// discarded.
+func ExecCheck(db sut.DB, env *Env, st sqlast.Stmt, by string) (*sut.Result, *Report) {
 	env.Record()
 	res, err := db.ExecAST(st)
 	if err == nil {
-		return res, nil, nil
+		return res, nil
 	}
-	switch v := Classify(st, err, env.Dialect); v {
-	case VerdictBug, VerdictCrash:
-		code, _ := xerr.CodeOf(err)
-		return nil, &Report{
-			Oracle:     OracleFor(v),
-			DetectedBy: by,
-			Message:    err.Error(),
-			Code:       code,
-			Trace:      append(env.SetupTrace(), sqlast.SQL(st, env.Dialect)),
-		}, nil
-	default:
-		return nil, nil, nil
+	rep, _ := ErrorReport(st, err, env.Dialect, by)
+	if rep != nil {
+		rep.Trace = append(env.SetupTrace(), sqlast.SQL(st, env.Dialect))
 	}
+	return nil, rep
 }

@@ -375,21 +375,11 @@ func (h *history) runHistory(env *Env, nSessions int) (*Report, error) {
 		}
 		res, err := conns[s.session].ExecAST(s.st)
 		s.out = h.observe(res, err, true)
-		if err != nil {
-			switch v := Classify(s.st, err, db.Session().Dialect); v {
-			case VerdictBug, VerdictCrash:
-				code, _ := xerr.CodeOf(err)
-				rep := &Report{
-					Oracle:     OracleFor(v),
-					DetectedBy: "serializability",
-					Message:    err.Error(),
-					Code:       code,
-				}
-				if env != nil {
-					rep.Trace = append(env.SetupTrace(), historyTrace(h.steps[:i+1], db)...)
-				}
-				return rep, nil
+		if rep, _ := ErrorReport(s.st, err, db.Session().Dialect, "serializability"); rep != nil {
+			if env != nil {
+				rep.Trace = append(env.SetupTrace(), historyTrace(h.steps[:i+1], db)...)
 			}
+			return rep, nil
 		}
 	}
 	return nil, nil

@@ -4,28 +4,50 @@ import (
 	"slices"
 
 	"repro/internal/gen"
+	"repro/internal/interp"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
+	"repro/internal/sqlval"
 	"repro/internal/sut"
 )
 
 // Targets is a database's check targets for a query phase that runs only
-// SELECTs (TLP, NoREC): every table in Introspection.Tables order, whether
-// it holds rows, its schema, and its columns as generator picks that share
-// one prebuilt reference per column. Such a phase cannot change tables,
-// row counts or schemas, so one snapshot serves every check on the
-// database — the argument core's pivot-source snapshot rests on too.
+// SELECTs (PQS, TLP, NoREC): every table in Introspection.Tables order,
+// whether it holds rows, its schema, and its columns as generator picks
+// that share one prebuilt reference per column; and, captured the first
+// time a check asks for them, the stored rows of the tables that hold
+// some (PQS's pivot sources). Such a phase cannot change tables, rows or
+// schemas, so one snapshot serves every check on the database.
 //
 // A Targets is a lazy snapshot: Reset marks it stale and the first check
 // that needs it captures the database. Its memory is reused from one
 // snapshot to the next, so the references it hands out (and the ASTs built
 // on them) live until the next snapshot; a Report renders its SQL at once.
+// Captured rows are the backend's copies and are never overwritten, so a
+// Report may keep them.
 type Targets struct {
 	valid    bool
 	tables   []target
 	nonEmpty int
 	picks    []gen.ColumnPick
 	refs     []sqlast.ColumnRef
+	// sourced says sources holds this snapshot's rows; meta is the array
+	// the sources' column metadata share.
+	sourced bool
+	sources []RowSource
+	meta    []interp.ColInfo
+}
+
+// RowSource is one table of a snapshot that holds rows, as PQS draws its
+// pivot rows from it: the table's schema and column picks, per column the
+// interpreter metadata (collation, affinity, signedness; Val unset), and
+// its stored rows in scan order.
+type RowSource struct {
+	Table string
+	Info  schema.TableInfo
+	Picks []gen.ColumnPick
+	Meta  []interp.ColInfo
+	Rows  [][]sqlval.Value
 }
 
 // target is one table of a snapshot.
@@ -74,7 +96,35 @@ func (ts *Targets) snapshot(intro sut.Introspection) {
 		t.picks = picks[start:len(picks):len(picks)]
 	}
 	ts.tables, ts.picks, ts.refs = tables, picks, refs
-	ts.valid = true
+	ts.valid, ts.sourced = true, false
+}
+
+// RowSources returns the snapshot's tables that hold rows and have
+// columns, with their rows, reading every table's rows through intro on
+// the first call after a snapshot.
+func (ts *Targets) RowSources(intro sut.Introspection) []RowSource {
+	if ts.sourced {
+		return ts.sources
+	}
+	srcs := ts.sources[:0]
+	// One array for every source's metadata, sized up front (as snapshot
+	// does) so the sources' subslices share it.
+	meta := slices.Grow(ts.meta[:0], len(ts.picks))
+	for i := range ts.tables {
+		t := &ts.tables[i]
+		rows := intro.RawRows(t.name)
+		if len(rows) == 0 || !t.ok {
+			continue
+		}
+		start := len(meta)
+		for _, col := range t.info.Columns {
+			coll, _ := sqlval.ParseCollation(col.Collate)
+			meta = append(meta, interp.ColInfo{Coll: coll, Affinity: sqlval.AffinityOf(col.TypeName), Unsigned: col.Unsigned})
+		}
+		srcs = append(srcs, RowSource{Table: t.name, Info: t.info, Picks: t.picks, Meta: meta[start:len(meta):len(meta)], Rows: rows})
+	}
+	ts.sources, ts.meta, ts.sourced = srcs, meta, true
+	return srcs
 }
 
 // pick draws a check target, preferring tables that hold rows (empty
@@ -120,10 +170,10 @@ func (ts *Targets) nthNonEmpty(k int, exclude *target) *target {
 	panic("oracle: target index out of range")
 }
 
-// targets returns the check targets of db: env's per-database snapshot
+// Snapshot returns the check targets of db: env's per-database snapshot
 // when the campaign supplies one, else own, captured afresh — a one-shot
 // check cannot know what ran on the database since the last.
-func (e *Env) targets(db sut.DB, own *Targets) *Targets {
+func (e *Env) Snapshot(db sut.DB, own *Targets) *Targets {
 	ts := e.Targets
 	if ts == nil {
 		ts = own

@@ -77,7 +77,7 @@ func (*tlp) Name() string { return "tlp" }
 
 // Check implements Oracle.
 func (o *tlp) Check(db sut.DB, env *Env) (*Report, error) {
-	ts := env.targets(db, &o.own)
+	ts := env.Snapshot(db, &o.own)
 	t, ok := ts.pick(env.Rnd)
 	if !ok {
 		return nil, nil
@@ -87,30 +87,30 @@ func (o *tlp) Check(db sut.DB, env *Env) (*Report, error) {
 	// shape exercises the engine's join-strategy selection (hash joins in
 	// particular) under a WHERE clause, which single-table TLP never does.
 	if env.Rnd.Bool(0.4) {
-		if rep, err, built := o.checkJoin(db, env, ts, t); built {
-			return rep, err
+		if rep, built := o.checkJoin(db, env, ts, t); built {
+			return rep, nil
 		}
 	}
 	o.eg.Reset(env.Rnd, t.picks, env.Hints, depthOf(o.opts, env))
 	pred := o.eg.Generate()
 	if env.Rnd.Bool(0.5) {
-		return o.checkAgg(db, env, t, pred)
+		return o.checkAgg(db, env, t, pred), nil
 	}
 	o.subset = gen.AppendColumnSubset(o.subset[:0], env.Rnd, len(t.picks))
 	o.cols = o.cols[:0]
 	for _, ci := range o.subset {
 		o.cols = append(o.cols, sqlast.ResultCol{X: t.picks[ci].Ref})
 	}
-	return o.comparePartitions(db, env, t.name, nil, pred, partitionDiff{shape: t.name})
+	return o.comparePartitions(db, env, t.name, nil, pred, partitionDiff{shape: t.name}), nil
 }
 
 // checkJoin runs the WHERE variant over `t1 [LEFT] JOIN t2 ON a = b`. The
-// third return is false when no join shape could be built (single-table
+// second return is false when no join shape could be built (single-table
 // database) and the caller should fall back to the single-table variants.
-func (o *tlp) checkJoin(db sut.DB, env *Env, ts *Targets, t1 *target) (*Report, error, bool) {
+func (o *tlp) checkJoin(db sut.DB, env *Env, ts *Targets, t1 *target) (*Report, bool) {
 	t2, ok := ts.partner(env.Rnd, t1)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	c1, c2 := o.pickJoinKeys(env.Rnd, t1, t2)
 	kind := sqlast.JoinInner
@@ -126,8 +126,7 @@ func (o *tlp) checkJoin(db sut.DB, env *Env, ts *Targets, t1 *target) (*Report, 
 		o.cols = append(o.cols, sqlast.ResultCol{X: p.Ref})
 	}
 	o.joins[0] = sqlast.JoinClause{Kind: kind, Table: sqlast.TableRef{Name: t2.name}, On: &o.on}
-	rep, err := o.comparePartitions(db, env, t1.name, o.joins[:], pred, partitionDiff{shape: t1.name, joined: t2.name})
-	return rep, err, true
+	return o.comparePartitions(db, env, t1.name, o.joins[:], pred, partitionDiff{shape: t1.name, joined: t2.name}), true
 }
 
 // pickJoinKeys picks one column per table for the equi-join key, as
@@ -158,7 +157,7 @@ func (o *tlp) pickJoinKeys(rnd *gen.Rand, t1, t2 *target) (int, int) {
 // projection: the unpartitioned query against the UNION ALL recombination
 // of its three partitions. Exported for the FuzzTLPPartition harness; the
 // oracle's Check wraps it with random generation.
-func PartitionCheck(db sut.DB, env *Env, table string, cols []string, pred sqlast.Expr) (*Report, error) {
+func PartitionCheck(db sut.DB, env *Env, table string, cols []string, pred sqlast.Expr) *Report {
 	o := &tlp{}
 	for _, c := range cols {
 		o.cols = append(o.cols, sqlast.ResultCol{X: sqlast.Col(table, c)})
@@ -179,7 +178,7 @@ type partitionDiff struct {
 // with o.cols as result columns against the UNION ALL of the same query
 // over the three partitions of pred, and reports what diff finds between
 // them.
-func (o *tlp) comparePartitions(db sut.DB, env *Env, table string, joins []sqlast.JoinClause, pred sqlast.Expr, diff partitionDiff) (*Report, error) {
+func (o *tlp) comparePartitions(db sut.DB, env *Env, table string, joins []sqlast.JoinClause, pred sqlast.Expr, diff partitionDiff) *Report {
 	o.from[0] = sqlast.TableRef{Name: table}
 	base := sqlast.Select{Cols: o.cols, From: o.from[:], Joins: joins}
 	o.orig = base
@@ -191,24 +190,24 @@ func (o *tlp) comparePartitions(db sut.DB, env *Env, table string, joins []sqlas
 		o.psels[i] = &o.parts[i]
 	}
 	o.comp = sqlast.Compound{Selects: o.psels[:], Ops: unionAllOps}
-	origRes, rep, err := execCheck(db, env, &o.orig, "tlp")
-	if rep != nil || err != nil || origRes == nil {
-		return rep, err
+	origRes, rep := ExecCheck(db, env, &o.orig, "tlp")
+	if origRes == nil {
+		return rep
 	}
 	origRows := o.origRows.Clone(origRes.Rows) // kept across comp
-	compRes, rep, err := execCheck(db, env, &o.comp, "tlp")
-	if rep != nil || err != nil || compRes == nil {
-		return rep, err
+	compRes, rep := ExecCheck(db, env, &o.comp, "tlp")
+	if compRes == nil {
+		return rep
 	}
 	rep = o.diff(diff, origRows, compRes.Rows)
 	if rep == nil {
-		return nil, nil
+		return nil
 	}
 	rep.Oracle = faults.OracleTLP
 	rep.DetectedBy = "tlp"
 	rep.Trace = append(env.SetupTrace(), sqlast.SQL(&o.comp, env.Dialect))
 	rep.Compare = sqlast.SQL(&o.orig, env.Dialect)
-	return rep, nil
+	return rep
 }
 
 // unionAllOps joins the three partitions (shared, never mutated).
@@ -243,7 +242,7 @@ func (o *tlp) diff(d partitionDiff, orig, comp [][]sqlval.Value) *Report {
 // columns whose stored values are all integral (float addition is not
 // associative, so partition-order sums would false-positive); MAX over any
 // column (max-of-max is order-independent under a total order).
-func (o *tlp) checkAgg(db sut.DB, env *Env, t *target, pred sqlast.Expr) (*Report, error) {
+func (o *tlp) checkAgg(db sut.DB, env *Env, t *target, pred sqlast.Expr) *Report {
 	ci := env.Rnd.Intn(len(t.picks))
 	fn := [...]string{"COUNT", "SUM", "MAX"}[env.Rnd.Intn(3)]
 	if fn == "SUM" && !allIntegral(db, t.name, t.info.Columns[ci].Name) {
